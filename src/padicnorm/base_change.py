@@ -16,7 +16,6 @@ under which every split norm becomes a lattice norm (a single class).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,7 +23,7 @@ from . import linalg
 from .errors import PreconditionError
 from .norms import SplitNorm, ball_basis, ball_basis_open
 from .stabilizer import fiber_structure
-from .valuation import degree_rep, frac_part, pval
+from .valuation import count_classes, degree_rep, frac_part, pval
 
 WeightMultiset = dict[Fraction, int]
 
@@ -50,8 +49,7 @@ class VirtualExtension:
 
 def chi_weights(norm: SplitNorm) -> WeightMultiset:
     """Multiset of splitting-value classes mod 1, keys ascending in [0, 1)."""
-    counts = Counter(frac_part(a) for a in norm.values)
-    return dict(sorted(counts.items()))
+    return dict(norm.class_counts)
 
 
 def extension_value_classes(norm: SplitNorm, ext: VirtualExtension) -> WeightMultiset:
@@ -64,10 +62,9 @@ def extension_value_classes(norm: SplitNorm, ext: VirtualExtension) -> WeightMul
     e = ext.ram_index
     if e is None:
         return {Fraction(0): norm.dim} if norm.dim else {}
-    period = Fraction(1, e)
-    counts = Counter(frac_part(a * e) / e for a in norm.values)
-    assert all(0 <= c < period for c in counts)
-    return dict(sorted(counts.items()))
+    counts = {c / e: m for c, m in count_classes(a * e for a in norm.values).items()}
+    assert all(0 <= c < Fraction(1, e) for c in counts)
+    return counts
 
 
 def is_lattice_norm_over(norm: SplitNorm, ext: VirtualExtension) -> bool:

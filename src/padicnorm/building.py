@@ -9,7 +9,6 @@ columns and test the resulting candidate for equality.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -17,11 +16,11 @@ from .errors import DimensionMismatchError, PreconditionError
 from .norms import (
     SplitNorm,
     ball_basis,
-    common_splitting_basis,
+    distance,
     equals,
     evaluate,
 )
-from .valuation import FieldConfig, frac_part, val
+from .valuation import FieldConfig, val
 
 
 def norm_from_apartment(coords, cfg: FieldConfig) -> SplitNorm:
@@ -81,8 +80,7 @@ def cartan_position(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, ...]:
     exponents of the transition matrix.  Swapping the arguments negates
     and reverses the vector.
     """
-    _, a_vals, b_vals = common_splitting_basis(a, b)
-    return tuple(sorted((bv - av for av, bv in zip(a_vals, b_vals)), reverse=True))
+    return distance(a, b)[1]
 
 
 def point_type(norm: SplitNorm) -> tuple[int, ...]:
@@ -91,8 +89,7 @@ def point_type(norm: SplitNorm) -> tuple[int, ...]:
     Length 1 with class zero means hyperspecial; length n means the
     barycenter of a chamber.
     """
-    counts = Counter(frac_part(a) for a in norm.values)
-    return tuple(counts[c] for c in sorted(counts))
+    return tuple(norm.class_counts.values())
 
 
 def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:

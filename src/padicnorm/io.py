@@ -13,14 +13,17 @@ import json
 from fractions import Fraction
 
 from . import linalg
-from .errors import DocumentError, DomainError
+from .errors import DocumentError, DomainError, PreconditionError
 from .norms import LatticeBasis, SplitNorm
 from .splittings import SplittingPair
 from .valuation import FieldConfig, Value
 
 
 def rational_str(x: Fraction) -> str:
-    return str(Fraction(x))
+    try:
+        return str(Fraction(x))
+    except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
+        raise PreconditionError("result has a rational too large to print") from exc
 
 
 def value_str(v: Value) -> str:

@@ -10,17 +10,9 @@ with the maximum over the nonzero coordinates and bottom at v = 0.
 All operations keep this presentation; no other representation of a
 norm exists in the package.
 
-Why comparing closed balls over one period decides equality
------------------------------------------------------------
-The closed ball of a split norm at level g is the lattice spanned by
-p^(ceil(a_i - g)) e_i, and shifting g by -1 multiplies the ball by p.
-A split norm is recovered from its ball chain: the size of a nonzero v
-is the least g with v in ball(g), and that chain can only jump at
-levels congruent mod 1 to one of the a_i.  If two norms differ at some
-vector v, they differ at g = min of the two sizes of v, which is a
-value of one of them; hence comparing balls at one representative of
-every value class of either norm (we take representatives in [0, 1))
-is both sound and complete.
+Equality is decided by domination: by the ultrametric inequality,
+a <= b everywhere iff a <= b on every b-splitting column, so equals is
+two operator-size checks of the identity map (see op_size).
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination.  Row operations rewrite the ambient
@@ -36,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import linalg
 from .errors import (
@@ -45,7 +38,7 @@ from .errors import (
     SelfCheckError,
 )
 from .linalg import Matrix, Vector
-from .valuation import BOTTOM, FieldConfig, Value, frac_part, is_integral, pval
+from .valuation import BOTTOM, FieldConfig, Value, count_classes, pval
 
 
 def _plant(obj, name: str, value) -> None:
@@ -92,14 +85,19 @@ class SplitNorm:
         return linalg.columns(self.basis)
 
     @property
+    def class_counts(self) -> MappingProxyType[Fraction, int]:
+        """Multiplicity of each value class mod 1, keys ascending in [0, 1)."""
+        try:
+            return self._class_counts  # type: ignore[attr-defined]
+        except AttributeError:
+            counts = MappingProxyType(count_classes(self.values))
+            _plant(self, "_class_counts", counts)
+            return counts
+
+    @property
     def value_classes(self) -> tuple[Fraction, ...]:
         """Distinct classes mod 1 of the values, ascending in [0, 1)."""
-        try:
-            return self._classes  # type: ignore[attr-defined]
-        except AttributeError:
-            classes = tuple(sorted({frac_part(a) for a in self.values}))
-            _plant(self, "_classes", classes)
-            return classes
+        return tuple(self.class_counts)
 
 
 def _with_inverse(cfg: FieldConfig, dim: int, basis: Matrix, values, inv: Matrix) -> SplitNorm:
@@ -172,7 +170,36 @@ def evaluate(norm: SplitNorm, v) -> Value:
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
     """The norm whose unit ball is exactly the given lattice."""
     n = lattice.dim
-    return SplitNorm(lattice.cfg, n, lattice.matrix, (Fraction(0),) * n)
+    return _with_inverse(lattice.cfg, n, lattice.matrix, (Fraction(0),) * n, lattice.inv)
+
+
+def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
+    """Operator size of h from src to dst; h = None is the identity.
+
+    The least s with dst(h v) <= src(v) + s for every v, bottom at h = 0.
+    Slot (i, j) of M = dst.inv_basis @ h @ src.basis weighs
+    dst_i - src_j - val(M_ij); by the ultrametric inequality the
+    maximum slot weight is attained on a src-splitting column.
+    """
+    _check_compatible(src, dst)
+    n = src.dim
+    image = src.basis
+    if h is not None:
+        h = linalg.mat(h)
+        if len(h) != n or any(len(row) != n for row in h):
+            raise DimensionMismatchError(f"matrix must be {n}x{n}")
+        image = linalg.matmul(h, image)
+    m = linalg.matmul(dst.inv_basis, image)
+    p = src.cfg.prime
+    best: Fraction | None = None
+    for b, row in zip(dst.values, m):
+        for a, x in zip(src.values, row):
+            if x == 0:
+                continue
+            w = b - a - pval(x, p)
+            if best is None or w > best:
+                best = w
+    return BOTTOM if best is None else Value(best)
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -201,17 +228,10 @@ def ball_basis_open(norm: SplitNorm, g) -> LatticeBasis:
     return _scaled_ball(norm, [math.floor(a - g) + 1 for a in norm.values])
 
 
-def _all_integral(m: Matrix, p: int) -> bool:
-    return all(is_integral(x, p) for row in m for x in row)
-
-
 def lattice_contains(outer: LatticeBasis, inner: LatticeBasis) -> bool:
-    """Containment certified by an integral transition matrix."""
-    if outer.cfg != inner.cfg:
-        raise ConfigMismatchError("prime mismatch between lattices")
-    if outer.dim != inner.dim:
-        raise DimensionMismatchError("lattice dimension mismatch")
-    return _all_integral(linalg.matmul(outer.inv, inner.matrix), outer.cfg.prime)
+    """Containment: the inclusion of inner into outer has size <= 0,
+    i.e. an integral transition matrix."""
+    return op_size(lattice_norm(inner), lattice_norm(outer)) <= 0
 
 
 def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
@@ -219,12 +239,8 @@ def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
 
 
 def equals(a: SplitNorm, b: SplitNorm) -> bool:
-    """Exact equality of norms, decided over one period of ball levels."""
-    _check_compatible(a, b)
-    if a.basis == b.basis and a.values == b.values:
-        return True
-    levels = sorted(set(a.value_classes) | set(b.value_classes))
-    return all(lattices_equal(ball_basis(a, g), ball_basis(b, g)) for g in levels)
+    """Exact equality of norms: each dominates the other."""
+    return op_size(a, b) <= 0 and op_size(b, a) <= 0
 
 
 def act(g, norm: SplitNorm) -> SplitNorm:
@@ -344,12 +360,11 @@ def _split_subspace(norm: SplitNorm, span):
     """Split a subspace against the norm.
 
     span is an n x d matrix whose columns span the subspace.  Returns
-    (d, combo, sub_values, comp_rows, comp_matrix) where combo is the
-    d x d column-operation matrix (subspace splitting vectors are
-    span @ combo), sub_values are their sizes, and comp_matrix holds a
-    complementary set of ambient splitting vectors indexed by
-    comp_rows.  The reconstruction from both parts is checked against
-    the norm before returning.
+    (d, combo, sub_values, comp_rows) where combo is the d x d
+    column-operation matrix (subspace splitting vectors are
+    span @ combo), sub_values are their sizes, and comp_rows index a
+    complementary set of ambient splitting vectors.  The reconstruction
+    from both parts is checked against the norm before returning.
     """
     span = linalg.mat(span)
     n = norm.dim
@@ -367,13 +382,12 @@ def _split_subspace(norm: SplitNorm, span):
     comp_rows = tuple(i for i in range(n) if i not in sigma.values())
     ambient = linalg.matmul(norm.basis, basis_acc)
     ambient_cols = linalg.columns(ambient)
-    comp_matrix = linalg.from_columns([ambient_cols[i] for i in comp_rows]) if comp_rows else ()
     split_cols = linalg.columns(linalg.matmul(span, combo)) if d else ()
     full = linalg.from_columns(tuple(split_cols) + tuple(ambient_cols[i] for i in comp_rows))
     full_values = sub_values + tuple(norm.values[i] for i in comp_rows)
     if not equals(SplitNorm(norm.cfg, n, full, full_values), norm):
         raise SelfCheckError("subspace splitting failed reconstruction")
-    return d, combo, sub_values, comp_rows, comp_matrix
+    return d, combo, sub_values, comp_rows
 
 
 def restrict(norm: SplitNorm, span) -> SplitNorm:
@@ -383,7 +397,7 @@ def restrict(norm: SplitNorm, span) -> SplitNorm:
     with the ambient norm on the subspace: its basis records which
     combinations of the spanning columns split the restriction.
     """
-    d, combo, sub_values, _, _ = _split_subspace(norm, span)
+    d, combo, sub_values, _ = _split_subspace(norm, span)
     if d == 0:
         return SplitNorm(norm.cfg, 0, (), ())
     return SplitNorm(norm.cfg, d, combo, sub_values)
@@ -397,7 +411,7 @@ def quotient(norm: SplitNorm, span) -> SplitNorm:
     splitting vector, and the minimum over lifts is attained at the
     complementary component.
     """
-    d, _, _, comp_rows, _ = _split_subspace(norm, span)
+    d, _, _, comp_rows = _split_subspace(norm, span)
     k = norm.dim - d
     return SplitNorm(norm.cfg, k, linalg.identity(k), tuple(norm.values[i] for i in comp_rows))
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConfigMismatchError, DimensionMismatchError
-from .norms import LatticeBasis, SplitNorm, equals, _plant
+from .norms import LatticeBasis, SplitNorm, equals, _plant, _scaled_ball
 
 
 @dataclass(frozen=True)
@@ -51,19 +51,9 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
     Column i of the lattice is p^floor(a_i) times splitting vector i,
     which has size equal to the fractional part of a_i.
     """
-    p = norm.cfg.prime
     shifts = [math.floor(a) for a in norm.values]
-    scale = [Fraction(p) ** k for k in shifts]
-    matrix = tuple(
-        tuple(row[i] * scale[i] for i in range(norm.dim)) for row in norm.basis
-    )
-    inv = tuple(
-        tuple(x / scale[i] for x in norm.inv_basis[i]) for i in range(norm.dim)
-    )
-    lattice = LatticeBasis(norm.cfg, matrix)
-    _plant(lattice, "_inv", inv)
     weights = tuple(a - k for a, k in zip(norm.values, shifts))
-    return SplittingPair(lattice, weights)
+    return SplittingPair(_scaled_ball(norm, shifts), weights)
 
 
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:

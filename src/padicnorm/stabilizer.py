@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import DimensionMismatchError, PreconditionError
-from .norms import BallChainPeriod, SplitNorm, ball_basis
-from .valuation import BOTTOM, Value, degree_rep, frac_part, pval
+from .errors import PreconditionError
+from .norms import BallChainPeriod, SplitNorm, ball_basis, op_size
+from .valuation import BOTTOM, Value, degree_rep, frac_part
 
 
 @dataclass(frozen=True)
@@ -55,14 +55,6 @@ class FiberStructure:
     total_dim: int
 
 
-def _in_splitting_coords(norm: SplitNorm, h) -> linalg.Matrix:
-    h = linalg.mat(h)
-    n = norm.dim
-    if len(h) != n or any(len(row) != n for row in h):
-        raise DimensionMismatchError(f"matrix must be {n}x{n}")
-    return linalg.matmul(norm.inv_basis, linalg.matmul(h, norm.basis))
-
-
 def hom_norm(norm: SplitNorm, h) -> Value:
     """Operator size of h with respect to the norm; bottom at h = 0.
 
@@ -70,19 +62,7 @@ def hom_norm(norm: SplitNorm, h) -> Value:
     coefficient of e_j in h(e_i) at row j, column i, contributing
     a_j - a_i - val of that coefficient.
     """
-    coeffs = _in_splitting_coords(norm, h)
-    p = norm.cfg.prime
-    a = norm.values
-    best: Fraction | None = None
-    for j in range(norm.dim):
-        for i in range(norm.dim):
-            x = coeffs[j][i]
-            if x == 0:
-                continue
-            w = a[j] - a[i] - pval(x, p)
-            if best is None or w > best:
-                best = w
-    return BOTTOM if best is None else Value(best)
+    return op_size(norm, norm, h)
 
 
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:
@@ -107,8 +87,7 @@ def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
 
 def fiber_structure(norm: SplitNorm) -> FiberStructure:
     """Levi blocks, unipotent dimension, and total dimension n^2."""
-    class_counts = Counter(frac_part(a) for a in norm.values)
-    blocks = tuple(sorted(class_counts.values(), reverse=True))
+    blocks = tuple(sorted(norm.class_counts.values(), reverse=True))
     summary = graded_dims(norm)
     unipotent = sum(v for k, v in summary.class_dims.items() if k < 0)
     return FiberStructure(blocks, unipotent, norm.dim * norm.dim)

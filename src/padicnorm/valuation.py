@@ -17,6 +17,7 @@ in this module and nowhere else.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
@@ -26,14 +27,21 @@ from .errors import PreconditionError
 Rational = Fraction | int
 
 
+# Miller-Rabin with the first 13 primes as bases is proven correct for
+# every n below PRIME_LIMIT (Sorenson and Webster, Math. Comp. 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic primality for n < PRIME_LIMIT."""
+    if n < 2 or any(n % q == 0 for q in _MR_BASES):
+        return n in _MR_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a in _MR_BASES:  # n - 1 = d * 2^s with d odd; a witnesses compositeness
+        if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -44,6 +52,8 @@ class FieldConfig:
     prime: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.prime, int) and self.prime >= PRIME_LIMIT:
+            raise PreconditionError(f"prime must be below {PRIME_LIMIT}, got {self.prime}")
         if not isinstance(self.prime, int) or not _is_prime(self.prime):
             raise PreconditionError(f"prime must be a prime number, got {self.prime!r}")
 
@@ -153,6 +163,11 @@ def frac_part(x: Rational) -> Fraction:
     """Representative of x modulo Z, taken in [0, 1)."""
     x = Fraction(x)
     return x - (x.numerator // x.denominator)
+
+
+def count_classes(values) -> dict[Fraction, int]:
+    """Multiplicity of each class mod 1 among the values, keys ascending in [0, 1)."""
+    return dict(sorted(Counter(frac_part(a) for a in values).items()))
 
 
 def degree_rep(c: Rational) -> Fraction:

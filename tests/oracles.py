@@ -2,13 +2,14 @@
 
 Normal forms are allowed here and nowhere in the package: the Smith
 oracle recomputes relative positions from elementary divisors, and the
-ball oracle decides stabilizer membership lattice by lattice.
+ball oracles decide stabilizer membership and equality lattice by
+lattice.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import floor, lcm
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
@@ -31,6 +32,30 @@ def preserves_all_balls(nrm, g) -> bool:
         ball = norms.ball_basis(nrm, cls)
         for h in (g, g_inv):
             t = linalg.matmul(ball.inv, linalg.matmul(h, ball.matrix))
+            if not all(is_integral(x, p) for row in t for x in row):
+                return False
+    return True
+
+
+def balls_equal(a, b) -> bool:
+    """Brute-force equality: the closed balls of both norms agree at one
+    level per value class of either norm.
+
+    The closed ball of a split norm at level g is the lattice spanned by
+    p^(ceil(a_i - g)) e_i, and shifting g by -1 multiplies the ball by p.
+    A split norm is recovered from its ball chain: the size of a nonzero
+    v is the least g with v in ball(g), and that chain can only jump at
+    levels congruent mod 1 to one of the a_i.  If two norms differ at
+    some vector v, they differ at g = min of the two sizes of v, which
+    is a value of one of them; hence comparing balls at one
+    representative in [0, 1) of every value class of either norm is both
+    sound and complete.
+    """
+    p = a.cfg.prime
+    for g in sorted({x - floor(x) for x in a.values + b.values}):
+        ball_a, ball_b = norms.ball_basis(a, g), norms.ball_basis(b, g)
+        for outer, inner in ((ball_a, ball_b), (ball_b, ball_a)):
+            t = linalg.matmul(outer.inv, inner.matrix)
             if not all(is_integral(x, p) for row in t for x in row):
                 return False
     return True

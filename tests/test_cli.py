@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import padicnorm
 from padicnorm import FieldConfig, SplitNorm, io, linalg
 from padicnorm.cli import main
 
@@ -184,6 +187,17 @@ def test_exit_codes(docs, capsys):
     assert code == 2 and err.startswith("error:")
 
 
+def test_output_beyond_digit_limit(capsys, tmp_path):
+    # the ball lattice holds 2^100001, past Python's int-to-str digit limit
+    doc = tmp_path / "huge.json"
+    doc.write_text(
+        '{"prime":2,"dim":2,"basis":[["1","0"],["0","1"]],"values":["0","200001/2"]}'
+    )
+    code, out, err = run(capsys, "chain", str(doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_usage_errors(docs):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb", docs["alpha"]])
@@ -218,10 +232,14 @@ def test_determinism(docs, capsys):
 
 
 def test_module_entry_point(docs):
+    # the child process must import the same package as this test, installed or not
+    package_root = str(Path(padicnorm.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "padicnorm", "eval", docs["alpha"], "--vector", "1,1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout == "1/2\n"

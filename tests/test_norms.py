@@ -27,11 +27,13 @@ from padicnorm.norms import (
     lattice_contains,
     lattice_norm,
     lattices_equal,
+    op_size,
     tensor,
 )
 from padicnorm.valuation import pval
 
 import fuzz
+import oracles
 
 F = Fraction
 CFG2 = FieldConfig(2)
@@ -139,6 +141,40 @@ def test_equals_presentation_independence():
         tweaked = list(nrm.values)
         tweaked[i] += F(1, 7)
         assert not equals(SplitNorm(nrm.cfg, nrm.dim, nrm.basis, tuple(tweaked)), nrm)
+
+
+def test_equals_matches_ball_oracle():
+    rng = random.Random(41)
+    for _ in range(60):
+        nrm = fuzz.norm(rng)
+        same = act(fuzz.stabilizer_element(rng, nrm), nrm)
+        tweaked = list(same.values)
+        tweaked[rng.randrange(nrm.dim)] += F(rng.choice((-1, 1)), rng.randint(1, 6))
+        other = SplitNorm(nrm.cfg, nrm.dim, same.basis, tuple(tweaked))
+        moved = act(fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime), nrm)
+        assert equals(nrm, same) and oracles.balls_equal(nrm, same)
+        assert not equals(nrm, other) and not oracles.balls_equal(nrm, other)
+        assert equals(nrm, moved) == oracles.balls_equal(nrm, moved)
+
+
+def test_op_size_is_the_domination_bound():
+    # op_size(a, b) is the least s with b(v) <= a(v) + s, attained on a
+    # splitting column of a; so op_size(a, b) <= 0 iff b <= a everywhere
+    rng = random.Random(42)
+    for _ in range(80):
+        a = fuzz.norm(rng)
+        lowered = tuple(x - rng.choice((0, 0, F(1, 2), 1)) for x in a.values)
+        below = act(fuzz.stabilizer_element(rng, a), SplitNorm(a.cfg, a.dim, a.basis, lowered))
+        b = rng.choice((below, fuzz.norm(rng, n=a.dim, p=a.cfg.prime)))
+        s = op_size(a, b)
+        gaps = [evaluate(b, e).mag - evaluate(a, e).mag for e in a.basis_columns]
+        assert s == max(gaps)
+        vectors = [fuzz.vector(rng, a.dim, nonzero=True) for _ in range(10)]
+        assert all(evaluate(b, v) <= evaluate(a, v) + s for v in vectors)
+        dominated = all(evaluate(b, v) <= evaluate(a, v) for v in vectors + list(a.basis_columns))
+        assert (s <= 0) == dominated
+        if b is below:
+            assert s <= 0
 
 
 def test_act_examples_and_equivariance():

@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,8 @@ import pytest
 from padicnorm import BOTTOM, FieldConfig, Value, val
 from padicnorm.errors import PreconditionError
 from padicnorm.valuation import (
+    PRIME_LIMIT,
+    _is_prime,
     class_of,
     degree_rep,
     frac_part,
@@ -42,6 +46,23 @@ def test_prime_validation():
             FieldConfig(bad)
     FieldConfig(2)
     FieldConfig(97)
+
+
+def test_large_prime_validation():
+    start = time.perf_counter()
+    FieldConfig(1000000000000000003)
+    assert time.perf_counter() - start < 1
+    # strong pseudoprimes to the first few bases, and a Carmichael number
+    for bad in (561, 2047, 3215031751, 3825123056546413051, 1000000000000000001):
+        with pytest.raises(PreconditionError):
+            FieldConfig(bad)
+    # the first strong pseudoprime to all 13 bases marks the proven limit
+    with pytest.raises(PreconditionError, match="below"):
+        FieldConfig(PRIME_LIMIT)
+    with pytest.raises(PreconditionError, match="below"):
+        FieldConfig(3317044064679887385962123)  # a prime above the limit
+    naive = lambda n: n > 1 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    assert all(_is_prime(n) == naive(n) for n in range(5000))
 
 
 def test_value_ordering():

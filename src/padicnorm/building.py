@@ -15,6 +15,7 @@ from . import linalg
 from .errors import DimensionMismatchError, PreconditionError
 from .norms import (
     SplitNorm,
+    _with_inverse,
     ball_basis,
     distance,
     equals,
@@ -42,16 +43,9 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     n = norm.dim
     if len(frame) != n or any(len(row) != n for row in frame):
         raise DimensionMismatchError(f"frame must be {n}x{n}")
-    linalg.inverse(frame)
-    cols = linalg.columns(frame)
-    candidate = []
-    for c in cols:
-        size = evaluate(norm, c)
-        if size.is_bottom:
-            raise PreconditionError("frame contains the zero vector")
-        candidate.append(size.mag)
-    candidate = tuple(candidate)
-    if equals(SplitNorm(norm.cfg, n, frame, candidate), norm):
+    frame_inv = linalg.inverse(frame)
+    candidate = tuple(evaluate(norm, c).mag for c in linalg.columns(frame))
+    if equals(_with_inverse(norm.cfg, n, frame, candidate, frame_inv), norm):
         return candidate
     return None
 

@@ -62,7 +62,7 @@ def _ram_index(s: str):
 def _load_norm(path: str) -> norms.SplitNorm:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     return io.norm_from_doc(io.loads_document(text))
 

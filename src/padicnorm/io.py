@@ -155,5 +155,6 @@ def dumps_text(obj) -> str:
 def loads_document(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError is a ValueError, as is an integer past the int-to-str digit limit
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc

@@ -293,29 +293,29 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     )
 
 
-def _monomialize(row_values, m: Matrix, p: int, col_values=None):
+def _monomialize(row_values, col_values, m: Matrix, p: int):
     """Reduce m to one nonzero entry per used row and column.
 
-    Entry (i, j) is weighted row_values[i] - val(m_ij) - col_values[j]
-    (col term only when given).  The pivot of maximal weight, ties to
-    the lowest (row, column), keeps every elimination step admissible:
-    row operations never disturb the ambient splitting values, column
-    operations never disturb the column values.
+    Entry (i, j) is weighted row_values[i] - val(m_ij) - col_values[j].
+    The pivot of maximal weight, ties to the lowest (row, column), keeps
+    every elimination step admissible: row operations never disturb the
+    ambient splitting values, column operations never disturb the column
+    values.  A pivot is final once chosen, as later steps touch neither
+    its row nor its column, and a row operation rewrites only the ambient
+    splitting vector of its pivot row.
 
-    Returns (sigma, m, col_acc, basis_acc): sigma maps each column to
-    its pivot row; the reduced matrix equals basis_acc^-1 applied to
-    the original times col_acc, with basis_acc recording the ambient
-    basis change (new basis = old basis @ basis_acc) and col_acc the
-    accumulated column operations.
+    Returns (sigma, split_values, col_ops): sigma maps each column to its
+    pivot row, col_ops accumulates the column operations, and column j of
+    m @ col_ops has ambient size split_values[j].
     """
     n = len(m)
-    d = len(m[0]) if m else 0
+    d = len(col_values)
     M = [list(row) for row in m]
     C = [list(row) for row in linalg.identity(d)]
-    U = [list(row) for row in linalg.identity(n)]
     active_rows = [True] * n
     active_cols = [True] * d
     sigma: dict[int, int] = {}
+    split_values: list[Fraction] = [Fraction(0)] * d
     for _ in range(d):
         best: tuple[Fraction, int, int] | None = None
         for i in range(n):
@@ -324,9 +324,7 @@ def _monomialize(row_values, m: Matrix, p: int, col_values=None):
             for j in range(d):
                 if not active_cols[j] or M[i][j] == 0:
                     continue
-                w = row_values[i] - pval(M[i][j], p)
-                if col_values is not None:
-                    w = w - col_values[j]
+                w = row_values[i] - pval(M[i][j], p) - col_values[j]
                 if best is None or w > best[0]:
                     best = (w, i, j)
         if best is None:
@@ -347,24 +345,23 @@ def _monomialize(row_values, m: Matrix, p: int, col_values=None):
             f = M[i][pj] / piv
             for c in range(d):
                 M[i][c] -= f * M[pi][c]
-            for r in range(n):
-                U[r][pi] += f * U[r][i]
         active_rows[pi] = False
         active_cols[pj] = False
         sigma[pj] = pi
-    freeze = lambda rows: tuple(tuple(r) for r in rows)
-    return sigma, freeze(M), freeze(C), freeze(U)
+        split_values[pj] = row_values[pi] - pval(piv, p)
+    return sigma, tuple(split_values), tuple(tuple(r) for r in C)
 
 
 def _split_subspace(norm: SplitNorm, span):
     """Split a subspace against the norm.
 
     span is an n x d matrix whose columns span the subspace.  Returns
-    (d, combo, sub_values, comp_rows) where combo is the d x d
+    (combo, sub_values, comp_rows) where combo is the d x d
     column-operation matrix (subspace splitting vectors are
-    span @ combo), sub_values are their sizes, and comp_rows index a
-    complementary set of ambient splitting vectors.  The reconstruction
-    from both parts is checked against the norm before returning.
+    span @ combo), sub_values are their sizes, and comp_rows index the
+    ambient splitting vectors that complete them to a splitting basis.
+    The reconstruction from both parts is checked against the norm
+    before returning.
     """
     span = linalg.mat(span)
     n = norm.dim
@@ -373,21 +370,16 @@ def _split_subspace(norm: SplitNorm, span):
     d = len(span[0]) if span else 0
     if d > n:
         raise RankDeficiencyError("more spanning columns than the dimension allows")
-    p = norm.cfg.prime
     coords = linalg.matmul(norm.inv_basis, span)
-    sigma, reduced, combo, basis_acc = _monomialize(norm.values, coords, p)
-    sub_values = tuple(
-        norm.values[sigma[j]] - pval(reduced[sigma[j]][j], p) for j in range(d)
-    )
+    sigma, sub_values, combo = _monomialize(norm.values, (0,) * d, coords, norm.cfg.prime)
     comp_rows = tuple(i for i in range(n) if i not in sigma.values())
-    ambient = linalg.matmul(norm.basis, basis_acc)
-    ambient_cols = linalg.columns(ambient)
-    split_cols = linalg.columns(linalg.matmul(span, combo)) if d else ()
-    full = linalg.from_columns(tuple(split_cols) + tuple(ambient_cols[i] for i in comp_rows))
+    ambient_cols = norm.basis_columns
+    split_cols = linalg.columns(linalg.matmul(span, combo))
+    full = linalg.from_columns(split_cols + tuple(ambient_cols[i] for i in comp_rows))
     full_values = sub_values + tuple(norm.values[i] for i in comp_rows)
     if not equals(SplitNorm(norm.cfg, n, full, full_values), norm):
         raise SelfCheckError("subspace splitting failed reconstruction")
-    return d, combo, sub_values, comp_rows
+    return combo, sub_values, comp_rows
 
 
 def restrict(norm: SplitNorm, span) -> SplitNorm:
@@ -397,22 +389,21 @@ def restrict(norm: SplitNorm, span) -> SplitNorm:
     with the ambient norm on the subspace: its basis records which
     combinations of the spanning columns split the restriction.
     """
-    d, combo, sub_values, _ = _split_subspace(norm, span)
-    if d == 0:
-        return SplitNorm(norm.cfg, 0, (), ())
-    return SplitNorm(norm.cfg, d, combo, sub_values)
+    combo, sub_values, _ = _split_subspace(norm, span)
+    return SplitNorm(norm.cfg, len(sub_values), combo, sub_values)
 
 
 def quotient(norm: SplitNorm, span) -> SplitNorm:
     """Image norm on the quotient by the column span.
 
-    The quotient is presented in the basis of the computed complement:
-    coordinate i of the result is the image of the i-th complementary
-    splitting vector, and the minimum over lifts is attained at the
+    The complement of the span is spanned by the ambient splitting
+    vectors comp_rows of the subspace splitting, and the quotient is
+    presented in that basis: coordinate i of the result is the image of
+    the i-th of them, and the minimum over lifts is attained at the
     complementary component.
     """
-    d, _, _, comp_rows = _split_subspace(norm, span)
-    k = norm.dim - d
+    _, _, comp_rows = _split_subspace(norm, span)
+    k = len(comp_rows)
     return SplitNorm(norm.cfg, k, linalg.identity(k), tuple(norm.values[i] for i in comp_rows))
 
 
@@ -426,30 +417,18 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     """
     _check_compatible(a, b)
     n = a.dim
-    p = a.cfg.prime
-    if n == 0:
-        return (), (), ()
     transition = linalg.matmul(a.inv_basis, b.basis)
-    sigma, reduced, col_ops, _ = _monomialize(a.values, transition, p, col_values=b.values)
-    raw_cols = linalg.columns(linalg.matmul(b.basis, col_ops))
-    cols = []
-    a_vals = []
-    b_vals = []
-    for j in range(n):
-        av = a.values[sigma[j]] - pval(reduced[sigma[j]][j], p)
-        shift = math.floor(av)
-        scale = Fraction(p) ** shift
-        cols.append(tuple(x * scale for x in raw_cols[j]))
-        a_vals.append(av - shift)
-        b_vals.append(b.values[j] - shift)
-    basis = linalg.from_columns(cols)
-    a_vals = tuple(a_vals)
-    b_vals = tuple(b_vals)
-    if not equals(SplitNorm(a.cfg, n, basis, a_vals), a):
+    _, raw_values, col_ops = _monomialize(a.values, b.values, transition, a.cfg.prime)
+    raw = SplitNorm(a.cfg, n, linalg.matmul(b.basis, col_ops), raw_values)
+    shifts = [math.floor(v) for v in raw_values]
+    lat = _scaled_ball(raw, shifts)
+    a_vals = tuple(v - k for v, k in zip(raw_values, shifts))
+    b_vals = tuple(v - k for v, k in zip(b.values, shifts))
+    if not equals(_with_inverse(a.cfg, n, lat.matrix, a_vals, lat.inv), a):
         raise SelfCheckError("common basis failed to reconstruct the first norm")
-    if not equals(SplitNorm(b.cfg, n, basis, b_vals), b):
+    if not equals(_with_inverse(b.cfg, n, lat.matrix, b_vals, lat.inv), b):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
-    return basis, a_vals, b_vals
+    return lat.matrix, a_vals, b_vals
 
 
 def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]]:

@@ -79,9 +79,10 @@ def is_stabilizer_element(norm: SplitNorm, g) -> bool:
 def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
     """Slot counts per value class; classes with no slots are omitted."""
     counts: Counter[Fraction] = Counter()
-    for ai in norm.values:
-        for aj in norm.values:
-            counts[degree_rep(frac_part(ai - aj))] += 1
+    classes = norm.class_counts.items()
+    for ci, mi in classes:
+        for cj, mj in classes:
+            counts[degree_rep(frac_part(ci - cj))] += mi * mj
     return GradedOrderSummary(norm.dim, dict(sorted(counts.items(), reverse=True)))
 
 

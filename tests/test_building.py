@@ -46,6 +46,8 @@ def test_apartment_coords_examples():
 def test_apartment_coords_bad_frames():
     with pytest.raises(SingularMatrixError):
         apartment_coords(ALPHA0, frame=((1, 1), (1, 1)))
+    with pytest.raises(SingularMatrixError):
+        apartment_coords(ALPHA0, frame=((1, 0), (0, 0)))
     with pytest.raises(DimensionMismatchError):
         apartment_coords(ALPHA0, frame=linalg.identity(3))
 

@@ -135,6 +135,30 @@ def test_frozen_documents(docs, capsys):
         assert out == want, argv
 
 
+def test_zero_dimension_documents(docs, capsys, tmp_path):
+    zero = tmp_path / "zero.json"
+    zero.write_text(io.dumps_machine(io.norm_to_doc(SplitNorm(CFG2, 0, (), ()))))
+    empty = '{"basis":[],"dim":0,"prime":2,"values":[]}\n'
+    expected = [
+        (("restrict", docs["alpha"], "--span", ""), empty),
+        (
+            ("quotient", docs["alpha"], "--span", ""),
+            '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}\n',
+        ),
+        (
+            ("quotient", docs["lat"], "--span", ""),
+            '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]}\n',
+        ),
+        (("restrict", str(zero), "--span", ""), empty),
+        (("quotient", str(zero), "--span", ""), empty),
+    ]
+    for argv, want in expected:
+        code, out, err = run(capsys, *argv, "--format", "machine")
+        assert (code, err) == (0, ""), argv
+        assert out == want, argv
+    assert run(capsys, "cartan", str(zero), str(zero)) == (0, "\n", "")
+
+
 def test_tree_output(docs, capsys):
     code, out, _ = run(capsys, "tree", docs["beta"], "--format", "machine")
     assert code == 0
@@ -195,6 +219,23 @@ def test_output_beyond_digit_limit(capsys, tmp_path):
     )
     code, out, err = run(capsys, "chain", str(doc))
     assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        ('{"prime":2,"dim":1,"basis":[["1"]],"values":["0"],"label":' + "9" * 5000 + "}").encode(),
+        b"[" * 200_000 + b"]" * 200_000,
+        b"\xff\xfe\xfa",
+    ],
+    ids=["long-integer", "deep-nesting", "not-utf8"],
+)
+def test_unreadable_documents(capsys, tmp_path, content):
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(content)
+    code, out, err = run(capsys, "chain", str(doc))
+    assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
 

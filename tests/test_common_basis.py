@@ -62,6 +62,13 @@ def test_common_basis_splits_both():
             assert evaluate(b, col) == b_vals[j]
 
 
+def test_zero_dimension():
+    zero = SplitNorm(CFG2, 0, (), ())
+    assert common_splitting_basis(zero, zero) == ((), (), ())
+    assert distance(zero, zero) == (F(0), ())
+    assert cartan_position(zero, zero) == ()
+
+
 def test_distance_examples():
     assert distance(ALPHA0, ALPHA0) == (0, (F(0), F(0)))
     assert distance(ALPHA0, BETA) == (F(1, 2), (F(0), -F(1, 2)))

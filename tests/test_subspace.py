@@ -39,6 +39,19 @@ def test_quotient_examples():
     assert quotient(ALPHA0, linalg.from_columns([(1, 0)])).values == (F(1, 2),)
 
 
+def test_zero_dimension_edge_cases():
+    # an empty span restricts to the 0-dimensional norm and quotients to
+    # the ambient values in the identity basis of the complement
+    lat = SplitNorm(CFG2, 2, linalg.from_columns([(1, 0), (0, 2)]), (F(0), F(0)))
+    zero = SplitNorm(CFG2, 0, (), ())
+    for nrm in (ALPHA0, lat):
+        empty = tuple(() for _ in range(nrm.dim))
+        assert restrict(nrm, empty) == zero
+        assert quotient(nrm, empty) == SplitNorm(CFG2, 2, linalg.identity(2), nrm.values)
+    assert restrict(zero, ()) == zero
+    assert quotient(zero, ()) == zero
+
+
 def test_restrict_to_whole_space():
     rng = random.Random(41)
     for _ in range(30):

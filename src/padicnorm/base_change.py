@@ -93,7 +93,8 @@ def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:
     (computed from determinant valuations), the right entry is the
     weight multiplicity of the class of g + d.  The two must agree.
     """
-    g = linalg.to_fraction(g)
+    # both balls scale by p^k when g moves by k, so only g mod 1 matters
+    g = frac_part(linalg.to_fraction(g))
     p = norm.cfg.prime
     weights = chi_weights(norm)
     out: dict[Fraction, tuple[int, int]] = {}

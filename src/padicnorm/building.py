@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import PreconditionError
 from .norms import (
     SplitNorm,
     _with_inverse,
@@ -39,10 +39,8 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     """
     if frame is None:
         frame = linalg.identity(norm.dim)
-    frame = linalg.mat(frame)
     n = norm.dim
-    if len(frame) != n or any(len(row) != n for row in frame):
-        raise DimensionMismatchError(f"frame must be {n}x{n}")
+    frame = linalg.square(frame, n, "frame")
     frame_inv = linalg.inverse(frame)
     candidate = tuple(evaluate(norm, c).mag for c in linalg.columns(frame))
     if equals(_with_inverse(norm.cfg, n, frame, candidate, frame_inv), norm):
@@ -53,10 +51,8 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
 def torus_translation(t, cfg: FieldConfig) -> tuple[Fraction, ...]:
     """Translation vector of a diagonal torus element: the valuations
     of its diagonal entries."""
-    t = linalg.mat(t)
+    t = linalg.square(t, what="torus element")
     n = len(t)
-    if any(len(row) != n for row in t):
-        raise DimensionMismatchError("torus element must be square")
     for i in range(n):
         for j in range(n):
             if i != j and t[i][j] != 0:

@@ -3,7 +3,14 @@
 Every verb reads norm documents (JSON, see io.py) and writes a
 deterministic result to stdout.  Exit codes: 0 on success, 1 for a
 malformed document, 2 when a precondition is violated; diagnostics go
-to stderr as a single line.
+to stderr as a single `error:` line.
+
+A verb is one `add(...)` line in `build_parser`: its handler, the
+positional arguments that are norm documents, and its flags.  `main`
+loads the declared documents and passes the norms to the handler after
+the parsed arguments.  A handler returns either a document dict or a
+`(text line, machine payload)` pair, and `_render` applies `--format`
+to that result once.
 """
 
 from __future__ import annotations
@@ -53,7 +60,9 @@ def _ram_index(s: str):
     try:
         value = int(s)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"ram index must be a positive int or 'unbounded', got {s!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"ram index must be a positive int or 'unbounded', got {s!r}"
+        ) from exc
     if value < 1:
         raise argparse.ArgumentTypeError("ram index must be at least 1")
     return value
@@ -67,188 +76,116 @@ def _load_norm(path: str) -> norms.SplitNorm:
     return io.norm_from_doc(io.loads_document(text))
 
 
-def _emit_doc(doc: dict, fmt: str) -> str:
-    return io.dumps_machine(doc) if fmt == "machine" else io.dumps_text(doc)
+def _render(result, fmt: str) -> str:
+    """stdout for a handler's result: a document, or a (text line, machine payload) pair."""
+    if isinstance(result, tuple):
+        line, result = result
+        if fmt == "text":
+            return line + "\n"
+    return io.dumps_machine(result) if fmt == "machine" else io.dumps_text(result)
 
 
-def _emit_line(line: str, payload: dict, fmt: str) -> str:
-    return io.dumps_machine(payload) if fmt == "machine" else line + "\n"
+def _truth(flag: bool) -> tuple[str, dict]:
+    return str(flag).lower(), {"result": flag}
 
 
-def _bool_out(flag: bool, fmt: str) -> str:
-    return _emit_line("true" if flag else "false", {"result": flag}, fmt)
+def _rationals(key: str, xs) -> tuple[str, dict]:
+    strs = [io.rational_str(x) for x in xs]
+    return ",".join(strs), {key: strs}
 
 
-def _rational_list(xs) -> list[str]:
-    return [io.rational_str(x) for x in xs]
+def _classes(key: str, counts: dict, **extra) -> tuple[str, dict]:
+    """One `class count` line per entry; the payload lists [class, count] pairs under key."""
+    lines = "\n".join(f"{k} {v}" for k, v in counts.items())
+    return lines, {key: [[str(k), v] for k, v in counts.items()], **extra}
 
 
-def _cmd_eval(args) -> str:
-    norm = _load_norm(args.file)
-    size = norms.evaluate(norm, args.vector)
-    return _emit_line(str(size), {"value": str(size)}, args.format)
+def _cmd_eval(args, norm):
+    size = str(norms.evaluate(norm, args.vector))
+    return size, {"value": size}
 
 
-def _cmd_tensor(args) -> str:
-    result = norms.tensor(_load_norm(args.a), _load_norm(args.b))
-    return _emit_doc(io.norm_to_doc(result), args.format)
-
-
-def _cmd_dual(args) -> str:
-    return _emit_doc(io.norm_to_doc(norms.dual(_load_norm(args.file))), args.format)
-
-
-def _cmd_sum(args) -> str:
-    result = norms.direct_sum(_load_norm(args.a), _load_norm(args.b))
-    return _emit_doc(io.norm_to_doc(result), args.format)
-
-
-def _cmd_restrict(args) -> str:
-    norm = _load_norm(args.file)
+def _cmd_span(fn, args, norm):
     span = linalg.from_columns(args.span) if args.span else tuple(() for _ in range(norm.dim))
-    return _emit_doc(io.norm_to_doc(norms.restrict(norm, span)), args.format)
+    return io.norm_to_doc(fn(norm, span))
 
 
-def _cmd_quotient(args) -> str:
-    norm = _load_norm(args.file)
-    span = linalg.from_columns(args.span) if args.span else tuple(() for _ in range(norm.dim))
-    return _emit_doc(io.norm_to_doc(norms.quotient(norm, span)), args.format)
-
-
-def _cmd_act(args) -> str:
-    result = norms.act(args.matrix, _load_norm(args.file))
-    return _emit_doc(io.norm_to_doc(result), args.format)
-
-
-def _cmd_equals(args) -> str:
-    return _bool_out(norms.equals(_load_norm(args.a), _load_norm(args.b)), args.format)
-
-
-def _cmd_ball(args) -> str:
-    norm = _load_norm(args.file)
+def _cmd_ball(args, norm):
     fn = norms.ball_basis_open if args.open else norms.ball_basis
-    return _emit_doc(io.lattice_to_doc(fn(norm, args.at)), args.format)
+    return io.lattice_to_doc(fn(norm, args.at))
 
 
-def _cmd_chain(args) -> str:
-    norm = _load_norm(args.file)
+def _cmd_chain(args, norm):
     period = stabilizer.chain_period(norm)
-    doc = {
-        "classes": _rational_list(period.classes),
+    return {
+        "classes": [io.rational_str(c) for c in period.classes],
         "dim": norm.dim,
         "lattices": [io.lattice_to_doc(l)["matrix"] for l in period.lattices],
         "prime": norm.cfg.prime,
     }
-    return _emit_doc(doc, args.format)
 
 
-def _cmd_stab_check(args) -> str:
-    norm = _load_norm(args.file)
-    return _bool_out(stabilizer.is_stabilizer_element(norm, args.matrix), args.format)
-
-
-def _cmd_graded_dims(args) -> str:
-    summary = stabilizer.graded_dims(_load_norm(args.file))
+def _cmd_graded_dims(args, norm):
+    summary = stabilizer.graded_dims(norm)
     if args.delta is not None:
         count = summary.class_dims.get(args.delta, 0)
-        return _emit_line(str(count), {"class": str(args.delta), "dim": count}, args.format)
-    pairs = [[str(k), v] for k, v in summary.class_dims.items()]
-    lines = "\n".join(f"{k} {v}" for k, v in summary.class_dims.items())
-    return _emit_line(lines, {"classes": pairs, "total": summary.total}, args.format)
+        return str(count), {"class": str(args.delta), "dim": count}
+    return _classes("classes", summary.class_dims, total=summary.total)
 
 
-def _cmd_fiber(args) -> str:
-    fs = stabilizer.fiber_structure(_load_norm(args.file))
-    line = (
-        f"levi=[{','.join(str(b) for b in fs.levi_blocks)}]"
-        f" unipotent={fs.unipotent_dim} total={fs.total_dim}"
-    )
-    payload = {
-        "levi": list(fs.levi_blocks),
-        "total": fs.total_dim,
-        "unipotent": fs.unipotent_dim,
-    }
-    return _emit_line(line, payload, args.format)
+def _cmd_fiber(args, norm):
+    fs = stabilizer.fiber_structure(norm)
+    levi = list(fs.levi_blocks)
+    line = f"levi=[{','.join(map(str, levi))}] unipotent={fs.unipotent_dim} total={fs.total_dim}"
+    return line, {"levi": levi, "total": fs.total_dim, "unipotent": fs.unipotent_dim}
 
 
-def _cmd_level(args) -> str:
-    norm = _load_norm(args.file)
+def _cmd_level(args, norm):
     level = stabilizer.filtration_level(norm, args.matrix)
     if args.delta is not None:
-        return _bool_out(level <= args.delta, args.format)
-    return _emit_line(str(level), {"level": str(level)}, args.format)
+        return _truth(level <= args.delta)
+    return str(level), {"level": str(level)}
 
 
-def _cmd_chi_weights(args) -> str:
-    weights = base_change.chi_weights(_load_norm(args.file))
-    pairs = [[str(k), v] for k, v in weights.items()]
-    lines = "\n".join(f"{k} {v}" for k, v in weights.items())
-    return _emit_line(lines, {"weights": pairs}, args.format)
-
-
-def _cmd_bc_dims(args) -> str:
-    norm = _load_norm(args.file)
+def _cmd_bc_dims(args, norm):
     if args.at is not None:
         table = base_change.graded_ball_dims(norm, args.at)
         pairs = [[str(k), [lhs, rhs]] for k, (lhs, rhs) in table.items()]
         lines = "\n".join(f"{k} lhs={lhs} rhs={rhs}" for k, (lhs, rhs) in table.items())
-        return _emit_line(lines, {"at": str(args.at), "classes": pairs}, args.format)
+        return lines, {"at": str(args.at), "classes": pairs}
     if args.ram_index is not _ABSENT:
         ext = base_change.VirtualExtension(args.ram_index)
         classes = base_change.extension_value_classes(norm, ext)
         collapse = base_change.is_lattice_norm_over(norm, ext)
+        index = "unbounded" if args.ram_index is None else args.ram_index
+        listed = " ".join(f"{k}:{v}" for k, v in classes.items())
+        line = f"ram_index={index} classes=[{listed}] lattice_norm={str(collapse).lower()}"
         pairs = [[str(k), v] for k, v in classes.items()]
-        index_out = "unbounded" if args.ram_index is None else args.ram_index
-        line = (
-            f"ram_index={index_out}"
-            f" classes=[{' '.join(f'{k}:{v}' for k, v in classes.items())}]"
-            f" lattice_norm={'true' if collapse else 'false'}"
-        )
-        payload = {"classes": pairs, "lattice_norm": collapse, "ram_index": index_out}
-        return _emit_line(line, payload, args.format)
+        return line, {"classes": pairs, "lattice_norm": collapse, "ram_index": index}
     centralizer = base_change.centralizer_dim(norm)
     kernel = base_change.kernel_dim(norm)
     total = norm.dim * norm.dim
     line = f"kernel={kernel} centralizer={centralizer} total={total}"
-    payload = {"centralizer": centralizer, "kernel": kernel, "total": total}
-    return _emit_line(line, payload, args.format)
+    return line, {"centralizer": centralizer, "kernel": kernel, "total": total}
 
 
-def _cmd_apartment(args) -> str:
-    norm = building.norm_from_apartment(args.vector, FieldConfig(args.prime))
-    return _emit_doc(io.norm_to_doc(norm), args.format)
+def _cmd_apartment(args):
+    return io.norm_to_doc(building.norm_from_apartment(args.vector, FieldConfig(args.prime)))
 
 
-def _cmd_coords(args) -> str:
-    norm = _load_norm(args.file)
-    frame = args.frame if args.frame is not None else None
-    coords = building.apartment_coords(norm, frame)
-    if coords is None:
-        return _emit_line("none", {"coords": None}, args.format)
-    return _emit_line(",".join(_rational_list(coords)), {"coords": _rational_list(coords)}, args.format)
+def _cmd_coords(args, norm):
+    coords = building.apartment_coords(norm, args.frame)
+    return ("none", {"coords": None}) if coords is None else _rationals("coords", coords)
 
 
-def _cmd_translate(args) -> str:
+def _cmd_translate(args):
     vec = building.torus_translation(args.matrix, FieldConfig(args.prime))
-    return _emit_line(",".join(_rational_list(vec)), {"translation": _rational_list(vec)}, args.format)
+    return _rationals("translation", vec)
 
 
-def _cmd_cartan(args) -> str:
-    position = building.cartan_position(_load_norm(args.a), _load_norm(args.b))
-    return _emit_line(
-        ",".join(_rational_list(position)), {"position": _rational_list(position)}, args.format
-    )
-
-
-def _cmd_type(args) -> str:
-    t = building.point_type(_load_norm(args.file))
-    return _emit_line(",".join(str(x) for x in t), {"type": list(t)}, args.format)
-
-
-def _cmd_tree(args) -> str:
-    neighbors = building.tree_neighbors(_load_norm(args.file))
-    doc = {"neighbors": [io.norm_to_doc(n) for n in neighbors]}
-    return _emit_doc(doc, args.format)
+def _cmd_type(args, norm):
+    t = building.point_type(norm)
+    return ",".join(str(x) for x in t), {"type": list(t)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,57 +196,58 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def add(name, handler, files=("file",), **flags):
+        """Declare a verb; the `files` positionals are norm documents that main loads."""
         p = sub.add_parser(name)
         for f in files:
             p.add_argument(f)
         for flag, kwargs in flags.items():
             p.add_argument("--" + flag.replace("_", "-"), **kwargs)
         p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.set_defaults(handler=handler)
-        return p
+        p.set_defaults(handler=handler, files=files)
 
-    add("eval", _cmd_eval, vector=dict(type=_vector, required=True))
-    add("tensor", _cmd_tensor, files=("a", "b"))
-    add("dual", _cmd_dual)
-    add("sum", _cmd_sum, files=("a", "b"))
-    add("restrict", _cmd_restrict, span=dict(type=_span, required=True))
-    add("quotient", _cmd_quotient, span=dict(type=_span, required=True))
-    add("act", _cmd_act, matrix=dict(type=_matrix, required=True))
-    add("equals", _cmd_equals, files=("a", "b"))
-    add("ball", _cmd_ball, at=dict(type=_frac, default=Fraction(0)), open=dict(action="store_true"))
+    two = ("a", "b")
+    vector = dict(type=_vector, required=True)
+    matrix = dict(type=_matrix, required=True)
+    span = dict(type=_span, required=True)
+    prime = dict(type=int, required=True)
+    rational = dict(type=_frac, default=None)
+    add("eval", _cmd_eval, vector=vector)
+    add("tensor", lambda _, a, b: io.norm_to_doc(norms.tensor(a, b)), files=two)
+    add("dual", lambda _, n: io.norm_to_doc(norms.dual(n)))
+    add("sum", lambda _, a, b: io.norm_to_doc(norms.direct_sum(a, b)), files=two)
+    add("restrict", lambda args, n: _cmd_span(norms.restrict, args, n), span=span)
+    add("quotient", lambda args, n: _cmd_span(norms.quotient, args, n), span=span)
+    add("act", lambda args, n: io.norm_to_doc(norms.act(args.matrix, n)), matrix=matrix)
+    add("equals", lambda _, a, b: _truth(norms.equals(a, b)), files=two)
+    add("ball", _cmd_ball, at={**rational, "default": Fraction(0)}, open=dict(action="store_true"))
     add("chain", _cmd_chain)
-    add("stab-check", _cmd_stab_check, matrix=dict(type=_matrix, required=True))
-    add("graded-dims", _cmd_graded_dims, delta=dict(type=_frac, default=None))
-    add("fiber", _cmd_fiber)
-    add("level", _cmd_level, matrix=dict(type=_matrix, required=True), delta=dict(type=_frac, default=None))
-    add("chi-weights", _cmd_chi_weights)
     add(
-        "bc-dims",
-        _cmd_bc_dims,
-        at=dict(type=_frac, default=None),
-        ram_index=dict(type=_ram_index, default=_ABSENT),
+        "stab-check",
+        lambda args, n: _truth(stabilizer.is_stabilizer_element(n, args.matrix)),
+        matrix=matrix,
     )
-    add("apartment", _cmd_apartment, files=(), vector=dict(type=_vector, required=True), prime=dict(type=int, required=True))
+    add("graded-dims", _cmd_graded_dims, delta=rational)
+    add("fiber", _cmd_fiber)
+    add("level", _cmd_level, matrix=matrix, delta=rational)
+    add("chi-weights", lambda _, n: _classes("weights", base_change.chi_weights(n)))
+    add("bc-dims", _cmd_bc_dims, at=rational, ram_index=dict(type=_ram_index, default=_ABSENT))
+    add("apartment", _cmd_apartment, files=(), vector=vector, prime=prime)
     add("coords", _cmd_coords, frame=dict(type=_matrix, default=None))
-    add("translate", _cmd_translate, files=(), matrix=dict(type=_matrix, required=True), prime=dict(type=int, required=True))
-    add("cartan", _cmd_cartan, files=("a", "b"))
+    add("translate", _cmd_translate, files=(), matrix=matrix, prime=prime)
+    add("cartan", lambda _, a, b: _rationals("position", building.cartan_position(a, b)), files=two)
     add("type", _cmd_type)
-    add("tree", _cmd_tree)
+    add("tree", lambda _, n: {"neighbors": [io.norm_to_doc(x) for x in building.tree_neighbors(n)]})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        output = args.handler(args)
-    except DocumentError as exc:
+        result = args.handler(args, *(_load_norm(getattr(args, f)) for f in args.files))
+    except (DocumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    sys.stdout.write(output)
+        return 1 if isinstance(exc, DocumentError) else 2
+    sys.stdout.write(_render(result, args.format))
     return 0
 
 

@@ -4,12 +4,14 @@ Documents are JSON objects with sorted keys; rationals are strings in
 lowest terms ("num/den", plain "num" for integers, "-inf" for the
 bottom value) and basis/lattice matrices are arrays of column arrays.
 Serialization is byte-stable: serializing a parsed canonical document
-reproduces it exactly.
+reproduces it exactly, and parsing rejects any rational string that
+serialization would not write.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from . import linalg
@@ -17,6 +19,8 @@ from .errors import DocumentError, DomainError, PreconditionError
 from .norms import LatticeBasis, SplitNorm
 from .splittings import SplittingPair
 from .valuation import FieldConfig, Value
+
+_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 def rational_str(x: Fraction) -> str:
@@ -31,12 +35,17 @@ def value_str(v: Value) -> str:
 
 
 def parse_rational(s) -> Fraction:
+    """Read a rational written exactly as rational_str writes it."""
     if not isinstance(s, str):
         raise DocumentError(f"rational entries must be strings, got {s!r}")
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(f"not a rational: {s!r}") from exc
+        # the pattern rules out exponents, which Fraction would expand in full
+        x = Fraction(s) if _RATIONAL.fullmatch(s) else None
+    except (ValueError, ZeroDivisionError):  # "1/0", or past the int-to-str digit limit
+        x = None
+    if x is None or str(x) != s:
+        raise DocumentError(f"not a canonical rational: {s!r}")
+    return x
 
 
 def _parse_columns(entry, n: int, what: str) -> linalg.Matrix:

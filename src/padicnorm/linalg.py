@@ -29,6 +29,16 @@ def mat(rows) -> Matrix:
     return out
 
 
+def square(rows, n: int | None = None, what: str = "matrix") -> Matrix:
+    """Coerce to a matrix that is n x n, or square of any size when n is None."""
+    m = mat(rows)
+    size = len(m) if n is None else n
+    if len(m) != size or any(len(row) != size for row in m):
+        shape = "square" if n is None else f"{n}x{n}"
+        raise DimensionMismatchError(f"{what} must be {shape}")
+    return m
+
+
 def identity(n: int) -> Matrix:
     one, zero = Fraction(1), Fraction(0)
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))

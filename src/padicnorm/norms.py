@@ -59,13 +59,11 @@ class SplitNorm:
     values: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        basis = linalg.mat(self.basis)
-        values = linalg.vec(self.values)
         n = self.dim
         if not isinstance(n, int) or n < 0:
             raise DimensionMismatchError(f"dim must be a nonnegative int, got {n!r}")
-        if len(basis) != n or any(len(row) != n for row in basis):
-            raise DimensionMismatchError(f"basis must be {n}x{n}")
+        basis = linalg.square(self.basis, n, "basis")
+        values = linalg.vec(self.values)
         if len(values) != n:
             raise DimensionMismatchError(f"expected {n} values, got {len(values)}")
         _plant(self, "basis", basis)
@@ -114,10 +112,7 @@ class LatticeBasis:
     matrix: Matrix
 
     def __post_init__(self) -> None:
-        m = linalg.mat(self.matrix)
-        if any(len(row) != len(m) for row in m):
-            raise DimensionMismatchError("lattice matrix must be square")
-        _plant(self, "matrix", m)
+        _plant(self, "matrix", linalg.square(self.matrix, what="lattice matrix"))
 
     @property
     def dim(self) -> int:
@@ -185,10 +180,7 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     n = src.dim
     image = src.basis
     if h is not None:
-        h = linalg.mat(h)
-        if len(h) != n or any(len(row) != n for row in h):
-            raise DimensionMismatchError(f"matrix must be {n}x{n}")
-        image = linalg.matmul(h, image)
+        image = linalg.matmul(linalg.square(h, n), image)
     m = linalg.matmul(dst.inv_basis, image)
     p = src.cfg.prime
     best: Fraction | None = None
@@ -245,10 +237,8 @@ def equals(a: SplitNorm, b: SplitNorm) -> bool:
 
 def act(g, norm: SplitNorm) -> SplitNorm:
     """Transport the norm along an invertible matrix g (v -> size of g^-1 v)."""
-    g = linalg.mat(g)
     n = norm.dim
-    if len(g) != n or any(len(row) != n for row in g):
-        raise DimensionMismatchError(f"acting matrix must be {n}x{n}")
+    g = linalg.square(g, n, "acting matrix")
     g_inv = linalg.inverse(g)
     return _with_inverse(
         norm.cfg,

@@ -58,10 +58,7 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
 
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:
     """Transport a pair along an invertible matrix: lattice moves, weights stay."""
-    g = linalg.mat(g)
-    n = pair.dim
-    if len(g) != n or any(len(row) != n for row in g):
-        raise DimensionMismatchError(f"acting matrix must be {n}x{n}")
+    g = linalg.square(g, pair.dim, "acting matrix")
     linalg.inverse(g)
     return SplittingPair(
         LatticeBasis(pair.lattice.cfg, linalg.matmul(g, pair.lattice.matrix)),

@@ -77,6 +77,8 @@ def test_dimension_identity():
 def test_graded_ball_dims_examples():
     assert graded_ball_dims(ALPHA0, 0) == {F(0): (1, 1), F(-1, 2): (1, 1)}
     assert graded_ball_dims(BETA, 0) == {F(0): (2, 2)}
+    # only the level mod 1 matters, so a far level costs no more than level 0
+    assert graded_ball_dims(ALPHA0, -100000) == graded_ball_dims(ALPHA0, 0)
 
 
 def test_graded_ball_dims_agree():
@@ -85,6 +87,7 @@ def test_graded_ball_dims_agree():
         nrm = fuzz.norm(rng)
         for g in nrm.value_classes + (fuzz.rational(rng, 3, 4),):
             table = graded_ball_dims(nrm, g)
+            assert graded_ball_dims(nrm, g - 7) == table
             assert all(lhs == rhs for lhs, rhs in table.values())
             assert sum(lhs for lhs, _ in table.values()) == nrm.dim
             assert all(-1 < k <= 0 for k in table)

@@ -49,90 +49,154 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_formats(capsys, argv, text, machine):
+    # text is the default format, so it is checked with and without the flag
+    for fmt, want in ((), text), (("--format", "text"), text), (("--format", "machine"), machine):
+        code, out, err = run(capsys, *argv, *fmt)
+        assert (code, err) == (0, ""), (argv, fmt)
+        assert out == want, (argv, fmt)
+
+
 def test_frozen_lines(docs, capsys):
+    # (argv, text stdout, machine stdout) for every line verb and mode
     alpha, beta, lat = docs["alpha"], docs["beta"], docs["lat"]
+    at_zero = "0 lhs=1 rhs=1\n-1/2 lhs=1 rhs=1\n"
+    true, false = ("true\n", '{"result":true}\n'), ("false\n", '{"result":false}\n')
     expected = [
-        (("eval", alpha, "--vector", "1,1"), "1/2\n"),
-        (("eval", alpha, "--vector", "0,0"), "-inf\n"),
-        (("graded-dims", alpha), "0 2\n-1/2 2\n"),
-        (("graded-dims", alpha, "--delta=-1/2"), "2\n"),
-        (("graded-dims", alpha, "--delta", "1/4"), "0\n"),
-        (("chi-weights", alpha), "0 1\n1/2 1\n"),
-        (("bc-dims", alpha), "kernel=2 centralizer=2 total=4\n"),
+        (("eval", alpha, "--vector", "1,1"), "1/2\n", '{"value":"1/2"}\n'),
+        (("eval", alpha, "--vector", "0,0"), "-inf\n", '{"value":"-inf"}\n'),
+        (
+            ("graded-dims", alpha),
+            "0 2\n-1/2 2\n",
+            '{"classes":[["0",2],["-1/2",2]],"total":4}\n',
+        ),
+        (("graded-dims", alpha, "--delta=-1/2"), "2\n", '{"class":"-1/2","dim":2}\n'),
+        (("graded-dims", alpha, "--delta", "1/4"), "0\n", '{"class":"1/4","dim":0}\n'),
+        (("chi-weights", alpha), "0 1\n1/2 1\n", '{"weights":[["0",1],["1/2",1]]}\n'),
+        (
+            ("bc-dims", alpha),
+            "kernel=2 centralizer=2 total=4\n",
+            '{"centralizer":2,"kernel":2,"total":4}\n',
+        ),
         (
             ("bc-dims", alpha, "--ram-index", "2"),
             "ram_index=2 classes=[0:2] lattice_norm=true\n",
+            '{"classes":[["0",2]],"lattice_norm":true,"ram_index":2}\n',
         ),
         (
             ("bc-dims", alpha, "--ram-index", "unbounded"),
             "ram_index=unbounded classes=[0:2] lattice_norm=true\n",
+            '{"classes":[["0",2]],"lattice_norm":true,"ram_index":"unbounded"}\n',
         ),
-        (("bc-dims", alpha, "--at", "0"), "0 lhs=1 rhs=1\n-1/2 lhs=1 rhs=1\n"),
-        (("level", alpha, "--matrix", "1,1;0,1"), "-1/2\n"),
-        (("level", alpha, "--matrix", "1,1;0,1", "--delta=-1/2"), "true\n"),
-        (("level", alpha, "--matrix", "1,1;0,1", "--delta=-1"), "false\n"),
-        (("fiber", alpha), "levi=[1,1] unipotent=2 total=4\n"),
-        (("fiber", beta), "levi=[2] unipotent=0 total=4\n"),
-        (("coords", alpha), "0,1/2\n"),
-        (("coords", alpha, "--frame", "1,0;1,1"), "none\n"),
-        (("cartan", beta, lat), "1,0\n"),
-        (("cartan", beta, alpha), "1/2,0\n"),
-        (("type", alpha), "1,1\n"),
-        (("type", beta), "2\n"),
-        (("translate", "--matrix", "4,0;0,1", "--prime", "2"), "2,0\n"),
-        (("translate", "--matrix", "1/2,0;0,1", "--prime", "2"), "-1,0\n"),
-        (("stab-check", alpha, "--matrix", "1,2;0,1"), "true\n"),
-        (("stab-check", alpha, "--matrix", "2,0;0,1"), "false\n"),
-        (("equals", alpha, beta), "false\n"),
-        (("equals", alpha, alpha), "true\n"),
+        (
+            ("bc-dims", alpha, "--at", "0"),
+            at_zero,
+            '{"at":"0","classes":[["0",[1,1]],["-1/2",[1,1]]]}\n',
+        ),
+        (
+            ("bc-dims", alpha, "--at", "5/3"),
+            "-1/6 lhs=1 rhs=1\n-2/3 lhs=1 rhs=1\n",
+            '{"at":"5/3","classes":[["-1/6",[1,1]],["-2/3",[1,1]]]}\n',
+        ),
+        # the table depends on the level mod 1 only, and must not build p^100000
+        (
+            ("bc-dims", alpha, "--at=-100000"),
+            at_zero,
+            '{"at":"-100000","classes":[["0",[1,1]],["-1/2",[1,1]]]}\n',
+        ),
+        (("level", alpha, "--matrix", "1,1;0,1"), "-1/2\n", '{"level":"-1/2"}\n'),
+        (("level", alpha, "--matrix", "1,1;0,1", "--delta=-1/2"), *true),
+        (("level", alpha, "--matrix", "1,1;0,1", "--delta=-1"), *false),
+        (
+            ("fiber", alpha),
+            "levi=[1,1] unipotent=2 total=4\n",
+            '{"levi":[1,1],"total":4,"unipotent":2}\n',
+        ),
+        (
+            ("fiber", beta),
+            "levi=[2] unipotent=0 total=4\n",
+            '{"levi":[2],"total":4,"unipotent":0}\n',
+        ),
+        (("coords", alpha), "0,1/2\n", '{"coords":["0","1/2"]}\n'),
+        (("coords", alpha, "--frame", "1,0;1,1"), "none\n", '{"coords":null}\n'),
+        (("cartan", beta, lat), "1,0\n", '{"position":["1","0"]}\n'),
+        (("cartan", beta, alpha), "1/2,0\n", '{"position":["1/2","0"]}\n'),
+        (("type", alpha), "1,1\n", '{"type":[1,1]}\n'),
+        (("type", beta), "2\n", '{"type":[2]}\n'),
+        (
+            ("translate", "--matrix", "4,0;0,1", "--prime", "2"),
+            "2,0\n",
+            '{"translation":["2","0"]}\n',
+        ),
+        (
+            ("translate", "--matrix", "1/2,0;0,1", "--prime", "2"),
+            "-1,0\n",
+            '{"translation":["-1","0"]}\n',
+        ),
+        (("stab-check", alpha, "--matrix", "1,2;0,1"), *true),
+        (("stab-check", alpha, "--matrix", "2,0;0,1"), *false),
+        (("equals", alpha, beta), *false),
+        (("equals", alpha, alpha), *true),
     ]
-    for argv, want in expected:
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, ""), argv
-        assert out == want, argv
+    for argv, text, machine in expected:
+        assert_formats(capsys, argv, text, machine)
 
 
 def test_frozen_documents(docs, capsys):
+    # (argv, machine stdout); the text form is the same document indented by two
     alpha, beta = docs["alpha"], docs["beta"]
+    identity4 = '"basis":[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]'
     expected = [
+        (("ball", alpha), '{"dim":2,"matrix":[["1","0"],["0","2"]],"prime":2}\n'),
+        (("ball", alpha, "--open"), '{"dim":2,"matrix":[["2","0"],["0","2"]],"prime":2}\n'),
         (
-            ("ball", alpha, "--format", "machine"),
-            '{"dim":2,"matrix":[["1","0"],["0","2"]],"prime":2}\n',
+            ("ball", alpha, "--at", "3/2"),
+            '{"dim":2,"matrix":[["1/2","0"],["0","1/2"]],"prime":2}\n',
         ),
         (
-            ("ball", alpha, "--open", "--format", "machine"),
-            '{"dim":2,"matrix":[["2","0"],["0","2"]],"prime":2}\n',
-        ),
-        (
-            ("apartment", "--vector", "0,1/2", "--prime", "2", "--format", "machine"),
+            ("apartment", "--vector", "0,1/2", "--prime", "2"),
             '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}\n',
         ),
         (
-            ("dual", alpha, "--format", "machine"),
+            ("dual", alpha),
             '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","-1/2"]}\n',
         ),
         (
-            ("act", beta, "--matrix", "2,0;0,1", "--format", "machine"),
+            ("act", beta, "--matrix", "2,0;0,1"),
             '{"basis":[["2","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]}\n',
         ),
         (
-            ("restrict", alpha, "--span", "1,0", "--format", "machine"),
+            ("restrict", alpha, "--span", "1,0"),
             '{"basis":[["1"]],"dim":1,"prime":2,"values":["0"]}\n',
         ),
         (
-            ("quotient", alpha, "--span", "1,0", "--format", "machine"),
+            ("quotient", alpha, "--span", "1,0"),
             '{"basis":[["1"]],"dim":1,"prime":2,"values":["1/2"]}\n',
         ),
         (
-            ("chain", alpha, "--format", "machine"),
+            ("chain", alpha),
             '{"classes":["0","1/2"],"dim":2,'
             '"lattices":[[["1","0"],["0","2"]],[["1","0"],["0","1"]]],"prime":2}\n',
         ),
+        (
+            ("tensor", alpha, beta),
+            "{" + identity4 + ',"dim":4,"prime":2,"values":["0","0","1/2","1/2"]}\n',
+        ),
+        (
+            ("sum", alpha, beta),
+            "{" + identity4 + ',"dim":4,"prime":2,"values":["0","1/2","0","0"]}\n',
+        ),
+        (
+            ("tree", beta),
+            '{"neighbors":['
+            '{"basis":[["2","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]},'
+            '{"basis":[["1","0"],["0","2"]],"dim":2,"prime":2,"values":["0","0"]},'
+            '{"basis":[["1","1"],["0","2"]],"dim":2,"prime":2,"values":["0","0"]}]}\n',
+        ),
     ]
-    for argv, want in expected:
-        code, out, err = run(capsys, *argv)
-        assert (code, err) == (0, ""), argv
-        assert out == want, argv
+    for argv, machine in expected:
+        text = json.dumps(json.loads(machine), sort_keys=True, indent=2) + "\n"
+        assert_formats(capsys, argv, text, machine)
 
 
 def test_zero_dimension_documents(docs, capsys, tmp_path):

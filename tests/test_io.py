@@ -25,7 +25,10 @@ def test_rational_strings():
     assert io.rational_str(F(5)) == "5"
     assert io.parse_rational("3/4") == F(3, 4)
     assert io.parse_rational("-7") == F(-7)
-    for bad in (3, None, 0.5, "abc", "1/0", ""):
+    assert io.parse_rational("0") == F(0)
+    # only the exact strings rational_str writes; an exponent must not be expanded
+    for bad in (3, None, 0.5, "abc", "1/0", "", "2/4", " 3 ", "1e-3", "1_000", "+1", "-0",
+                "3/1", "1e1000000000"):
         with pytest.raises(DocumentError):
             io.parse_rational(bad)
 

@@ -16,16 +16,24 @@ to that result once.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import base_change, building, io, linalg, norms, stabilizer
-from .errors import DocumentError, DomainError
-from .valuation import FieldConfig
+from .errors import DocumentError, DomainError, PreconditionError
+from .valuation import FieldConfig, digit_limit
+
+# `tree` prints all p + 1 neighbors of a vertex, so it refuses primes above this
+TREE_PRIME_LIMIT = 1000
 
 
 def _frac(s: str) -> Fraction:
+    # Fraction expands an exponent in full: refuse one past the digit limit (or too long for int)
+    exponent, limit = re.search(r"[eE]([-+]?[0-9_]+)", s), digit_limit()
+    if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+        raise argparse.ArgumentTypeError(f"exponent beyond {limit} in {s!r}")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -33,9 +41,7 @@ def _frac(s: str) -> Fraction:
 
 
 def _vector(s: str) -> tuple[Fraction, ...]:
-    if s.strip() == "":
-        return ()
-    return tuple(_frac(x) for x in s.split(","))
+    return tuple(_frac(x) for x in s.split(",")) if s.strip() else ()
 
 
 def _matrix(s: str) -> linalg.Matrix:
@@ -46,9 +52,7 @@ def _matrix(s: str) -> linalg.Matrix:
 
 
 def _span(s: str) -> list[tuple[Fraction, ...]]:
-    if s.strip() == "":
-        return []
-    return [_vector(part) for part in s.split(";")]
+    return [_vector(part) for part in s.split(";")] if s.strip() else []
 
 
 _ABSENT = object()
@@ -60,9 +64,8 @@ def _ram_index(s: str):
     try:
         value = int(s)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"ram index must be a positive int or 'unbounded', got {s!r}"
-        ) from exc
+        msg = f"ram index must be a positive int or 'unbounded', got {s!r}"
+        raise argparse.ArgumentTypeError(msg) from exc
     if value < 1:
         raise argparse.ArgumentTypeError("ram index must be at least 1")
     return value
@@ -70,7 +73,7 @@ def _ram_index(s: str):
 
 def _load_norm(path: str) -> norms.SplitNorm:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     return io.norm_from_doc(io.loads_document(text))
@@ -96,12 +99,12 @@ def _rationals(key: str, xs) -> tuple[str, dict]:
 
 def _classes(key: str, counts: dict, **extra) -> tuple[str, dict]:
     """One `class count` line per entry; the payload lists [class, count] pairs under key."""
-    lines = "\n".join(f"{k} {v}" for k, v in counts.items())
-    return lines, {key: [[str(k), v] for k, v in counts.items()], **extra}
+    pairs = [[io.rational_str(k), v] for k, v in counts.items()]
+    return "\n".join(f"{k} {v}" for k, v in pairs), {key: pairs, **extra}
 
 
 def _cmd_eval(args, norm):
-    size = str(norms.evaluate(norm, args.vector))
+    size = io.value_str(norms.evaluate(norm, args.vector))
     return size, {"value": size}
 
 
@@ -129,7 +132,7 @@ def _cmd_graded_dims(args, norm):
     summary = stabilizer.graded_dims(norm)
     if args.delta is not None:
         count = summary.class_dims.get(args.delta, 0)
-        return str(count), {"class": str(args.delta), "dim": count}
+        return str(count), {"class": io.rational_str(args.delta), "dim": count}
     return _classes("classes", summary.class_dims, total=summary.total)
 
 
@@ -144,23 +147,24 @@ def _cmd_level(args, norm):
     level = stabilizer.filtration_level(norm, args.matrix)
     if args.delta is not None:
         return _truth(level <= args.delta)
-    return str(level), {"level": str(level)}
+    text = io.value_str(level)
+    return text, {"level": text}
 
 
 def _cmd_bc_dims(args, norm):
     if args.at is not None:
         table = base_change.graded_ball_dims(norm, args.at)
-        pairs = [[str(k), [lhs, rhs]] for k, (lhs, rhs) in table.items()]
-        lines = "\n".join(f"{k} lhs={lhs} rhs={rhs}" for k, (lhs, rhs) in table.items())
-        return lines, {"at": str(args.at), "classes": pairs}
+        pairs = [[io.rational_str(k), [lhs, rhs]] for k, (lhs, rhs) in table.items()]
+        lines = "\n".join(f"{k} lhs={lhs} rhs={rhs}" for k, (lhs, rhs) in pairs)
+        return lines, {"at": io.rational_str(args.at), "classes": pairs}
     if args.ram_index is not _ABSENT:
         ext = base_change.VirtualExtension(args.ram_index)
         classes = base_change.extension_value_classes(norm, ext)
         collapse = base_change.is_lattice_norm_over(norm, ext)
         index = "unbounded" if args.ram_index is None else args.ram_index
-        listed = " ".join(f"{k}:{v}" for k, v in classes.items())
+        pairs = [[io.rational_str(k), v] for k, v in classes.items()]
+        listed = " ".join(f"{k}:{v}" for k, v in pairs)
         line = f"ram_index={index} classes=[{listed}] lattice_norm={str(collapse).lower()}"
-        pairs = [[str(k), v] for k, v in classes.items()]
         return line, {"classes": pairs, "lattice_norm": collapse, "ram_index": index}
     centralizer = base_change.centralizer_dim(norm)
     kernel = base_change.kernel_dim(norm)
@@ -186,6 +190,12 @@ def _cmd_translate(args):
 def _cmd_type(args, norm):
     t = building.point_type(norm)
     return ",".join(str(x) for x in t), {"type": list(t)}
+
+
+def _cmd_tree(args, norm):
+    if norm.cfg.prime > TREE_PRIME_LIMIT:
+        raise PreconditionError(f"tree needs a prime of at most {TREE_PRIME_LIMIT}")
+    return {"neighbors": [io.norm_to_doc(x) for x in building.tree_neighbors(norm)]}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("translate", _cmd_translate, files=(), matrix=matrix, prime=prime)
     add("cartan", lambda _, a, b: _rationals("position", building.cartan_position(a, b)), files=two)
     add("type", _cmd_type)
-    add("tree", lambda _, n: {"neighbors": [io.norm_to_doc(x) for x in building.tree_neighbors(n)]})
+    add("tree", _cmd_tree)
     return parser
 
 

@@ -1,11 +1,12 @@
 """Canonical document serialization.
 
-Documents are JSON objects with sorted keys; rationals are strings in
-lowest terms ("num/den", plain "num" for integers, "-inf" for the
-bottom value) and basis/lattice matrices are arrays of column arrays.
-Serialization is byte-stable: serializing a parsed canonical document
-reproduces it exactly, and parsing rejects any rational string that
-serialization would not write.
+Norm, lattice and pair documents are JSON objects with sorted keys: a
+prime, a dimension, a matrix as an array of columns and, for norms and
+pairs, one rational per column, in lowest terms ("num/den", plain "num"
+for integers, "-inf" for the bottom value).  Serialization is
+byte-stable: serializing a parsed canonical document reproduces it
+exactly, and parsing rejects any rational string that serialization
+would not write and any field the kind of document does not have.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DocumentError, DomainError, PreconditionError
-from .norms import LatticeBasis, SplitNorm
+from .norms import LatticeBasis, SplitNorm, _lattice_with_inverse, _with_inverse
 from .splittings import SplittingPair
-from .valuation import FieldConfig, Value
+from .valuation import TOO_LARGE, FieldConfig, Value
 
 _RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -27,11 +28,11 @@ def rational_str(x: Fraction) -> str:
     try:
         return str(Fraction(x))
     except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
-        raise PreconditionError("result has a rational too large to print") from exc
+        raise PreconditionError(TOO_LARGE) from exc
 
 
 def value_str(v: Value) -> str:
-    return str(v)
+    return "-inf" if v.is_bottom else rational_str(v.mag)
 
 
 def parse_rational(s) -> Fraction:
@@ -59,98 +60,70 @@ def _parse_columns(entry, n: int, what: str) -> linalg.Matrix:
     return linalg.from_columns(cols) if cols else ()
 
 
-def _columns_out(m: linalg.Matrix) -> list[list[str]]:
-    return [[rational_str(x) for x in col] for col in linalg.columns(m)]
+def _doc(cfg: FieldConfig, matrix_key: str, matrix, weights_key=None, weights=()) -> dict:
+    """The document of a column matrix, with one weight per column under weights_key."""
+    cols = [[rational_str(x) for x in col] for col in linalg.columns(matrix)]
+    doc = {"dim": len(matrix), matrix_key: cols, "prime": cfg.prime}
+    if weights_key is not None:
+        doc[weights_key] = [rational_str(w) for w in weights]
+    return doc
 
 
-def _parse_header(doc) -> tuple[FieldConfig, int]:
+def _read(doc, matrix_key: str, weights_key=None, optional=()):
+    """(cfg, matrix, its inverse, weights) of a document of any kind, checked in one order:
+    header, unknown fields, label, weights array, matrix columns, weight rationals, and
+    invertibility.  A DomainError on the way (bad prime, singular matrix) is a DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
-    prime = doc.get("prime")
-    dim = doc.get("dim")
+    prime, dim = doc.get("prime"), doc.get("dim")
     if not isinstance(prime, int) or isinstance(prime, bool):
         raise DocumentError("prime must be an integer")
     if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
         raise DocumentError("dim must be a nonnegative integer")
     try:
         cfg = FieldConfig(prime)
+        extra = set(doc) - {"dim", "prime", matrix_key, weights_key, *optional}
+        if extra:
+            raise DocumentError(f"unknown document fields: {sorted(extra)}")
+        if not isinstance(doc.get("label", ""), str):
+            raise DocumentError("label must be a string")
+        weights = doc.get(weights_key) if weights_key else []
+        if weights_key and (not isinstance(weights, list) or len(weights) != dim):
+            raise DocumentError(f"{weights_key} must be an array of {dim} rationals")
+        matrix = _parse_columns(doc.get(matrix_key), dim, matrix_key)
+        weights = tuple(parse_rational(w) for w in weights)
+        return cfg, matrix, linalg.inverse(matrix), weights
     except DomainError as exc:
         raise DocumentError(str(exc)) from exc
-    return cfg, dim
 
 
 def norm_to_doc(norm: SplitNorm, label: str | None = None) -> dict:
-    doc = {
-        "basis": _columns_out(norm.basis),
-        "dim": norm.dim,
-        "prime": norm.cfg.prime,
-        "values": [rational_str(a) for a in norm.values],
-    }
+    doc = _doc(norm.cfg, "basis", norm.basis, "values", norm.values)
     if label is not None:
         doc["label"] = label
     return doc
 
 
 def norm_from_doc(doc) -> SplitNorm:
-    cfg, dim = _parse_header(doc)
-    allowed = {"basis", "dim", "label", "prime", "values"}
-    extra = set(doc) - allowed
-    if extra:
-        raise DocumentError(f"unknown document fields: {sorted(extra)}")
-    if "label" in doc and not isinstance(doc["label"], str):
-        raise DocumentError("label must be a string")
-    values = doc.get("values")
-    if not isinstance(values, list) or len(values) != dim:
-        raise DocumentError(f"values must be an array of {dim} rationals")
-    basis = _parse_columns(doc.get("basis"), dim, "basis")
-    try:
-        norm = SplitNorm(cfg, dim, basis, [parse_rational(x) for x in values])
-        norm.inv_basis
-    except DomainError as exc:
-        raise DocumentError(str(exc)) from exc
-    return norm
+    cfg, basis, inv, values = _read(doc, "basis", "values", optional=("label",))
+    return _with_inverse(cfg, len(basis), basis, values, inv)
 
 
 def lattice_to_doc(lattice: LatticeBasis) -> dict:
-    return {
-        "dim": lattice.dim,
-        "matrix": _columns_out(lattice.matrix),
-        "prime": lattice.cfg.prime,
-    }
+    return _doc(lattice.cfg, "matrix", lattice.matrix)
 
 
 def lattice_from_doc(doc) -> LatticeBasis:
-    cfg, dim = _parse_header(doc)
-    matrix = _parse_columns(doc.get("matrix"), dim, "matrix")
-    try:
-        lattice = LatticeBasis(cfg, matrix)
-        lattice.inv
-    except DomainError as exc:
-        raise DocumentError(str(exc)) from exc
-    return lattice
+    return _lattice_with_inverse(*_read(doc, "matrix")[:3])
 
 
 def pair_to_doc(pair: SplittingPair) -> dict:
-    return {
-        "dim": pair.dim,
-        "lattice": _columns_out(pair.lattice.matrix),
-        "prime": pair.lattice.cfg.prime,
-        "weights": [rational_str(w) for w in pair.weights],
-    }
+    return _doc(pair.lattice.cfg, "lattice", pair.lattice.matrix, "weights", pair.weights)
 
 
 def pair_from_doc(doc) -> SplittingPair:
-    cfg, dim = _parse_header(doc)
-    weights = doc.get("weights")
-    if not isinstance(weights, list) or len(weights) != dim:
-        raise DocumentError(f"weights must be an array of {dim} rationals")
-    matrix = _parse_columns(doc.get("lattice"), dim, "lattice")
-    try:
-        lattice = LatticeBasis(cfg, matrix)
-        lattice.inv
-        return SplittingPair(lattice, [parse_rational(w) for w in weights])
-    except DomainError as exc:
-        raise DocumentError(str(exc)) from exc
+    cfg, matrix, inv, weights = _read(doc, "lattice", "weights")
+    return SplittingPair(_lattice_with_inverse(cfg, matrix, inv), weights)
 
 
 def dumps_machine(obj) -> str:

@@ -34,11 +34,12 @@ from . import linalg
 from .errors import (
     ConfigMismatchError,
     DimensionMismatchError,
+    PreconditionError,
     RankDeficiencyError,
     SelfCheckError,
 )
 from .linalg import Matrix, Vector
-from .valuation import BOTTOM, FieldConfig, Value, count_classes, pval
+from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, pval
 
 
 def _plant(obj, name: str, value) -> None:
@@ -128,6 +129,12 @@ class LatticeBasis:
             return inv
 
 
+def _lattice_with_inverse(cfg: FieldConfig, matrix: Matrix, inv: Matrix) -> LatticeBasis:
+    lattice = LatticeBasis(cfg, matrix)
+    _plant(lattice, "_inv", inv)
+    return lattice
+
+
 @dataclass(frozen=True)
 class BallChainPeriod:
     """One period of the closed-ball chain: classes ascending in [0, 1),
@@ -196,6 +203,10 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     p = norm.cfg.prime
+    # p^k has |k| log10 p digits and a basis entry cancels at most a digit limit's worth of
+    # them, so past twice the limit no entry can be printed: refuse before building p^k
+    if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
+        raise PreconditionError(TOO_LARGE)
     scale = [Fraction(p) ** k for k in exponents]
     matrix = tuple(
         tuple(row[i] * scale[i] for i in range(norm.dim)) for row in norm.basis
@@ -203,9 +214,7 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     inv = tuple(
         tuple(x / scale[i] for x in norm.inv_basis[i]) for i in range(norm.dim)
     )
-    lat = LatticeBasis(norm.cfg, matrix)
-    _plant(lat, "_inv", inv)
-    return lat
+    return _lattice_with_inverse(norm.cfg, matrix, inv)
 
 
 def ball_basis(norm: SplitNorm, g) -> LatticeBasis:

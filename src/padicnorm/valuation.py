@@ -17,6 +17,7 @@ in this module and nowhere else.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,6 +26,7 @@ from functools import total_ordering
 from .errors import PreconditionError
 
 Rational = Fraction | int
+TOO_LARGE = "result has a rational too large to print"  # past the int-to-str digit limit
 
 
 # Miller-Rabin with the first 13 primes as bases is proven correct for
@@ -43,6 +45,11 @@ def _is_prime(n: int) -> bool:
         if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
             return False
     return True
+
+
+def digit_limit() -> int:
+    """Python's int-to-str digit limit, or its default when the limit is switched off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 @dataclass(frozen=True)

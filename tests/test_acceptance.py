@@ -239,7 +239,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         for i, nrm in enumerate(corpus):
             blob = io.dumps_machine(io.norm_to_doc(nrm))
             path = tmp_path / f"corpus_{i:02d}.json"
-            path.write_text(blob)
+            path.write_text(blob, encoding="utf-8")
             paths.append(str(path))
             parsed.append(json.loads(blob))
         first = _cli_battery(paths, parsed)

@@ -21,11 +21,11 @@ def docs(tmp_path_factory):
 
     def write(name, norm):
         path = root / name
-        path.write_text(io.dumps_machine(io.norm_to_doc(norm)))
+        path.write_text(io.dumps_machine(io.norm_to_doc(norm)), encoding="utf-8")
         return str(path)
 
     bad = root / "bad.json"
-    bad.write_text('{"prime": 2}')
+    bad.write_text('{"prime": 2}', encoding="utf-8")
     return {
         "alpha": write(
             "alpha.json", SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(1, 2)))
@@ -201,7 +201,7 @@ def test_frozen_documents(docs, capsys):
 
 def test_zero_dimension_documents(docs, capsys, tmp_path):
     zero = tmp_path / "zero.json"
-    zero.write_text(io.dumps_machine(io.norm_to_doc(SplitNorm(CFG2, 0, (), ()))))
+    zero.write_text(io.dumps_machine(io.norm_to_doc(SplitNorm(CFG2, 0, (), ()))), encoding="utf-8")
     empty = '{"basis":[],"dim":0,"prime":2,"values":[]}\n'
     expected = [
         (("restrict", docs["alpha"], "--span", ""), empty),
@@ -275,13 +275,27 @@ def test_exit_codes(docs, capsys):
     assert code == 2 and err.startswith("error:")
 
 
-def test_output_beyond_digit_limit(capsys, tmp_path):
-    # the ball lattice holds 2^100001, past Python's int-to-str digit limit
+THIRDS, SEVENTHS = f"1/{3 ** 8000}", f"1/{7 ** 5000}"  # 3,817- and 4,226-digit denominators
+
+
+@pytest.mark.parametrize(
+    "values, argv",
+    [
+        # the ball lattice would hold 2^100001, past Python's int-to-str digit limit
+        (["0", "200001/2"], ["chain"]),
+        # class keys and levels are differences of the values, with 8,043-digit denominators
+        ([THIRDS, SEVENTHS], ["graded-dims"]),
+        ([THIRDS, SEVENTHS], ["level", "--matrix", "1,2;0,1"]),
+        ([THIRDS, "0"], ["bc-dims", "--at", SEVENTHS]),
+        ([THIRDS, "0"], ["bc-dims", "--ram-index", str(7 ** 5000)]),
+    ],
+    ids=["chain", "graded-dims", "level", "bc-dims-at", "bc-dims-ram-index"],
+)
+def test_output_beyond_digit_limit(capsys, tmp_path, values, argv):
     doc = tmp_path / "huge.json"
-    doc.write_text(
-        '{"prime":2,"dim":2,"basis":[["1","0"],["0","1"]],"values":["0","200001/2"]}'
-    )
-    code, out, err = run(capsys, "chain", str(doc))
+    content = {"prime": 2, "dim": 2, "basis": [["1", "0"], ["0", "1"]], "values": values}
+    doc.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(doc), *argv[1:])
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -319,10 +333,10 @@ def test_document_pipeline(docs, capsys, tmp_path):
     code, out, _ = run(capsys, "dual", docs["alpha"], "--format", "machine")
     assert code == 0
     once = tmp_path / "dual.json"
-    once.write_text(out)
+    once.write_text(out, encoding="utf-8")
     code, out, _ = run(capsys, "dual", str(once), "--format", "machine")
     assert code == 0
-    assert out == open(docs["alpha"]).read()
+    assert out == Path(docs["alpha"]).read_text(encoding="utf-8")
 
 
 def test_determinism(docs, capsys):
@@ -336,16 +350,29 @@ def test_determinism(docs, capsys):
         assert first == second
 
 
-def test_module_entry_point(docs):
-    # the child process must import the same package as this test, installed or not
+def run_module(*argv, **env):
+    """Run `python -m padicnorm` in a child that imports the same package as this test."""
     package_root = str(Path(padicnorm.__file__).parents[1])
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run(
-        [sys.executable, "-m", "padicnorm", "eval", docs["alpha"], "--vector", "1,1"],
+    return subprocess.run(
+        [sys.executable, "-m", "padicnorm", *argv],
         capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def test_module_entry_point(docs):
+    proc = run_module("eval", docs["alpha"], "--vector", "1,1")
     assert proc.returncode == 0
     assert proc.stdout == "1/2\n"
     assert proc.stderr == ""
+
+
+def test_utf8_document_in_c_locale(tmp_path):
+    # documents are UTF-8 whatever the locale's encoding
+    doc = tmp_path / "cafe.json"
+    content = '{"basis":[["1"]],"dim":1,"label":"café","prime":2,"values":["0"]}'
+    doc.write_text(content, encoding="utf-8")
+    proc = run_module("eval", str(doc), "--vector", "1", LC_ALL="C", PYTHONUTF8="0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")

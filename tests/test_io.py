@@ -5,10 +5,10 @@ from fractions import Fraction
 import pytest
 
 from padicnorm import FieldConfig, SplitNorm, io, linalg
-from padicnorm.errors import DocumentError
+from padicnorm.errors import DocumentError, PreconditionError
 from padicnorm.norms import LatticeBasis, equals
 from padicnorm.splittings import SplittingPair
-from padicnorm.valuation import BOTTOM, val
+from padicnorm.valuation import BOTTOM, Value, val
 
 import fuzz
 
@@ -37,6 +37,9 @@ def test_value_strings():
     assert io.value_str(val(8, CFG2)) == "3"
     assert io.value_str(val(F(3, 4), CFG2)) == "-2"
     assert io.value_str(BOTTOM) == "-inf"
+    # the same digit-limit guard as rational_str: an 8,043-digit denominator is refused
+    with pytest.raises(PreconditionError):
+        io.value_str(Value(F(1, 3**8000 * 7**5000)))
 
 
 def test_norm_doc_frozen():
@@ -107,6 +110,25 @@ def test_malformed_norm_docs():
             io.norm_from_doc(doc)
 
 
+def test_norm_doc_check_order():
+    # with two faults, the one checked first is reported: header, unknown fields, label,
+    # the values array, basis columns, values rationals, then invertibility
+    good = io.norm_to_doc(ALPHA0)
+    singular, untyped = [["1", "1"], ["1", "1"]], [["1", "1"], ["1", 1]]
+    cases = [
+        ({"label": 7, "values": ["0"]}, "label must be a string"),
+        ({"extra": 1, "values": ["0"]}, "unknown document fields: ['extra']"),
+        ({"extra": 1, "prime": 4}, "prime must be a prime number, got 4"),
+        ({"basis": singular, "values": ["0", "2/4"]}, "not a canonical rational: '2/4'"),
+        ({"basis": untyped, "values": ["0", 2]}, "rational entries must be strings, got 1"),
+        ({"basis": [["1", "1"]], "values": "0"}, "values must be an array of 2 rationals"),
+    ]
+    for changes, message in cases:
+        with pytest.raises(DocumentError) as exc:
+            io.norm_from_doc({**good, **changes})
+        assert str(exc.value) == message
+
+
 def test_invalid_json():
     with pytest.raises(DocumentError):
         io.loads_document("{not json")
@@ -122,6 +144,8 @@ def test_lattice_doc():
         io.lattice_from_doc({"prime": 2, "dim": 2, "matrix": [["1", "1"], ["1", "1"]]})
     with pytest.raises(DocumentError):
         io.lattice_from_doc({"prime": 2, "dim": 2, "matrix": [["1", "0"]]})
+    with pytest.raises(DocumentError, match="unknown document fields"):
+        io.lattice_from_doc({**json.loads(blob), "junk": 1})
 
 
 def test_pair_doc():
@@ -136,6 +160,9 @@ def test_pair_doc():
     assert again.weights == pair.weights
     with pytest.raises(DocumentError):
         io.pair_from_doc({"prime": 2, "dim": 2, "lattice": [["1", "0"], ["0", "1"]], "weights": ["0"]})
+    for junk in ({"junk": 1}, {"label": 5}, {"label": "a"}):  # labels belong to norm documents
+        with pytest.raises(DocumentError, match="unknown document fields"):
+            io.pair_from_doc({**json.loads(blob), **junk})
 
 
 def test_round_trip_fuzz():

@@ -14,6 +14,7 @@ from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
 from padicnorm.errors import (
     ConfigMismatchError,
     DimensionMismatchError,
+    PreconditionError,
     SingularMatrixError,
 )
 from padicnorm.norms import (
@@ -71,6 +72,11 @@ def test_ball_basis_examples():
     assert ball_basis(ALPHA0, F(1, 2)).matrix == ((1, 0), (0, 1))
     assert ball_basis(ALPHA0, -1).matrix == ((2, 0), (0, 4))
     assert ball_basis_open(ALPHA0, 0).matrix == ((2, 0), (0, 2))
+    # 2^k is refused before it is built once k log10 2 passes twice the digit limit (8,600)
+    assert ball_basis(ALPHA0, -28000).matrix[0][0] == 2**28000
+    for g in (-29000, -(10**10)):
+        with pytest.raises(PreconditionError):
+            ball_basis(ALPHA0, g)
 
 
 def test_ball_of_lattice_norm_recovers_lattice():

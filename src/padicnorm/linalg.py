@@ -1,10 +1,18 @@
 """Small exact linear algebra over Fraction.  Matrices are row-major
 tuples of tuples; a basis is a matrix whose columns are the basis
-vectors.  Everything here is dimension-agnostic and 0x0-safe."""
+vectors.  Everything here is dimension-agnostic and 0x0-safe.
+
+Fraction is the type at every function boundary; the inner loops run
+over int.  Each row or column is cleared of denominators once, products
+are integer dot products, and `inverse` and `det` share one
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+on the cleared columns, since a basis vector is scaled as a whole."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DimensionMismatchError, SingularMatrixError
 
@@ -13,6 +21,8 @@ Vector = tuple[Fraction, ...]
 
 
 def to_fraction(x) -> Fraction:
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
     return Fraction(x)
@@ -58,10 +68,20 @@ def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
 
 
+def _int_rows(m) -> list[tuple[list[int], int]]:
+    """Each row as integers over the lcm of its denominators: (ints, lcm)."""
+    out = []
+    for row in m:
+        d = math.lcm(*(x.denominator for x in row))
+        out.append(([x.numerator * (d // x.denominator) for x in row], d))
+    return out
+
+
 def matvec(m: Matrix, v: Vector) -> Vector:
     if m and len(m[0]) != len(v):
         raise DimensionMismatchError(f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
-    return tuple(sum((row[k] * v[k] for k in range(len(v))), Fraction(0)) for row in m)
+    ((w, e),) = _int_rows((v,))
+    return tuple(Fraction(sum(map(mul, r, w)), d * e) for r, d in _int_rows(m))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -69,10 +89,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         return tuple(() for _ in a)
     if len(a[0]) != len(b):
         raise DimensionMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    bt = transpose(b)
+    cols = _int_rows(transpose(b))
     return tuple(
-        tuple(sum((row[k] * col[k] for k in range(len(b))), Fraction(0)) for col in bt)
-        for row in a
+        tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols) for r, d in _int_rows(a)
     )
 
 
@@ -81,44 +100,52 @@ def scalar_mul(c, m: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in m)
 
 
+def _bareiss(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
+    """Fraction-free Gauss-Jordan on the first n columns of integer rows.
+
+    Returns the reduced rows and the determinant of the leading n x n
+    block, or None when that block is singular.  At the end the block
+    is det times the identity, so the remaining columns hold det times
+    the block's inverse applied to them."""
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            return None
+        if pivot != k:  # a swap with one row negated keeps the determinant
+            rows[k], rows[pivot] = [-x for x in rows[pivot]], rows[k]
+        top = rows[k]
+        pk = top[k]
+        for r in range(n):
+            if r != k:
+                f = rows[r][k]
+                rows[r] = [(pk * x - f * y) // prev for x, y in zip(rows[r], top)]
+        prev = pk
+    return rows, prev
+
+
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("inverse needs a square matrix")
-    work = [list(row) + list(identity(n)[i]) for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            raise SingularMatrixError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv_p = 1 / work[col][col]
-        work[col] = [x * inv_p for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                f = work[r][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return tuple(tuple(row[n:]) for row in work)
+    # column j of m is column j of an integer matrix C over e_j, so m^-1 = diag(e) C^-1
+    cols = _int_rows(transpose(m))
+    reduced = _bareiss([c + [int(i == j) for j in range(n)] for i, (c, _) in enumerate(cols)], n)
+    if reduced is None:
+        raise SingularMatrixError("matrix is singular")
+    rows, d = reduced  # the right half of rows is d (C^T)^-1
+    return tuple(tuple(Fraction(e * row[n + i], d) for row in rows) for i, (_, e) in enumerate(cols))
 
 
 def det(m: Matrix) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("det needs a square matrix")
-    work = [list(row) for row in m]
-    result = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            result = -result
-        result *= work[col][col]
-        for r in range(col + 1, n):
-            if work[r][col] != 0:
-                f = work[r][col] / work[col][col]
-                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
-    return result
+    cols = _int_rows(transpose(m))
+    reduced = _bareiss([c for c, _ in cols], n)
+    if reduced is None:
+        return Fraction(0)
+    return Fraction(reduced[1], math.prod(e for _, e in cols))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -132,22 +132,29 @@ class Value:
 BOTTOM = Value(None)
 
 
+def _multiplicity(n: int, p: int) -> int:
+    """Exponent of p in the nonzero int n."""
+    if p == 2:
+        return (n & -n).bit_length() - 1
+    v, powers = 0, []
+    q = p
+    while n % q == 0:  # divide by p, p^2, p^4, ... while exact
+        n //= q
+        v += 1 << len(powers)
+        powers.append(q)
+        q *= q
+    for i in reversed(range(len(powers))):  # the exponent left is below 2^len(powers)
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
+    return v
+
+
 def pval(x: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational, as a plain int."""
-    x = Fraction(x)
-    num, den = x.numerator, x.denominator
-    if num == 0:
+    if x.numerator == 0:
         raise PreconditionError("pval is undefined at 0")
-    v = 0
-    while num % p == 0:
-        num //= p
-        v += 1
-    if v:
-        return v
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return _multiplicity(x.numerator, p) or -_multiplicity(x.denominator, p)
 
 
 def val(x: Rational, cfg: FieldConfig) -> Value:
@@ -181,35 +188,3 @@ def degree_rep(c: Rational) -> Fraction:
     """Map a class representative in [0, 1) to the one in (-1, 0]."""
     c = Fraction(c)
     return c if c == 0 else c - 1
-
-
-def in_fundamental_interval(d: Rational) -> bool:
-    """True iff d lies in the filtration-degree interval (-1, 0]."""
-    d = Fraction(d)
-    return -1 < d <= 0
-
-
-@dataclass(frozen=True)
-class ValueClass:
-    """A coset of (1/e)Z in Q, canonically represented in [0, 1/e).
-
-    e = None models a virtual extension whose value group is all of Q:
-    every value is then its own representative.
-    """
-
-    rep: Fraction
-    e: int | None = 1
-
-
-def class_of(r: Value | Rational, e: int | None = 1) -> ValueClass:
-    """Canonical class of a value modulo (1/e)Z."""
-    if isinstance(r, Value):
-        if r.is_bottom:
-            raise PreconditionError("bottom has no value class")
-        r = r.mag
-    r = Fraction(r)
-    if e is None:
-        return ValueClass(r, None)
-    if not isinstance(e, int) or e < 1:
-        raise PreconditionError(f"ramification index must be a positive int or None, got {e!r}")
-    return ValueClass(frac_part(r * e) / e, e)

@@ -50,6 +50,22 @@ def test_chi_weights_invariance():
         assert chi_weights(shifted) == weights
 
 
+def test_extension_classes_shift_with_the_values():
+    # refining by e is a homomorphism Q -> Q/(1/e)Z: shifting every value
+    # by c shifts each class by c modulo 1/e and keeps its multiplicity
+    rng = random.Random(82)
+    for _ in range(100):
+        nrm = fuzz.norm(rng)
+        e = rng.choice((1, 2, 3))
+        c = fuzz.rational(rng)
+        shifted = SplitNorm(nrm.cfg, nrm.dim, nrm.basis, tuple(v + c for v in nrm.values))
+        moved = {}
+        for key, m in extension_value_classes(nrm, VirtualExtension(e)).items():
+            k = (key + c) * e
+            moved[(k - math.floor(k)) / e] = m
+        assert extension_value_classes(shifted, VirtualExtension(e)) == moved
+
+
 def test_centralizer_examples():
     assert centralizer_dim(ALPHA0) == 2
     assert centralizer_dim(BETA) == 4

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from padicnorm import linalg
 from padicnorm.errors import DimensionMismatchError, SingularMatrixError
@@ -80,3 +81,74 @@ def test_block_diag():
     m = linalg.block_diag(a, b)
     assert m == linalg.mat([[1, 2, 0], [3, 4, 0], [0, 0, 5]])
     assert linalg.block_diag(a, ()) == a
+
+
+def _entry(rng):
+    """Zero, a small signed int, or a 30-digit numerator over a mixed denominator."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(rng.randint(-9, 9))
+    num = rng.choice((-1, 1)) * rng.randrange(10**29, 10**30)
+    return Fraction(num, rng.choice((1, 2, 3, 7, 12, 10**9 + 7, 2**40)))
+
+
+def _random_matrix(rng, n, cols=None):
+    m = [[_entry(rng) for _ in range(n if cols is None else cols)] for _ in range(n)]
+    for i in range(rng.randint(0, n - 1) if n > 1 else 0):
+        m[i][0] = Fraction(0)  # zero leading entries force row swaps
+    return tuple(tuple(row) for row in m)
+
+
+def _to_sympy(m):
+    cols = len(m[0]) if m else 0
+    return sympy.Matrix(len(m), cols, [sympy.Rational(x.numerator, x.denominator) for row in m for x in row])
+
+
+def _from_sympy(s):
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in s.row(i)) for i in range(s.rows))
+
+
+def test_kernel_agrees_with_sympy():
+    rng = random.Random(14)
+    for n in (0, 1, 2, 5, 8):
+        for _ in range(6):
+            a = _random_matrix(rng, n)
+            b = _random_matrix(rng, n, cols=rng.randint(1, 3))
+            v = tuple(_entry(rng) for _ in range(n))
+            sa = _to_sympy(a)
+            assert linalg.matmul(a, b) == _from_sympy(sa * _to_sympy(b))
+            assert linalg.matvec(a, v) == tuple(r[0] for r in _from_sympy(sa * _to_sympy((v,)).T))
+            d = sa.det()
+            assert linalg.det(a) == Fraction(int(d.p), int(d.q))
+            if d == 0:
+                with pytest.raises(SingularMatrixError):
+                    linalg.inverse(a)
+            else:
+                assert linalg.inverse(a) == _from_sympy(sa.inv())
+
+
+def test_singular_kernel_cases():
+    rng = random.Random(15)
+    for n in (1, 2, 5, 8):
+        for _ in range(4):
+            rows = [list(r) for r in _random_matrix(rng, n)]
+            if n == 1:
+                rows[0][0] = Fraction(0)
+            else:  # the last row is a combination of earlier ones
+                c = _entry(rng)
+                rows[-1] = [c * x - y / 3 for x, y in zip(rows[0], rows[n - 2])]
+            m = tuple(tuple(r) for r in rows)
+            assert _to_sympy(m).det() == 0
+            assert linalg.det(m) == 0
+            with pytest.raises(SingularMatrixError, match="matrix is singular"):
+                linalg.inverse(m)
+
+
+def test_large_inverse_round_trip():
+    rng = random.Random(16)
+    for n in (12, 16):
+        m = _random_matrix(rng, n)
+        assert linalg.det(m) != 0
+        assert linalg.matmul(m, linalg.inverse(m)) == linalg.identity(n)

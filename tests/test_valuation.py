@@ -10,10 +10,8 @@ from padicnorm.errors import PreconditionError
 from padicnorm.valuation import (
     PRIME_LIMIT,
     _is_prime,
-    class_of,
     degree_rep,
     frac_part,
-    in_fundamental_interval,
     is_integral,
     pval,
 )
@@ -99,26 +97,48 @@ def test_frac_part_and_degree_rep():
     assert degree_rep(Fraction(2, 3)) == Fraction(-1, 3)
 
 
-def test_fundamental_interval():
-    assert in_fundamental_interval(0)
-    assert not in_fundamental_interval(-1)
-    assert in_fundamental_interval(Fraction(-1, 2))
-    assert not in_fundamental_interval(Fraction(1, 4))
+def naive_pval(x: Fraction, p: int) -> int:
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
-def test_class_of_examples():
-    assert class_of(Fraction(3, 2)).rep == Fraction(1, 2)
-    assert class_of(Fraction(-1, 3)).rep == Fraction(2, 3)
-    assert class_of(Fraction(1, 2), 2).rep == 0
-    assert class_of(Fraction(1, 3), 2).rep == Fraction(1, 3)
-    assert class_of(Fraction(5, 7), None).rep == Fraction(5, 7)
-    assert class_of(Value(Fraction(5, 2))).rep == Fraction(1, 2)
-    with pytest.raises(PreconditionError):
-        class_of(BOTTOM)
-    with pytest.raises(PreconditionError):
-        class_of(Fraction(1), 0)
-    with pytest.raises(PreconditionError):
-        class_of(Fraction(1), -3)
+def test_pval_agrees_with_stripping():
+    rng = random.Random(2004)
+    for p in (2, 3, 5, 7, 10**18 + 3):
+        for _ in range(300):
+            k = rng.randint(0, 70)
+            num = rng.choice((-1, 1)) * rng.randint(1, 10**6) * p ** rng.randint(0, k)
+            den = rng.randint(1, 10**6) * p ** rng.randint(0, k)
+            x = Fraction(num, den)
+            assert pval(x, p) == naive_pval(x, p)
+            assert pval(num, p) == naive_pval(Fraction(num), p)
+        assert pval(p ** 64, p) == 64 and pval(-(p ** 63), p) == 63
+        assert pval(Fraction(1, p ** 65), p) == -65
+
+
+def test_pval_is_fast_on_large_valuations():
+    start = time.perf_counter()
+    total = (
+        pval(10**32000, 2)
+        + pval(10**32000, 5)
+        + pval(-(10**32000), 5)
+        + pval(Fraction(1, 10**32000), 2)
+    )
+    assert total == 64000
+    assert time.perf_counter() - start < 0.5
+
+
+def test_degree_rep_lands_in_the_degree_interval():
+    rng = random.Random(2003)
+    for _ in range(300):
+        d = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+        assert (-1 < d <= 0) == (degree_rep(frac_part(d)) == d)
 
 
 def test_val_is_a_valuation():
@@ -136,21 +156,3 @@ def test_val_is_a_valuation():
             assert val(x + y, cfg) >= min(val(x, cfg), val(y, cfg))
         if x != 0:
             assert is_integral(x, p) == (pval(x, p) >= 0)
-
-
-def test_class_of_is_a_homomorphism():
-    rng = random.Random(2002)
-    for _ in range(300):
-        e = rng.choice((1, 2, 3, None))
-        x = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-        y = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-        lhs = class_of(x + y, e)
-        rhs = class_of(class_of(x, e).rep + class_of(y, e).rep, e)
-        assert lhs == rhs
-
-
-def test_fundamental_interval_characterization():
-    rng = random.Random(2003)
-    for _ in range(300):
-        d = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-        assert in_fundamental_interval(d) == (degree_rep(frac_part(d)) == d)

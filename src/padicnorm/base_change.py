@@ -42,10 +42,6 @@ class VirtualExtension:
         if e is not None and (not isinstance(e, int) or e < 1):
             raise PreconditionError(f"ram_index must be a positive int or None, got {e!r}")
 
-    @property
-    def is_unramified(self) -> bool:
-        return self.ram_index == 1
-
 
 def chi_weights(norm: SplitNorm) -> WeightMultiset:
     """Multiset of splitting-value classes mod 1, keys ascending in [0, 1)."""

@@ -126,7 +126,7 @@ def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     k = (total(a) - total(b)) / a.dim
     if k.denominator != 1:
         return False
-    shifted = SplitNorm(b.cfg, b.dim, b.basis, tuple(v + k for v in b.values))
+    shifted = _with_inverse(b.cfg, b.dim, b.basis, tuple(v + k for v in b.values), b.inv_basis)
     return equals(a, shifted)
 
 

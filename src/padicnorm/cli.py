@@ -152,6 +152,8 @@ def _cmd_level(args, norm):
 
 
 def _cmd_bc_dims(args, norm):
+    if args.at is not None and args.ram_index is not _ABSENT:
+        raise PreconditionError("--at and --ram-index cannot be combined")
     if args.at is not None:
         table = base_change.graded_ball_dims(norm, args.at)
         pairs = [[io.rational_str(k), [lhs, rhs]] for k, (lhs, rhs) in table.items()]

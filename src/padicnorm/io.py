@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DocumentError, DomainError, PreconditionError
-from .norms import LatticeBasis, SplitNorm, _lattice_with_inverse, _with_inverse
+from .norms import LatticeBasis, SplitNorm, _on_lattice
 from .splittings import SplittingPair
 from .valuation import TOO_LARGE, FieldConfig, Value
 
@@ -70,7 +70,7 @@ def _doc(cfg: FieldConfig, matrix_key: str, matrix, weights_key=None, weights=()
 
 
 def _read(doc, matrix_key: str, weights_key=None, optional=()):
-    """(cfg, matrix, its inverse, weights) of a document of any kind, checked in one order:
+    """(lattice with its inverse, weights) of a document of any kind, checked in one order:
     header, unknown fields, label, weights array, matrix columns, weight rationals, and
     invertibility.  A DomainError on the way (bad prime, singular matrix) is a DocumentError."""
     if not isinstance(doc, dict):
@@ -90,9 +90,10 @@ def _read(doc, matrix_key: str, weights_key=None, optional=()):
         weights = doc.get(weights_key) if weights_key else []
         if weights_key and (not isinstance(weights, list) or len(weights) != dim):
             raise DocumentError(f"{weights_key} must be an array of {dim} rationals")
-        matrix = _parse_columns(doc.get(matrix_key), dim, matrix_key)
+        lattice = LatticeBasis(cfg, _parse_columns(doc.get(matrix_key), dim, matrix_key))
         weights = tuple(parse_rational(w) for w in weights)
-        return cfg, matrix, linalg.inverse(matrix), weights
+        lattice.inv  # a singular matrix fails here; the inverse stays cached on the lattice
+        return lattice, weights
     except DomainError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -105,8 +106,7 @@ def norm_to_doc(norm: SplitNorm, label: str | None = None) -> dict:
 
 
 def norm_from_doc(doc) -> SplitNorm:
-    cfg, basis, inv, values = _read(doc, "basis", "values", optional=("label",))
-    return _with_inverse(cfg, len(basis), basis, values, inv)
+    return _on_lattice(*_read(doc, "basis", "values", optional=("label",)))
 
 
 def lattice_to_doc(lattice: LatticeBasis) -> dict:
@@ -114,7 +114,7 @@ def lattice_to_doc(lattice: LatticeBasis) -> dict:
 
 
 def lattice_from_doc(doc) -> LatticeBasis:
-    return _lattice_with_inverse(*_read(doc, "matrix")[:3])
+    return _read(doc, "matrix")[0]
 
 
 def pair_to_doc(pair: SplittingPair) -> dict:
@@ -122,8 +122,7 @@ def pair_to_doc(pair: SplittingPair) -> dict:
 
 
 def pair_from_doc(doc) -> SplittingPair:
-    cfg, matrix, inv, weights = _read(doc, "lattice", "weights")
-    return SplittingPair(_lattice_with_inverse(cfg, matrix, inv), weights)
+    return SplittingPair(*_read(doc, "lattice", "weights"))
 
 
 def dumps_machine(obj) -> str:

@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from types import MappingProxyType
 
 from . import linalg
@@ -70,6 +71,7 @@ class SplitNorm:
         _plant(self, "basis", basis)
         _plant(self, "values", values)
 
+    # not a cached_property: perfbench/tracing.py wraps its fget and checks "_inv" in vars(norm)
     @property
     def inv_basis(self) -> Matrix:
         try:
@@ -83,15 +85,10 @@ class SplitNorm:
     def basis_columns(self) -> tuple[Vector, ...]:
         return linalg.columns(self.basis)
 
-    @property
+    @cached_property
     def class_counts(self) -> MappingProxyType[Fraction, int]:
         """Multiplicity of each value class mod 1, keys ascending in [0, 1)."""
-        try:
-            return self._class_counts  # type: ignore[attr-defined]
-        except AttributeError:
-            counts = MappingProxyType(count_classes(self.values))
-            _plant(self, "_class_counts", counts)
-            return counts
+        return MappingProxyType(count_classes(self.values))
 
     @property
     def value_classes(self) -> tuple[Fraction, ...]:
@@ -119,20 +116,9 @@ class LatticeBasis:
     def dim(self) -> int:
         return len(self.matrix)
 
-    @property
+    @cached_property
     def inv(self) -> Matrix:
-        try:
-            return self._inv  # type: ignore[attr-defined]
-        except AttributeError:
-            inv = linalg.inverse(self.matrix)
-            _plant(self, "_inv", inv)
-            return inv
-
-
-def _lattice_with_inverse(cfg: FieldConfig, matrix: Matrix, inv: Matrix) -> LatticeBasis:
-    lattice = LatticeBasis(cfg, matrix)
-    _plant(lattice, "_inv", inv)
-    return lattice
+        return linalg.inverse(self.matrix)
 
 
 @dataclass(frozen=True)
@@ -169,10 +155,14 @@ def evaluate(norm: SplitNorm, v) -> Value:
     return BOTTOM if best is None else Value(best)
 
 
+def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
+    """The norm taking column i of the lattice to values[i]; it shares the lattice's inverse."""
+    return _with_inverse(lattice.cfg, lattice.dim, lattice.matrix, values, lattice.inv)
+
+
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
     """The norm whose unit ball is exactly the given lattice."""
-    n = lattice.dim
-    return _with_inverse(lattice.cfg, n, lattice.matrix, (Fraction(0),) * n, lattice.inv)
+    return _on_lattice(lattice, (Fraction(0),) * lattice.dim)
 
 
 def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
@@ -214,7 +204,15 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     inv = tuple(
         tuple(x / scale[i] for x in norm.inv_basis[i]) for i in range(norm.dim)
     )
-    return _lattice_with_inverse(norm.cfg, matrix, inv)
+    lattice = LatticeBasis(norm.cfg, matrix)
+    _plant(lattice, "inv", inv)
+    return lattice
+
+
+def _canonical(norm: SplitNorm) -> tuple[LatticeBasis, tuple[Fraction, ...]]:
+    """The lattice of p^floor(a_i) e_i and the sizes a_i - floor(a_i) in [0, 1) of its columns."""
+    shifts = [math.floor(a) for a in norm.values]
+    return _scaled_ball(norm, shifts), tuple(a - k for a, k in zip(norm.values, shifts))
 
 
 def ball_basis(norm: SplitNorm, g) -> LatticeBasis:
@@ -418,14 +416,12 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     n = a.dim
     transition = linalg.matmul(a.inv_basis, b.basis)
     _, raw_values, col_ops = _monomialize(a.values, b.values, transition, a.cfg.prime)
-    raw = SplitNorm(a.cfg, n, linalg.matmul(b.basis, col_ops), raw_values)
-    shifts = [math.floor(v) for v in raw_values]
-    lat = _scaled_ball(raw, shifts)
-    a_vals = tuple(v - k for v, k in zip(raw_values, shifts))
-    b_vals = tuple(v - k for v, k in zip(b.values, shifts))
-    if not equals(_with_inverse(a.cfg, n, lat.matrix, a_vals, lat.inv), a):
+    lat, a_vals = _canonical(SplitNorm(a.cfg, n, linalg.matmul(b.basis, col_ops), raw_values))
+    # column j was scaled by p^(raw_j - a_j), which lowers its b-value by as much
+    b_vals = tuple(v - r + s for v, r, s in zip(b.values, raw_values, a_vals))
+    if not equals(_on_lattice(lat, a_vals), a):
         raise SelfCheckError("common basis failed to reconstruct the first norm")
-    if not equals(_with_inverse(b.cfg, n, lat.matrix, b_vals, lat.inv), b):
+    if not equals(_on_lattice(lat, b_vals), b):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return lat.matrix, a_vals, b_vals
 

@@ -9,13 +9,12 @@ window by a power of p.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import ConfigMismatchError, DimensionMismatchError
-from .norms import LatticeBasis, SplitNorm, equals, _plant, _scaled_ball
+from .norms import LatticeBasis, SplitNorm, equals, _canonical, _on_lattice, _plant
 
 
 @dataclass(frozen=True)
@@ -42,7 +41,7 @@ class SplittingPair:
 
 def norm_from_pair(pair: SplittingPair) -> SplitNorm:
     """The norm sending each lattice column to its weight."""
-    return SplitNorm(pair.lattice.cfg, pair.dim, pair.lattice.matrix, pair.weights)
+    return _on_lattice(pair.lattice, pair.weights)
 
 
 def pair_from_norm(norm: SplitNorm) -> SplittingPair:
@@ -51,9 +50,7 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
     Column i of the lattice is p^floor(a_i) times splitting vector i,
     which has size equal to the fractional part of a_i.
     """
-    shifts = [math.floor(a) for a in norm.values]
-    weights = tuple(a - k for a, k in zip(norm.values, shifts))
-    return SplittingPair(_scaled_ball(norm, shifts), weights)
+    return SplittingPair(*_canonical(norm))
 
 
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:

@@ -168,11 +168,6 @@ def val(x: Rational, cfg: FieldConfig) -> Value:
     return Value(Fraction(pval(x, cfg.prime)))
 
 
-def is_integral(x: Fraction, p: int) -> bool:
-    """True iff x lies in the valuation ring, i.e. x == 0 or val(x) >= 0."""
-    return x.denominator % p != 0
-
-
 def frac_part(x: Rational) -> Fraction:
     """Representative of x modulo Z, taken in [0, 1)."""
     x = Fraction(x)

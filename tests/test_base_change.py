@@ -111,9 +111,6 @@ def test_graded_ball_dims_agree():
 
 def test_virtual_extension_validation():
     assert VirtualExtension().ram_index is None
-    assert VirtualExtension(1).is_unramified
-    assert not VirtualExtension(2).is_unramified
-    assert not VirtualExtension().is_unramified
     for bad in (0, -1, F(1, 2)):
         with pytest.raises(PreconditionError):
             VirtualExtension(bad)

@@ -268,6 +268,11 @@ def test_exit_codes(docs, capsys):
     code, _, err = run(capsys, "act", alpha, "--matrix", "1,1;1,1")
     assert code == 2 and err.startswith("error:")
 
+    # each flag picks a different table, so the two together are refused
+    code, out, err = run(capsys, "bc-dims", alpha, "--at", "0", "--ram-index", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
     code, _, err = run(capsys, "tree", alpha)
     assert code == 2 and err.startswith("error:")
 

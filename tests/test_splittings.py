@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg
 from padicnorm.errors import DimensionMismatchError, SingularMatrixError
 from padicnorm.norms import act, equals, lattices_equal
 from padicnorm.splittings import (
@@ -113,3 +113,28 @@ def test_verify_splitting():
 def test_pair_validation():
     with pytest.raises(DimensionMismatchError):
         SplittingPair(STD2, (F(0),))
+
+
+def test_presentations_reuse_known_inverses(monkeypatch):
+    calls = []
+    inverse = linalg.inverse
+    monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(m) or inverse(m))
+    rng = random.Random(64)
+    for _ in range(20):
+        nrm = fuzz.norm(rng)
+        doc = io.norm_to_doc(nrm)
+        pair_doc = io.pair_to_doc(pair_from_norm(nrm))
+        calls.clear()
+        # the inverse that proves the basis invertible is the norm's inverse
+        read = io.norm_from_doc(doc)
+        assert len(calls) == 1
+        read.inv_basis
+        assert len(calls) == 1
+        # the canonical lattice is scaled from the norm's inverse, and so is its norm's
+        calls.clear()
+        assert verify_splitting(read, pair_from_norm(read))
+        assert calls == []
+        pair = io.pair_from_doc(pair_doc)
+        calls.clear()
+        norm_from_pair(pair).inv_basis
+        assert calls == []

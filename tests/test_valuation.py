@@ -12,7 +12,6 @@ from padicnorm.valuation import (
     _is_prime,
     degree_rep,
     frac_part,
-    is_integral,
     pval,
 )
 
@@ -154,5 +153,3 @@ def test_val_is_a_valuation():
             assert val(x + y, cfg).is_bottom
         elif x != 0 and y != 0:
             assert val(x + y, cfg) >= min(val(x, cfg), val(y, cfg))
-        if x != 0:
-            assert is_integral(x, p) == (pval(x, p) >= 0)

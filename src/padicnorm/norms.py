@@ -15,12 +15,14 @@ a <= b everywhere iff a <= b on every b-splitting column, so equals is
 two operator-size checks of the identity map (see op_size).
 
 The subspace and common-basis computations below are a valuated
-version of Gaussian elimination.  Row operations rewrite the ambient
-splitting basis and are admissible only when they preserve its values;
-column operations rewrite the incoming spanning set (freely for a
-subspace, value-compatibly for a second norm).  Choosing a pivot of
-maximal weight makes every elimination step admissible, and a final
-reconstruction check guards the result.
+version of Gaussian elimination by column operations alone.  Column
+operations rewrite the incoming spanning set (freely for a subspace,
+value-compatibly for a second norm), and choosing a pivot of maximal
+weight makes every step admissible.  The ambient splitting basis is
+never rewritten: once a pivot's row is cleared across the open
+columns, a row operation would subtract zero from all of them, and the
+ambient vectors of the rows never pivoted complete the split columns
+as they stand.  A final reconstruction check guards the result.
 """
 
 from __future__ import annotations
@@ -291,62 +293,54 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
 
 
 def _monomialize(row_values, col_values, m: Matrix, p: int):
-    """Reduce m to one nonzero entry per used row and column.
+    """Column-reduce m until every column has a pivot row of its own.
 
-    Entry (i, j) is weighted row_values[i] - val(m_ij) - col_values[j].
-    The pivot of maximal weight, ties to the lowest (row, column), keeps
-    every elimination step admissible: row operations never disturb the
-    ambient splitting values, column operations never disturb the column
-    values.  A pivot is final once chosen, as later steps touch neither
-    its row nor its column, and a row operation rewrites only the ambient
-    splitting vector of its pivot row.
+    Entry (i, j) weighs row_values[i] - val(m_ij) - col_values[j].  The
+    nonzero entry of maximal weight in the open columns, ties to the
+    lowest (row, column), is the next pivot; subtracting multiples of
+    its column clears its row across the other open columns, which
+    never disturbs the column values.  Its column then closes, with
+    every nonzero entry in a row not yet pivoted, so the pivot attains
+    its ambient size.  No row operation is needed: the pivot row is now
+    zero on the open columns, so one would change only closed columns,
+    and the pivot search never meets a pivoted row again.
 
-    Returns (sigma, split_values, col_ops): sigma maps each column to its
-    pivot row, col_ops accumulates the column operations, and column j of
-    m @ col_ops has ambient size split_values[j].
+    Returns (sigma, split_values, col_ops): sigma maps each column to
+    its pivot row, in pivot order; col_ops accumulates the column
+    operations, and column j of m @ col_ops has ambient size
+    split_values[j].  Each pivot row of m @ col_ops is zero on the
+    columns pivoted after it.
     """
     n = len(m)
     d = len(col_values)
-    M = [list(row) for row in m]
-    C = [list(row) for row in linalg.identity(d)]
-    active_rows = [True] * n
-    active_cols = [True] * d
+    # column j of m on top of column j of col_ops: one column operation is one list update
+    cols = [list(c) + list(e) for c, e in zip(linalg.columns(m), linalg.identity(d))]
+    open_cols = list(range(d))
     sigma: dict[int, int] = {}
     split_values: list[Fraction] = [Fraction(0)] * d
     for _ in range(d):
         best: tuple[Fraction, int, int] | None = None
         for i in range(n):
-            if not active_rows[i]:
-                continue
-            for j in range(d):
-                if not active_cols[j] or M[i][j] == 0:
+            for j in open_cols:
+                x = cols[j][i]
+                if x == 0:
                     continue
-                w = row_values[i] - pval(M[i][j], p) - col_values[j]
+                w = row_values[i] - pval(x, p) - col_values[j]
                 if best is None or w > best[0]:
                     best = (w, i, j)
         if best is None:
             raise RankDeficiencyError("columns do not have full rank")
         _, pi, pj = best
-        piv = M[pi][pj]
-        for j in range(d):
-            if j == pj or not active_cols[j] or M[pi][j] == 0:
-                continue
-            f = M[pi][j] / piv
-            for r in range(n):
-                M[r][j] -= f * M[r][pj]
-            for r in range(d):
-                C[r][j] -= f * C[r][pj]
-        for i in range(n):
-            if i == pi or not active_rows[i] or M[i][pj] == 0:
-                continue
-            f = M[i][pj] / piv
-            for c in range(d):
-                M[i][c] -= f * M[pi][c]
-        active_rows[pi] = False
-        active_cols[pj] = False
+        pivot = cols[pj]
+        open_cols.remove(pj)
+        for j in open_cols:
+            if cols[j][pi] != 0:
+                f = cols[j][pi] / pivot[pi]
+                # zero entries, common in col_ops, cost no Fraction arithmetic
+                cols[j] = [x - f * y if y != 0 else x for x, y in zip(cols[j], pivot)]
         sigma[pj] = pi
-        split_values[pj] = row_values[pi] - pval(piv, p)
-    return sigma, tuple(split_values), tuple(tuple(r) for r in C)
+        split_values[pj] = row_values[pi] - pval(pivot[pi], p)
+    return sigma, tuple(split_values), linalg.transpose(tuple(c[n:] for c in cols))
 
 
 def _split_subspace(norm: SplitNorm, span):

@@ -56,11 +56,10 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:
     """Transport a pair along an invertible matrix: lattice moves, weights stay."""
     g = linalg.square(g, pair.dim, "acting matrix")
-    linalg.inverse(g)
-    return SplittingPair(
-        LatticeBasis(pair.lattice.cfg, linalg.matmul(g, pair.lattice.matrix)),
-        pair.weights,
-    )
+    g_inv = linalg.inverse(g)
+    lattice = LatticeBasis(pair.lattice.cfg, linalg.matmul(g, pair.lattice.matrix))
+    _plant(lattice, "inv", linalg.matmul(pair.lattice.inv, g_inv))
+    return SplittingPair(lattice, pair.weights)
 
 
 def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:

@@ -10,7 +10,8 @@ base-p logarithm of its multiplicative norm.  Under that convention
 * the multiplicative interval (|p|, 1] of filtration degrees becomes
   the additive interval (-1, 0].
 
-All quantities are `fractions.Fraction`; floats never appear.  Each
+All quantities are `fractions.Fraction`; floats never appear, and the
+value layer refuses them through the one gate, `linalg.to_fraction`.  Each
 multiplicative inequality is translated to the additive convention once
 in this module and nowhere else.
 """
@@ -24,6 +25,7 @@ from fractions import Fraction
 from functools import total_ordering
 
 from .errors import PreconditionError
+from .linalg import to_fraction
 
 Rational = Fraction | int
 TOO_LARGE = "result has a rational too large to print"  # past the int-to-str digit limit
@@ -76,7 +78,7 @@ class Value:
     __slots__ = ("mag",)
 
     def __init__(self, mag: Fraction | None):
-        object.__setattr__(self, "mag", None if mag is None else Fraction(mag))
+        object.__setattr__(self, "mag", None if mag is None else to_fraction(mag))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Value is immutable")
@@ -90,7 +92,7 @@ class Value:
         if isinstance(other, Value):
             return other
         if isinstance(other, (int, Fraction)):
-            return Value(Fraction(other))
+            return Value(other)
         return NotImplemented  # type: ignore[return-value]
 
     def __eq__(self, other) -> bool:
@@ -162,7 +164,7 @@ def val(x: Rational, cfg: FieldConfig) -> Value:
 
     val(8) is 3 and val(3/4) is -2 for the prime 2.
     """
-    x = Fraction(x)
+    x = to_fraction(x)
     if x == 0:
         return BOTTOM
     return Value(Fraction(pval(x, cfg.prime)))
@@ -170,7 +172,7 @@ def val(x: Rational, cfg: FieldConfig) -> Value:
 
 def frac_part(x: Rational) -> Fraction:
     """Representative of x modulo Z, taken in [0, 1)."""
-    x = Fraction(x)
+    x = to_fraction(x)
     return x - (x.numerator // x.denominator)
 
 
@@ -181,5 +183,5 @@ def count_classes(values) -> dict[Fraction, int]:
 
 def degree_rep(c: Rational) -> Fraction:
     """Map a class representative in [0, 1) to the one in (-1, 0]."""
-    c = Fraction(c)
+    c = to_fraction(c)
     return c if c == 0 else c - 1

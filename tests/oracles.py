@@ -23,6 +23,17 @@ def integral(x: Fraction, p: int) -> bool:
     return x.denominator % p != 0
 
 
+def valuation(x: Fraction, p: int) -> int:
+    """Exponent of p in the nonzero rational x."""
+    return sympy.multiplicity(p, x.numerator) - sympy.multiplicity(p, x.denominator)
+
+
+def det(m) -> Fraction:
+    """Determinant by sympy's own elimination."""
+    d = sympy.Matrix(m).det()
+    return Fraction(int(d.p), int(d.q))
+
+
 def preserves_all_balls(nrm, g) -> bool:
     """Brute-force stabilizer test: g and its inverse must carry the
     ball lattice of every value class into itself."""

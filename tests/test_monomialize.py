@@ -1,0 +1,76 @@
+"""The valuated elimination behind restrict, quotient and the common
+splitting basis, pinned on its contract.
+
+Valuations and determinants come from the oracles, and a digest of
+every output over the seeded cases pins the tie-break to the lowest
+(row, column) among pivots of maximal weight.
+"""
+
+import hashlib
+import random
+from fractions import Fraction
+
+from padicnorm import linalg
+from padicnorm.norms import _monomialize
+
+import fuzz
+import oracles
+
+F = Fraction
+DIGEST = "292cddfbb0fc6d45"
+
+
+def cases():
+    """(row_values, col_values, m, p): coordinates of restrict spans and
+    common-basis transitions; the integer-valued norms tie pivot weights."""
+    rng = random.Random(71)
+    for p in fuzz.PRIMES:
+        for _ in range(40):
+            make = rng.choice((fuzz.norm, fuzz.integer_norm))
+            nrm = make(rng, n=rng.randint(1, 5), p=p)
+            d = rng.randint(1, nrm.dim)
+            span = fuzz.span_matrix(rng, nrm.dim, d)
+            yield nrm.values, (0,) * d, linalg.matmul(nrm.inv_basis, span), p
+            other = make(rng, n=nrm.dim, p=p)
+            yield nrm.values, other.values, linalg.matmul(nrm.inv_basis, other.basis), p
+
+
+def test_tie_break_example():
+    # every entry weighs 0: the pivot is (0, 0), then (1, 1)
+    m = linalg.mat(((1, 1), (1, 2)))
+    sigma, split_values, col_ops = _monomialize((0, 0), (0, 0), m, 3)
+    assert list(sigma.items()) == [(0, 0), (1, 1)]
+    assert split_values == (F(0), F(0))
+    assert col_ops == linalg.mat(((1, -1), (0, 1)))
+
+
+def test_contract():
+    digest = hashlib.sha256()
+    ties = 0
+    for row_values, col_values, m, p in cases():
+        sigma, split_values, col_ops = _monomialize(row_values, col_values, m, p)
+        d = len(col_values)
+        assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
+        reduced = linalg.matmul(m, col_ops)
+        # in pivot order, each pivot row is zero on every column pivoted after it
+        order = list(sigma)
+        for t, j in enumerate(order):
+            assert all(reduced[sigma[j]][k] == 0 for k in order[t + 1 :])
+        assert oracles.det(col_ops) == 1
+        for j in range(d):
+            sizes = [
+                a - oracles.valuation(row[j], p) for a, row in zip(row_values, reduced) if row[j]
+            ]
+            assert split_values[j] == max(sizes)
+            pivot = reduced[sigma[j]][j]
+            assert split_values[j] == row_values[sigma[j]] - oracles.valuation(pivot, p)
+        weights = [
+            a - oracles.valuation(x, p) - b
+            for a, row in zip(row_values, m)
+            for b, x in zip(col_values, row)
+            if x
+        ]
+        ties += weights.count(max(weights)) > 1
+        digest.update(repr((sigma, split_values, col_ops)).encode())
+    assert ties >= 40
+    assert digest.hexdigest()[:16] == DIGEST

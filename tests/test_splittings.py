@@ -138,3 +138,8 @@ def test_presentations_reuse_known_inverses(monkeypatch):
         calls.clear()
         norm_from_pair(pair).inv_basis
         assert calls == []
+        # moving a pair reuses the inverse of g that proves it invertible: one for act, one here
+        g = fuzz.elementary_product(rng, read.dim, read.cfg.prime)
+        calls.clear()
+        assert verify_splitting(act(g, read), translate_pair(g, pair_from_norm(read)))
+        assert len(calls) == 2

@@ -81,6 +81,18 @@ def test_value_addition_absorbs_bottom():
     assert Fraction(1, 2) + Value(Fraction(1, 2)) == Value(Fraction(1))
 
 
+def test_floats_are_refused():
+    # a float is a binary approximation: val(0.1) would read 2^-55 off it
+    for call in (
+        lambda: Value(0.1),
+        lambda: val(0.1, CFG2),
+        lambda: frac_part(0.5),
+        lambda: degree_rep(0.5),
+    ):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            call()
+
+
 def test_value_immutable():
     v = Value(Fraction(1))
     with pytest.raises(AttributeError):

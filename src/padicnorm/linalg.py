@@ -68,7 +68,7 @@ def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
 
 
-def _int_rows(m) -> list[tuple[list[int], int]]:
+def int_rows(m) -> list[tuple[list[int], int]]:
     """Each row as integers over the lcm of its denominators: (ints, lcm)."""
     out = []
     for row in m:
@@ -80,8 +80,8 @@ def _int_rows(m) -> list[tuple[list[int], int]]:
 def matvec(m: Matrix, v: Vector) -> Vector:
     if m and len(m[0]) != len(v):
         raise DimensionMismatchError(f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
-    ((w, e),) = _int_rows((v,))
-    return tuple(Fraction(sum(map(mul, r, w)), d * e) for r, d in _int_rows(m))
+    ((w, e),) = int_rows((v,))
+    return tuple(Fraction(sum(map(mul, r, w)), d * e) for r, d in int_rows(m))
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -89,9 +89,9 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
         return tuple(() for _ in a)
     if len(a[0]) != len(b):
         raise DimensionMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    cols = _int_rows(transpose(b))
+    cols = int_rows(transpose(b))
     return tuple(
-        tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols) for r, d in _int_rows(a)
+        tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols) for r, d in int_rows(a)
     )
 
 
@@ -117,9 +117,11 @@ def _bareiss(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | Non
         top = rows[k]
         pk = top[k]
         for r in range(n):
-            if r != k:
-                f = rows[r][k]
+            f = rows[r][k]
+            if r != k and f:
                 rows[r] = [(pk * x - f * y) // prev for x, y in zip(rows[r], top)]
+            elif r != k and pk != prev:  # nothing to clear, but the rescale keeps the invariant
+                rows[r] = [pk * x // prev for x in rows[r]]
         prev = pk
     return rows, prev
 
@@ -129,7 +131,7 @@ def inverse(m: Matrix) -> Matrix:
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("inverse needs a square matrix")
     # column j of m is column j of an integer matrix C over e_j, so m^-1 = diag(e) C^-1
-    cols = _int_rows(transpose(m))
+    cols = int_rows(transpose(m))
     reduced = _bareiss([c + [int(i == j) for j in range(n)] for i, (c, _) in enumerate(cols)], n)
     if reduced is None:
         raise SingularMatrixError("matrix is singular")
@@ -141,7 +143,7 @@ def det(m: Matrix) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("det needs a square matrix")
-    cols = _int_rows(transpose(m))
+    cols = int_rows(transpose(m))
     reduced = _bareiss([c for c, _ in cols], n)
     if reduced is None:
         return Fraction(0)

@@ -23,6 +23,12 @@ never rewritten: once a pivot's row is cleared across the open
 columns, a row operation would subtract zero from all of them, and the
 ambient vectors of the rows never pivoted complete the split columns
 as they stand.  A final reconstruction check guards the result.
+
+Slot weights, in op_size, evaluate and the elimination alike, are read
+from integers: an entry of a product is an integer dot product over a
+row and a column denominator, so its valuation is a difference of
+integer valuations, and the values are scaled to integers over their
+common denominator.  Only results are built as Fractions.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from types import MappingProxyType
 
 from . import linalg
@@ -42,7 +49,7 @@ from .errors import (
     SelfCheckError,
 )
 from .linalg import Matrix, Vector
-from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, pval
+from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, multiplicity
 
 
 def _plant(obj, name: str, value) -> None:
@@ -145,16 +152,41 @@ def evaluate(norm: SplitNorm, v) -> Value:
     v = linalg.vec(v)
     if len(v) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(v)}, norm has dim {norm.dim}")
-    coords = linalg.matvec(norm.inv_basis, v)
-    p = norm.cfg.prime
-    best: Fraction | None = None
-    for a, c in zip(norm.values, coords):
-        if c == 0:
-            continue
-        w = a - pval(c, p)
-        if best is None or w > best:
-            best = w
-    return BOTTOM if best is None else Value(best)
+    return _slot_max(norm.values, norm.inv_basis, (0,), (v,), norm.cfg.prime)
+
+
+def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
+    """The slot (w, i, j) of greatest weight w = row_w[i] - col_w[j] - scale * v(cols[j][i])
+    over the nonzero integer entries, ties to the lowest (row, column); None if all are 0.
+    As v >= 0 on integers, a slot with row_w[i] - col_w[j] <= the best w so far is skipped."""
+    best: tuple[int, int, int] | None = None
+    for i, r in enumerate(row_w):
+        for j in open_cols:
+            top = r - col_w[j]
+            if best is not None and top <= best[0]:
+                continue
+            x = cols[j][i]
+            if x:
+                w = top - scale * multiplicity(x, p)
+                if best is None or w > best[0]:
+                    best = (w, i, j)
+    return best
+
+
+def _slot_max(row_values, rows: Matrix, col_values, cols: Matrix, p: int) -> Value:
+    """Greatest row_values[i] - col_values[j] - val(x_ij) over the nonzero entries x_ij of
+    rows @ transpose(cols), bottom if there are none.
+
+    Entry (i, j) is s / (d e) for the integer dot product s of row i over its denominator d
+    and column j over e, so its valuation is v(s) - v(d) - v(e); the values are integers
+    over their common denominator L, so every weight is an integer over L."""
+    rows, cols = linalg.int_rows(rows), linalg.int_rows(cols)
+    ((values, scale),) = linalg.int_rows(((*row_values, *col_values),))
+    row_w = [a + scale * multiplicity(d, p) for a, (_, d) in zip(values, rows)]
+    col_w = [a - scale * multiplicity(e, p) for a, (_, e) in zip(values[len(rows) :], cols)]
+    products = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
+    best = _heaviest(row_w, col_w, products, scale, p, range(len(cols)))
+    return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
 
 def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
@@ -176,21 +208,10 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     maximum slot weight is attained on a src-splitting column.
     """
     _check_compatible(src, dst)
-    n = src.dim
     image = src.basis
     if h is not None:
-        image = linalg.matmul(linalg.square(h, n), image)
-    m = linalg.matmul(dst.inv_basis, image)
-    p = src.cfg.prime
-    best: Fraction | None = None
-    for b, row in zip(dst.values, m):
-        for a, x in zip(src.values, row):
-            if x == 0:
-                continue
-            w = b - a - pval(x, p)
-            if best is None or w > best:
-                best = w
-    return BOTTOM if best is None else Value(best)
+        image = linalg.matmul(linalg.square(h, src.dim), image)
+    return _slot_max(dst.values, dst.inv_basis, src.values, linalg.transpose(image), src.cfg.prime)
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -303,7 +324,10 @@ def _monomialize(row_values, col_values, m: Matrix, p: int):
     every nonzero entry in a row not yet pivoted, so the pivot attains
     its ambient size.  No row operation is needed: the pivot row is now
     zero on the open columns, so one would change only closed columns,
-    and the pivot search never meets a pivoted row again.
+    and the pivot search never meets a pivoted row again.  Each column of
+    m, stacked on its column of col_ops, is kept as integers over one
+    denominator: a column operation is an integer combination reduced
+    by one gcd, and col_ops is built as Fractions once, at the end.
 
     Returns (sigma, split_values, col_ops): sigma maps each column to
     its pivot row, in pivot order; col_ops accumulates the column
@@ -313,34 +337,38 @@ def _monomialize(row_values, col_values, m: Matrix, p: int):
     """
     n = len(m)
     d = len(col_values)
-    # column j of m on top of column j of col_ops: one column operation is one list update
-    cols = [list(c) + list(e) for c, e in zip(linalg.columns(m), linalg.identity(d))]
+    ((values, scale),) = linalg.int_rows(((*row_values, *col_values),))
+    row_w = values[:n]
+    # column j of m on top of column j of col_ops, as integers over one denominator
+    cols, dens = [], []
+    for j, (c, den) in enumerate(linalg.int_rows(linalg.columns(m))):
+        cols.append(c + [den if k == j else 0 for k in range(d)])
+        dens.append(den)
+    # scale * (col_values[j] - v(den_j)), so entry x of column j weighs row_w - col_w - scale v(x)
+    col_w = [a - scale * multiplicity(den, p) for a, den in zip(values[n:], dens)]
     open_cols = list(range(d))
     sigma: dict[int, int] = {}
     split_values: list[Fraction] = [Fraction(0)] * d
     for _ in range(d):
-        best: tuple[Fraction, int, int] | None = None
-        for i in range(n):
-            for j in open_cols:
-                x = cols[j][i]
-                if x == 0:
-                    continue
-                w = row_values[i] - pval(x, p) - col_values[j]
-                if best is None or w > best[0]:
-                    best = (w, i, j)
+        best = _heaviest(row_w, col_w, cols, scale, p, open_cols)
         if best is None:
             raise RankDeficiencyError("columns do not have full rank")
         _, pi, pj = best
-        pivot = cols[pj]
+        pivot, b = cols[pj], cols[pj][pi]
         open_cols.remove(pj)
         for j in open_cols:
-            if cols[j][pi] != 0:
-                f = cols[j][pi] / pivot[pi]
-                # zero entries, common in col_ops, cost no Fraction arithmetic
-                cols[j] = [x - f * y if y != 0 else x for x, y in zip(cols[j], pivot)]
+            a = cols[j][pi]
+            if a:
+                # A/den - (a/den)(den_pj/b)(B/den_pj) is (b A - a B) over den b
+                col = [b * x - a * y for x, y in zip(cols[j], pivot)]
+                den = dens[j] * b
+                g = math.gcd(den, *col) if den > 0 else -math.gcd(den, *col)
+                cols[j], dens[j] = [x // g for x in col], den // g
+                col_w[j] = values[n + j] - scale * multiplicity(dens[j], p)
         sigma[pj] = pi
-        split_values[pj] = row_values[pi] - pval(pivot[pi], p)
-    return sigma, tuple(split_values), linalg.transpose(tuple(c[n:] for c in cols))
+        split_values[pj] = row_values[pi] - (multiplicity(b, p) - multiplicity(dens[pj], p))
+    col_ops = tuple(tuple(Fraction(x, den) for x in c[n:]) for c, den in zip(cols, dens))
+    return sigma, tuple(split_values), linalg.transpose(col_ops)
 
 
 def _split_subspace(norm: SplitNorm, span):

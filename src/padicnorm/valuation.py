@@ -134,7 +134,7 @@ class Value:
 BOTTOM = Value(None)
 
 
-def _multiplicity(n: int, p: int) -> int:
+def multiplicity(n: int, p: int) -> int:
     """Exponent of p in the nonzero int n."""
     if p == 2:
         return (n & -n).bit_length() - 1
@@ -156,7 +156,7 @@ def pval(x: Rational, p: int) -> int:
     """p-adic valuation of a nonzero rational, as a plain int."""
     if x.numerator == 0:
         raise PreconditionError("pval is undefined at 0")
-    return _multiplicity(x.numerator, p) or -_multiplicity(x.denominator, p)
+    return multiplicity(x.numerator, p) or -multiplicity(x.denominator, p)
 
 
 def val(x: Rational, cfg: FieldConfig) -> Value:

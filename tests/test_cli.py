@@ -72,6 +72,9 @@ def test_frozen_lines(docs, capsys):
         ),
         (("graded-dims", alpha, "--delta=-1/2"), "2\n", '{"class":"-1/2","dim":2}\n'),
         (("graded-dims", alpha, "--delta", "1/4"), "0\n", '{"class":"1/4","dim":0}\n'),
+        # the level counts mod 1, and is echoed as given
+        (("graded-dims", alpha, "--delta", "1/2"), "2\n", '{"class":"1/2","dim":2}\n'),
+        (("graded-dims", alpha, "--delta", "1"), "2\n", '{"class":"1","dim":2}\n'),
         (("chi-weights", alpha), "0 1\n1/2 1\n", '{"weights":[["0",1],["1/2",1]]}\n'),
         (
             ("bc-dims", alpha),

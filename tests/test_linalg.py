@@ -129,6 +129,30 @@ def test_kernel_agrees_with_sympy():
                 assert linalg.inverse(a) == _from_sympy(sa.inv())
 
 
+def _near_diagonal(rng, n):
+    """A diagonal of entries other than 1 and -1, plus a few off-diagonal entries: at most
+    elimination steps most rows have nothing to clear while the pivot changes."""
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = Fraction(rng.choice((-1, 1)) * rng.randint(2, 9), rng.choice((1, 2, 3, 7)))
+    for _ in range(rng.randint(0, n)):
+        i, j = rng.sample(range(n), 2)
+        m[i][j] = _entry(rng)
+    return tuple(tuple(row) for row in m)
+
+
+def test_near_diagonal_agrees_with_sympy():
+    rng = random.Random(17)
+    for n in (2, 3, 5, 8, 16):
+        for _ in range(4):
+            a = _near_diagonal(rng, n)
+            sa = _to_sympy(a)
+            d = sa.det()
+            assert linalg.det(a) == Fraction(int(d.p), int(d.q))
+            if d != 0:
+                assert linalg.inverse(a) == _from_sympy(sa.inv())
+
+
 def test_singular_kernel_cases():
     rng = random.Random(15)
     for n in (1, 2, 5, 8):

@@ -11,11 +11,15 @@ loads the declared documents and passes the norms to the handler after
 the parsed arguments.  A handler returns either a document dict or a
 `(text line, machine payload)` pair, and `_render` applies `--format`
 to that result once.
+
+The parser is built once per process and reused, so `main(argv)` may
+be called repeatedly in-process; `build_parser` says why that is safe.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -200,7 +204,13 @@ def _cmd_tree(args, norm):
     return {"neighbors": [io.norm_to_doc(x) for x in building.tree_neighbors(norm)]}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The verb table, built on the first call and reused by every later one.
+
+    Parsing does not mutate it: each call gets a fresh namespace and every default is
+    immutable.  Handlers look package functions up when they run, not when they are
+    declared, so a function rebound after the first call is still the one called."""
     parser = argparse.ArgumentParser(
         prog="padicnorm",
         description="Exact computations with split non-archimedean norms on Q^n.",

@@ -136,6 +136,8 @@ BOTTOM = Value(None)
 
 def multiplicity(n: int, p: int) -> int:
     """Exponent of p in the nonzero int n."""
+    if not n:
+        raise PreconditionError("multiplicity is undefined at 0")
     if p == 2:
         return (n & -n).bit_length() - 1
     v, powers = 0, []

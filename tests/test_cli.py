@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import padicnorm
-from padicnorm import FieldConfig, SplitNorm, io, linalg
+from padicnorm import FieldConfig, SplitNorm, building, cli, io, linalg, norms
 from padicnorm.cli import main
 
 F = Fraction
@@ -384,3 +384,45 @@ def test_utf8_document_in_c_locale(tmp_path):
     doc.write_text(content, encoding="utf-8")
     proc = run_module("eval", str(doc), "--vector", "1", LC_ALL="C", PYTHONUTF8="0")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_reused_parser_is_stateless(docs, capsys):
+    # main reuses one parser: a flag, default or error of one call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    alpha, matrix = docs["alpha"], ("--matrix", "1,1;0,1")
+    pairs = [
+        (("ball", alpha, "--at", "3/2", "--open"), ("ball", alpha, "--at", "3/2")),
+        (("bc-dims", alpha, "--ram-index", "2"), ("bc-dims", alpha)),
+        (("level", alpha, *matrix, "--delta=-1/2"), ("level", alpha, *matrix)),
+        (("fiber", alpha, "--format", "machine"), ("fiber", alpha)),
+        (("eval", alpha), ("eval", alpha, "--vector", "1,1")),
+    ]
+    for first, second in pairs:
+        try:
+            run(capsys, *first)
+        except SystemExit as exc:  # `eval` without --vector is a usage error
+            assert exc.code == 2, first
+        capsys.readouterr()
+        proc = run_module(*second)
+        assert run(capsys, *second) == (proc.returncode, proc.stdout, proc.stderr), (first, second)
+
+
+def test_handlers_resolve_package_functions_per_call(docs, capsys, monkeypatch):
+    # a handler that captured a function object would hide a later rebinding for good
+    run(capsys, "type", docs["alpha"])
+    calls = []
+
+    def counting(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(norms, "equals", counting(norms.equals))
+    monkeypatch.setattr(building, "cartan_position", counting(building.cartan_position))
+    assert run(capsys, "equals", docs["alpha"], docs["beta"]) == (0, "false\n", "")
+    assert calls == ["equals"]
+    calls.clear()
+    assert run(capsys, "cartan", docs["beta"], docs["lat"]) == (0, "1,0\n", "")
+    assert calls[0] == "cartan_position"  # its self-checks call equals after it

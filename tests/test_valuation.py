@@ -1,5 +1,6 @@
 import math
 import random
+import signal
 import time
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from padicnorm.valuation import (
     _is_prime,
     degree_rep,
     frac_part,
+    multiplicity,
     pval,
 )
 
@@ -165,3 +167,27 @@ def test_val_is_a_valuation():
             assert val(x + y, cfg).is_bottom
         elif x != 0 and y != 0:
             assert val(x + y, cfg) >= min(val(x, cfg), val(y, cfg))
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("p", [2, 3, 10**18 + 3])
+def test_multiplicity_refuses_zero(p):
+    # 0 is divisible by every power of p, so the squaring loop would never stop
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1)
+    try:
+        with pytest.raises(PreconditionError, match="undefined at 0"):
+            multiplicity(0, p)
+    except _Timeout:
+        pytest.fail(f"multiplicity(0, {p}) still running after 1 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

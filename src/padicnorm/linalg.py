@@ -162,10 +162,6 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     )
 
 
-def kron_vec(v: Vector, w: Vector) -> Vector:
-    return tuple(x * y for x in v for y in w)
-
-
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
     na, nb = len(a), len(b)
     ca = len(a[0]) if a else 0

@@ -25,10 +25,10 @@ ambient vectors of the rows never pivoted complete the split columns
 as they stand.  A final reconstruction check guards the result.
 
 Slot weights, in op_size, evaluate and the elimination alike, are read
-from integers: an entry of a product is an integer dot product over a
-row and a column denominator, so its valuation is a difference of
-integer valuations, and the values are scaled to integers over their
-common denominator.  Only results are built as Fractions.
+from the _slot_table of a product's two factors: integer dot products
+over a row and a column denominator.  The elimination runs on the table
+itself, the product with each row scaled by its denominator, which the
+row's weight absorbs and column operations commute with.
 """
 
 from __future__ import annotations
@@ -173,19 +173,23 @@ def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
     return best
 
 
-def _slot_max(row_values, rows: Matrix, col_values, cols: Matrix, p: int) -> Value:
-    """Greatest row_values[i] - col_values[j] - val(x_ij) over the nonzero entries x_ij of
-    rows @ transpose(cols), bottom if there are none.
-
-    Entry (i, j) is s / (d e) for the integer dot product s of row i over its denominator d
-    and column j over e, so its valuation is v(s) - v(d) - v(e); the values are integers
-    over their common denominator L, so every weight is an integer over L."""
+def _slot_table(row_values, rows: Matrix, col_values, cols: Matrix, p: int):
+    """rows @ transpose(cols) in integers: (row_w, col_w, table, dens, scale), where table[j][i]
+    is the dot product s of row i over its denominator d and column j over e = dens[j], and
+    row_w[i] - col_w[j] - scale * v(s) is scale times the weight of slot (i, j), s / (d e)."""
     rows, cols = linalg.int_rows(rows), linalg.int_rows(cols)
     ((values, scale),) = linalg.int_rows(((*row_values, *col_values),))
     row_w = [a + scale * multiplicity(d, p) for a, (_, d) in zip(values, rows)]
     col_w = [a - scale * multiplicity(e, p) for a, (_, e) in zip(values[len(rows) :], cols)]
-    products = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
-    best = _heaviest(row_w, col_w, products, scale, p, range(len(cols)))
+    table = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
+    return row_w, col_w, table, [e for _, e in cols], scale
+
+
+def _slot_max(row_values, rows: Matrix, col_values, cols: Matrix, p: int) -> Value:
+    """Greatest row_values[i] - col_values[j] - val(x_ij) over the nonzero entries x_ij of
+    rows @ transpose(cols), bottom if there are none."""
+    row_w, col_w, table, _, scale = _slot_table(row_values, rows, col_values, cols, p)
+    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
     return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
 
@@ -313,8 +317,8 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     )
 
 
-def _monomialize(row_values, col_values, m: Matrix, p: int):
-    """Column-reduce m until every column has a pivot row of its own.
+def _monomialize(row_values, rows: Matrix, col_values, cols: Matrix, p: int):
+    """Column-reduce m = rows @ transpose(cols) until every column has a pivot row of its own.
 
     Entry (i, j) weighs row_values[i] - val(m_ij) - col_values[j].  The
     nonzero entry of maximal weight in the open columns, ties to the
@@ -324,10 +328,11 @@ def _monomialize(row_values, col_values, m: Matrix, p: int):
     every nonzero entry in a row not yet pivoted, so the pivot attains
     its ambient size.  No row operation is needed: the pivot row is now
     zero on the open columns, so one would change only closed columns,
-    and the pivot search never meets a pivoted row again.  Each column of
-    m, stacked on its column of col_ops, is kept as integers over one
-    denominator: a column operation is an integer combination reduced
-    by one gcd, and col_ops is built as Fractions once, at the end.
+    and the pivot search never meets a pivoted row again.  It runs on
+    the _slot_table of the two factors, which is m with row i scaled by
+    its denominator d_i; the row's weight carries v(d_i), and column
+    operations commute with row scaling, so pivots and col_ops are those
+    of m.
 
     Returns (sigma, split_values, col_ops): sigma maps each column to
     its pivot row, in pivot order; col_ops accumulates the column
@@ -335,39 +340,33 @@ def _monomialize(row_values, col_values, m: Matrix, p: int):
     split_values[j].  Each pivot row of m @ col_ops is zero on the
     columns pivoted after it.
     """
-    n = len(m)
-    d = len(col_values)
-    ((values, scale),) = linalg.int_rows(((*row_values, *col_values),))
-    row_w = values[:n]
-    # column j of m on top of column j of col_ops, as integers over one denominator
-    cols, dens = [], []
-    for j, (c, den) in enumerate(linalg.int_rows(linalg.columns(m))):
-        cols.append(c + [den if k == j else 0 for k in range(d)])
-        dens.append(den)
-    # scale * (col_values[j] - v(den_j)), so entry x of column j weighs row_w - col_w - scale v(x)
-    col_w = [a - scale * multiplicity(den, p) for a, den in zip(values[n:], dens)]
+    row_w, col_w, table, dens, scale = _slot_table(row_values, rows, col_values, cols, p)
+    n, d = len(row_w), len(table)
+    # column j of the table on top of column j of col_ops, as integers over dens[j]
+    stacked = [c + [dens[j] if k == j else 0 for k in range(d)] for j, c in enumerate(table)]
     open_cols = list(range(d))
     sigma: dict[int, int] = {}
     split_values: list[Fraction] = [Fraction(0)] * d
     for _ in range(d):
-        best = _heaviest(row_w, col_w, cols, scale, p, open_cols)
+        best = _heaviest(row_w, col_w, stacked, scale, p, open_cols)
         if best is None:
             raise RankDeficiencyError("columns do not have full rank")
-        _, pi, pj = best
-        pivot, b = cols[pj], cols[pj][pi]
+        w, pi, pj = best
+        pivot, b = stacked[pj], stacked[pj][pi]
+        vb = multiplicity(b, p)
         open_cols.remove(pj)
         for j in open_cols:
-            a = cols[j][pi]
+            a = stacked[j][pi]
             if a:
-                # A/den - (a/den)(den_pj/b)(B/den_pj) is (b A - a B) over den b
-                col = [b * x - a * y for x, y in zip(cols[j], pivot)]
+                # A/den - (a/den)(den_pj/b)(B/den_pj) is (b A - a B) over den b, reduced by g
+                col = [b * x - a * y for x, y in zip(stacked[j], pivot)]
                 den = dens[j] * b
                 g = math.gcd(den, *col) if den > 0 else -math.gcd(den, *col)
-                cols[j], dens[j] = [x // g for x in col], den // g
-                col_w[j] = values[n + j] - scale * multiplicity(dens[j], p)
+                stacked[j], dens[j] = [x // g for x in col], den // g
+                col_w[j] -= scale * (vb - multiplicity(g, p))
         sigma[pj] = pi
-        split_values[pj] = row_values[pi] - (multiplicity(b, p) - multiplicity(dens[pj], p))
-    col_ops = tuple(tuple(Fraction(x, den) for x in c[n:]) for c, den in zip(cols, dens))
+        split_values[pj] = Fraction(w, scale) + col_values[pj]
+    col_ops = tuple(tuple(Fraction(x, den) for x in c[n:]) for c, den in zip(stacked, dens))
     return sigma, tuple(split_values), linalg.transpose(col_ops)
 
 
@@ -389,8 +388,9 @@ def _split_subspace(norm: SplitNorm, span):
     d = len(span[0]) if span else 0
     if d > n:
         raise RankDeficiencyError("more spanning columns than the dimension allows")
-    coords = linalg.matmul(norm.inv_basis, span)
-    sigma, sub_values, combo = _monomialize(norm.values, (0,) * d, coords, norm.cfg.prime)
+    sigma, sub_values, combo = _monomialize(
+        norm.values, norm.inv_basis, (0,) * d, linalg.columns(span), norm.cfg.prime
+    )
     comp_rows = tuple(i for i in range(n) if i not in sigma.values())
     ambient_cols = norm.basis_columns
     split_cols = linalg.columns(linalg.matmul(span, combo))
@@ -436,8 +436,9 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     """
     _check_compatible(a, b)
     n = a.dim
-    transition = linalg.matmul(a.inv_basis, b.basis)
-    _, raw_values, col_ops = _monomialize(a.values, b.values, transition, a.cfg.prime)
+    _, raw_values, col_ops = _monomialize(
+        a.values, a.inv_basis, b.values, b.basis_columns, a.cfg.prime
+    )
     lat, a_vals = _canonical(SplitNorm(a.cfg, n, linalg.matmul(b.basis, col_ops), raw_values))
     # column j was scaled by p^(raw_j - a_j), which lowers its b-value by as much
     b_vals = tuple(v - r + s for v, r, s in zip(b.values, raw_values, a_vals))

@@ -28,6 +28,11 @@ def valuation(x: Fraction, p: int) -> int:
     return sympy.multiplicity(p, x.numerator) - sympy.multiplicity(p, x.denominator)
 
 
+def kron_vec(v, w) -> tuple:
+    """Tensor product of two vectors, in the coordinate order of linalg.kron."""
+    return tuple(x * y for x in v for y in w)
+
+
 def det(m) -> Fraction:
     """Determinant by sympy's own elimination."""
     d = sympy.Matrix(m).det()

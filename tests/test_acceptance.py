@@ -73,7 +73,7 @@ def test_criterion_01_norm_axioms_and_tensor():
             t = tensor(a, b)
             v = fuzz.vector(rng, a.dim)
             w = fuzz.vector(rng, b.dim)
-            assert evaluate(t, linalg.kron_vec(v, w)) == evaluate(a, v) + evaluate(b, w)
+            assert evaluate(t, oracles.kron_vec(v, w)) == evaluate(a, v) + evaluate(b, w)
 
 
 def test_criterion_02_stabilizer_vs_ball_oracle():

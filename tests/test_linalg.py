@@ -8,6 +8,7 @@ from padicnorm import linalg
 from padicnorm.errors import DimensionMismatchError, SingularMatrixError
 
 import fuzz
+import oracles
 
 
 def test_mat_validation():
@@ -69,8 +70,8 @@ def test_kron_compatibility():
         b = fuzz.invertible(rng, nb)
         v = fuzz.vector(rng, na)
         w = fuzz.vector(rng, nb)
-        lhs = linalg.matvec(linalg.kron(a, b), linalg.kron_vec(v, w))
-        rhs = linalg.kron_vec(linalg.matvec(a, v), linalg.matvec(b, w))
+        lhs = linalg.matvec(linalg.kron(a, b), oracles.kron_vec(v, w))
+        rhs = oracles.kron_vec(linalg.matvec(a, v), linalg.matvec(b, w))
         assert lhs == rhs
     assert len(linalg.kron(fuzz.invertible(rng, 2), fuzz.invertible(rng, 3))) == 6
 

@@ -3,7 +3,10 @@ splitting basis, pinned on its contract.
 
 Valuations and determinants come from the oracles, and a digest of
 every output over the seeded cases pins the tie-break to the lowest
-(row, column) among pivots of maximal weight.
+(row, column) among pivots of maximal weight.  The elimination reads the
+two factors of a product; handed the product itself over the identity,
+it must return the same, and its first pivot must weigh what op_size's
+_slot_max finds on the same factors.
 """
 
 import hashlib
@@ -11,7 +14,7 @@ import random
 from fractions import Fraction
 
 from padicnorm import linalg
-from padicnorm.norms import _monomialize
+from padicnorm.norms import _monomialize, _slot_max
 
 import fuzz
 import oracles
@@ -21,8 +24,8 @@ DIGEST = "292cddfbb0fc6d45"
 
 
 def cases():
-    """(row_values, col_values, m, p): coordinates of restrict spans and
-    common-basis transitions; the integer-valued norms tie pivot weights."""
+    """(row_values, rows, col_values, cols, p): the factors of restrict spans
+    and common-basis transitions; the integer-valued norms tie pivot weights."""
     rng = random.Random(71)
     for p in fuzz.PRIMES:
         for _ in range(40):
@@ -30,15 +33,15 @@ def cases():
             nrm = make(rng, n=rng.randint(1, 5), p=p)
             d = rng.randint(1, nrm.dim)
             span = fuzz.span_matrix(rng, nrm.dim, d)
-            yield nrm.values, (0,) * d, linalg.matmul(nrm.inv_basis, span), p
+            yield nrm.values, nrm.inv_basis, (0,) * d, linalg.columns(span), p
             other = make(rng, n=nrm.dim, p=p)
-            yield nrm.values, other.values, linalg.matmul(nrm.inv_basis, other.basis), p
+            yield nrm.values, nrm.inv_basis, other.values, other.basis_columns, p
 
 
 def test_tie_break_example():
     # every entry weighs 0: the pivot is (0, 0), then (1, 1)
     m = linalg.mat(((1, 1), (1, 2)))
-    sigma, split_values, col_ops = _monomialize((0, 0), (0, 0), m, 3)
+    sigma, split_values, col_ops = _monomialize((0, 0), m, (0, 0), linalg.identity(2), 3)
     assert list(sigma.items()) == [(0, 0), (1, 1)]
     assert split_values == (F(0), F(0))
     assert col_ops == linalg.mat(((1, -1), (0, 1)))
@@ -47,9 +50,16 @@ def test_tie_break_example():
 def test_contract():
     digest = hashlib.sha256()
     ties = 0
-    for row_values, col_values, m, p in cases():
-        sigma, split_values, col_ops = _monomialize(row_values, col_values, m, p)
+    for row_values, rows, col_values, cols, p in cases():
         d = len(col_values)
+        m = linalg.matmul(rows, linalg.transpose(cols))
+        out = _monomialize(row_values, rows, col_values, cols, p)
+        # repr, unlike ==, also compares the pivot order of sigma
+        assert repr(out) == repr(_monomialize(row_values, m, col_values, linalg.identity(d), p))
+        sigma, split_values, col_ops = out
+        # pivot weights never rise, so the first pivot is the slot maximum
+        heaviest = max(s - b for s, b in zip(split_values, col_values))
+        assert heaviest == _slot_max(row_values, rows, col_values, cols, p).mag
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
         reduced = linalg.matmul(m, col_ops)
         # in pivot order, each pivot row is zero on every column pivoted after it

@@ -39,7 +39,7 @@ class VirtualExtension:
 
     def __post_init__(self) -> None:
         e = self.ram_index
-        if e is not None and (not isinstance(e, int) or e < 1):
+        if e is not None and (not isinstance(e, int) or isinstance(e, bool) or e < 1):
             raise PreconditionError(f"ram_index must be a positive int or None, got {e!r}")
 
 

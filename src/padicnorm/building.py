@@ -15,7 +15,7 @@ from . import linalg
 from .errors import PreconditionError
 from .norms import (
     SplitNorm,
-    _with_inverse,
+    _split,
     ball_basis,
     distance,
     equals,
@@ -39,11 +39,11 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     """
     if frame is None:
         frame = linalg.identity(norm.dim)
-    n = norm.dim
-    frame = linalg.square(frame, n, "frame")
-    frame_inv = linalg.inverse(frame)
+    frame = linalg.square(frame, norm.dim, "frame")
+    cols = linalg.cleared(frame)
+    inv_rows = linalg.inverse_rows(cols)  # a singular frame fails here
     candidate = tuple(evaluate(norm, c).mag for c in linalg.columns(frame))
-    if equals(_with_inverse(norm.cfg, n, frame, candidate, frame_inv), norm):
+    if equals(_split(norm.cfg, cols, candidate, inv_rows), norm):
         return candidate
     return None
 
@@ -126,7 +126,7 @@ def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     k = (total(a) - total(b)) / a.dim
     if k.denominator != 1:
         return False
-    shifted = _with_inverse(b.cfg, b.dim, b.basis, tuple(v + k for v in b.values), b.inv_basis)
+    shifted = _split(b.cfg, b._cols, tuple(v + k for v in b.values), b._inv_rows)
     return equals(a, shifted)
 
 

@@ -92,7 +92,7 @@ def _read(doc, matrix_key: str, weights_key=None, optional=()):
             raise DocumentError(f"{weights_key} must be an array of {dim} rationals")
         lattice = LatticeBasis(cfg, _parse_columns(doc.get(matrix_key), dim, matrix_key))
         weights = tuple(parse_rational(w) for w in weights)
-        lattice.inv  # a singular matrix fails here; the inverse stays cached on the lattice
+        lattice._inv_rows  # a singular matrix fails here; the inverse stays cached on the lattice
         return lattice, weights
     except DomainError as exc:
         raise DocumentError(str(exc)) from exc

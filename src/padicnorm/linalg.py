@@ -2,11 +2,17 @@
 tuples of tuples; a basis is a matrix whose columns are the basis
 vectors.  Everything here is dimension-agnostic and 0x0-safe.
 
-Fraction is the type at every function boundary; the inner loops run
-over int.  Each row or column is cleared of denominators once, products
-are integer dot products, and `inverse` and `det` share one
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-on the cleared columns, since a basis vector is scaled as a whole."""
+Fraction is the type of the public functions; the inner loops run over
+int.  A vector is *cleared* as (ints, den): integers over one positive
+denominator, the lcm of its entries' when cleared from Fractions.  A
+basis is held as its cleared columns and an inverse as its cleared
+rows, and products are integer dot products over the two denominators.
+
+`inverse_rows` is the one inverse kernel: an in-place fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) from cleared
+columns to cleared rows, updating n entries per row and step, and
+`inverse` is its Fraction view.  `det` runs only the forward half of
+Bareiss, about n^3/3 updates."""
 
 from __future__ import annotations
 
@@ -18,6 +24,7 @@ from .errors import DimensionMismatchError, SingularMatrixError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
+Cleared = list[tuple[list[int], int]]
 
 
 def to_fraction(x) -> Fraction:
@@ -68,7 +75,7 @@ def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
 
 
-def int_rows(m) -> list[tuple[list[int], int]]:
+def int_rows(m) -> Cleared:
     """Each row as integers over the lcm of its denominators: (ints, lcm)."""
     out = []
     for row in m:
@@ -100,54 +107,110 @@ def scalar_mul(c, m: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in m)
 
 
-def _bareiss(rows: list[list[int]], n: int) -> tuple[list[list[int]], int] | None:
-    """Fraction-free Gauss-Jordan on the first n columns of integer rows.
+def cleared(m) -> Cleared:
+    """The columns of a matrix, each cleared: integers over the lcm of its denominators."""
+    return int_rows(transpose(m))
 
-    Returns the reduced rows and the determinant of the leading n x n
-    block, or None when that block is singular.  At the end the block
-    is det times the identity, so the remaining columns hold det times
-    the block's inverse applied to them."""
+
+def from_cleared(vectors) -> Matrix:
+    """The Fraction rows of cleared vectors (ints, den)."""
+    return tuple(tuple(Fraction(x, d) for x in v) for v, d in vectors)
+
+
+def reduced(ints: list[int], den: int) -> tuple[list[int], int]:
+    """A cleared vector with the common factor of its integers and denominator divided out."""
+    g = math.gcd(den, *ints)
+    return ([x // g for x in ints], den // g) if g > 1 else (ints, den)
+
+
+def times_cleared(left, cols) -> Cleared:
+    """The cleared columns of L @ X, from the cleared columns of L and of X."""
+    den = math.lcm(*(d for _, d in left))  # L is an integer matrix over den
+    rows = list(zip(*([x * (den // d) for x in v] for v, d in left)))
+    return [reduced([sum(map(mul, r, c)) for r in rows], den * e) for c, e in cols]
+
+
+def inverse_rows(cols) -> Cleared:
+    """The cleared rows of M^-1, from the cleared columns (c_j, e_j) of M = C diag(1/e).
+
+    In-place fraction-free Gauss-Jordan (Bareiss) on [C^T | I].  The
+    pivot of column k is taken from a row r_k not yet pivoted, with no
+    swap.  Once column k is cleared it is a multiple of a unit vector,
+    so its slot stores column r_k of the right half instead, the one
+    that comes alive at this step: each step updates n entries per row,
+    not 2n.  At the end, with d the last pivot, the slots hold E with
+    E C^T = d Q, where Q[r_k][k] = 1; row k of (C^T)^-1 is row r_k of E
+    over d, and M^-1 = diag(e) C^-1.
+    """
+    n = len(cols)
+    rows = [list(c) for c, _ in cols]
+    free = list(range(n))
+    order = []
     prev = 1
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        pivot = next((r for r in free if rows[r][k]), None)
         if pivot is None:
-            return None
-        if pivot != k:  # a swap with one row negated keeps the determinant
-            rows[k], rows[pivot] = [-x for x in rows[pivot]], rows[k]
-        top = rows[k]
+            raise SingularMatrixError("matrix is singular")
+        free.remove(pivot)
+        order.append(pivot)
+        top = rows[pivot]
         pk = top[k]
-        for r in range(n):
-            f = rows[r][k]
-            if r != k and f:
-                rows[r] = [(pk * x - f * y) // prev for x, y in zip(rows[r], top)]
-            elif r != k and pk != prev:  # nothing to clear, but the rescale keeps the invariant
-                rows[r] = [pk * x // prev for x in rows[r]]
+        for r, row in enumerate(rows):
+            if r == pivot:
+                continue
+            f = row[k]
+            if f:
+                row = [(pk * x - f * y) // prev for x, y in zip(row, top)]
+                row[k] = -f  # the identity column: (pk * 0 - f * prev) // prev
+                rows[r] = row
+            elif pk != prev:  # nothing to clear, but the rescale keeps the invariant
+                rows[r] = [pk * x // prev for x in row]
+        top[k] = prev  # the identity column at the pivot row, scaled like the others
         prev = pk
-    return rows, prev
+    step = [0] * n  # step[r_k] = k
+    for k, r in enumerate(order):
+        step[r] = k
+    sign = -1 if prev < 0 else 1
+    return [
+        reduced([rows[r][step[i]] * sign * e for r in order], sign * prev)
+        for i, (_, e) in enumerate(cols)
+    ]
 
 
 def inverse(m: Matrix) -> Matrix:
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("inverse needs a square matrix")
-    # column j of m is column j of an integer matrix C over e_j, so m^-1 = diag(e) C^-1
-    cols = int_rows(transpose(m))
-    reduced = _bareiss([c + [int(i == j) for j in range(n)] for i, (c, _) in enumerate(cols)], n)
-    if reduced is None:
-        raise SingularMatrixError("matrix is singular")
-    rows, d = reduced  # the right half of rows is d (C^T)^-1
-    return tuple(tuple(Fraction(e * row[n + i], d) for row in rows) for i, (_, e) in enumerate(cols))
+    return from_cleared(inverse_rows(cleared(m)))
+
+
+def _bareiss(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free forward elimination (Bareiss):
+    each step updates only the rows below the pivot and the columns right of it, and a row
+    swap flips the sign.  The last pivot is the determinant up to that sign."""
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pk, tail = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pk
+    return sign * prev
 
 
 def det(m: Matrix) -> Fraction:
     n = len(m)
     if any(len(r) != n for r in m):
         raise DimensionMismatchError("det needs a square matrix")
-    cols = int_rows(transpose(m))
-    reduced = _bareiss([c for c, _ in cols], n)
-    if reduced is None:
-        return Fraction(0)
-    return Fraction(reduced[1], math.prod(e for _, e in cols))
+    cols = cleared(m)
+    return Fraction(_bareiss([c for c, _ in cols]), math.prod(e for _, e in cols))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -24,6 +24,14 @@ columns, a row operation would subtract zero from all of them, and the
 ambient vectors of the rows never pivoted complete the split columns
 as they stand.  A final reconstruction check guards the result.
 
+Norms and lattices hold their basis as cleared columns, integers over
+one denominator per column, and the inverse as cleared rows, computed
+once by linalg.inverse_rows or carried over by the operation that made
+the norm (act, tensor, dual, direct sum, scaled balls).  The Fraction
+matrices basis, inv_basis, matrix and inv are views, built on first
+access; the comparison path (equals, distance, the self-checks) never
+builds one.
+
 Slot weights, in op_size, evaluate and the elimination alike, are read
 from the _slot_table of a product's two factors: integer dot products
 over a row and a column denominator.  The elimination runs on the table
@@ -48,7 +56,7 @@ from .errors import (
     RankDeficiencyError,
     SelfCheckError,
 )
-from .linalg import Matrix, Vector
+from .linalg import Cleared, Matrix, Vector
 from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, multiplicity
 
 
@@ -56,8 +64,28 @@ def _plant(obj, name: str, value) -> None:
     object.__setattr__(obj, name, value)
 
 
+class _Frame:
+    """An invertible matrix held as its cleared columns _cols, with the cleared rows
+    _inv_rows of its inverse from linalg.inverse_rows on first use.  The Fraction view of
+    the columns, the dataclass field named by _view, is built from _cols on first access
+    when the frame was made from cleared columns."""
+
+    _view = ""
+
+    @cached_property
+    def _inv_rows(self) -> Cleared:
+        return linalg.inverse_rows(self._cols)
+
+    def __getattr__(self, name: str):
+        if name != self._view:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        view = linalg.transpose(linalg.from_cleared(self._cols))
+        _plant(self, name, view)
+        return view
+
+
 @dataclass(frozen=True)
-class SplitNorm:
+class SplitNorm(_Frame):
     """A norm on Q^n given by a splitting basis and its values.
 
     basis: n x n invertible matrix, columns are the splitting vectors.
@@ -69,9 +97,11 @@ class SplitNorm:
     basis: Matrix
     values: tuple[Fraction, ...]
 
+    _view = "basis"
+
     def __post_init__(self) -> None:
         n = self.dim
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise DimensionMismatchError(f"dim must be a nonnegative int, got {n!r}")
         basis = linalg.square(self.basis, n, "basis")
         values = linalg.vec(self.values)
@@ -79,6 +109,7 @@ class SplitNorm:
             raise DimensionMismatchError(f"expected {n} values, got {len(values)}")
         _plant(self, "basis", basis)
         _plant(self, "values", values)
+        _plant(self, "_cols", linalg.cleared(basis))
 
     # not a cached_property: perfbench/tracing.py wraps its fget and checks "_inv" in vars(norm)
     @property
@@ -86,7 +117,7 @@ class SplitNorm:
         try:
             return self._inv  # type: ignore[attr-defined]
         except AttributeError:
-            inv = linalg.inverse(self.basis)
+            inv = linalg.from_cleared(self._inv_rows)
             _plant(self, "_inv", inv)
             return inv
 
@@ -105,29 +136,46 @@ class SplitNorm:
         return tuple(self.class_counts)
 
 
-def _with_inverse(cfg: FieldConfig, dim: int, basis: Matrix, values, inv: Matrix) -> SplitNorm:
-    norm = SplitNorm(cfg, dim, basis, values)
-    _plant(norm, "_inv", inv)
-    return norm
-
-
 @dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(_Frame):
     """A full-rank lattice over the valuation ring, spanned by the columns."""
 
     cfg: FieldConfig
     matrix: Matrix
 
+    _view = "matrix"
+
     def __post_init__(self) -> None:
-        _plant(self, "matrix", linalg.square(self.matrix, what="lattice matrix"))
+        matrix = linalg.square(self.matrix, what="lattice matrix")
+        _plant(self, "matrix", matrix)
+        _plant(self, "_cols", linalg.cleared(matrix))
 
     @property
     def dim(self) -> int:
-        return len(self.matrix)
+        return len(self._cols)
 
     @cached_property
     def inv(self) -> Matrix:
-        return linalg.inverse(self.matrix)
+        return linalg.from_cleared(self._inv_rows)
+
+
+def _frame(cls, cfg: FieldConfig, cols: Cleared, inv_rows: Cleared | None = None):
+    """A LatticeBasis, or a SplitNorm before its dim and values, on cleared columns; inv_rows,
+    when known, clear the inverse."""
+    frame = object.__new__(cls)
+    _plant(frame, "cfg", cfg)
+    _plant(frame, "_cols", cols)
+    if inv_rows is not None:
+        _plant(frame, "_inv_rows", inv_rows)
+    return frame
+
+
+def _split(cfg: FieldConfig, cols: Cleared, values, inv_rows: Cleared | None = None) -> SplitNorm:
+    """The norm taking cleared column j to values[j], a tuple of Fractions."""
+    norm = _frame(SplitNorm, cfg, cols, inv_rows)
+    _plant(norm, "dim", len(cols))
+    _plant(norm, "values", values)
+    return norm
 
 
 @dataclass(frozen=True)
@@ -152,7 +200,7 @@ def evaluate(norm: SplitNorm, v) -> Value:
     v = linalg.vec(v)
     if len(v) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(v)}, norm has dim {norm.dim}")
-    return _slot_max(norm.values, norm.inv_basis, (0,), (v,), norm.cfg.prime)
+    return _slot_max(norm.values, norm._inv_rows, (0,), linalg.int_rows((v,)), norm.cfg.prime)
 
 
 def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
@@ -173,11 +221,11 @@ def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
     return best
 
 
-def _slot_table(row_values, rows: Matrix, col_values, cols: Matrix, p: int):
-    """rows @ transpose(cols) in integers: (row_w, col_w, table, dens, scale), where table[j][i]
-    is the dot product s of row i over its denominator d and column j over e = dens[j], and
-    row_w[i] - col_w[j] - scale * v(s) is scale times the weight of slot (i, j), s / (d e)."""
-    rows, cols = linalg.int_rows(rows), linalg.int_rows(cols)
+def _slot_table(row_values, rows: Cleared, col_values, cols: Cleared, p: int):
+    """The product of the cleared rows and the cleared columns in integers: (row_w, col_w,
+    table, dens, scale), where table[j][i] is the dot product s of row i over its denominator
+    d and column j over e = dens[j], and row_w[i] - col_w[j] - scale * v(s) is scale times
+    the weight of slot (i, j), s / (d e)."""
     ((values, scale),) = linalg.int_rows(((*row_values, *col_values),))
     row_w = [a + scale * multiplicity(d, p) for a, (_, d) in zip(values, rows)]
     col_w = [a - scale * multiplicity(e, p) for a, (_, e) in zip(values[len(rows) :], cols)]
@@ -185,17 +233,18 @@ def _slot_table(row_values, rows: Matrix, col_values, cols: Matrix, p: int):
     return row_w, col_w, table, [e for _, e in cols], scale
 
 
-def _slot_max(row_values, rows: Matrix, col_values, cols: Matrix, p: int) -> Value:
+def _slot_max(row_values, rows: Cleared, col_values, cols: Cleared, p: int) -> Value:
     """Greatest row_values[i] - col_values[j] - val(x_ij) over the nonzero entries x_ij of
-    rows @ transpose(cols), bottom if there are none."""
+    the product of the cleared rows and the cleared columns, bottom if there are none."""
     row_w, col_w, table, _, scale = _slot_table(row_values, rows, col_values, cols, p)
     best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
     return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
 
 def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
-    """The norm taking column i of the lattice to values[i]; it shares the lattice's inverse."""
-    return _with_inverse(lattice.cfg, lattice.dim, lattice.matrix, values, lattice.inv)
+    """The norm taking column i of the lattice to values[i], a tuple of Fractions; it shares
+    the lattice's cleared columns and inverse rows."""
+    return _split(lattice.cfg, lattice._cols, values, lattice._inv_rows)
 
 
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
@@ -212,10 +261,10 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     maximum slot weight is attained on a src-splitting column.
     """
     _check_compatible(src, dst)
-    image = src.basis
+    image = src._cols
     if h is not None:
-        image = linalg.matmul(linalg.square(h, src.dim), image)
-    return _slot_max(dst.values, dst.inv_basis, src.values, linalg.transpose(image), src.cfg.prime)
+        image = linalg.times_cleared(linalg.cleared(linalg.square(h, src.dim)), image)
+    return _slot_max(dst.values, dst._inv_rows, src.values, image, src.cfg.prime)
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -224,16 +273,17 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     # them, so past twice the limit no entry can be printed: refuse before building p^k
     if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
         raise PreconditionError(TOO_LARGE)
-    scale = [Fraction(p) ** k for k in exponents]
-    matrix = tuple(
-        tuple(row[i] * scale[i] for i in range(norm.dim)) for row in norm.basis
-    )
-    inv = tuple(
-        tuple(x / scale[i] for x in norm.inv_basis[i]) for i in range(norm.dim)
-    )
-    lattice = LatticeBasis(norm.cfg, matrix)
-    _plant(lattice, "inv", inv)
-    return lattice
+    cols = [_times_power(c, e, p, k) for (c, e), k in zip(norm._cols, exponents)]
+    inv_rows = [_times_power(r, d, p, -k) for (r, d), k in zip(norm._inv_rows, exponents)]
+    return _frame(LatticeBasis, norm.cfg, cols, inv_rows)
+
+
+def _times_power(ints: list[int], den: int, p: int, k: int) -> tuple[list[int], int]:
+    """The cleared vector ints / den times p^k."""
+    if k >= 0:
+        q = p**k
+        return linalg.reduced([x * q for x in ints], den)
+    return linalg.reduced(ints, den * p**-k)
 
 
 def _canonical(norm: SplitNorm) -> tuple[LatticeBasis, tuple[Fraction, ...]]:
@@ -269,18 +319,22 @@ def equals(a: SplitNorm, b: SplitNorm) -> bool:
     return op_size(a, b) <= 0 and op_size(b, a) <= 0
 
 
+def _moved(g, frame: _Frame) -> tuple[Cleared, Cleared]:
+    """The cleared columns of g @ the frame's matrix and the cleared rows of their inverse."""
+    g = linalg.square(g, len(frame._cols), "acting matrix")
+    cols = linalg.times_cleared(linalg.cleared(g), frame._cols)
+    return cols, linalg.inverse_rows(cols)
+
+
 def act(g, norm: SplitNorm) -> SplitNorm:
     """Transport the norm along an invertible matrix g (v -> size of g^-1 v)."""
-    n = norm.dim
-    g = linalg.square(g, n, "acting matrix")
-    g_inv = linalg.inverse(g)
-    return _with_inverse(
-        norm.cfg,
-        n,
-        linalg.matmul(g, norm.basis),
-        norm.values,
-        linalg.matmul(norm.inv_basis, g_inv),
-    )
+    cols, inv_rows = _moved(g, norm)
+    return _split(norm.cfg, cols, norm.values, inv_rows)
+
+
+def _kron(u: Cleared, v: Cleared) -> Cleared:
+    """The pairwise tensor products of two lists of cleared vectors, u outer."""
+    return [([x * y for x in a for y in b], d * e) for a, d in u for b, e in v]
 
 
 def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
@@ -288,37 +342,32 @@ def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
     values = tuple(x + y for x in a.values for y in b.values)
-    return _with_inverse(
-        a.cfg,
-        a.dim * b.dim,
-        linalg.kron(a.basis, b.basis),
-        values,
-        linalg.kron(a.inv_basis, b.inv_basis),
-    )
+    return _split(a.cfg, _kron(a._cols, b._cols), values, _kron(a._inv_rows, b._inv_rows))
 
 
 def dual(a: SplitNorm) -> SplitNorm:
-    """Dual norm on the dual space, split by the dual basis."""
-    basis = linalg.transpose(a.inv_basis)
-    inv = linalg.transpose(a.basis)
-    return _with_inverse(a.cfg, a.dim, basis, tuple(-x for x in a.values), inv)
+    """Dual norm on the dual space, split by the dual basis: its columns are the rows of
+    the inverse, and the inverse of its basis has the columns of a's basis as rows."""
+    return _split(a.cfg, a._inv_rows, tuple(-x for x in a.values), a._cols)
+
+
+def _padded(vectors: Cleared, before: int, after: int) -> Cleared:
+    return [([0] * before + v + [0] * after, d) for v, d in vectors]
 
 
 def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Max-of-components norm on the direct sum."""
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
-    return _with_inverse(
-        a.cfg,
-        a.dim + b.dim,
-        linalg.block_diag(a.basis, b.basis),
-        a.values + b.values,
-        linalg.block_diag(a.inv_basis, b.inv_basis),
-    )
+    na, nb = a.dim, b.dim
+    cols = _padded(a._cols, 0, nb) + _padded(b._cols, na, 0)
+    inv_rows = _padded(a._inv_rows, 0, nb) + _padded(b._inv_rows, na, 0)
+    return _split(a.cfg, cols, a.values + b.values, inv_rows)
 
 
-def _monomialize(row_values, rows: Matrix, col_values, cols: Matrix, p: int):
-    """Column-reduce m = rows @ transpose(cols) until every column has a pivot row of its own.
+def _monomialize(row_values, rows: Cleared, col_values, cols: Cleared, p: int):
+    """Column-reduce m, the product of the cleared rows and the cleared columns, until every
+    column has a pivot row of its own.
 
     Entry (i, j) weighs row_values[i] - val(m_ij) - col_values[j].  The
     nonzero entry of maximal weight in the open columns, ties to the
@@ -335,8 +384,9 @@ def _monomialize(row_values, rows: Matrix, col_values, cols: Matrix, p: int):
     of m.
 
     Returns (sigma, split_values, col_ops): sigma maps each column to
-    its pivot row, in pivot order; col_ops accumulates the column
-    operations, and column j of m @ col_ops has ambient size
+    its pivot row, in pivot order; col_ops are the cleared columns of
+    the accumulated column operations, and column j of m @ col_ops has
+    ambient size
     split_values[j].  Each pivot row of m @ col_ops is zero on the
     columns pivoted after it.
     """
@@ -366,18 +416,19 @@ def _monomialize(row_values, rows: Matrix, col_values, cols: Matrix, p: int):
                 col_w[j] -= scale * (vb - multiplicity(g, p))
         sigma[pj] = pi
         split_values[pj] = Fraction(w, scale) + col_values[pj]
-    col_ops = tuple(tuple(Fraction(x, den) for x in c[n:]) for c, den in zip(stacked, dens))
-    return sigma, tuple(split_values), linalg.transpose(col_ops)
+    col_ops = [linalg.reduced(c[n:], den) for c, den in zip(stacked, dens)]
+    return sigma, tuple(split_values), col_ops
 
 
 def _split_subspace(norm: SplitNorm, span):
     """Split a subspace against the norm.
 
     span is an n x d matrix whose columns span the subspace.  Returns
-    (combo, sub_values, comp_rows) where combo is the d x d
-    column-operation matrix (subspace splitting vectors are
-    span @ combo), sub_values are their sizes, and comp_rows index the
-    ambient splitting vectors that complete them to a splitting basis.
+    (combo, sub_values, comp_rows) where combo holds the cleared
+    columns of the d x d column-operation matrix (subspace splitting
+    vectors are span @ combo), sub_values are their sizes, and
+    comp_rows index the ambient splitting vectors that complete them to
+    a splitting basis.
     The reconstruction from both parts is checked against the norm
     before returning.
     """
@@ -388,15 +439,14 @@ def _split_subspace(norm: SplitNorm, span):
     d = len(span[0]) if span else 0
     if d > n:
         raise RankDeficiencyError("more spanning columns than the dimension allows")
+    span_cols = linalg.cleared(span)
     sigma, sub_values, combo = _monomialize(
-        norm.values, norm.inv_basis, (0,) * d, linalg.columns(span), norm.cfg.prime
+        norm.values, norm._inv_rows, (0,) * d, span_cols, norm.cfg.prime
     )
     comp_rows = tuple(i for i in range(n) if i not in sigma.values())
-    ambient_cols = norm.basis_columns
-    split_cols = linalg.columns(linalg.matmul(span, combo))
-    full = linalg.from_columns(split_cols + tuple(ambient_cols[i] for i in comp_rows))
+    full = linalg.times_cleared(span_cols, combo) + [norm._cols[i] for i in comp_rows]
     full_values = sub_values + tuple(norm.values[i] for i in comp_rows)
-    if not equals(SplitNorm(norm.cfg, n, full, full_values), norm):
+    if not equals(_split(norm.cfg, full, full_values), norm):
         raise SelfCheckError("subspace splitting failed reconstruction")
     return combo, sub_values, comp_rows
 
@@ -409,7 +459,7 @@ def restrict(norm: SplitNorm, span) -> SplitNorm:
     combinations of the spanning columns split the restriction.
     """
     combo, sub_values, _ = _split_subspace(norm, span)
-    return SplitNorm(norm.cfg, len(sub_values), combo, sub_values)
+    return _split(norm.cfg, combo, sub_values)
 
 
 def quotient(norm: SplitNorm, span) -> SplitNorm:
@@ -434,19 +484,23 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     a_values lie in [0, 1).  Both reconstructions are checked via
     equals before returning.
     """
+    lattice, a_vals, b_vals = _common_lattice(a, b)
+    return lattice.matrix, a_vals, b_vals
+
+
+def _common_lattice(a: SplitNorm, b: SplitNorm):
+    """common_splitting_basis with the basis as a lattice, whose matrix is never built."""
     _check_compatible(a, b)
-    n = a.dim
-    _, raw_values, col_ops = _monomialize(
-        a.values, a.inv_basis, b.values, b.basis_columns, a.cfg.prime
-    )
-    lat, a_vals = _canonical(SplitNorm(a.cfg, n, linalg.matmul(b.basis, col_ops), raw_values))
+    _, raw_values, col_ops = _monomialize(a.values, a._inv_rows, b.values, b._cols, a.cfg.prime)
+    # the lattice's inverse comes from the kernel on the new columns, not from col_ops
+    lat, a_vals = _canonical(_split(a.cfg, linalg.times_cleared(b._cols, col_ops), raw_values))
     # column j was scaled by p^(raw_j - a_j), which lowers its b-value by as much
     b_vals = tuple(v - r + s for v, r, s in zip(b.values, raw_values, a_vals))
     if not equals(_on_lattice(lat, a_vals), a):
         raise SelfCheckError("common basis failed to reconstruct the first norm")
     if not equals(_on_lattice(lat, b_vals), b):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
-    return lat.matrix, a_vals, b_vals
+    return lat, a_vals, b_vals
 
 
 def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -456,7 +510,7 @@ def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]
     splitting basis, sorted descending; its largest absolute entry is
     the distance.
     """
-    _, a_vals, b_vals = common_splitting_basis(a, b)
+    _, a_vals, b_vals = _common_lattice(a, b)
     diffs = tuple(sorted((bv - av for av, bv in zip(a_vals, b_vals)), reverse=True))
     d_inf = max((abs(x) for x in diffs), default=Fraction(0))
     return d_inf, diffs

@@ -14,7 +14,9 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import ConfigMismatchError, DimensionMismatchError
-from .norms import LatticeBasis, SplitNorm, equals, _canonical, _on_lattice, _plant
+from .norms import (
+    LatticeBasis, SplitNorm, equals, _canonical, _frame, _moved, _on_lattice, _plant
+)
 
 
 @dataclass(frozen=True)
@@ -55,10 +57,7 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
 
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:
     """Transport a pair along an invertible matrix: lattice moves, weights stay."""
-    g = linalg.square(g, pair.dim, "acting matrix")
-    g_inv = linalg.inverse(g)
-    lattice = LatticeBasis(pair.lattice.cfg, linalg.matmul(g, pair.lattice.matrix))
-    _plant(lattice, "inv", linalg.matmul(pair.lattice.inv, g_inv))
+    lattice = _frame(LatticeBasis, pair.lattice.cfg, *_moved(g, pair.lattice))
     return SplittingPair(lattice, pair.weights)
 
 

@@ -39,6 +39,12 @@ def det(m) -> Fraction:
     return Fraction(int(d.p), int(d.q))
 
 
+def inverse(m) -> tuple:
+    """Inverse by sympy's own elimination, as rows of Fractions."""
+    inv = sympy.Matrix(m).inv()
+    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i)) for i in range(inv.rows))
+
+
 def preserves_all_balls(nrm, g) -> bool:
     """Brute-force stabilizer test: g and its inverse must carry the
     ball lattice of every value class into itself."""

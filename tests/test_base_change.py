@@ -116,6 +116,11 @@ def test_virtual_extension_validation():
             VirtualExtension(bad)
 
 
+def test_bool_index_rejected():
+    with pytest.raises(PreconditionError):
+        VirtualExtension(True)
+
+
 def test_extension_value_classes():
     # unramified base change leaves everything unchanged
     assert extension_value_classes(ALPHA0, VirtualExtension(1)) == chi_weights(ALPHA0)

@@ -1,0 +1,138 @@
+"""The cleared integer forms behind norms and lattices.
+
+Every producer of a norm or lattice keeps its basis as cleared columns
+(integers over a positive denominator) and the inverse as cleared rows.
+Here both are read back as Fractions and held against the public views,
+against the construction redone in plain Fraction arithmetic, and
+against sympy's inverse; none of it goes through the integer kernel.
+The comparison path itself, distance and equals, builds no Fraction
+matrix: its count of new Fractions stays linear in the dimension.
+"""
+
+import fractions
+import math
+import random
+import sys
+from fractions import Fraction
+
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg
+from padicnorm.norms import (
+    _common_lattice,
+    act,
+    ball_basis,
+    ball_basis_open,
+    common_splitting_basis,
+    direct_sum,
+    distance,
+    dual,
+    equals,
+    quotient,
+    restrict,
+    tensor,
+)
+from padicnorm.splittings import pair_from_norm, translate_pair
+
+import fuzz
+import oracles
+
+
+def _fractions(vectors):
+    return tuple(tuple(Fraction(x, d) for x in v) for v, d in vectors)
+
+
+def _columns(m):
+    return tuple(zip(*m))
+
+
+def _product(a, b):
+    return tuple(
+        tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)) for row in a
+    )
+
+
+def _scaled_columns(m, p, exponents):
+    return tuple(tuple(x * Fraction(p) ** k for x, k in zip(row, exponents)) for row in m)
+
+
+def _check(frame, view, inv_view, expected=None):
+    """The cleared forms of a norm or lattice against its views, sympy, and the construction."""
+    for v, d in frame._cols + frame._inv_rows:
+        assert type(d) is int and d > 0 and all(type(x) is int for x in v)
+    assert _fractions(frame._cols) == _columns(view)
+    assert _fractions(frame._inv_rows) == inv_view == oracles.inverse(view)
+    if expected is not None:
+        assert view == expected
+
+
+def _check_norm(nrm, expected=None):
+    _check(nrm, nrm.basis, nrm.inv_basis, expected)
+    assert nrm.dim == len(nrm.basis) == len(nrm.values)
+
+
+def _check_lattice(lat, expected=None):
+    _check(lat, lat.matrix, lat.inv, expected)
+    assert lat.dim == len(lat.matrix)
+
+
+def test_cleared_forms_agree_with_the_views():
+    rng = random.Random(121)
+    for p in fuzz.PRIMES:
+        for _ in range(6):
+            n = rng.randint(1, 4)
+            a, b = fuzz.norm(rng, n=n, p=p), fuzz.norm(rng, n=n, p=p)
+            small = fuzz.norm(rng, n=rng.randint(1, 3), p=p)
+            _check_norm(a)
+            g = fuzz.elementary_product(rng, n, p)
+            _check_norm(act(g, a), _product(g, a.basis))
+            _check_norm(tensor(a, small), linalg.kron(a.basis, small.basis))
+            _check_norm(dual(a), tuple(zip(*oracles.inverse(a.basis))))
+            _check_norm(direct_sum(a, small), linalg.block_diag(a.basis, small.basis))
+            d = rng.randint(1, n)
+            span = fuzz.span_matrix(rng, n, d)
+            _check_norm(restrict(a, span))
+            if d < n:
+                _check_norm(quotient(a, span), linalg.identity(n - d))
+            level = fuzz.rational(rng)
+            closed = [math.ceil(x - level) for x in a.values]
+            opened = [math.floor(x - level) + 1 for x in a.values]
+            _check_lattice(ball_basis(a, level), _scaled_columns(a.basis, p, closed))
+            _check_lattice(ball_basis_open(a, level), _scaled_columns(a.basis, p, opened))
+            _check_lattice(_common_lattice(a, b)[0], common_splitting_basis(a, b)[0])
+            _check_norm(io.norm_from_doc(io.norm_to_doc(a)), a.basis)
+            pair = pair_from_norm(a)
+            _check_lattice(pair.lattice)
+            _check_lattice(translate_pair(g, pair).lattice, _product(g, pair.lattice.matrix))
+            _check_lattice(LatticeBasis(a.cfg, a.basis), a.basis)
+
+
+def _new_fractions(run):
+    """Calls of Fraction.__new__ during run(), counted by a profile hook."""
+    target = fractions.__file__
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        code = frame.f_code
+        if event == "call" and code.co_filename == target and code.co_name == "__new__":
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+def test_comparison_path_builds_no_fraction_matrix():
+    rng = random.Random(122)
+    n = 12
+    cfg = FieldConfig(3)
+    a = fuzz.norm(rng, n=n, p=3)
+    other = fuzz.norm(rng, n=n, p=3)
+    # the same norm as a in another presentation, and a norm apart from it; all fresh
+    same = SplitNorm(cfg, n, act(fuzz.stabilizer_element(rng, a), a).basis, a.values)
+    a = SplitNorm(cfg, n, a.basis, a.values)
+    assert _new_fractions(lambda: distance(a, other)) <= 10 * n
+    assert _new_fractions(lambda: equals(a, same)) <= 10 * n
+    assert equals(a, same) and not equals(a, other)

@@ -6,7 +6,8 @@ every output over the seeded cases pins the tie-break to the lowest
 (row, column) among pivots of maximal weight.  The elimination reads the
 two factors of a product; handed the product itself over the identity,
 it must return the same, and its first pivot must weigh what op_size's
-_slot_max finds on the same factors.
+_slot_max finds on the same factors.  Both take the factors cleared, the
+rows of the left one and the columns of the right one.
 """
 
 import hashlib
@@ -38,10 +39,18 @@ def cases():
             yield nrm.values, nrm.inv_basis, other.values, other.basis_columns, p
 
 
+def monomialize(row_values, rows, col_values, cols, p):
+    """_monomialize of Fraction factors, its column operations as a Fraction matrix."""
+    sigma, split_values, col_ops = _monomialize(
+        row_values, linalg.int_rows(rows), col_values, linalg.int_rows(cols), p
+    )
+    return sigma, split_values, linalg.transpose(linalg.from_cleared(col_ops))
+
+
 def test_tie_break_example():
     # every entry weighs 0: the pivot is (0, 0), then (1, 1)
     m = linalg.mat(((1, 1), (1, 2)))
-    sigma, split_values, col_ops = _monomialize((0, 0), m, (0, 0), linalg.identity(2), 3)
+    sigma, split_values, col_ops = monomialize((0, 0), m, (0, 0), linalg.identity(2), 3)
     assert list(sigma.items()) == [(0, 0), (1, 1)]
     assert split_values == (F(0), F(0))
     assert col_ops == linalg.mat(((1, -1), (0, 1)))
@@ -53,13 +62,14 @@ def test_contract():
     for row_values, rows, col_values, cols, p in cases():
         d = len(col_values)
         m = linalg.matmul(rows, linalg.transpose(cols))
-        out = _monomialize(row_values, rows, col_values, cols, p)
+        out = monomialize(row_values, rows, col_values, cols, p)
         # repr, unlike ==, also compares the pivot order of sigma
-        assert repr(out) == repr(_monomialize(row_values, m, col_values, linalg.identity(d), p))
+        assert repr(out) == repr(monomialize(row_values, m, col_values, linalg.identity(d), p))
         sigma, split_values, col_ops = out
         # pivot weights never rise, so the first pivot is the slot maximum
         heaviest = max(s - b for s, b in zip(split_values, col_values))
-        assert heaviest == _slot_max(row_values, rows, col_values, cols, p).mag
+        cleared = linalg.int_rows(rows), linalg.int_rows(cols)
+        assert heaviest == _slot_max(row_values, cleared[0], col_values, cleared[1], p).mag
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
         reduced = linalg.matmul(m, col_ops)
         # in pivot order, each pivot row is zero on every column pivoted after it

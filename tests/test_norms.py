@@ -282,6 +282,11 @@ def test_zero_dimensional_space():
     assert direct_sum(empty, ALPHA0).dim == 2
 
 
+def test_bool_dimension_rejected():
+    with pytest.raises(DimensionMismatchError):
+        SplitNorm(CFG2, True, ((1,),), (F(0),))
+
+
 def test_singular_basis_rejected():
     nrm = SplitNorm(CFG2, 2, ((1, 2), (2, 4)), (F(0), F(0)))
     with pytest.raises(SingularMatrixError):

@@ -116,9 +116,10 @@ def test_pair_validation():
 
 
 def test_presentations_reuse_known_inverses(monkeypatch):
+    # every inverse, linalg.inverse included, comes from the integer kernel
     calls = []
-    inverse = linalg.inverse
-    monkeypatch.setattr(linalg, "inverse", lambda m: calls.append(m) or inverse(m))
+    kernel = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows", lambda cols: calls.append(cols) or kernel(cols))
     rng = random.Random(64)
     for _ in range(20):
         nrm = fuzz.norm(rng)
@@ -138,7 +139,7 @@ def test_presentations_reuse_known_inverses(monkeypatch):
         calls.clear()
         norm_from_pair(pair).inv_basis
         assert calls == []
-        # moving a pair reuses the inverse of g that proves it invertible: one for act, one here
+        # a move inverts the moved basis once, which also proves g invertible: act, then here
         g = fuzz.elementary_product(rng, read.dim, read.cfg.prime)
         calls.clear()
         assert verify_splitting(act(g, read), translate_pair(g, pair_from_norm(read)))

@@ -98,7 +98,7 @@ def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:
         d = degree_rep(frac_part(cls - g))
         closed = ball_basis(norm, g + d)
         opened = ball_basis_open(norm, g + d)
-        lhs = pval(linalg.det(opened.matrix), p) - pval(linalg.det(closed.matrix), p)
+        lhs = pval(linalg.det_cleared(opened._cols), p) - pval(linalg.det_cleared(closed._cols), p)
         rhs = weights.get(frac_part(g + d), 0)
         out[d] = (lhs, rhs)
     return dict(sorted(out.items(), reverse=True))

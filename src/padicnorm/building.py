@@ -99,13 +99,10 @@ def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
         raise PreconditionError("tree vertices carry a single value class")
     s = classes[0]
     p = norm.cfg.prime
-    f1, f2 = linalg.columns(ball_basis(norm, s).matrix)
-    sublattices = [linalg.from_columns([linalg.vec(p * x for x in f1), f2])]
-    for c in range(p):
-        first = linalg.vec(x + c * y for x, y in zip(f1, f2))
-        second = linalg.vec(p * y for y in f2)
-        sublattices.append(linalg.from_columns([first, second]))
-    return tuple(SplitNorm(norm.cfg, 2, m, (s, s)) for m in sublattices)
+    ball = ball_basis(norm, s)._cols
+    # the integral transitions ((p, 0), (0, 1)) and ((1, 0), (c, p)), as cleared columns
+    moves = [[([p, 0], 1), ([0, 1], 1)]] + [[([1, c], 1), ([0, p], 1)] for c in range(p)]
+    return tuple(_split(norm.cfg, linalg.times_cleared(ball, m), (s, s)) for m in moves)
 
 
 def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
@@ -121,7 +118,7 @@ def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
         return True
 
     def total(norm: SplitNorm) -> Fraction:
-        return sum(norm.values) + val(linalg.det(norm.basis), norm.cfg).mag
+        return sum(norm.values) + val(linalg.det_cleared(norm._cols), norm.cfg).mag
 
     k = (total(a) - total(b)) / a.dim
     if k.denominator != 1:

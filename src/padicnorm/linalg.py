@@ -2,17 +2,17 @@
 tuples of tuples; a basis is a matrix whose columns are the basis
 vectors.  Everything here is dimension-agnostic and 0x0-safe.
 
-Fraction is the type of the public functions; the inner loops run over
-int.  A vector is *cleared* as (ints, den): integers over one positive
-denominator, the lcm of its entries' when cleared from Fractions.  A
-basis is held as its cleared columns and an inverse as its cleared
-rows, and products are integer dot products over the two denominators.
-
-`inverse_rows` is the one inverse kernel: an in-place fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) from cleared
-columns to cleared rows, updating n entries per row and step, and
-`inverse` is its Fraction view.  `det` runs only the forward half of
-Bareiss, about n^3/3 updates."""
+The inner loops run over int.  A vector is *cleared* as (ints, den):
+integers over one positive denominator, the lcm of its entries' when
+cleared from Fractions.  Each operation has one kernel on cleared
+vectors: times_cleared, kron_cleared, block_cleared, det_cleared and
+inverse_rows, an in-place fraction-free Gauss-Jordan elimination
+(Bareiss, Math. Comp. 22, 1968) from cleared columns to cleared rows,
+updating n entries per row and step, of which det_cleared runs the
+forward half.  The Fraction functions matmul, matvec, kron, block_diag,
+det and inverse are views of them: each checks its input once through
+mat or square, which refuse ragged matrices and floats, and reads the
+kernel's result back as Fractions."""
 
 from __future__ import annotations
 
@@ -84,24 +84,6 @@ def int_rows(m) -> Cleared:
     return out
 
 
-def matvec(m: Matrix, v: Vector) -> Vector:
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatchError(f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
-    ((w, e),) = int_rows((v,))
-    return tuple(Fraction(sum(map(mul, r, w)), d * e) for r, d in int_rows(m))
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return tuple(() for _ in a)
-    if len(a[0]) != len(b):
-        raise DimensionMismatchError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    cols = int_rows(transpose(b))
-    return tuple(
-        tuple(Fraction(sum(map(mul, r, c)), d * e) for c, e in cols) for r, d in int_rows(a)
-    )
-
-
 def scalar_mul(c, m: Matrix) -> Matrix:
     c = to_fraction(c)
     return tuple(tuple(c * x for x in row) for row in m)
@@ -115,6 +97,13 @@ def cleared(m) -> Cleared:
 def from_cleared(vectors) -> Matrix:
     """The Fraction rows of cleared vectors (ints, den)."""
     return tuple(tuple(Fraction(x, d) for x in v) for v, d in vectors)
+
+
+def from_cleared_columns(cols: Cleared, rows: int) -> Matrix:
+    """The row-major Fraction matrix with these cleared columns and this many rows.  A
+    column of no integers, from a product by a matrix with no columns, is zero."""
+    zero = [0] * rows
+    return transpose(from_cleared((v or zero, d) for v, d in cols)) or ((),) * rows
 
 
 def reduced(ints: list[int], den: int) -> tuple[list[int], int]:
@@ -177,23 +166,30 @@ def inverse_rows(cols) -> Cleared:
     ]
 
 
-def inverse(m: Matrix) -> Matrix:
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatchError("inverse needs a square matrix")
-    return from_cleared(inverse_rows(cleared(m)))
+def kron_cleared(u: Cleared, v: Cleared) -> Cleared:
+    """The pairwise tensor products of two lists of cleared vectors, u outer: the cleared
+    columns of kron(A, B) from those of A and B, and its cleared inverse rows from theirs."""
+    return [([x * y for x in a for y in b], d * e) for a, d in u for b, e in v]
 
 
-def _bareiss(rows: list[list[int]]) -> int:
-    """Determinant of a square integer matrix by fraction-free forward elimination (Bareiss):
-    each step updates only the rows below the pivot and the columns right of it, and a row
-    swap flips the sign.  The last pivot is the determinant up to that sign."""
+def block_cleared(u: Cleared, v: Cleared, m: int, n: int) -> Cleared:
+    """The vectors of u, of length m, each followed by n zeros, then those of v, of length
+    n, each after m zeros: the cleared columns of the block diagonal matrix of A and B from
+    those of A and B, and its cleared inverse rows from theirs."""
+    return [(w + [0] * n, d) for w, d in u] + [([0] * m + w, d) for w, d in v]
+
+
+def det_cleared(cols: Cleared) -> Fraction:
+    """det C / prod e_j, the determinant from cleared columns (c_j, e_j), by forward
+    elimination (Bareiss) on C^T: each step updates only the rows below the pivot and the
+    columns right of it, and a row swap flips the sign.  The last pivot is det C up to it."""
+    rows = [list(c) for c, _ in cols]
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
-            return 0
+            return Fraction(0)
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
@@ -202,34 +198,39 @@ def _bareiss(rows: list[list[int]]) -> int:
             f = row[k]
             row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
         prev = pk
-    return sign * prev
+    return Fraction(sign * prev, math.prod(e for _, e in cols))
 
 
-def det(m: Matrix) -> Fraction:
-    n = len(m)
-    if any(len(r) != n for r in m):
-        raise DimensionMismatchError("det needs a square matrix")
-    cols = cleared(m)
-    return Fraction(_bareiss([c for c, _ in cols]), math.prod(e for _, e in cols))
+def matmul(a: Matrix, b: Matrix) -> Matrix:
+    a, b = mat(a), mat(b)
+    if a and len(a[0]) != len(b):
+        raise DimensionMismatchError(f"cannot multiply {len(a[0])} columns by {len(b)} rows")
+    return from_cleared_columns(times_cleared(cleared(a), cleared(b)), len(a))
+
+
+def matvec(m: Matrix, v: Vector) -> Vector:
+    m, v = mat(m), vec(v)
+    if m and len(m[0]) != len(v):
+        raise DimensionMismatchError(f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
+    product = times_cleared(cleared(m), int_rows((v,)))
+    return tuple(row[0] for row in from_cleared_columns(product, len(m)))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    ra = len(a)
-    ca = len(a[0]) if a else 0
-    rb = len(b)
-    cb = len(b[0]) if b else 0
-    return tuple(
-        tuple(a[i][j] * b[k][l] for j in range(ca) for l in range(cb))
-        for i in range(ra)
-        for k in range(rb)
-    )
+    a, b = mat(a), mat(b)
+    return from_cleared_columns(kron_cleared(cleared(a), cleared(b)), len(a) * len(b))
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    na, nb = len(a), len(b)
-    ca = len(a[0]) if a else 0
-    cb = len(b[0]) if b else 0
-    zero = Fraction(0)
-    top = tuple(tuple(a[i]) + (zero,) * cb for i in range(na))
-    bottom = tuple((zero,) * ca + tuple(b[i]) for i in range(nb))
-    return top + bottom
+    a, b = mat(a), mat(b)
+    cols = block_cleared(cleared(a), cleared(b), len(a), len(b))
+    return from_cleared_columns(cols, len(a) + len(b))
+
+
+def det(m: Matrix) -> Fraction:
+    return det_cleared(cleared(square(m)))
+
+
+def inverse(m: Matrix) -> Matrix:
+    return from_cleared(inverse_rows(cleared(square(m))))
+

@@ -27,10 +27,11 @@ as they stand.  A final reconstruction check guards the result.
 Norms and lattices hold their basis as cleared columns, integers over
 one denominator per column, and the inverse as cleared rows, computed
 once by linalg.inverse_rows or carried over by the operation that made
-the norm (act, tensor, dual, direct sum, scaled balls).  The Fraction
-matrices basis, inv_basis, matrix and inv are views, built on first
-access; the comparison path (equals, distance, the self-checks) never
-builds one.
+the norm (act, tensor, dual, direct sum, scaled balls), with linalg's
+kernels: tensor and direct_sum use kron_cleared and block_cleared, the
+kernels of linalg.kron and linalg.block_diag.  The Fraction matrices
+basis, inv_basis, matrix and inv are views, built on first access; the
+comparison path (equals, distance, the self-checks) never builds one.
 
 Slot weights, in op_size, evaluate and the elimination alike, are read
 from the _slot_table of a product's two factors: integer dot products
@@ -79,7 +80,7 @@ class _Frame:
     def __getattr__(self, name: str):
         if name != self._view:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        view = linalg.transpose(linalg.from_cleared(self._cols))
+        view = linalg.from_cleared_columns(self._cols, len(self._cols))
         _plant(self, name, view)
         return view
 
@@ -332,17 +333,13 @@ def act(g, norm: SplitNorm) -> SplitNorm:
     return _split(norm.cfg, cols, norm.values, inv_rows)
 
 
-def _kron(u: Cleared, v: Cleared) -> Cleared:
-    """The pairwise tensor products of two lists of cleared vectors, u outer."""
-    return [([x * y for x in a for y in b], d * e) for a, d in u for b, e in v]
-
-
 def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Tensor product norm; the pairwise basis tensors split it."""
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
     values = tuple(x + y for x in a.values for y in b.values)
-    return _split(a.cfg, _kron(a._cols, b._cols), values, _kron(a._inv_rows, b._inv_rows))
+    cols = linalg.kron_cleared(a._cols, b._cols)
+    return _split(a.cfg, cols, values, linalg.kron_cleared(a._inv_rows, b._inv_rows))
 
 
 def dual(a: SplitNorm) -> SplitNorm:
@@ -351,17 +348,12 @@ def dual(a: SplitNorm) -> SplitNorm:
     return _split(a.cfg, a._inv_rows, tuple(-x for x in a.values), a._cols)
 
 
-def _padded(vectors: Cleared, before: int, after: int) -> Cleared:
-    return [([0] * before + v + [0] * after, d) for v, d in vectors]
-
-
 def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Max-of-components norm on the direct sum."""
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
-    na, nb = a.dim, b.dim
-    cols = _padded(a._cols, 0, nb) + _padded(b._cols, na, 0)
-    inv_rows = _padded(a._inv_rows, 0, nb) + _padded(b._inv_rows, na, 0)
+    cols = linalg.block_cleared(a._cols, b._cols, a.dim, b.dim)
+    inv_rows = linalg.block_cleared(a._inv_rows, b._inv_rows, a.dim, b.dim)
     return _split(a.cfg, cols, a.values + b.values, inv_rows)
 
 

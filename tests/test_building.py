@@ -18,7 +18,7 @@ from padicnorm.errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from padicnorm.norms import LatticeBasis, act, equals, lattice_norm
+from padicnorm.norms import LatticeBasis, act, dual, equals, lattice_norm, tensor
 
 import fuzz
 
@@ -132,6 +132,37 @@ def test_homothetic_examples():
     assert not homothetic(BETA, ALPHA0)
     half = SplitNorm(CFG2, 2, linalg.identity(2), (F(1, 2), F(1, 2)))
     assert not homothetic(BETA, half)
+
+
+def test_homothetic_on_operation_built_norms():
+    """Norms from act, dual and tensor hold only cleared forms, so homothetic reads its
+    determinants from them; it must agree with the common-basis path: a and b are homothetic
+    iff cartan_position(a, b) is one integer repeated."""
+    rng = random.Random(131)
+    for p in fuzz.PRIMES:
+        for _ in range(8):
+            n = rng.randint(1, 3)
+            base = fuzz.norm(rng, n=n, p=p)
+            g = fuzz.elementary_product(rng, n, p)
+            small = fuzz.norm(rng, n=rng.randint(1, 2), p=p)
+            i, shift = rng.randrange(n), rng.choice((-2, -1, 1, 2))
+            perturbed = tuple(v + fuzz.rational(rng) * (k == i) for k, v in enumerate(base.values))
+            for kind, values in (
+                ("integer", tuple(v + shift for v in base.values)),
+                ("half", tuple(v + F(1, 2) for v in base.values)),
+                ("perturbed", perturbed),
+            ):
+                other = SplitNorm(base.cfg, n, base.basis, values)
+                # g and g @ s, with s fixing other, move it to one norm through two bases
+                moved = act(linalg.matmul(g, fuzz.stabilizer_element(rng, other)), other)
+                for build in (lambda x: x, dual, lambda x: tensor(x, small)):
+                    a, b = build(act(g, base)), build(moved)
+                    answer = homothetic(a, b)
+                    assert "basis" not in vars(a) and "basis" not in vars(b)
+                    position = cartan_position(a, b)
+                    assert answer == (len(set(position)) == 1 and position[0].denominator == 1)
+                    if kind != "perturbed":
+                        assert answer == (kind == "integer")
 
 
 def test_apartment_round_trip():

@@ -6,7 +6,8 @@ Here both are read back as Fractions and held against the public views,
 against the construction redone in plain Fraction arithmetic, and
 against sympy's inverse; none of it goes through the integer kernel.
 The comparison path itself, distance and equals, builds no Fraction
-matrix: its count of new Fractions stays linear in the dimension.
+matrix, and neither do the determinants of graded_ball_dims and
+homothetic: their counts of new Fractions stay linear in the dimension.
 """
 
 import fractions
@@ -16,6 +17,8 @@ import sys
 from fractions import Fraction
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg
+from padicnorm.base_change import graded_ball_dims
+from padicnorm.building import homothetic
 from padicnorm.norms import (
     _common_lattice,
     act,
@@ -48,6 +51,16 @@ def _product(a, b):
     return tuple(
         tuple(sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)) for row in a
     )
+
+
+def _kron(a, b):
+    return tuple(tuple(x * y for x in ra for y in rb) for ra in a for rb in b)
+
+
+def _block_diag(a, b):
+    """The block diagonal matrix of two square matrices."""
+    zero = Fraction(0)
+    return tuple(r + (zero,) * len(b) for r in a) + tuple((zero,) * len(a) + r for r in b)
 
 
 def _scaled_columns(m, p, exponents):
@@ -84,9 +97,9 @@ def test_cleared_forms_agree_with_the_views():
             _check_norm(a)
             g = fuzz.elementary_product(rng, n, p)
             _check_norm(act(g, a), _product(g, a.basis))
-            _check_norm(tensor(a, small), linalg.kron(a.basis, small.basis))
+            _check_norm(tensor(a, small), _kron(a.basis, small.basis))
             _check_norm(dual(a), tuple(zip(*oracles.inverse(a.basis))))
-            _check_norm(direct_sum(a, small), linalg.block_diag(a.basis, small.basis))
+            _check_norm(direct_sum(a, small), _block_diag(a.basis, small.basis))
             d = rng.randint(1, n)
             span = fuzz.span_matrix(rng, n, d)
             _check_norm(restrict(a, span))
@@ -136,3 +149,17 @@ def test_comparison_path_builds_no_fraction_matrix():
     assert _new_fractions(lambda: distance(a, other)) <= 10 * n
     assert _new_fractions(lambda: equals(a, same)) <= 10 * n
     assert equals(a, same) and not equals(a, other)
+
+
+def test_determinant_consumers_build_no_fraction_matrix():
+    """graded_ball_dims and homothetic take determinants of the cleared columns, so on a
+    norm made by act the count of new Fractions stays linear in the dimension."""
+    rng = random.Random(120)
+    n = 12
+    a = act(fuzz.elementary_product(rng, n, 3), fuzz.norm(rng, n=n, p=3))
+    level = fuzz.rational(rng)
+    assert len(a.value_classes) == 8
+    assert _new_fractions(lambda: graded_ball_dims(a, level)) <= 40 * n
+    b = act(fuzz.stabilizer_element(rng, a), a)
+    assert _new_fractions(lambda: homothetic(a, b)) <= 10 * n
+    assert homothetic(a, b)

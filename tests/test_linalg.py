@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.matrices.expressions.kronecker import kronecker_product
 
 from padicnorm import linalg
 from padicnorm.errors import DimensionMismatchError, SingularMatrixError
@@ -17,6 +18,35 @@ def test_mat_validation():
     with pytest.raises(TypeError):
         linalg.to_fraction(0.5)
     assert linalg.to_fraction("3/4") == Fraction(3, 4)
+    # every public function checks its input like mat: ragged matrices and floats are refused
+    ragged, column, square = ((1, 2), (3,)), ((1,), (1,)), ((1, 2), (3, 4))
+    for call in (
+        lambda: linalg.matmul(ragged, column),
+        lambda: linalg.matvec(ragged, (1, 1)),
+        lambda: linalg.kron(ragged, square),
+        lambda: linalg.kron(square, ragged),
+        lambda: linalg.block_diag(ragged, square),
+        lambda: linalg.block_diag(square, ragged),
+        lambda: linalg.det(ragged),
+        lambda: linalg.inverse(ragged),
+    ):
+        with pytest.raises(DimensionMismatchError):
+            call()
+    floating = ((1, 0.5), (3, 4))
+    for call in (
+        lambda: linalg.matmul(floating, square),
+        lambda: linalg.matmul(square, floating),
+        lambda: linalg.matvec(floating, (1, 1)),
+        lambda: linalg.matvec(square, (1, 0.5)),
+        lambda: linalg.kron(floating, square),
+        lambda: linalg.block_diag(square, floating),
+        lambda: linalg.det(floating),
+        lambda: linalg.inverse(floating),
+    ):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            call()
+    with pytest.raises(DimensionMismatchError):
+        linalg.matmul(((1, 2),), ())  # a 1x2 matrix times one with no rows
 
 
 def test_identity_and_transpose():
@@ -121,6 +151,8 @@ def test_kernel_agrees_with_sympy():
             sa = _to_sympy(a)
             assert linalg.matmul(a, b) == _from_sympy(sa * _to_sympy(b))
             assert linalg.matvec(a, v) == tuple(r[0] for r in _from_sympy(sa * _to_sympy((v,)).T))
+            assert linalg.kron(a, b) == _from_sympy(kronecker_product(sa, _to_sympy(b)))
+            assert linalg.block_diag(a, b) == _from_sympy(sympy.diag(sa, _to_sympy(b)))
             d = sa.det()
             assert linalg.det(a) == Fraction(int(d.p), int(d.q))
             if d == 0:

@@ -22,7 +22,6 @@ from fractions import Fraction
 from . import linalg
 from .errors import PreconditionError
 from .norms import SplitNorm, ball_basis, ball_basis_open
-from .stabilizer import fiber_structure
 from .valuation import count_classes, degree_rep, frac_part, pval
 
 WeightMultiset = dict[Fraction, int]
@@ -78,7 +77,7 @@ def centralizer_dim(norm: SplitNorm) -> int:
 def kernel_dim(norm: SplitNorm) -> int:
     """Dimension of the unipotent kernel of the base-change comparison
     map; equals the unipotent dimension of the special fiber."""
-    return fiber_structure(norm).unipotent_dim
+    return norm.dim * norm.dim - centralizer_dim(norm)
 
 
 def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:

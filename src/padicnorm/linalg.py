@@ -84,11 +84,6 @@ def int_rows(m) -> Cleared:
     return out
 
 
-def scalar_mul(c, m: Matrix) -> Matrix:
-    c = to_fraction(c)
-    return tuple(tuple(c * x for x in row) for row in m)
-
-
 def cleared(m) -> Cleared:
     """The columns of a matrix, each cleared: integers over the lcm of its denominators."""
     return int_rows(transpose(m))

@@ -15,6 +15,11 @@ mod 1, which grades the order by value classes represented in (-1, 0];
 the strictly negative part of one period is the unipotent direction of
 the special fiber and the class-0 part contributes the Levi blocks,
 one block per value class of the norm.
+
+Membership needs no inverse: an element g of the order maps each ball
+B into itself with index [B : gB] = p^val(det g) (the lattice-index
+argument of Goldman and Iwahori, Acta Math. 109, 1963), so g is a unit
+of the order exactly when det g is a p-adic unit.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import PreconditionError, SingularMatrixError
 from .norms import BallChainPeriod, SplitNorm, ball_basis, op_size
-from .valuation import BOTTOM, Value, degree_rep, frac_part
+from .valuation import BOTTOM, Value, degree_rep, frac_part, pval
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,9 @@ class GradedOrderSummary:
 class FiberStructure:
     """Shape of the special fiber of the stabilizer scheme.
 
-    levi_blocks are the value-class multiplicities of the norm (sorted
-    descending), unipotent_dim counts the strictly negative slot
-    classes of one period, and total_dim is n^2.
+    levi_blocks are the value-class multiplicities m_c of the norm
+    (sorted descending), unipotent_dim = n^2 - sum m_c^2 counts the
+    strictly negative slot classes of one period, and total_dim is n^2.
     """
 
     levi_blocks: tuple[int, ...]
@@ -68,12 +73,14 @@ def hom_norm(norm: SplitNorm, h) -> Value:
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:
     """Does g preserve the norm (equivalently every ball lattice)?
 
-    True iff both g and its inverse have hom_norm <= 0.  Raises on a
-    singular matrix.
+    True iff hom_norm(g) <= 0 and det g is a p-adic unit (see the
+    module docstring).  Raises on a singular matrix, and on one of the
+    wrong size even when it is invertible.
     """
-    g = linalg.mat(g)
-    g_inv = linalg.inverse(g)
-    return hom_norm(norm, g) <= 0 and hom_norm(norm, g_inv) <= 0
+    d = linalg.det(g)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    return hom_norm(norm, g) <= 0 and pval(d, norm.cfg.prime) == 0
 
 
 def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
@@ -89,9 +96,8 @@ def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
 def fiber_structure(norm: SplitNorm) -> FiberStructure:
     """Levi blocks, unipotent dimension, and total dimension n^2."""
     blocks = tuple(sorted(norm.class_counts.values(), reverse=True))
-    summary = graded_dims(norm)
-    unipotent = sum(v for k, v in summary.class_dims.items() if k < 0)
-    return FiberStructure(blocks, unipotent, norm.dim * norm.dim)
+    total = norm.dim * norm.dim
+    return FiberStructure(blocks, total - sum(m * m for m in blocks), total)
 
 
 def chain_period(norm: SplitNorm) -> BallChainPeriod:
@@ -109,11 +115,9 @@ def chain_certificates(period: BallChainPeriod) -> tuple[linalg.Matrix, ...]:
     lats = period.lattices
     if not lats:
         return ()
-    certs = [
-        linalg.matmul(lats[k + 1].inv, lats[k].matrix) for k in range(len(lats) - 1)
-    ]
+    certs = [linalg.matmul(big.inv, small.matrix) for small, big in zip(lats, lats[1:] + lats[:1])]
     p = lats[0].cfg.prime
-    certs.append(linalg.matmul(lats[0].inv, linalg.scalar_mul(p, lats[-1].matrix)))
+    certs[-1] = tuple(tuple(p * x for x in row) for row in certs[-1])
     return tuple(certs)
 
 
@@ -128,10 +132,7 @@ def filtration_level(norm: SplitNorm, g) -> Value:
     g = linalg.mat(g)
     if not is_stabilizer_element(norm, g):
         raise PreconditionError("filtration level requires a stabilizer element")
-    n = norm.dim
-    difference = tuple(
-        tuple(g[i][j] - (1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+    difference = tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(g))
     level = hom_norm(norm, difference)
     if level <= -1:
         return BOTTOM

@@ -16,7 +16,7 @@ from padicnorm.base_change import (
 )
 from padicnorm.errors import PreconditionError
 from padicnorm.norms import act
-from padicnorm.stabilizer import fiber_structure
+from padicnorm.stabilizer import fiber_structure, graded_dims
 
 import fuzz
 
@@ -88,6 +88,8 @@ def test_dimension_identity():
         nrm = fuzz.norm(rng)
         assert kernel_dim(nrm) + centralizer_dim(nrm) == nrm.dim**2
         assert kernel_dim(nrm) == fiber_structure(nrm).unipotent_dim
+        # the strictly negative slot classes, counted slot by slot
+        assert kernel_dim(nrm) == sum(v for k, v in graded_dims(nrm).class_dims.items() if k < 0)
 
 
 def test_graded_ball_dims_examples():

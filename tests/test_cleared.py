@@ -7,7 +7,9 @@ against the construction redone in plain Fraction arithmetic, and
 against sympy's inverse; none of it goes through the integer kernel.
 The comparison path itself, distance and equals, builds no Fraction
 matrix, and neither do the determinants of graded_ball_dims and
-homothetic: their counts of new Fractions stay linear in the dimension.
+homothetic, nor the order layer's is_stabilizer_element and
+filtration_level: their counts of new Fractions stay linear in the
+dimension.
 """
 
 import fractions
@@ -34,6 +36,7 @@ from padicnorm.norms import (
     tensor,
 )
 from padicnorm.splittings import pair_from_norm, translate_pair
+from padicnorm.stabilizer import filtration_level, is_stabilizer_element
 
 import fuzz
 import oracles
@@ -163,3 +166,16 @@ def test_determinant_consumers_build_no_fraction_matrix():
     b = act(fuzz.stabilizer_element(rng, a), a)
     assert _new_fractions(lambda: homothetic(a, b)) <= 10 * n
     assert homothetic(a, b)
+
+
+def test_order_layer_builds_no_fraction_matrix():
+    """is_stabilizer_element reads the determinant, not the inverse, and filtration_level
+    moves only the diagonal by 1, so on a norm made by act neither builds a Fraction
+    matrix: their counts of new Fractions stay linear in the dimension."""
+    rng = random.Random(123)
+    n = 12
+    a = act(fuzz.elementary_product(rng, n, 3), fuzz.norm(rng, n=n, p=3))
+    g = fuzz.stabilizer_element(rng, a)
+    assert _new_fractions(lambda: is_stabilizer_element(a, g)) <= n
+    assert _new_fractions(lambda: filtration_level(a, g)) <= 3 * n
+    assert is_stabilizer_element(a, g)

@@ -282,6 +282,13 @@ def test_exit_codes(docs, capsys):
     code, _, err = run(capsys, "equals", alpha, docs["three"])
     assert code == 2 and err.startswith("error:")
 
+    # invertible but 3x3 on a 2-dim norm: the size is refused before the determinant
+    # (2, not a 2-adic unit) could answer false
+    for verb in ("stab-check", "level"):
+        code, out, err = run(capsys, verb, alpha, "--matrix", "2,0,0;0,1,0;0,0,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
 
 THIRDS, SEVENTHS = f"1/{3 ** 8000}", f"1/{7 ** 5000}"  # 3,817- and 4,226-digit denominators
 

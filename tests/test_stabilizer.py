@@ -64,6 +64,30 @@ def test_stabilizer_examples():
         is_stabilizer_element(ALPHA0, ((1, 1), (1, 1)))
 
 
+def _two_sided(nrm, g):
+    """The definition: g and its inverse both lie in the order."""
+    return hom_norm(nrm, g) <= 0 and hom_norm(nrm, linalg.inverse(g)) <= 0
+
+
+def test_stabilizer_edge_cases():
+    for p in fuzz.PRIMES:
+        cfg = FieldConfig(p)
+        for nrm in (
+            SplitNorm(cfg, 2, linalg.identity(2), (F(0), F(0))),
+            SplitNorm(cfg, 2, linalg.identity(2), (F(0), F(1, 2))),
+        ):
+            # dominated, but the determinant p^2 is not a unit
+            scalar = ((p, 0), (0, p))
+            assert hom_norm(nrm, scalar) <= 0
+            assert is_stabilizer_element(nrm, scalar) is _two_sided(nrm, scalar) is False
+            # unit determinant, but not dominated
+            torus = ((p, 0), (0, F(1, p)))
+            assert pval(linalg.det(torus), p) == 0
+            assert is_stabilizer_element(nrm, torus) is _two_sided(nrm, torus) is False
+        empty = SplitNorm(cfg, 0, (), ())
+        assert is_stabilizer_element(empty, ()) is _two_sided(empty, ()) is True
+
+
 def test_stabilizer_matches_ball_oracle():
     rng = random.Random(72)
     for _ in range(200):
@@ -91,8 +115,9 @@ def test_graded_dims_invariants():
         assert summary.total == nrm.dim * nrm.dim
         assert all(-1 < k <= 0 for k in summary.class_dims)
         assert list(summary.class_dims) == sorted(summary.class_dims, reverse=True)
-        blocks = fiber_structure(nrm).levi_blocks
-        assert summary.class_dims[F(0)] == sum(m * m for m in blocks)
+        fs = fiber_structure(nrm)
+        assert summary.class_dims[F(0)] == sum(m * m for m in fs.levi_blocks)
+        assert fs.unipotent_dim == sum(v for k, v in summary.class_dims.items() if k < 0)
         g = fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime)
         assert graded_dims(act(g, nrm)).class_dims == summary.class_dims
 

@@ -16,13 +16,14 @@ under which every split norm becomes a lattice norm (a single class).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .norms import SplitNorm, ball_basis, ball_basis_open
-from .valuation import count_classes, degree_rep, frac_part, pval
+from .norms import SplitNorm
+from .valuation import count_classes, degree_rep, frac_part
 
 WeightMultiset = dict[Fraction, int]
 
@@ -84,20 +85,20 @@ def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:
     """Two computations of each graded piece of the ball at level g.
 
     For each degree d in (-1, 0] with a nonzero piece, the left entry
-    is the index of the open ball inside the closed ball at g + d
-    (computed from determinant valuations), the right entry is the
-    weight multiplicity of the class of g + d.  The two must agree.
+    is the exponent of p in the index of the open ball inside the closed
+    ball at t = g + d, the right entry is the weight multiplicity of the
+    class of t.  The two must agree.  Both balls scale the splitting
+    columns, e_i by p^ceil(a_i - t) and by p^(floor(a_i - t) + 1), so
+    the index is read from those exponents alone.
     """
     # both balls scale by p^k when g moves by k, so only g mod 1 matters
     g = frac_part(linalg.to_fraction(g))
-    p = norm.cfg.prime
     weights = chi_weights(norm)
     out: dict[Fraction, tuple[int, int]] = {}
     for cls in norm.value_classes:
         d = degree_rep(frac_part(cls - g))
-        closed = ball_basis(norm, g + d)
-        opened = ball_basis_open(norm, g + d)
-        lhs = pval(linalg.det_cleared(opened._cols), p) - pval(linalg.det_cleared(closed._cols), p)
-        rhs = weights.get(frac_part(g + d), 0)
+        t = g + d
+        lhs = sum(math.floor(x) + 1 - math.ceil(x) for x in (a - t for a in norm.values))
+        rhs = weights.get(frac_part(t), 0)
         out[d] = (lhs, rhs)
     return dict(sorted(out.items(), reverse=True))

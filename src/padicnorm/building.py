@@ -4,7 +4,7 @@ The standard apartment consists of the norms split by the standard
 basis; a rational vector of coordinates is the corresponding tuple of
 values.  A norm lies in the apartment of a frame exactly when the
 frame splits it, which is decidable: evaluate the norm on the frame
-columns and test the resulting candidate for equality.
+columns and test whether the norm dominates the resulting candidate.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from .norms import (
     _split,
     ball_basis,
     distance,
-    equals,
     evaluate,
+    op_size,
 )
 from .valuation import FieldConfig, val
 
@@ -35,7 +35,8 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
 
     The only candidate coordinates are the sizes of the frame columns;
     the norm lies in the apartment iff the frame with those values
-    reproduces it.
+    reproduces it.  By the ultrametric inequality the candidate is at
+    least the norm everywhere, so one domination decides it.
     """
     if frame is None:
         frame = linalg.identity(norm.dim)
@@ -43,7 +44,7 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     cols = linalg.cleared(frame)
     inv_rows = linalg.inverse_rows(cols)  # a singular frame fails here
     candidate = tuple(evaluate(norm, c).mag for c in linalg.columns(frame))
-    if equals(_split(norm.cfg, cols, candidate, inv_rows), norm):
+    if op_size(norm, _split(norm.cfg, cols, candidate, inv_rows)) <= 0:
         return candidate
     return None
 
@@ -108,23 +109,15 @@ def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
 def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     """Are two norms equal up to an integer shift of all values?
 
-    The shift is pinned down by the determinant norm: the sum of the
-    values plus the valuation of the splitting determinant is the same
-    in every presentation, and a shift by k moves it by n*k.
+    Pointwise a - b <= op_size(b, a) and b - a <= op_size(a, b), so the
+    two sizes sum to 0 exactly when a - b is the constant op_size(b, a).
     """
     if a.cfg != b.cfg or a.dim != b.dim:
         return False
     if a.dim == 0:
         return True
-
-    def total(norm: SplitNorm) -> Fraction:
-        return sum(norm.values) + val(linalg.det_cleared(norm._cols), norm.cfg).mag
-
-    k = (total(a) - total(b)) / a.dim
-    if k.denominator != 1:
-        return False
-    shifted = _split(b.cfg, b._cols, tuple(v + k for v in b.values), b._inv_rows)
-    return equals(a, shifted)
+    k = op_size(b, a).mag
+    return k.denominator == 1 and op_size(a, b).mag == -k
 
 
 __all__ = [

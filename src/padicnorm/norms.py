@@ -476,23 +476,24 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     a_values lie in [0, 1).  Both reconstructions are checked via
     equals before returning.
     """
-    lattice, a_vals, b_vals = _common_lattice(a, b)
+    common = _common_norm(a, b)
+    lattice, a_vals = _canonical(common)
+    # column j was scaled by p^(raw_j - a_j), which lowers its b-value by as much
+    b_vals = tuple(v - r + s for v, r, s in zip(b.values, common.values, a_vals))
     return lattice.matrix, a_vals, b_vals
 
 
-def _common_lattice(a: SplitNorm, b: SplitNorm):
-    """common_splitting_basis with the basis as a lattice, whose matrix is never built."""
+def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
+    """a on unscaled columns that split b with b.values, both reconstructions checked."""
     _check_compatible(a, b)
     _, raw_values, col_ops = _monomialize(a.values, a._inv_rows, b.values, b._cols, a.cfg.prime)
-    # the lattice's inverse comes from the kernel on the new columns, not from col_ops
-    lat, a_vals = _canonical(_split(a.cfg, linalg.times_cleared(b._cols, col_ops), raw_values))
-    # column j was scaled by p^(raw_j - a_j), which lowers its b-value by as much
-    b_vals = tuple(v - r + s for v, r, s in zip(b.values, raw_values, a_vals))
-    if not equals(_on_lattice(lat, a_vals), a):
+    # the inverse comes from the kernel on the new columns, not from col_ops
+    common = _split(a.cfg, linalg.times_cleared(b._cols, col_ops), raw_values)
+    if not equals(common, a):
         raise SelfCheckError("common basis failed to reconstruct the first norm")
-    if not equals(_on_lattice(lat, b_vals), b):
+    if not equals(_split(a.cfg, common._cols, b.values, common._inv_rows), b):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
-    return lat, a_vals, b_vals
+    return common
 
 
 def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -500,9 +501,10 @@ def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]
 
     The difference vector lists (b-value - a-value) over a common
     splitting basis, sorted descending; its largest absolute entry is
-    the distance.
+    the distance.  Scaling a column by p^k lowers both its values by k,
+    so the differences are read before the canonical scaling.
     """
-    _, a_vals, b_vals = _common_lattice(a, b)
-    diffs = tuple(sorted((bv - av for av, bv in zip(a_vals, b_vals)), reverse=True))
+    common = _common_norm(a, b)
+    diffs = tuple(sorted((bv - av for av, bv in zip(common.values, b.values)), reverse=True))
     d_inf = max((abs(x) for x in diffs), default=Fraction(0))
     return d_inf, diffs

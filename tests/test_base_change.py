@@ -15,10 +15,11 @@ from padicnorm.base_change import (
     kernel_dim,
 )
 from padicnorm.errors import PreconditionError
-from padicnorm.norms import act
+from padicnorm.norms import act, ball_basis, ball_basis_open
 from padicnorm.stabilizer import fiber_structure, graded_dims
 
 import fuzz
+import oracles
 
 F = Fraction
 CFG2 = FieldConfig(2)
@@ -97,6 +98,10 @@ def test_graded_ball_dims_examples():
     assert graded_ball_dims(BETA, 0) == {F(0): (2, 2)}
     # only the level mod 1 matters, so a far level costs no more than level 0
     assert graded_ball_dims(ALPHA0, -100000) == graded_ball_dims(ALPHA0, 0)
+    # the balls scale a column by 2^100000, past the digit guard, but the index is an exponent
+    far = SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(100000)))
+    assert graded_ball_dims(far, 0) == {F(0): (2, 2)}
+    assert graded_ball_dims(far, F(1, 2)) == {F(-1, 2): (2, 2)}
 
 
 def test_graded_ball_dims_agree():
@@ -107,6 +112,13 @@ def test_graded_ball_dims_agree():
             table = graded_ball_dims(nrm, g)
             assert graded_ball_dims(nrm, g - 7) == table
             assert all(lhs == rhs for lhs, rhs in table.values())
+            # lhs against the index of the open ball in the closed one, from the lattices
+            for d, (lhs, _) in table.items():
+                opened, closed = (
+                    oracles.valuation(oracles.det(ball(nrm, g + d).matrix), nrm.cfg.prime)
+                    for ball in (ball_basis_open, ball_basis)
+                )
+                assert lhs == opened - closed
             assert sum(lhs for lhs, _ in table.values()) == nrm.dim
             assert all(-1 < k <= 0 for k in table)
 

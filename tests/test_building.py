@@ -18,7 +18,7 @@ from padicnorm.errors import (
     PreconditionError,
     SingularMatrixError,
 )
-from padicnorm.norms import LatticeBasis, act, dual, equals, lattice_norm, tensor
+from padicnorm.norms import LatticeBasis, act, dual, equals, evaluate, lattice_norm, op_size, tensor
 
 import fuzz
 
@@ -135,9 +135,10 @@ def test_homothetic_examples():
 
 
 def test_homothetic_on_operation_built_norms():
-    """Norms from act, dual and tensor hold only cleared forms, so homothetic reads its
-    determinants from them; it must agree with the common-basis path: a and b are homothetic
-    iff cartan_position(a, b) is one integer repeated."""
+    """Norms from act, dual and tensor hold only cleared forms, and homothetic reads two
+    operator sizes from them; it must agree with the common-basis path: a and b are
+    homothetic iff cartan_position(a, b) is one integer repeated, and the two sizes span
+    the relative position."""
     rng = random.Random(131)
     for p in fuzz.PRIMES:
         for _ in range(8):
@@ -161,6 +162,8 @@ def test_homothetic_on_operation_built_norms():
                     assert "basis" not in vars(a) and "basis" not in vars(b)
                     position = cartan_position(a, b)
                     assert answer == (len(set(position)) == 1 and position[0].denominator == 1)
+                    spread = op_size(a, b).mag + op_size(b, a).mag
+                    assert spread == max(position) - min(position)
                     if kind != "perturbed":
                         assert answer == (kind == "integer")
 
@@ -188,9 +191,20 @@ def test_torus_equivariance():
 
 def test_frame_equivariance():
     rng = random.Random(94)
+    splits = 0
     for _ in range(100):
         n = rng.randint(1, 4)
         cfg = FieldConfig(rng.choice(fuzz.PRIMES))
         x = fuzz.values(rng, n)
         g = fuzz.invertible(rng, n)
-        assert apartment_coords(act(g, norm_from_apartment(x, cfg)), frame=g) == x
+        nrm = act(g, norm_from_apartment(x, cfg))
+        assert apartment_coords(nrm, frame=g) == x
+        # a random frame mostly does not split the norm: the answer is None exactly when the
+        # frame with the sizes of its columns fails the two-sided equality
+        frame = fuzz.invertible(rng, n)
+        sizes = tuple(evaluate(nrm, c).mag for c in linalg.columns(frame))
+        coords = apartment_coords(nrm, frame=frame)
+        assert (coords is None) == (not equals(SplitNorm(cfg, n, frame, sizes), nrm))
+        assert coords in (None, sizes)
+        splits += coords is not None
+    assert 0 < splits < 50

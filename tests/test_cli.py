@@ -315,6 +315,22 @@ def test_output_beyond_digit_limit(capsys, tmp_path, values, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_far_values_within_digit_limit(capsys, tmp_path):
+    """Values 0 and 100000 scale a ball by 2^100000, but the ball index and the relative
+    position are small numbers: only chain, which prints the balls, is refused."""
+    paths = {}
+    for name, values in ("far", ["0", "100000"]), ("zero", ["0", "0"]):
+        content = {"prime": 2, "dim": 2, "basis": [["1", "0"], ["0", "1"]], "values": values}
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(content), encoding="utf-8")
+    far, zero = str(paths["far"]), str(paths["zero"])
+    assert run(capsys, "bc-dims", far, "--at", "0") == (0, "0 lhs=2 rhs=2\n", "")
+    assert run(capsys, "cartan", far, zero) == (0, "0,-100000\n", "")
+    code, out, err = run(capsys, "chain", far)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "content",
     [

@@ -21,7 +21,9 @@ from padicnorm.norms import (
     act,
     ball_basis,
     ball_basis_open,
+    common_splitting_basis,
     direct_sum,
+    distance,
     dual,
     equals,
     evaluate,
@@ -77,6 +79,17 @@ def test_ball_basis_examples():
     for g in (-29000, -(10**10)):
         with pytest.raises(PreconditionError):
             ball_basis(ALPHA0, g)
+
+
+def test_distance_of_far_values():
+    """Values 0 and 100000 put the canonical common basis past the digit guard, but the
+    relative position is read before any column is scaled."""
+    far = SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(100000)))
+    zero = SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(0)))
+    assert distance(far, zero) == (F(100000), (F(0), F(-100000)))
+    assert distance(zero, far) == (F(100000), (F(100000), F(0)))
+    with pytest.raises(PreconditionError):
+        common_splitting_basis(far, zero)
 
 
 def test_ball_of_lattice_norm_recovers_lattice():

@@ -82,14 +82,15 @@ def kernel_dim(norm: SplitNorm) -> int:
 
 
 def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:
-    """Two computations of each graded piece of the ball at level g.
+    """Each graded piece of the ball at level g, counted from the values in two ways.
 
-    For each degree d in (-1, 0] with a nonzero piece, the left entry
-    is the exponent of p in the index of the open ball inside the closed
-    ball at t = g + d, the right entry is the weight multiplicity of the
-    class of t.  The two must agree.  Both balls scale the splitting
-    columns, e_i by p^ceil(a_i - t) and by p^(floor(a_i - t) + 1), so
-    the index is read from those exponents alone.
+    For each degree d in (-1, 0] with a nonzero piece, at t = g + d, the left entry is the
+    exponent of p in the index of the open ball inside the closed ball at t, read from the
+    exponents by which the balls scale e_i, p^ceil(a_i - t) and p^(floor(a_i - t) + 1): e_i
+    adds 1 exactly when a_i - t is an integer.  The right entry is the multiplicity of the
+    class of t.  Both count the values in that class, so they agree by construction;
+    tests/test_base_change.py::test_graded_ball_dims_agree checks the index independently,
+    from the determinants of the balls.
     """
     # both balls scale by p^k when g moves by k, so only g mod 1 matters
     g = frac_part(linalg.to_fraction(g))

@@ -59,12 +59,9 @@ def _span(s: str) -> list[tuple[Fraction, ...]]:
     return [_vector(part) for part in s.split(";")] if s.strip() else []
 
 
-_ABSENT = object()
-
-
 def _ram_index(s: str):
     if s == "unbounded":
-        return None
+        return s
     try:
         value = int(s)
     except ValueError as exc:
@@ -156,18 +153,18 @@ def _cmd_level(args, norm):
 
 
 def _cmd_bc_dims(args, norm):
-    if args.at is not None and args.ram_index is not _ABSENT:
+    if args.at is not None and args.ram_index is not None:
         raise PreconditionError("--at and --ram-index cannot be combined")
     if args.at is not None:
         table = base_change.graded_ball_dims(norm, args.at)
         pairs = [[io.rational_str(k), [lhs, rhs]] for k, (lhs, rhs) in table.items()]
         lines = "\n".join(f"{k} lhs={lhs} rhs={rhs}" for k, (lhs, rhs) in pairs)
         return lines, {"at": io.rational_str(args.at), "classes": pairs}
-    if args.ram_index is not _ABSENT:
-        ext = base_change.VirtualExtension(args.ram_index)
+    if args.ram_index is not None:
+        index = args.ram_index
+        ext = base_change.VirtualExtension(None if index == "unbounded" else index)
         classes = base_change.extension_value_classes(norm, ext)
         collapse = base_change.is_lattice_norm_over(norm, ext)
-        index = "unbounded" if args.ram_index is None else args.ram_index
         pairs = [[io.rational_str(k), v] for k, v in classes.items()]
         listed = " ".join(f"{k}:{v}" for k, v in pairs)
         line = f"ram_index={index} classes=[{listed}] lattice_norm={str(collapse).lower()}"
@@ -252,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("fiber", _cmd_fiber)
     add("level", _cmd_level, matrix=matrix, delta=rational)
     add("chi-weights", lambda _, n: _classes("weights", base_change.chi_weights(n)))
-    add("bc-dims", _cmd_bc_dims, at=rational, ram_index=dict(type=_ram_index, default=_ABSENT))
+    add("bc-dims", _cmd_bc_dims, at=rational, ram_index=dict(type=_ram_index))
     add("apartment", _cmd_apartment, files=(), vector=vector, prime=prime)
     add("coords", _cmd_coords, frame=dict(type=_matrix, default=None))
     add("translate", _cmd_translate, files=(), matrix=matrix, prime=prime)

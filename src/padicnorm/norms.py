@@ -22,7 +22,8 @@ weight makes every step admissible.  The ambient splitting basis is
 never rewritten: once a pivot's row is cleared across the open
 columns, a row operation would subtract zero from all of them, and the
 ambient vectors of the rows never pivoted complete the split columns
-as they stand.  A final reconstruction check guards the result.
+as they stand.  _split_span runs both, with the one reconstruction
+check; a common basis adds only the check of the second norm.
 
 Norms and lattices hold their basis as cleared columns, integers over
 one denominator per column, and the inverse as cleared rows, computed
@@ -412,18 +413,25 @@ def _monomialize(row_values, rows: Cleared, col_values, cols: Cleared, p: int):
     return sigma, tuple(split_values), col_ops
 
 
-def _split_subspace(norm: SplitNorm, span):
-    """Split a subspace against the norm.
+def _split_span(norm: SplitNorm, cols: Cleared, col_values) -> tuple[SplitNorm, Cleared]:
+    """Split the span of the cleared columns, of sizes col_values, against the norm: (split,
+    combo), with combo the column operations of _monomialize and split the norm on cols @ combo
+    at their ambient sizes, then on the ambient columns of the rows never pivoted at their
+    values.  The one reconstruction check, split equal to the norm, runs before returning."""
+    p = norm.cfg.prime
+    sigma, values, combo = _monomialize(norm.values, norm._inv_rows, col_values, cols, p)
+    rest = [i for i in range(norm.dim) if i not in sigma.values()]
+    full = linalg.times_cleared(cols, combo) + [norm._cols[i] for i in rest]
+    split = _split(norm.cfg, full, values + tuple(norm.values[i] for i in rest))
+    if not equals(split, norm):
+        raise SelfCheckError("splitting failed to reconstruct the norm")
+    return split, combo
 
-    span is an n x d matrix whose columns span the subspace.  Returns
-    (combo, sub_values, comp_rows) where combo holds the cleared
-    columns of the d x d column-operation matrix (subspace splitting
-    vectors are span @ combo), sub_values are their sizes, and
-    comp_rows index the ambient splitting vectors that complete them to
-    a splitting basis.
-    The reconstruction from both parts is checked against the norm
-    before returning.
-    """
+
+def _split_subspace(norm: SplitNorm, span) -> tuple[SplitNorm, Cleared]:
+    """Split the subspace spanned by the columns of the n x d matrix span: _split_span's
+    (split, combo), where span @ combo splits the subspace with sizes split.values[:d] and the
+    ambient columns after them complete a splitting basis with values split.values[d:]."""
     span = linalg.mat(span)
     n = norm.dim
     if len(span) != n:
@@ -431,16 +439,7 @@ def _split_subspace(norm: SplitNorm, span):
     d = len(span[0]) if span else 0
     if d > n:
         raise RankDeficiencyError("more spanning columns than the dimension allows")
-    span_cols = linalg.cleared(span)
-    sigma, sub_values, combo = _monomialize(
-        norm.values, norm._inv_rows, (0,) * d, span_cols, norm.cfg.prime
-    )
-    comp_rows = tuple(i for i in range(n) if i not in sigma.values())
-    full = linalg.times_cleared(span_cols, combo) + [norm._cols[i] for i in comp_rows]
-    full_values = sub_values + tuple(norm.values[i] for i in comp_rows)
-    if not equals(_split(norm.cfg, full, full_values), norm):
-        raise SelfCheckError("subspace splitting failed reconstruction")
-    return combo, sub_values, comp_rows
+    return _split_span(norm, linalg.cleared(span), (0,) * d)
 
 
 def restrict(norm: SplitNorm, span) -> SplitNorm:
@@ -450,22 +449,22 @@ def restrict(norm: SplitNorm, span) -> SplitNorm:
     with the ambient norm on the subspace: its basis records which
     combinations of the spanning columns split the restriction.
     """
-    combo, sub_values, _ = _split_subspace(norm, span)
-    return _split(norm.cfg, combo, sub_values)
+    split, combo = _split_subspace(norm, span)
+    return _split(norm.cfg, combo, split.values[: len(combo)])
 
 
 def quotient(norm: SplitNorm, span) -> SplitNorm:
     """Image norm on the quotient by the column span.
 
     The complement of the span is spanned by the ambient splitting
-    vectors comp_rows of the subspace splitting, and the quotient is
+    vectors that complete the subspace splitting, and the quotient is
     presented in that basis: coordinate i of the result is the image of
     the i-th of them, and the minimum over lifts is attained at the
     complementary component.
     """
-    _, _, comp_rows = _split_subspace(norm, span)
-    k = len(comp_rows)
-    return SplitNorm(norm.cfg, k, linalg.identity(k), tuple(norm.values[i] for i in comp_rows))
+    split, combo = _split_subspace(norm, span)
+    values = split.values[len(combo) :]
+    return SplitNorm(norm.cfg, len(values), linalg.identity(len(values)), values)
 
 
 def common_splitting_basis(a: SplitNorm, b: SplitNorm):
@@ -484,13 +483,10 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
 
 
 def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
-    """a on unscaled columns that split b with b.values, both reconstructions checked."""
+    """a on unscaled columns that split b with b.values: _split_span of b's basis against a,
+    whose check covers a, and the second reconstruction check, of b."""
     _check_compatible(a, b)
-    _, raw_values, col_ops = _monomialize(a.values, a._inv_rows, b.values, b._cols, a.cfg.prime)
-    # the inverse comes from the kernel on the new columns, not from col_ops
-    common = _split(a.cfg, linalg.times_cleared(b._cols, col_ops), raw_values)
-    if not equals(common, a):
-        raise SelfCheckError("common basis failed to reconstruct the first norm")
+    common, _ = _split_span(a, b._cols, b.values)
     if not equals(_split(a.cfg, common._cols, b.values, common._inv_rows), b):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common

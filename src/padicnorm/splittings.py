@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .errors import ConfigMismatchError, DimensionMismatchError
+from .errors import DimensionMismatchError
 from .norms import (
     LatticeBasis, SplitNorm, equals, _canonical, _frame, _moved, _on_lattice, _plant
 )
@@ -62,9 +62,7 @@ def translate_pair(g, pair: SplittingPair) -> SplittingPair:
 
 
 def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
-    """Does the pair present exactly this norm?"""
-    if norm.cfg != pair.lattice.cfg:
-        raise ConfigMismatchError("prime mismatch between norm and pair")
-    if norm.dim != pair.dim:
-        raise DimensionMismatchError("dimension mismatch between norm and pair")
+    """Does the pair present exactly this norm?  equals checks compatibility: another prime
+    raises ConfigMismatchError ("prime mismatch: 2 vs 3", the norm's prime first), another
+    dimension DimensionMismatchError."""
     return equals(norm, norm_from_pair(pair))

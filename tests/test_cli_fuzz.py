@@ -11,12 +11,13 @@ import io as stringio
 import json
 import random
 import signal
+import sys
 
 import pytest
 
 from padicnorm import io
 from padicnorm.cli import main
-from padicnorm.valuation import PRIME_LIMIT
+from padicnorm.valuation import PRIME_LIMIT, digit_limit
 
 import fuzz
 
@@ -109,6 +110,21 @@ def test_extreme_argvs_refused(tmp_path):
     # ordinary rationals in flags keep working, exponents included
     for at in ("0.5", "2/4", "1e-3", "1E2"):
         check(["ball", alpha, "--at", at], codes=(0,))
+
+
+def test_refusals_with_the_digit_limit_switched_off(tmp_path):
+    # with no int-to-str limit the refusals fall back to the default limit, and only
+    # printing itself is unbounded
+    alpha = write(tmp_path, "alpha.json", norm_doc(["0", "1/2"]))
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert digit_limit() == sys.int_info.default_max_str_digits
+        check(["ball", alpha, "--at=-10000000000"], codes=(2,), seconds=1)
+        check(["eval", alpha, "--vector", "1e5000,1"], codes=(2,), seconds=1)
+        assert io.rational_str(10**5000) == "1" + "0" * 5000
+    finally:
+        sys.set_int_max_str_digits(previous)
 
 
 # flag entries: ordinary, non-canonical, exponents on both sides of the digit limit,

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg
-from padicnorm.errors import DimensionMismatchError, SingularMatrixError
+from padicnorm.errors import ConfigMismatchError, DimensionMismatchError, SingularMatrixError
 from padicnorm.norms import act, equals, lattices_equal
 from padicnorm.splittings import (
     SplittingPair,
@@ -108,6 +108,15 @@ def test_verify_splitting():
     rotated = LatticeBasis(CFG2, ((1, 1), (1, -1)))
     assert not verify_splitting(ALPHA0, SplittingPair(rotated, (F(0), F(1, 2))))
     assert not verify_splitting(ALPHA0, SplittingPair(rotated, (F(1, 2), F(1, 2))))
+
+
+def test_verify_splitting_refuses_mismatched_pairs():
+    three = SplitNorm(FieldConfig(3), 2, linalg.identity(2), (F(0), F(0)))
+    with pytest.raises(ConfigMismatchError):
+        verify_splitting(ALPHA0, pair_from_norm(three))
+    n3 = SplitNorm(CFG2, 3, linalg.identity(3), (F(0), F(0), F(0)))
+    with pytest.raises(DimensionMismatchError):
+        verify_splitting(ALPHA0, pair_from_norm(n3))
 
 
 def test_pair_validation():

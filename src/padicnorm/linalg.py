@@ -5,15 +5,14 @@ vectors.  Everything here is dimension-agnostic and 0x0-safe.
 The inner loops run over int.  A vector is *cleared* as (ints, den):
 integers over one positive denominator, the lcm of its entries' when
 cleared from Fractions.  Each operation has one kernel on cleared
-vectors: times_cleared, kron_cleared, block_cleared and inverse_rows,
-an in-place fraction-free Gauss-Jordan elimination (Bareiss, Math.
-Comp. 22, 1968) from cleared columns to cleared rows, updating n
-entries per row and step.  The Fraction functions matmul, matvec, kron,
-block_diag and inverse are views of them: each checks its input once
-through mat or square, which refuse ragged matrices and floats, and
-reads the kernel's result back as Fractions.  det clears the columns of
-its input the same way and runs the forward half of the elimination on
-them itself."""
+vectors: times_cleared, kron_cleared, block_cleared, inverse_rows, an
+in-place fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
+22, 1968) from cleared columns to cleared rows, updating n entries per
+row and step, and det_cleared, the forward half of that elimination.
+The Fraction functions matmul, matvec, kron, block_diag, inverse and
+det are views of them: each checks its input once through mat or
+square, which refuse ragged matrices and floats, and reads the kernel's
+result back as Fractions."""
 
 from __future__ import annotations
 
@@ -162,6 +161,28 @@ def inverse_rows(cols) -> Cleared:
     ]
 
 
+def det_cleared(cols) -> Fraction:
+    """det C / prod e_j from the cleared columns (c_j, e_j) of M = C diag(1/e), by forward
+    elimination (Bareiss) on C^T, updating only the rows below the pivot and the columns
+    right of it; a row swap flips the sign, and the last pivot is det C up to it."""
+    rows = [list(c) for c, _ in cols]
+    n = len(rows)
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        pk, tail = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+        prev = pk
+    return Fraction(sign * prev, math.prod(e for _, e in cols))
+
+
 def kron_cleared(u: Cleared, v: Cleared) -> Cleared:
     """The pairwise tensor products of two lists of cleared vectors, u outer: the cleared
     columns of kron(A, B) from those of A and B, and its cleared inverse rows from theirs."""
@@ -202,26 +223,7 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Fraction:
-    """det C / prod e_j from the cleared columns (c_j, e_j) of m, by forward elimination
-    (Bareiss) on C^T, updating only the rows below the pivot and the columns right of it;
-    a row swap flips the sign, and the last pivot is det C up to it."""
-    cols = cleared(square(m))
-    rows = [list(c) for c, _ in cols]
-    n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        pk, tail = rows[k][k], rows[k][k + 1 :]
-        for row in rows[k + 1 :]:
-            f = row[k]
-            row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
-        prev = pk
-    return Fraction(sign * prev, math.prod(e for _, e in cols))
+    return det_cleared(cleared(square(m)))
 
 
 def inverse(m: Matrix) -> Matrix:

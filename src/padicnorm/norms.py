@@ -30,7 +30,8 @@ one denominator per column, and the inverse as cleared rows, computed
 once by linalg.inverse_rows or carried over by the operation that made
 the norm (act, tensor, dual, direct sum, scaled balls), with linalg's
 kernels: tensor and direct_sum use kron_cleared and block_cleared, the
-kernels of linalg.kron and linalg.block_diag.  The Fraction matrices
+kernels of linalg.kron and linalg.block_diag, and act, moving a basis M
+to g M, carries M^-1 g^-1 and inverts only g.  The Fraction matrices
 basis, inv_basis, matrix and inv are views, built on first access; the
 comparison path (equals, distance, the self-checks) never builds one.
 
@@ -235,12 +236,17 @@ def _slot_table(row_values, rows: Cleared, col_values, cols: Cleared, p: int):
     return row_w, col_w, table, [e for _, e in cols], scale
 
 
+def _table_max(slots, p: int) -> Value:
+    """The greatest slot weight of a _slot_table, bottom if every slot is 0."""
+    row_w, col_w, table, _, scale = slots
+    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
+    return BOTTOM if best is None else Value(Fraction(best[0], scale))
+
+
 def _slot_max(row_values, rows: Cleared, col_values, cols: Cleared, p: int) -> Value:
     """Greatest row_values[i] - col_values[j] - val(x_ij) over the nonzero entries x_ij of
     the product of the cleared rows and the cleared columns, bottom if there are none."""
-    row_w, col_w, table, _, scale = _slot_table(row_values, rows, col_values, cols, p)
-    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
-    return BOTTOM if best is None else Value(Fraction(best[0], scale))
+    return _table_max(_slot_table(row_values, rows, col_values, cols, p), p)
 
 
 def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
@@ -322,10 +328,11 @@ def equals(a: SplitNorm, b: SplitNorm) -> bool:
 
 
 def _moved(g, frame: _Frame) -> tuple[Cleared, Cleared]:
-    """The cleared columns of g @ the frame's matrix and the cleared rows of their inverse."""
-    g = linalg.square(g, len(frame._cols), "acting matrix")
-    cols = linalg.times_cleared(linalg.cleared(g), frame._cols)
-    return cols, linalg.inverse_rows(cols)
+    """The cleared columns of g M, M the frame's matrix, and the cleared rows of (g M)^-1 =
+    M^-1 g^-1: the columns of (g^-1)^T (M^-1)^T, from the inverse of g alone."""
+    g_cols = linalg.cleared(linalg.square(g, len(frame._cols), "acting matrix"))
+    inv_rows = linalg.times_cleared(linalg.inverse_rows(g_cols), frame._inv_rows)
+    return linalg.times_cleared(g_cols, frame._cols), inv_rows
 
 
 def act(g, norm: SplitNorm) -> SplitNorm:

@@ -15,7 +15,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import DimensionMismatchError
 from .norms import (
-    LatticeBasis, SplitNorm, equals, _canonical, _frame, _moved, _on_lattice, _plant
+    LatticeBasis, SplitNorm, equals, _canonical, _check_compatible, _frame, _moved, _on_lattice,
+    _plant,
 )
 
 
@@ -62,7 +63,8 @@ def translate_pair(g, pair: SplittingPair) -> SplittingPair:
 
 
 def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
-    """Does the pair present exactly this norm?  equals checks compatibility: another prime
-    raises ConfigMismatchError ("prime mismatch: 2 vs 3", the norm's prime first), another
-    dimension DimensionMismatchError."""
+    """Does the pair present exactly this norm?  Compatibility is checked before the pair's
+    lattice is inverted: another prime raises ConfigMismatchError ("prime mismatch: 2 vs 3",
+    the norm's prime first), another dimension DimensionMismatchError."""
+    _check_compatible(norm, pair.lattice)
     return equals(norm, norm_from_pair(pair))

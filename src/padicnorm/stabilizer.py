@@ -20,6 +20,11 @@ Membership needs no inverse: an element g of the order maps each ball
 B into itself with index [B : gB] = p^val(det g) (the lattice-index
 argument of Goldman and Iwahori, Acta Math. 109, 1963), so g is a unit
 of the order exactly when det g is a p-adic unit.
+
+Membership and the filtration level clear g once and conjugate it into
+the splitting basis B once, into the slot table of B^-1 g B.  The level
+is read from the same table with the identity subtracted, as
+B^-1 (g - 1) B = B^-1 g B - 1.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError, SingularMatrixError
-from .norms import BallChainPeriod, SplitNorm, ball_basis, op_size
+from .norms import BallChainPeriod, SplitNorm, _slot_table, _table_max, ball_basis, op_size
 from .valuation import BOTTOM, Value, degree_rep, frac_part, pval
 
 
@@ -70,17 +75,27 @@ def hom_norm(norm: SplitNorm, h) -> Value:
     return op_size(norm, norm, h)
 
 
+def _conjugated(norm: SplitNorm, g):
+    """Is g a unit of the order, and the _slot_table of B^-1 g B, B the splitting basis,
+    from g cleared once.  g must be n x n, checked before it must be invertible."""
+    g_cols = linalg.cleared(linalg.square(g, norm.dim))
+    d = linalg.det_cleared(g_cols)
+    if d == 0:
+        raise SingularMatrixError("matrix is singular")
+    p = norm.cfg.prime
+    image = linalg.times_cleared(g_cols, norm._cols)
+    slots = _slot_table(norm.values, norm._inv_rows, norm.values, image, p)
+    return pval(d, p) == 0 and _table_max(slots, p) <= 0, slots
+
+
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:
     """Does g preserve the norm (equivalently every ball lattice)?
 
     True iff hom_norm(g) <= 0 and det g is a p-adic unit (see the
-    module docstring).  Raises on a singular matrix, and on one of the
-    wrong size even when it is invertible.
+    module docstring).  Raises on a matrix of the wrong size, invertible
+    or not, then on a singular one.
     """
-    d = linalg.det(g)
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    return hom_norm(norm, g) <= 0 and pval(d, norm.cfg.prime) == 0
+    return _conjugated(norm, g)[0]
 
 
 def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
@@ -129,11 +144,12 @@ def filtration_level(norm: SplitNorm, g) -> Value:
     collapse to bottom, so the result is either bottom or a value in
     the interval (-1, 0].
     """
-    g = linalg.mat(g)
-    if not is_stabilizer_element(norm, g):
+    member, slots = _conjugated(norm, g)
+    if not member:
         raise PreconditionError("filtration level requires a stabilizer element")
-    difference = tuple(row[:i] + (row[i] - 1,) + row[i + 1 :] for i, row in enumerate(g))
-    level = hom_norm(norm, difference)
-    if level <= -1:
-        return BOTTOM
-    return level
+    _, _, table, dens, _ = slots
+    # the identity's slot (i, i) in the table's form: 1 times row and column denominators
+    for i, (_, d_i) in enumerate(norm._inv_rows):
+        table[i][i] -= d_i * dens[i]
+    level = _table_max(slots, norm.cfg.prime)
+    return BOTTOM if level <= -1 else level

@@ -449,3 +449,12 @@ def test_handlers_resolve_package_functions_per_call(docs, capsys, monkeypatch):
     calls.clear()
     assert run(capsys, "cartan", docs["beta"], docs["lat"]) == (0, "1,0\n", "")
     assert calls[0] == "cartan_position"  # its self-checks call equals after it
+
+
+def test_group_element_verbs_refuse_the_size_first(docs, capsys):
+    # singular and 3x3 on a 2-dim norm: every verb taking a group element names the size
+    for verb in ("stab-check", "level", "act"):
+        code, out, err = run(capsys, verb, docs["alpha"], "--matrix", "1,1,0;1,1,0;0,0,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "matrix must be 2x2" in err, verb

@@ -17,6 +17,7 @@ from padicnorm.splittings import (
 from padicnorm.valuation import frac_part
 
 import fuzz
+import oracles
 
 F = Fraction
 CFG2 = FieldConfig(2)
@@ -148,8 +149,62 @@ def test_presentations_reuse_known_inverses(monkeypatch):
         calls.clear()
         norm_from_pair(pair).inv_basis
         assert calls == []
-        # a move inverts the moved basis once, which also proves g invertible: act, then here
+        # a move inverts g once, which also proves g invertible: act, then here
         g = fuzz.elementary_product(rng, read.dim, read.cfg.prime)
         calls.clear()
         assert verify_splitting(act(g, read), translate_pair(g, pair_from_norm(read)))
         assert len(calls) == 2
+
+
+def test_moves_carry_the_inverse_of_the_moved_basis():
+    # act and translate_pair invert g alone and carry the frame's inverse along
+    rng = random.Random(65)
+    for n in range(2, 9):
+        for p in fuzz.PRIMES:
+            nrm = fuzz.norm(rng, n, p)
+            pair = pair_from_norm(nrm)
+            for g in (fuzz.stabilizer_element(rng, nrm), fuzz.elementary_product(rng, n, p)):
+                want = oracles.inverse(linalg.matmul(g, nrm.basis))
+                assert linalg.from_cleared(act(g, nrm)._inv_rows) == want
+                lattice = translate_pair(g, pair).lattice
+                want = oracles.inverse(linalg.matmul(g, pair.lattice.matrix))
+                assert linalg.from_cleared(lattice._inv_rows) == want
+
+
+def test_move_refusals():
+    pair = pair_from_norm(ALPHA0)
+    for move, frame in ((act, ALPHA0), (translate_pair, pair)):
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            move(((1, 1), (1, 1)), frame)
+        for g in (((1, 1, 0), (1, 1, 0), (0, 0, 1)), linalg.identity(3), ((1, 0, 0), (0, 1, 0))):
+            with pytest.raises(DimensionMismatchError, match="acting matrix must be 2x2"):
+                move(g, frame)
+
+
+def test_act_inverts_g_itself(monkeypatch):
+    calls = []
+    kernel = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows", lambda cols: calls.append(cols) or kernel(cols))
+    rng = random.Random(66)
+    for _ in range(20):
+        nrm = fuzz.norm(rng)
+        nrm.inv_basis
+        g = fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime)
+        calls.clear()
+        act(g, nrm)
+        assert calls == [linalg.cleared(g)]
+
+
+def test_mismatched_pairs_are_refused_before_inverting(monkeypatch):
+    calls = []
+    kernel = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows", lambda cols: calls.append(cols) or kernel(cols))
+    six = SplittingPair(LatticeBasis(FieldConfig(3), linalg.identity(6)), (F(0),) * 6)
+    three = SplittingPair(LatticeBasis(CFG2, linalg.identity(3)), (F(0),) * 3)
+    ALPHA0.inv_basis
+    calls.clear()
+    with pytest.raises(ConfigMismatchError, match="prime mismatch: 2 vs 3"):
+        verify_splitting(ALPHA0, six)
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
+        verify_splitting(ALPHA0, three)
+    assert calls == []

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
-from padicnorm.errors import PreconditionError, SingularMatrixError
+from padicnorm.errors import DimensionMismatchError, PreconditionError, SingularMatrixError
 from padicnorm.norms import act, equals, lattice_norm, lattices_equal
 from padicnorm.stabilizer import (
     chain_certificates,
@@ -18,7 +18,7 @@ from padicnorm.stabilizer import (
     hom_norm,
     is_stabilizer_element,
 )
-from padicnorm.valuation import pval
+from padicnorm.valuation import BOTTOM, pval
 
 import fuzz
 import oracles
@@ -229,3 +229,58 @@ def test_stabilizer_fixes_norm():
         nrm = fuzz.norm(rng)
         g = fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime)
         assert is_stabilizer_element(nrm, g) == equals(act(g, nrm), nrm)
+
+
+def _level_by_definition(nrm, g):
+    """hom_norm(g - 1), collapsed to bottom at or below -1."""
+    level = hom_norm(nrm, minus_identity(g))
+    return BOTTOM if level <= -1 else level
+
+
+def test_conjugation_matches_definitions():
+    # membership and the level read one table of B^-1 g B; the definitions read g itself
+    rng = random.Random(80)
+    for n in range(2, 9):
+        for p in fuzz.PRIMES:
+            nrm = fuzz.norm(rng, n, p)
+            member = fuzz.stabilizer_element(rng, nrm)
+            other = fuzz.elementary_product(rng, n, p)
+            for g in (member, other):
+                inside = is_stabilizer_element(nrm, g)
+                assert inside is _two_sided(nrm, g)
+                if inside:
+                    assert filtration_level(nrm, g) == _level_by_definition(nrm, g)
+                else:
+                    with pytest.raises(PreconditionError):
+                        filtration_level(nrm, g)
+            assert is_stabilizer_element(nrm, member)
+
+
+def test_group_element_refusals():
+    for verb in (is_stabilizer_element, filtration_level):
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            verb(ALPHA0, ((1, 1), (1, 1)))
+        # the size is checked first: singular, invertible or not square at all
+        for g in (((1, 1, 0), (1, 1, 0), (0, 0, 1)), linalg.identity(3), ((1, 0, 0), (0, 1, 0))):
+            with pytest.raises(DimensionMismatchError, match="matrix must be 2x2"):
+                verb(ALPHA0, g)
+
+
+def test_level_conjugates_once(monkeypatch):
+    # one product B^-1 g B serves membership and the level; the norm's inverse is reused
+    counts = {"times_cleared": 0, "inverse_rows": 0}
+    for name in counts:
+        kernel = getattr(linalg, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            counts[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    rng = random.Random(81)
+    for _ in range(20):
+        nrm = fuzz.norm(rng)
+        g = fuzz.stabilizer_element(rng, nrm)  # builds the norm's inverse
+        counts.update(times_cleared=0, inverse_rows=0)
+        filtration_level(nrm, g)
+        assert counts == {"times_cleared": 1, "inverse_rows": 0}

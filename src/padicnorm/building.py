@@ -4,7 +4,8 @@ The standard apartment consists of the norms split by the standard
 basis; a rational vector of coordinates is the corresponding tuple of
 values.  A norm lies in the apartment of a frame exactly when the
 frame splits it, which is decidable: evaluate the norm on the frame
-columns and test whether the norm dominates the resulting candidate.
+columns; the resulting candidate dominates the norm, so the two are
+equal exactly when their volumes agree (see norms.equals).
 """
 
 from __future__ import annotations
@@ -12,14 +13,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import PreconditionError
+from .errors import PreconditionError, SingularMatrixError
 from .norms import (
     SplitNorm,
+    _heaviest,
+    _slot_table,
     _split,
+    _volume_gap,
     ball_basis,
     distance,
-    evaluate,
-    op_size,
 )
 from .valuation import FieldConfig, val
 
@@ -36,17 +38,25 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     The only candidate coordinates are the sizes of the frame columns;
     the norm lies in the apartment iff the frame with those values
     reproduces it.  By the ultrametric inequality the candidate is at
-    least the norm everywhere, so one domination decides it.
+    least the norm everywhere, so equal volumes decide it.  Both are
+    read from one slot table of B^-1 F, B the norm's basis and F the
+    frame: column j's greatest weight is the size of frame column j.
+    The frame is not inverted; a singular one raises
+    SingularMatrixError.
     """
     if frame is None:
         frame = linalg.identity(norm.dim)
     frame = linalg.square(frame, norm.dim, "frame")
-    cols = linalg.cleared(frame)
-    inv_rows = linalg.inverse_rows(cols)  # a singular frame fails here
-    candidate = tuple(evaluate(norm, c).mag for c in linalg.columns(frame))
-    if op_size(norm, _split(norm.cfg, cols, candidate, inv_rows)) <= 0:
-        return candidate
-    return None
+    p = norm.cfg.prime
+    slots = _slot_table(norm.values, norm._inv_rows, (0,) * norm.dim, linalg.cleared(frame), p)
+    row_w, col_w, table, _, scale = slots
+    tops = [_heaviest(row_w, col_w, table, scale, p, (j,)) for j in range(norm.dim)]
+    if any(top is None for top in tops):
+        raise SingularMatrixError("matrix is singular")  # a zero frame column
+    # the candidate's volume is the frame's, at values 0, plus the candidate's values
+    if _volume_gap(slots, p) != sum(w for w, _, _ in tops):
+        return None
+    return tuple(Fraction(w, scale) for w, _, _ in tops)
 
 
 def torus_translation(t, cfg: FieldConfig) -> tuple[Fraction, ...]:
@@ -109,15 +119,22 @@ def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
 def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     """Are two norms equal up to an integer shift of all values?
 
-    Pointwise a - b <= op_size(b, a) and b - a <= op_size(a, b), so the
-    two sizes sum to 0 exactly when a - b is the constant op_size(b, a).
+    One slot table of a^-1 b: its greatest weight is k = op_size(b, a),
+    so a <= b + k everywhere, and a = b + k exactly when their volumes
+    agree, vol(a) = vol(b) + n k (see norms.equals).  A singular basis
+    raises SingularMatrixError once k is an integer.
     """
     if a.cfg != b.cfg or a.dim != b.dim:
         return False
     if a.dim == 0:
         return True
-    k = op_size(b, a).mag
-    return k.denominator == 1 and op_size(a, b).mag == -k
+    p = a.cfg.prime
+    slots = _slot_table(a.values, a._inv_rows, b.values, b._cols, p)
+    row_w, col_w, table, _, scale = slots
+    top = _heaviest(row_w, col_w, table, scale, p, range(a.dim))
+    if top is None:
+        raise SingularMatrixError("matrix is singular")  # b's basis is 0
+    return top[0] % scale == 0 and _volume_gap(slots, p) == a.dim * top[0]
 
 
 __all__ = [

@@ -10,9 +10,14 @@ with the maximum over the nonzero coordinates and bottom at v = 0.
 All operations keep this presentation; no other representation of a
 norm exists in the package.
 
-Equality is decided by domination: by the ultrametric inequality,
-a <= b everywhere iff a <= b on every b-splitting column, so equals is
-two operator-size checks of the identity map (see op_size).
+Equality is decided by one domination and one volume.  By the
+ultrametric inequality, b <= a everywhere iff b <= a on every
+a-splitting column, an operator-size check of the identity map (see
+op_size).  Two split norms share a splitting basis (Goldman and Iwahori,
+Acta Math. 109, 1963), and in it b <= a means b_i <= a_i for every i;
+so then a = b exactly when the sums agree, that is when a and b give
+e_1 ^ ... ^ e_n the same size, their volume.  equals reads both from one
+slot table of b^-1 a and its determinant, and inverts only b.
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination by column operations alone.  Column
@@ -34,6 +39,8 @@ kernels of linalg.kron and linalg.block_diag, and act, moving a basis M
 to g M, carries M^-1 g^-1 and inverts only g.  The Fraction matrices
 basis, inv_basis, matrix and inv are views, built on first access; the
 comparison path (equals, distance, the self-checks) never builds one.
+Scaled balls and the norms on a lattice carry inverse rows only when
+they are already known; otherwise they are computed on first read.
 
 Slot weights, in op_size, evaluate and the elimination alike, are read
 from the _slot_table of a product's two factors: integer dot products
@@ -58,6 +65,7 @@ from .errors import (
     PreconditionError,
     RankDeficiencyError,
     SelfCheckError,
+    SingularMatrixError,
 )
 from .linalg import Cleared, Matrix, Vector
 from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, multiplicity
@@ -243,6 +251,18 @@ def _table_max(slots, p: int) -> Value:
     return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
 
+def _volume_gap(slots, p: int) -> int:
+    """scale times vol(r) - vol(c) for the _slot_table of r^-1 c, from the determinant of
+    the table.  The volume of a norm, the sum of its values plus v(det) of its basis, is the
+    size of e_1 ^ ... ^ e_n; when c dominates r (every slot weight <= 0) the gap is <= 0, and
+    0 exactly when r = c.  A singular table raises SingularMatrixError."""
+    row_w, col_w, table, _, scale = slots
+    det = linalg.det_cleared([(c, 1) for c in table]).numerator
+    if not det:
+        raise SingularMatrixError("matrix is singular")
+    return sum(row_w) - sum(col_w) - scale * multiplicity(det, p)
+
+
 def _slot_max(row_values, rows: Cleared, col_values, cols: Cleared, p: int) -> Value:
     """Greatest row_values[i] - col_values[j] - val(x_ij) over the nonzero entries x_ij of
     the product of the cleared rows and the cleared columns, bottom if there are none."""
@@ -251,8 +271,8 @@ def _slot_max(row_values, rows: Cleared, col_values, cols: Cleared, p: int) -> V
 
 def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
     """The norm taking column i of the lattice to values[i], a tuple of Fractions; it shares
-    the lattice's cleared columns and inverse rows."""
-    return _split(lattice.cfg, lattice._cols, values, lattice._inv_rows)
+    the lattice's cleared columns, and its inverse rows when they are known."""
+    return _split(lattice.cfg, lattice._cols, values, vars(lattice).get("_inv_rows"))
 
 
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
@@ -282,8 +302,10 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
         raise PreconditionError(TOO_LARGE)
     cols = [_times_power(c, e, p, k) for (c, e), k in zip(norm._cols, exponents)]
-    inv_rows = [_times_power(r, d, p, -k) for (r, d), k in zip(norm._inv_rows, exponents)]
-    return _frame(LatticeBasis, norm.cfg, cols, inv_rows)
+    known = vars(norm).get("_inv_rows")
+    if known is not None:
+        known = [_times_power(r, d, p, -k) for (r, d), k in zip(known, exponents)]
+    return _frame(LatticeBasis, norm.cfg, cols, known)
 
 
 def _times_power(ints: list[int], den: int, p: int, k: int) -> tuple[list[int], int]:
@@ -319,12 +341,25 @@ def lattice_contains(outer: LatticeBasis, inner: LatticeBasis) -> bool:
 
 
 def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
-    return lattice_contains(a, b) and lattice_contains(b, a)
+    """Equality of lattices: equality of their lattice norms."""
+    return equals(lattice_norm(a), lattice_norm(b))
 
 
 def equals(a: SplitNorm, b: SplitNorm) -> bool:
-    """Exact equality of norms: each dominates the other."""
-    return op_size(a, b) <= 0 and op_size(b, a) <= 0
+    """Exact equality of norms, from one _slot_table of b^-1 a.
+
+    Its greatest weight is op_size(a, b), and b <= a everywhere exactly
+    when that is <= 0.  Then b = a exactly when the two volumes agree
+    (see the module docstring), read from the determinant of the same
+    integer table.  Only b's inverse is read; a singular basis of a
+    raises SingularMatrixError once the domination holds.
+    """
+    _check_compatible(a, b)
+    p = a.cfg.prime
+    slots = _slot_table(b.values, b._inv_rows, a.values, a._cols, p)
+    row_w, col_w, table, _, scale = slots
+    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
+    return (best is None or best[0] <= 0) and _volume_gap(slots, p) == 0
 
 
 def _moved(g, frame: _Frame) -> tuple[Cleared, Cleared]:
@@ -494,7 +529,7 @@ def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     whose check covers a, and the second reconstruction check, of b."""
     _check_compatible(a, b)
     common, _ = _split_span(a, b._cols, b.values)
-    if not equals(_split(a.cfg, common._cols, b.values, common._inv_rows), b):
+    if not equals(_split(a.cfg, common._cols, b.values), b):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common
 

@@ -22,7 +22,8 @@ argument of Goldman and Iwahori, Acta Math. 109, 1963), so g is a unit
 of the order exactly when det g is a p-adic unit.
 
 Membership and the filtration level clear g once and conjugate it into
-the splitting basis B once, into the slot table of B^-1 g B.  The level
+the splitting basis B once, into the slot table of B^-1 g B, unless
+det g is not a p-adic unit, which refuses g first.  The level
 is read from the same table with the identity subtracted, as
 B^-1 (g - 1) B = B^-1 g B - 1.
 """
@@ -77,15 +78,18 @@ def hom_norm(norm: SplitNorm, h) -> Value:
 
 def _conjugated(norm: SplitNorm, g):
     """Is g a unit of the order, and the _slot_table of B^-1 g B, B the splitting basis,
-    from g cleared once.  g must be n x n, checked before it must be invertible."""
+    from g cleared once; the table is None when det g is not a p-adic unit, which decides
+    before any product is built.  g must be n x n, checked before it must be invertible."""
     g_cols = linalg.cleared(linalg.square(g, norm.dim))
     d = linalg.det_cleared(g_cols)
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     p = norm.cfg.prime
+    if pval(d, p):
+        return False, None  # the determinant alone refuses g
     image = linalg.times_cleared(g_cols, norm._cols)
     slots = _slot_table(norm.values, norm._inv_rows, norm.values, image, p)
-    return pval(d, p) == 0 and _table_max(slots, p) <= 0, slots
+    return _table_max(slots, p) <= 0, slots
 
 
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:

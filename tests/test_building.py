@@ -135,10 +135,10 @@ def test_homothetic_examples():
 
 
 def test_homothetic_on_operation_built_norms():
-    """Norms from act, dual and tensor hold only cleared forms, and homothetic reads two
-    operator sizes from them; it must agree with the common-basis path: a and b are
-    homothetic iff cartan_position(a, b) is one integer repeated, and the two sizes span
-    the relative position."""
+    """Norms from act, dual and tensor hold only cleared forms, and homothetic reads one
+    slot table and its determinant from them; it must agree with the common-basis path: a
+    and b are homothetic iff cartan_position(a, b) is one integer repeated, and the two
+    operator sizes span the relative position."""
     rng = random.Random(131)
     for p in fuzz.PRIMES:
         for _ in range(8):

@@ -7,7 +7,7 @@ against the construction redone in plain Fraction arithmetic, and
 against sympy's inverse; none of it goes through the integer kernel.
 The comparison path itself, distance and equals, builds no Fraction
 matrix, and neither do graded_ball_dims and homothetic, which read
-exponents and operator sizes, nor the order layer's
+exponents and one integer slot table, nor the order layer's
 is_stabilizer_element and filtration_level: their counts of new
 Fractions stay linear in the dimension.
 """
@@ -157,8 +157,8 @@ def test_comparison_path_builds_no_fraction_matrix():
 
 def test_ball_index_and_homothety_build_no_fraction_matrix():
     """graded_ball_dims reads the ball index from the scaling exponents and homothetic from
-    two operator sizes, so on a norm made by act neither builds a ball, a determinant or a
-    Fraction matrix: their counts of new Fractions stay linear in the dimension."""
+    one integer slot table and its determinant, so on a norm made by act neither builds a
+    ball or a Fraction matrix: their counts of new Fractions stay linear in the dimension."""
     rng = random.Random(120)
     n = 12
     a = act(fuzz.elementary_product(rng, n, 3), fuzz.norm(rng, n=n, p=3))

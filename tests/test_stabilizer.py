@@ -284,3 +284,32 @@ def test_level_conjugates_once(monkeypatch):
         counts.update(times_cleared=0, inverse_rows=0)
         filtration_level(nrm, g)
         assert counts == {"times_cleared": 1, "inverse_rows": 0}
+
+
+def test_non_unit_determinant_builds_no_product(monkeypatch):
+    # g scaling one splitting vector by p has det p: the determinant refuses it before any
+    # product B^-1 g B is built, and the norm's inverse is not read
+    rng = random.Random(82)
+    cases = []
+    for n in range(1, 7):
+        for p in fuzz.PRIMES:
+            nrm = fuzz.norm(rng, n, p)
+            i = rng.randrange(n)
+            scale = tuple(tuple(F(p if r == c == i else int(r == c)) for c in range(n)) for r in range(n))
+            g = linalg.matmul(nrm.basis, linalg.matmul(scale, linalg.inverse(nrm.basis)))
+            assert pval(linalg.det(g), p) == 1
+            cases.append((SplitNorm(nrm.cfg, n, nrm.basis, nrm.values), g))
+    counts = {"times_cleared": 0, "inverse_rows": 0}
+    for name in counts:
+        kernel = getattr(linalg, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            counts[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    for nrm, g in cases:
+        assert not is_stabilizer_element(nrm, g)
+        with pytest.raises(PreconditionError, match="requires a stabilizer element"):
+            filtration_level(nrm, g)
+    assert counts == {"times_cleared": 0, "inverse_rows": 0}

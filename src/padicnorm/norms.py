@@ -52,6 +52,7 @@ row's weight absorbs and column operations commute with.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -71,20 +72,28 @@ from .linalg import Cleared, Matrix, Vector
 from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, multiplicity
 
 
+# the cleared rows of a frame's inverse when known, or a function building them on first use
+InvRows = Cleared | Callable[[], Cleared] | None
+
+
 def _plant(obj, name: str, value) -> None:
     object.__setattr__(obj, name, value)
 
 
 class _Frame:
     """An invertible matrix held as its cleared columns _cols, with the cleared rows
-    _inv_rows of its inverse from linalg.inverse_rows on first use.  The Fraction view of
-    the columns, the dataclass field named by _view, is built from _cols on first access
-    when the frame was made from cleared columns."""
+    _inv_rows of its inverse built on first use: by the function _inv_from when the frame
+    was made with one (a ball scales its norm's rows), else by linalg.inverse_rows.  The
+    Fraction view of the columns, the dataclass field named by _view, is built from _cols on
+    first access when the frame was made from cleared columns."""
 
     _view = ""
+    _inv_from: Callable[[], Cleared] | None = None
 
     @cached_property
     def _inv_rows(self) -> Cleared:
+        if self._inv_from is not None:
+            return self._inv_from()
         return linalg.inverse_rows(self._cols)
 
     def __getattr__(self, name: str):
@@ -170,18 +179,20 @@ class LatticeBasis(_Frame):
         return linalg.from_cleared(self._inv_rows)
 
 
-def _frame(cls, cfg: FieldConfig, cols: Cleared, inv_rows: Cleared | None = None):
+def _frame(cls, cfg: FieldConfig, cols: Cleared, inv_rows: InvRows = None):
     """A LatticeBasis, or a SplitNorm before its dim and values, on cleared columns; inv_rows,
-    when known, clear the inverse."""
+    when known, clear the inverse, and a function given instead builds them on first use."""
     frame = object.__new__(cls)
     _plant(frame, "cfg", cfg)
     _plant(frame, "_cols", cols)
-    if inv_rows is not None:
+    if callable(inv_rows):
+        _plant(frame, "_inv_from", inv_rows)
+    elif inv_rows is not None:
         _plant(frame, "_inv_rows", inv_rows)
     return frame
 
 
-def _split(cfg: FieldConfig, cols: Cleared, values, inv_rows: Cleared | None = None) -> SplitNorm:
+def _split(cfg: FieldConfig, cols: Cleared, values, inv_rows: InvRows = None) -> SplitNorm:
     """The norm taking cleared column j to values[j], a tuple of Fractions."""
     norm = _frame(SplitNorm, cfg, cols, inv_rows)
     _plant(norm, "dim", len(cols))
@@ -271,8 +282,8 @@ def _slot_max(row_values, rows: Cleared, col_values, cols: Cleared, p: int) -> V
 
 def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
     """The norm taking column i of the lattice to values[i], a tuple of Fractions; it shares
-    the lattice's cleared columns, and its inverse rows when they are known."""
-    return _split(lattice.cfg, lattice._cols, values, vars(lattice).get("_inv_rows"))
+    the lattice's cleared columns and inverse rows."""
+    return _split(lattice.cfg, lattice._cols, values, lambda: lattice._inv_rows)
 
 
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
@@ -302,10 +313,9 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
         raise PreconditionError(TOO_LARGE)
     cols = [_times_power(c, e, p, k) for (c, e), k in zip(norm._cols, exponents)]
-    known = vars(norm).get("_inv_rows")
-    if known is not None:
-        known = [_times_power(r, d, p, -k) for (r, d), k in zip(known, exponents)]
-    return _frame(LatticeBasis, norm.cfg, cols, known)
+    # the inverse of B diag(p^k) is diag(p^-k) B^-1: every ball of a norm reuses its one inverse
+    rows = lambda: [_times_power(r, d, p, -k) for (r, d), k in zip(norm._inv_rows, exponents)]
+    return _frame(LatticeBasis, norm.cfg, cols, rows)
 
 
 def _times_power(ints: list[int], den: int, p: int, k: int) -> tuple[list[int], int]:

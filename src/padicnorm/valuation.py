@@ -14,6 +14,17 @@ All quantities are `fractions.Fraction`; floats never appear, and the
 value layer refuses them through the one gate, `linalg.to_fraction`.  Each
 multiplicative inequality is translated to the additive convention once
 in this module and nowhere else.
+
+Valuations of integers far from the base point, hundreds or thousands
+of digits long, come from one gcd rather than a ladder of divisions.
+For odd p and v the exponent of p in n, g = gcd(n, p^k) divides p^k, so
+g = p^min(v, k), which is p^v exactly for any k >= v; k is bounded from
+the bit length of n.  Then 2^(b-1) <= p^v < 2^b for b = g.bit_length(),
+and with c = floor(D log2 p), read exactly off the bit length of p^D, v
+is the unique integer in the interval [(b-1)D/(c+1), bD/c) while its
+length D(b+c)/(c(c+1)) is below 1.  No float is involved.  Windows
+p^w that grow while they divide n keep the gcd small when the part of n
+prime to p is large.
 """
 
 from __future__ import annotations
@@ -22,7 +33,9 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import total_ordering
+from functools import lru_cache, total_ordering
+from itertools import count
+from math import gcd
 
 from .errors import PreconditionError
 from .linalg import to_fraction
@@ -134,13 +147,78 @@ class Value:
 BOTTOM = Value(None)
 
 
+# Integers longer than this many bits take the gcd kernel of `multiplicity`.
+_LADDER_BITS = 512
+# p^D has about this many bits in the per-prime bracket of log2 p.
+_BRACKET_BITS = 1 << 16
+
+
+@lru_cache(maxsize=64)
+def _bracket(p: int) -> tuple[int, int]:
+    """(D, c) with c = floor(D log2 p), so c/D < log2 p < (c+1)/D for odd p."""
+    d = max(1, _BRACKET_BITS // p.bit_length())
+    return d, (p**d).bit_length() - 1
+
+
+@lru_cache(maxsize=256)
+def _window(p: int, j: int) -> tuple[int, int]:
+    """(w, p^w) for the j-th window: p^w has about 32 * 16^j bits up to 8192, then 4 times
+    more for each further window."""
+    bits = 32 << 4 * j if j < 2 else 512 << 2 * j
+    w = max(1, bits // p.bit_length())
+    return w, p**w
+
+
+def _strip_windows(n: int, p: int) -> tuple[int, int]:
+    """(s, p^(v - s)) for v = multiplicity(n, p): n loses the growing windows p^w while they
+    divide it, and the first that does not leaves gcd(r, p^w) = p^min(v - s, w) in the
+    remainder.  The gcd with the tight power p^k comes only once a window passes k, after
+    windows of about a sixteenth of it or more divided n, so the part of n prime to p is
+    then at most about 16 times as long as p^v: a long unit part meets short windows only."""
+    d, c = _bracket(p)
+    s = 0
+    for j in count():
+        k = n.bit_length() * d // c  # p^(v-s) <= |n| < 2^bits, so v - s <= k
+        w, pw = _window(p, j)
+        if w >= k:
+            return s, gcd(n, p**k)
+        q, r = divmod(n, pw)
+        if r:
+            return s, gcd(r, pw)
+        n, s = q, s + w
+
+
+def _bracket_exponent(g: int, p: int) -> int | None:
+    """v for g = p^v, the largest integer below bD/c for b = g.bit_length(), or None where
+    [(b-1)D/(c+1), bD/c) may hold two integers (see `multiplicity`)."""
+    d, c = _bracket(p)
+    b = g.bit_length()
+    return (b * d - 1) // c if d * (b + c) < c * (c + 1) else None
+
+
 def multiplicity(n: int, p: int) -> int:
-    """Exponent of p in the nonzero int n."""
+    """Exponent v of the prime p in the nonzero int n.
+
+    p = 2 reads the lowest set bit and small n divide by p, p^2, p^4, ...
+    Longer n with odd p take gcds instead: g = gcd(n, p^k) divides p^k, so
+    g = p^min(v, k), which is p^v exactly once k >= v.  With b the bit
+    length of g and the per-prime bracket c/D < log2 p < (c+1)/D, v is the
+    unique integer in [(b-1)D/(c+1), bD/c) while D(b+c) < c(c+1); past
+    that, the division ladder runs on g.
+    """
     if not n:
         raise PreconditionError("multiplicity is undefined at 0")
     if p == 2:
         return (n & -n).bit_length() - 1
-    v, powers = 0, []
+    v = 0
+    if n.bit_length() > _LADDER_BITS:
+        if n % p:
+            return 0
+        v, n = _strip_windows(n, p)
+        rest = _bracket_exponent(n, p)
+        if rest is not None:
+            return v + rest
+    powers = []
     q = p
     while n % q == 0:  # divide by p, p^2, p^4, ... while exact
         n //= q

@@ -173,6 +173,22 @@ def test_chain_certificates():
         assert total == nrm.dim
 
 
+def test_chain_certificates_invert_the_norm_once(monkeypatch):
+    # every ball B diag(p^k) of the period takes its inverse diag(p^-k) B^-1 from the norm's
+    calls = []
+    kernel = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows", lambda cols: calls.append(cols) or kernel(cols))
+    rng = random.Random(76)
+    vals = (F(0), F(1, 4), F(1, 2), F(3, 4), F(-3, 2), F(7, 4))  # 4 value classes
+    nrm = SplitNorm(FieldConfig(3), 6, fuzz.invertible(rng, 6), vals)
+    period = chain_period(nrm)
+    assert len(period.lattices) == 4 and calls == []
+    certs = chain_certificates(period)
+    assert len(calls) == 1
+    assert all(oracles.integral(x, 3) for cert in certs for row in cert for x in row)
+    assert sum(pval(linalg.det(c), 3) for c in certs) == 6
+
+
 def test_filtration_level_examples():
     assert filtration_level(ALPHA0, linalg.identity(2)).is_bottom
     assert filtration_level(ALPHA0, ((1, 1), (0, 1))) == -F(1, 2)

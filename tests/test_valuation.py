@@ -8,8 +8,11 @@ import pytest
 
 from padicnorm import BOTTOM, FieldConfig, Value, val
 from padicnorm.errors import PreconditionError
+from padicnorm import valuation
 from padicnorm.valuation import (
     PRIME_LIMIT,
+    _bracket,
+    _bracket_exponent,
     _is_prime,
     degree_rep,
     frac_part,
@@ -18,6 +21,8 @@ from padicnorm.valuation import (
 )
 
 CFG2 = FieldConfig(2)
+# the largest prime below the proven Miller-Rabin limit
+PRIME_BELOW_LIMIT = next(q for q in range(PRIME_LIMIT - 2, 0, -2) if _is_prime(q))
 
 
 def test_pval_examples():
@@ -177,17 +182,111 @@ def _alarm(signum, frame):
     raise _Timeout
 
 
+def _within(seconds, call, what):
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        call()
+    except _Timeout:
+        pytest.fail(f"{what} still running after {seconds} s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 @pytest.mark.parametrize("p", [2, 3, 10**18 + 3])
 def test_multiplicity_refuses_zero(p):
     # 0 is divisible by every power of p, so the squaring loop would never stop
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    try:
-        with pytest.raises(PreconditionError, match="undefined at 0"):
-            multiplicity(0, p)
-    except _Timeout:
-        pytest.fail(f"multiplicity(0, {p}) still running after 1 s")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with pytest.raises(PreconditionError, match="undefined at 0"):
+        _within(1, lambda: multiplicity(0, p), f"multiplicity(0, {p})")
+
+
+def unit(rng, bits: int, p: int) -> int:
+    """A random int of exactly the given bit length that p does not divide."""
+    while True:
+        u = rng.getrandbits(bits) | 1 << (bits - 1)
+        if u % p:
+            return u
+
+
+UNIT_BITS = (1, 30, 200, 5000, 20000, 60000)
+VALUATIONS = (0, 1, 5, 60, 300, 3000, 5000)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 10**18 + 3, PRIME_BELOW_LIMIT])
+def test_multiplicity_agrees_with_stripping_far_from_the_base_point(p):
+    rng = random.Random(p % 1000)
+    for bits in UNIT_BITS:
+        u = unit(rng, bits, p)
+        for v in VALUATIONS:
+            n = (-1) ** (bits + v) * p**v * u  # both signs along every row and column
+            if n.bit_length() > 1 << 17:
+                continue  # the large primes past v = 300: see the test below
+            stripped = naive_pval(Fraction(n), p)
+            assert multiplicity(n, p) == stripped == v
+            small = unit(rng, 40, p)
+            # p^v in the numerator, then in the denominator
+            assert pval(Fraction(n, small), p) == stripped
+            assert pval(Fraction(small, n), p) == -stripped
+
+
+@pytest.mark.parametrize("p", [10**18 + 3, PRIME_BELOW_LIMIT])
+def test_multiplicity_of_large_primes_to_high_powers(p):
+    # 180,000 to 410,000 bits: stripping one factor at a time would take seconds, so the
+    # exponent is checked against the definition
+    rng = random.Random(p % 1000)
+    for bits in (1, 200):
+        u = unit(rng, bits, p)
+        for v in (3000, 5000):
+            n = (-1) ** v * p**v * u
+            assert n % p**v == 0 and n // p**v % p
+            assert multiplicity(n, p) == -pval(Fraction(1, n), p) == v
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bracket_reads_exponents_up_to_its_edge(p):
+    d, c = _bracket(p)
+    assert 2**c < p**d < 2 ** (c + 1)
+    widest = (c * (c + 1) - 1) // d - c  # the largest bit length with D(b + c) < c(c + 1)
+    edge = widest * d // c  # p^edge has about that many bits
+    outcomes = set()
+    for v in range(edge - 3, edge + 4):
+        g = p**v
+        got = _bracket_exponent(g, p)
+        assert got == (v if g.bit_length() <= widest else None)
+        outcomes.add(got is None)
+        assert multiplicity(g, p) == multiplicity(g * unit(random.Random(v), 64, p), p) == v
+    assert outcomes == {False, True}
+
+
+def test_multiplicity_falls_back_past_the_bracket(monkeypatch):
+    read = []
+    kernel = valuation._bracket_exponent
+    monkeypatch.setattr(
+        valuation, "_bracket_exponent", lambda g, p: read.append(kernel(g, p)) or read[-1]
+    )
+    u = unit(random.Random(7), 30, 3)
+    for p, v in ((3, 60000), (5, 50000)):
+        assert multiplicity(p**v, p) == multiplicity(-(p**v) * u, p) == v
+    assert None in read
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("p", [3, 5, 10**18 + 3])
+def test_multiplicity_is_fast_on_a_large_unit(p):
+    # p times a 200,000-bit unit: one gcd with a power of p as long as n takes 75-85 ms on a
+    # 2-vCPU x86-64 host under CPython 3.11, so ten of them overrun the limit
+    n = p * unit(random.Random(p), 200000, p)
+    _within(0.25, lambda: [multiplicity(n, p) for _ in range(10)], f"10 calls on {p} * unit")
+    assert multiplicity(n, p) == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_first_call_with_a_large_prime_is_cheap():
+    p = PRIME_BELOW_LIMIT
+    n = p**40 * unit(random.Random(5), 3000, p)
+    valuation._bracket.cache_clear()
+    valuation._window.cache_clear()
+    _within(0.05, lambda: multiplicity(n, p), "the first call with a prime near the limit")
+    assert multiplicity(n, p) == 40

@@ -3,9 +3,9 @@
 The standard apartment consists of the norms split by the standard
 basis; a rational vector of coordinates is the corresponding tuple of
 values.  A norm lies in the apartment of a frame exactly when the
-frame splits it, which is decidable: evaluate the norm on the frame
-columns; the resulting candidate dominates the norm, so the two are
-equal exactly when their volumes agree (see norms.equals).
+frame splits it, and homothetic norms differ by one integer on the
+columns of any basis that splits one of them: both are read from the
+one splitting test of norms (see norms._fit), as equality is.
 """
 
 from __future__ import annotations
@@ -13,16 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .errors import PreconditionError, SingularMatrixError
-from .norms import (
-    SplitNorm,
-    _heaviest,
-    _slot_table,
-    _split,
-    _volume_gap,
-    ball_basis,
-    distance,
-)
+from .errors import PreconditionError
+from .norms import SplitNorm, _fit, _split, ball_basis, distance
 from .valuation import FieldConfig, val
 
 
@@ -35,28 +27,17 @@ def norm_from_apartment(coords, cfg: FieldConfig) -> SplitNorm:
 def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None:
     """Coordinates of the norm in the frame's apartment, or None.
 
-    The only candidate coordinates are the sizes of the frame columns;
-    the norm lies in the apartment iff the frame with those values
-    reproduces it.  By the ultrametric inequality the candidate is at
-    least the norm everywhere, so equal volumes decide it.  Both are
-    read from one slot table of B^-1 F, B the norm's basis and F the
-    frame: column j's greatest weight is the size of frame column j.
-    The frame is not inverted; a singular one raises
-    SingularMatrixError.
+    The only candidate coordinates are the sizes of the frame columns,
+    and the norm lies in the apartment iff the frame splits it at those
+    sizes: the excesses of the frame columns over values 0 (see
+    norms._fit).  The norm is inverted, not the frame; a singular frame
+    raises SingularMatrixError.
     """
     if frame is None:
         frame = linalg.identity(norm.dim)
     frame = linalg.square(frame, norm.dim, "frame")
-    p = norm.cfg.prime
-    slots = _slot_table(norm.values, norm._inv_rows, (0,) * norm.dim, linalg.cleared(frame), p)
-    row_w, col_w, table, _, scale = slots
-    tops = [_heaviest(row_w, col_w, table, scale, p, (j,)) for j in range(norm.dim)]
-    if any(top is None for top in tops):
-        raise SingularMatrixError("matrix is singular")  # a zero frame column
-    # the candidate's volume is the frame's, at values 0, plus the candidate's values
-    if _volume_gap(slots, p) != sum(w for w, _, _ in tops):
-        return None
-    return tuple(Fraction(w, scale) for w, _, _ in tops)
+    fit = _fit(norm, linalg.cleared(frame), (0,) * norm.dim)
+    return None if fit is None else tuple(Fraction(w, fit[1]) for w in fit[0])
 
 
 def torus_translation(t, cfg: FieldConfig) -> tuple[Fraction, ...]:
@@ -119,22 +100,17 @@ def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
 def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     """Are two norms equal up to an integer shift of all values?
 
-    One slot table of a^-1 b: its greatest weight is k = op_size(b, a),
-    so a <= b + k everywhere, and a = b + k exactly when their volumes
-    agree, vol(a) = vol(b) + n k (see norms.equals).  A singular basis
-    raises SingularMatrixError once k is an integer.
+    a = b + k exactly when b's columns split a, each with the same
+    excess k over its value in b (see norms._fit).  Only a is inverted;
+    a singular basis of b raises SingularMatrixError.
     """
     if a.cfg != b.cfg or a.dim != b.dim:
         return False
-    if a.dim == 0:
-        return True
-    p = a.cfg.prime
-    slots = _slot_table(a.values, a._inv_rows, b.values, b._cols, p)
-    row_w, col_w, table, _, scale = slots
-    top = _heaviest(row_w, col_w, table, scale, p, range(a.dim))
-    if top is None:
-        raise SingularMatrixError("matrix is singular")  # b's basis is 0
-    return top[0] % scale == 0 and _volume_gap(slots, p) == a.dim * top[0]
+    fit = _fit(a, b._cols, b.values)
+    if fit is None:
+        return False
+    t, scale = fit
+    return len(set(t)) < 2 and not any(w % scale for w in t)
 
 
 __all__ = [

@@ -10,14 +10,17 @@ with the maximum over the nonzero coordinates and bottom at v = 0.
 All operations keep this presentation; no other representation of a
 norm exists in the package.
 
-Equality is decided by one domination and one volume.  By the
-ultrametric inequality, b <= a everywhere iff b <= a on every
-a-splitting column, an operator-size check of the identity map (see
-op_size).  Two split norms share a splitting basis (Goldman and Iwahori,
-Acta Math. 109, 1963), and in it b <= a means b_i <= a_i for every i;
-so then a = b exactly when the sums agree, that is when a and b give
-e_1 ^ ... ^ e_n the same size, their volume.  equals reads both from one
-slot table of b^-1 a and its determinant, and inverts only b.
+Equality is one splitting test, _fit: do given columns c_1, ..., c_n
+split a norm x?  By the ultrametric inequality the norm taking each
+c_j to x(c_j) dominates x.  Two split norms share a splitting basis
+(Goldman and Iwahori, Acta Math. 109, 1963), and in it domination is
+value by value; so the two are equal exactly when the sums agree, that
+is when they give e_1 ^ ... ^ e_n the same size, their volume.  _fit
+reads the sizes x(c_j) and the volume from one slot table of x^-1 C and
+its determinant, and inverts only x.  equals(a, b) asks that a's
+columns split b at a's values; homothetic, apartment_coords,
+verify_splitting and the common basis's second check ask the same of
+the columns they hold.
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination by column operations alone.  Column
@@ -55,7 +58,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul
 from types import MappingProxyType
 
@@ -146,9 +149,13 @@ class SplitNorm(_Frame):
         return linalg.columns(self.basis)
 
     @cached_property
+    def _class_counts(self) -> dict[Fraction, int]:
+        return count_classes(self.values)
+
+    @property
     def class_counts(self) -> MappingProxyType[Fraction, int]:
         """Multiplicity of each value class mod 1, keys ascending in [0, 1)."""
-        return MappingProxyType(count_classes(self.values))
+        return MappingProxyType(self._class_counts)
 
     @property
     def value_classes(self) -> tuple[Fraction, ...]:
@@ -222,7 +229,8 @@ def evaluate(norm: SplitNorm, v) -> Value:
     v = linalg.vec(v)
     if len(v) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(v)}, norm has dim {norm.dim}")
-    return _slot_max(norm.values, norm._inv_rows, (0,), linalg.int_rows((v,)), norm.cfg.prime)
+    p = norm.cfg.prime
+    return _table_max(_slot_table(norm.values, norm._inv_rows, (0,), linalg.int_rows((v,)), p), p)
 
 
 def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
@@ -262,28 +270,10 @@ def _table_max(slots, p: int) -> Value:
     return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
 
-def _volume_gap(slots, p: int) -> int:
-    """scale times vol(r) - vol(c) for the _slot_table of r^-1 c, from the determinant of
-    the table.  The volume of a norm, the sum of its values plus v(det) of its basis, is the
-    size of e_1 ^ ... ^ e_n; when c dominates r (every slot weight <= 0) the gap is <= 0, and
-    0 exactly when r = c.  A singular table raises SingularMatrixError."""
-    row_w, col_w, table, _, scale = slots
-    det = linalg.det_cleared([(c, 1) for c in table]).numerator
-    if not det:
-        raise SingularMatrixError("matrix is singular")
-    return sum(row_w) - sum(col_w) - scale * multiplicity(det, p)
-
-
-def _slot_max(row_values, rows: Cleared, col_values, cols: Cleared, p: int) -> Value:
-    """Greatest row_values[i] - col_values[j] - val(x_ij) over the nonzero entries x_ij of
-    the product of the cleared rows and the cleared columns, bottom if there are none."""
-    return _table_max(_slot_table(row_values, rows, col_values, cols, p), p)
-
-
 def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
     """The norm taking column i of the lattice to values[i], a tuple of Fractions; it shares
     the lattice's cleared columns and inverse rows."""
-    return _split(lattice.cfg, lattice._cols, values, lambda: lattice._inv_rows)
+    return _split(lattice.cfg, lattice._cols, values, partial(getattr, lattice, "_inv_rows"))
 
 
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
@@ -303,7 +293,8 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     image = src._cols
     if h is not None:
         image = linalg.times_cleared(linalg.cleared(linalg.square(h, src.dim)), image)
-    return _slot_max(dst.values, dst._inv_rows, src.values, image, src.cfg.prime)
+    p = src.cfg.prime
+    return _table_max(_slot_table(dst.values, dst._inv_rows, src.values, image, p), p)
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -313,9 +304,14 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
         raise PreconditionError(TOO_LARGE)
     cols = [_times_power(c, e, p, k) for (c, e), k in zip(norm._cols, exponents)]
-    # the inverse of B diag(p^k) is diag(p^-k) B^-1: every ball of a norm reuses its one inverse
-    rows = lambda: [_times_power(r, d, p, -k) for (r, d), k in zip(norm._inv_rows, exponents)]
-    return _frame(LatticeBasis, norm.cfg, cols, rows)
+    return _frame(LatticeBasis, norm.cfg, cols, partial(_scaled_rows, norm, exponents))
+
+
+def _scaled_rows(norm: SplitNorm, exponents: list[int]) -> Cleared:
+    """The inverse rows of B diag(p^k), diag(p^-k) B^-1: every ball of a norm reuses its one
+    inverse."""
+    p = norm.cfg.prime
+    return [_times_power(r, d, p, -k) for (r, d), k in zip(norm._inv_rows, exponents)]
 
 
 def _times_power(ints: list[int], den: int, p: int, k: int) -> tuple[list[int], int]:
@@ -355,21 +351,31 @@ def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     return equals(lattice_norm(a), lattice_norm(b))
 
 
-def equals(a: SplitNorm, b: SplitNorm) -> bool:
-    """Exact equality of norms, from one _slot_table of b^-1 a.
+def _fit(x: SplitNorm, cols: Cleared, values) -> tuple[list[int], int] | None:
+    """Do the cleared columns c_j split x?  When they do, (t, scale), with t_j = scale *
+    (x(c_j) - values[j]) the excess of column j, from one _slot_table of x^-1 C; None when
+    they do not.  The norm taking c_j to values[j] + t_j / scale dominates x, so it is x
+    exactly when the two volumes agree (see the module docstring), read from the determinant
+    of the same table.  Only x is inverted; a singular C raises SingularMatrixError."""
+    p = x.cfg.prime
+    row_w, col_w, table, _, scale = _slot_table(x.values, x._inv_rows, values, cols, p)
+    tops = [_heaviest(row_w, col_w, table, scale, p, (j,)) for j in range(len(table))]
+    det = linalg.det_cleared([(c, 1) for c in table]).numerator if all(tops) else 0
+    if not det:
+        raise SingularMatrixError("matrix is singular")
+    t = [w for w, _, _ in tops]
+    # scale times the volume of x less that of the norm taking c_j to values[j]: the volume
+    # of a norm is the sum of its values plus v(det) of its basis
+    gap = sum(row_w) - sum(col_w) - scale * multiplicity(det, p)
+    return (t, scale) if gap == sum(t) else None
 
-    Its greatest weight is op_size(a, b), and b <= a everywhere exactly
-    when that is <= 0.  Then b = a exactly when the two volumes agree
-    (see the module docstring), read from the determinant of the same
-    integer table.  Only b's inverse is read; a singular basis of a
-    raises SingularMatrixError once the domination holds.
-    """
+
+def equals(a: SplitNorm, b: SplitNorm) -> bool:
+    """Exact equality of norms: a's columns split b, each at its value in a (see _fit).  Only
+    b's inverse is read; a singular basis of a raises SingularMatrixError."""
     _check_compatible(a, b)
-    p = a.cfg.prime
-    slots = _slot_table(b.values, b._inv_rows, a.values, a._cols, p)
-    row_w, col_w, table, _, scale = slots
-    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
-    return (best is None or best[0] <= 0) and _volume_gap(slots, p) == 0
+    fit = _fit(b, a._cols, a.values)
+    return fit is not None and not any(fit[0])
 
 
 def _moved(g, frame: _Frame) -> tuple[Cleared, Cleared]:
@@ -539,7 +545,8 @@ def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     whose check covers a, and the second reconstruction check, of b."""
     _check_compatible(a, b)
     common, _ = _split_span(a, b._cols, b.values)
-    if not equals(_split(a.cfg, common._cols, b.values), b):
+    fit = _fit(b, common._cols, b.values)
+    if fit is None or any(fit[0]):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DimensionMismatchError
 from .norms import (
-    LatticeBasis, SplitNorm, equals, _canonical, _check_compatible, _frame, _moved, _on_lattice,
+    LatticeBasis, SplitNorm, _canonical, _check_compatible, _fit, _frame, _moved, _on_lattice,
     _plant,
 )
 
@@ -63,8 +63,11 @@ def translate_pair(g, pair: SplittingPair) -> SplittingPair:
 
 
 def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
-    """Does the pair present exactly this norm?  Compatibility is checked before the pair's
-    lattice is inverted: another prime raises ConfigMismatchError ("prime mismatch: 2 vs 3",
-    the norm's prime first), another dimension DimensionMismatchError."""
+    """Does the pair present exactly this norm: do the lattice columns split it, each at its
+    weight (see norms._fit)?  The norm is inverted, not the lattice; a singular lattice raises
+    SingularMatrixError.  Compatibility is checked first: another prime raises
+    ConfigMismatchError ("prime mismatch: 2 vs 3", the norm's prime first), another dimension
+    DimensionMismatchError."""
     _check_compatible(norm, pair.lattice)
-    return equals(norm, norm_from_pair(pair))
+    fit = _fit(norm, pair.lattice._cols, pair.weights)
+    return fit is not None and not any(fit[0])

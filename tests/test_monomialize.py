@@ -6,7 +6,7 @@ every output over the seeded cases pins the tie-break to the lowest
 (row, column) among pivots of maximal weight.  The elimination reads the
 two factors of a product; handed the product itself over the identity,
 it must return the same, and its first pivot must weigh what op_size's
-_slot_max finds on the same factors.  Both take the factors cleared, the
+_table_max finds in the _slot_table of the same factors.  Both take the factors cleared, the
 rows of the left one and the columns of the right one.
 """
 
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from padicnorm import linalg
-from padicnorm.norms import _monomialize, _slot_max
+from padicnorm.norms import _monomialize, _slot_table, _table_max
 
 import fuzz
 import oracles
@@ -69,7 +69,8 @@ def test_contract():
         # pivot weights never rise, so the first pivot is the slot maximum
         heaviest = max(s - b for s, b in zip(split_values, col_values))
         cleared = linalg.int_rows(rows), linalg.int_rows(cols)
-        assert heaviest == _slot_max(row_values, cleared[0], col_values, cleared[1], p).mag
+        slots = _slot_table(row_values, cleared[0], col_values, cleared[1], p)
+        assert heaviest == _table_max(slots, p).mag
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
         reduced = linalg.matmul(m, col_ops)
         # in pivot order, each pivot row is zero on every column pivoted after it

@@ -5,12 +5,15 @@ The named norms here are fixed throughout the suite: alpha0 has values
 norm of the same dimension.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg
+from padicnorm.building import point_type
 from padicnorm.errors import (
     ConfigMismatchError,
     DimensionMismatchError,
@@ -31,8 +34,12 @@ from padicnorm.norms import (
     lattice_norm,
     lattices_equal,
     op_size,
+    quotient,
+    restrict,
     tensor,
 )
+from padicnorm.splittings import norm_from_pair, pair_from_norm, translate_pair
+from padicnorm.stabilizer import chain_period
 from padicnorm.valuation import pval
 
 import fuzz
@@ -304,3 +311,54 @@ def test_singular_basis_rejected():
     nrm = SplitNorm(CFG2, 2, ((1, 2), (2, 4)), (F(0), F(0)))
     with pytest.raises(SingularMatrixError):
         evaluate(nrm, (1, 0))
+
+
+def _constructions(rng, p):
+    """(norms, lattices) of every kind of construction, each fresh: no inverse or value
+    class read yet."""
+    a = fuzz.norm(rng, n=3, p=p)
+    fresh = lambda: SplitNorm(a.cfg, 3, a.basis, a.values)
+    g = fuzz.elementary_product(rng, 3, p)
+    level = fuzz.rational(rng)
+    pair = pair_from_norm(fresh())
+    norms = [
+        fresh(),
+        io.norm_from_doc(io.norm_to_doc(a)),
+        norm_from_pair(pair),
+        norm_from_pair(io.pair_from_doc(io.pair_to_doc(pair))),
+        act(g, fresh()),
+        tensor(fresh(), fuzz.norm(rng, n=2, p=p)),
+        dual(fresh()),
+        direct_sum(fresh(), fuzz.norm(rng, n=2, p=p)),
+        restrict(fresh(), fuzz.span_matrix(rng, 3, 2)),
+        quotient(fresh(), fuzz.span_matrix(rng, 3, 1)),
+    ]
+    lattices = [
+        ball_basis(fresh(), level),
+        ball_basis_open(fresh(), level),
+        *chain_period(fresh()).lattices,
+        translate_pair(g, pair).lattice,
+        io.lattice_from_doc(io.lattice_to_doc(LatticeBasis(a.cfg, a.basis))),
+    ]
+    return norms + [lattice_norm(lat) for lat in lattices], lattices
+
+
+def test_norms_and_lattices_survive_pickle_and_deepcopy():
+    rng = random.Random(160)
+    round_trips = (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy)
+    for p in fuzz.PRIMES:
+        # the checks read only the copies' inverses, so each state is the one named; the
+        # lattices come from a second set, whose inverses the norms on them have not read
+        norms, lattices = _constructions(rng, p)[0], _constructions(rng, p)[1]
+        # fresh, then with the value classes read, then with the inverse read too
+        for read in (lambda x: None, point_type, lambda x: x.inv_basis):
+            for x in norms:
+                read(x)
+                for y in [trip(x) for trip in round_trips]:
+                    assert equals(x, y) and y.values == x.values
+                    assert point_type(y) == tuple(x.class_counts.values())
+        for read in (lambda x: None, lambda x: x.inv):
+            for x in lattices:
+                read(x)
+                for y in [trip(x) for trip in round_trips]:
+                    assert lattices_equal(x, y)

@@ -233,10 +233,10 @@ def test_multiplicity_agrees_with_stripping_far_from_the_base_point(p):
 
 @pytest.mark.parametrize("p", [10**18 + 3, PRIME_BELOW_LIMIT])
 def test_multiplicity_of_large_primes_to_high_powers(p):
-    # 180,000 to 410,000 bits: stripping one factor at a time would take seconds, so the
-    # exponent is checked against the definition
+    # 180,000 to 470,000 bits: stripping one factor at a time would take seconds, so the
+    # exponent is checked against the definition, for units short and long beside p^v
     rng = random.Random(p % 1000)
-    for bits in (1, 200):
+    for bits in (1, 200, 5000, 20000, 60000):
         u = unit(rng, bits, p)
         for v in (3000, 5000):
             n = (-1) ** v * p**v * u

@@ -1,12 +1,13 @@
-"""Equality from one domination and one volume.
+"""Equality as one splitting test.
 
-equals, homothetic and apartment_coords read a single slot table and
-its determinant: b <= a everywhere, and then a = b exactly when the two
-norms give e_1 ^ ... ^ e_n the same size.  Here they are held against
-the independent ball oracle, against the parent definitions (two
-dominations; the frame with the sizes of its columns), and against the
-count of inverses they may take: only the norm measured against is
-inverted, and no basis built only to be checked.
+equals, homothetic, apartment_coords and verify_splitting ask whether
+given columns split a norm, from a single slot table and its
+determinant: the columns at their sizes dominate the norm, and then
+split it exactly when the two give e_1 ^ ... ^ e_n the same size.  Here
+they are held against the independent ball oracle, against the parent
+definitions (two dominations; the frame with the sizes of its columns),
+and against the count of inverses they may take: only the norm measured
+against is inverted, and no basis built only to be checked.
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
 from padicnorm.building import apartment_coords, cartan_position, homothetic
 from padicnorm.errors import SingularMatrixError
+from padicnorm.splittings import SplittingPair, norm_from_pair, pair_from_norm, verify_splitting
 from padicnorm.norms import (
     act,
     ball_basis,
@@ -72,6 +74,14 @@ def test_equals_matches_the_ball_oracle():
         assert not equals(a, shifted) and not oracles.balls_equal(a, shifted)
         level = fuzz.rational(rng)
         assert lattices_equal(ball_basis(a, level), ball_basis(same, level))
+        # a pair presents a when its lattice columns split a at its weights
+        pair = pair_from_norm(same)
+        weights = list(pair.weights)
+        weights[rng.randrange(len(weights))] += rng.choice((-1, 1))
+        moved = SplittingPair(pair.lattice, tuple(weights))
+        for other, presents in ((pair, True), (moved, False), (pair_from_norm(tweaked), False)):
+            assert verify_splitting(_fresh(a), other) is presents
+            assert oracles.balls_equal(a, norm_from_pair(other)) is presents
 
 
 def test_homothetic_matches_the_ball_oracle():
@@ -116,15 +126,23 @@ def test_singular_bases_and_frames_are_refused():
                 for left, right in ((x, b), (b, x)):
                     with pytest.raises(SingularMatrixError, match="matrix is singular"):
                         equals(_fresh(left), _fresh(right))
-                # homothetic inverts its first argument; the second is refused once the
-                # shift is an integer, as it is against a, where it is 0 (n = 1: a is 0)
-                for left, right in ((x, b), (b, a)):
+                # homothetic inverts its first argument and refuses a singular second one
+                for left, right in ((x, b), (b, x)):
                     with pytest.raises(SingularMatrixError, match="matrix is singular"):
                         homothetic(_fresh(left), _fresh(right))
                 with pytest.raises(SingularMatrixError, match="matrix is singular"):
                     apartment_coords(_fresh(b), x.basis)
                 with pytest.raises(SingularMatrixError, match="matrix is singular"):
                     apartment_coords(_fresh(x), b.basis)
+            # refused before the answer too: b is not below low, and the shift of half is 1/2
+            low = SplitNorm(b.cfg, n, repeated, (min(b.values) - 10,) * n)
+            half = tuple(b.values[j] + F(1, 2) for j in [0, 0, *range(2, n)][:n])
+            for refused in (
+                lambda: equals(_fresh(low), _fresh(b)),
+                lambda: homothetic(_fresh(b), SplitNorm(b.cfg, n, repeated, half)),
+            ):
+                with pytest.raises(SingularMatrixError, match="matrix is singular"):
+                    refused()
     cfg = FieldConfig(2)
     with pytest.raises(SingularMatrixError, match="matrix is singular"):
         lattices_equal(LatticeBasis(cfg, ((1, 0), (0, 0))), LatticeBasis(cfg, linalg.identity(2)))
@@ -156,6 +174,7 @@ def test_only_the_measuring_norm_is_inverted(monkeypatch):
         "quotient": (lambda a, _, __, span: quotient(a, span), 1),
         "homothetic": (lambda a, same, _, __: homothetic(a, _shifted(same, 1)), 1),
         "apartment_coords": (lambda a, same, _, __: apartment_coords(a, same.basis), 1),
+        "verify_splitting": (lambda a, same, _, __: verify_splitting(a, pair_from_norm(same)), 1),
     }
     for a, moved, other, span in cases:
         for name, (run, count) in expected.items():
@@ -163,7 +182,8 @@ def test_only_the_measuring_norm_is_inverted(monkeypatch):
             calls.clear()
             run(*fresh)
             assert len(calls) == count, name
-        # equals inverts its second argument, apartment_coords the norm and not the frame
+        # equals inverts its second argument, apartment_coords and verify_splitting the norm
+        # and not the frame or the pair's lattice
         a, same = _fresh(a), _fresh(moved)
         calls.clear()
         assert equals(a, same)
@@ -171,3 +191,7 @@ def test_only_the_measuring_norm_is_inverted(monkeypatch):
         calls.clear()
         assert apartment_coords(a, moved.basis) is not None
         assert calls == [a._cols]
+        norm, pair = _fresh(a), pair_from_norm(_fresh(moved))
+        calls.clear()
+        assert verify_splitting(norm, pair)
+        assert calls == [norm._cols]

@@ -32,14 +32,18 @@ from .valuation import FieldConfig, degree_rep, digit_limit, frac_part
 # `tree` prints all p + 1 neighbors of a vertex, so it refuses primes above this
 TREE_PRIME_LIMIT = 1000
 
+# a flag written as num or num/den, read without Fraction's string parser
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+
 
 def _frac(s: str) -> Fraction:
     # Fraction expands an exponent in full: refuse one past the digit limit (or too long for int)
     exponent, limit = re.search(r"[eE]([-+]?[0-9_]+)", s), digit_limit()
     if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
         raise argparse.ArgumentTypeError(f"exponent beyond {limit} in {s!r}")
+    plain = _PLAIN.fullmatch(s)
     try:
-        return Fraction(s)
+        return Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from exc
 

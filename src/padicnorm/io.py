@@ -7,72 +7,101 @@ for integers, "-inf" for the bottom value).  Serialization is
 byte-stable: serializing a parsed canonical document reproduces it
 exactly, and parsing rejects any rational string that serialization
 would not write and any field the kind of document does not have.
+
+A matrix is read straight into cleared columns, each entry split into
+integers by one anchored pattern and each column put over the lcm of
+its denominators, and written back from them, one gcd per entry; no
+Fraction is built per entry either way.  Loading proves the matrix
+invertible by linalg.nonsingular_mod, a determinant modulo a fixed
+prime, and leaves its inverse to be made on first read; only a
+determinant that vanishes there, as every singular one does, is decided
+by the exact inverse.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 
 from . import linalg
 from .errors import DocumentError, DomainError, PreconditionError
-from .norms import LatticeBasis, SplitNorm, _on_lattice
+from .norms import LatticeBasis, SplitNorm, _frame, _on_lattice
 from .splittings import SplittingPair
 from .valuation import TOO_LARGE, FieldConfig, Value
 
-_RATIONAL = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+# what rational_str writes, up to lowest terms: ASCII digits with no leading zero, no sign on
+# zero and a denominator above 1; nothing else, so no exponent is ever expanded
+_RATIONAL = re.compile(r"(0|-?[1-9][0-9]*)(?:/((?!1\Z)[1-9][0-9]*))?")
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """num / den written in lowest terms, as str(Fraction(num, den)) writes it."""
+    g = math.gcd(num, den)
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
+        raise PreconditionError(TOO_LARGE) from exc
 
 
 def rational_str(x: Fraction) -> str:
-    try:
-        return str(Fraction(x))
-    except ValueError as exc:  # beyond the interpreter's int-to-str digit limit
-        raise PreconditionError(TOO_LARGE) from exc
+    x = x if type(x) is Fraction else Fraction(x)
+    return _ratio_str(x.numerator, x.denominator)
 
 
 def value_str(v: Value) -> str:
     return "-inf" if v.is_bottom else rational_str(v.mag)
 
 
-def parse_rational(s) -> Fraction:
-    """Read a rational written exactly as rational_str writes it."""
+def _num_den(s) -> tuple[int, int]:
+    """(num, den) of a rational written exactly as rational_str writes it."""
     if not isinstance(s, str):
         raise DocumentError(f"rational entries must be strings, got {s!r}")
-    try:
-        # the pattern rules out exponents, which Fraction would expand in full
-        x = Fraction(s) if _RATIONAL.fullmatch(s) else None
-    except (ValueError, ZeroDivisionError):  # "1/0", or past the int-to-str digit limit
-        x = None
-    if x is None or str(x) != s:
+    m = _RATIONAL.fullmatch(s)
+    if m:
+        try:
+            num, den = int(m[1]), int(m[2] or 1)
+        except ValueError:  # past the int-to-str digit limit
+            m = None
+    if m is None or math.gcd(num, den) != 1:
         raise DocumentError(f"not a canonical rational: {s!r}")
-    return x
+    return num, den
 
 
-def _parse_columns(entry, n: int, what: str) -> linalg.Matrix:
+def parse_rational(s) -> Fraction:
+    """Read a rational written exactly as rational_str writes it."""
+    return Fraction(*_num_den(s))
+
+
+def _parse_columns(entry, n: int, what: str) -> linalg.Cleared:
+    """The cleared columns of a document's matrix: integers over the lcm of each column's
+    denominators, as linalg.cleared makes them."""
     if not isinstance(entry, list) or len(entry) != n:
         raise DocumentError(f"{what} must be an array of {n} columns")
     cols = []
     for col in entry:
         if not isinstance(col, list) or len(col) != n:
             raise DocumentError(f"each {what} column must have {n} entries")
-        cols.append([parse_rational(x) for x in col])
-    return linalg.from_columns(cols) if cols else ()
+        pairs = [_num_den(x) for x in col]
+        den = math.lcm(*(d for _, d in pairs))
+        cols.append(([x * (den // d) for x, d in pairs], den))
+    return cols
 
 
-def _doc(cfg: FieldConfig, matrix_key: str, matrix, weights_key=None, weights=()) -> dict:
-    """The document of a column matrix, with one weight per column under weights_key."""
-    cols = [[rational_str(x) for x in col] for col in linalg.columns(matrix)]
-    doc = {"dim": len(matrix), matrix_key: cols, "prime": cfg.prime}
+def _doc(frame, matrix_key: str, weights_key=None, weights=()) -> dict:
+    """The document of a frame's columns, with one weight per column under weights_key."""
+    cols = [[_ratio_str(x, d) for x in ints] for ints, d in frame._cols]
+    doc = {"dim": len(cols), matrix_key: cols, "prime": frame.cfg.prime}
     if weights_key is not None:
         doc[weights_key] = [rational_str(w) for w in weights]
     return doc
 
 
 def _read(doc, matrix_key: str, weights_key=None, optional=()):
-    """(lattice with its inverse, weights) of a document of any kind, checked in one order:
-    header, unknown fields, label, weights array, matrix columns, weight rationals, and
-    invertibility.  A DomainError on the way (bad prime, singular matrix) is a DocumentError."""
+    """(lattice, weights) of a document of any kind, checked in one order: header, unknown
+    fields, label, weights array, matrix columns, weight rationals, and invertibility.  A
+    DomainError on the way (bad prime, singular matrix) is a DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     prime, dim = doc.get("prime"), doc.get("dim")
@@ -90,16 +119,17 @@ def _read(doc, matrix_key: str, weights_key=None, optional=()):
         weights = doc.get(weights_key) if weights_key else []
         if weights_key and (not isinstance(weights, list) or len(weights) != dim):
             raise DocumentError(f"{weights_key} must be an array of {dim} rationals")
-        lattice = LatticeBasis(cfg, _parse_columns(doc.get(matrix_key), dim, matrix_key))
+        lattice = _frame(LatticeBasis, cfg, _parse_columns(doc.get(matrix_key), dim, matrix_key))
         weights = tuple(parse_rational(w) for w in weights)
-        lattice._inv_rows  # a singular matrix fails here; the inverse stays cached on the lattice
+        if not linalg.nonsingular_mod(lattice._cols):
+            lattice._inv_rows  # decides exactly: a singular matrix fails here, else it is cached
         return lattice, weights
     except DomainError as exc:
         raise DocumentError(str(exc)) from exc
 
 
 def norm_to_doc(norm: SplitNorm, label: str | None = None) -> dict:
-    doc = _doc(norm.cfg, "basis", norm.basis, "values", norm.values)
+    doc = _doc(norm, "basis", "values", norm.values)
     if label is not None:
         doc["label"] = label
     return doc
@@ -110,7 +140,7 @@ def norm_from_doc(doc) -> SplitNorm:
 
 
 def lattice_to_doc(lattice: LatticeBasis) -> dict:
-    return _doc(lattice.cfg, "matrix", lattice.matrix)
+    return _doc(lattice, "matrix")
 
 
 def lattice_from_doc(doc) -> LatticeBasis:
@@ -118,7 +148,7 @@ def lattice_from_doc(doc) -> LatticeBasis:
 
 
 def pair_to_doc(pair: SplittingPair) -> dict:
-    return _doc(pair.lattice.cfg, "lattice", pair.lattice.matrix, "weights", pair.weights)
+    return _doc(pair.lattice, "lattice", "weights", pair.weights)
 
 
 def pair_from_doc(doc) -> SplittingPair:

@@ -9,6 +9,9 @@ vectors: times_cleared, kron_cleared, block_cleared, inverse_rows, an
 in-place fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
 22, 1968) from cleared columns to cleared rows, updating n entries per
 row and step, and det_cleared, the forward half of that elimination.
+nonsingular_mod runs forward elimination modulo the prime 2^61 - 1 on
+word-sized residues: a nonzero determinant there proves the exact one
+nonzero, so a matrix is shown invertible without its inverse.
 The Fraction functions matmul, matvec, kron, block_diag, inverse and
 det are views of them: each checks its input once through mat or
 square, which refuse ragged matrices and floats, and reads the kernel's
@@ -25,6 +28,9 @@ from .errors import DimensionMismatchError, SingularMatrixError
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 Cleared = list[tuple[list[int], int]]
+
+# the modulus of nonsingular_mod, a Mersenne prime: residues fit a machine word
+CERTIFICATE_PRIME = 2**61 - 1
 
 
 def to_fraction(x) -> Fraction:
@@ -181,6 +187,27 @@ def det_cleared(cols) -> Fraction:
             row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
         prev = pk
     return Fraction(sign * prev, math.prod(e for _, e in cols))
+
+
+def nonsingular_mod(cols: Cleared) -> bool:
+    """Is det C nonzero modulo q = CERTIFICATE_PRIME, for the cleared columns (c_j, e_j) of
+    M = C diag(1/e)?  True proves M invertible, as det C != 0 mod q implies det C != 0; False
+    decides nothing, and the exact inverse_rows must decide.  Forward elimination on C^T
+    mod q: a row update scales the row by the pivot, a unit mod q, so no inverse is taken."""
+    q = CERTIFICATE_PRIME
+    rows = [[x % q for x in c] for c, _ in cols]
+    n = len(rows)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
+        if pivot is None:
+            return False
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        pk, tail = rows[k][k], rows[k][k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k]
+            if f:
+                row[k + 1 :] = [(pk * x - f * y) % q for x, y in zip(row[k + 1 :], tail)]
+    return True
 
 
 def kron_cleared(u: Cleared, v: Cleared) -> Cleared:

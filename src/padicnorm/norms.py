@@ -35,15 +35,17 @@ check; a common basis adds only the check of the second norm.
 
 Norms and lattices hold their basis as cleared columns, integers over
 one denominator per column, and the inverse as cleared rows, computed
-once by linalg.inverse_rows or carried over by the operation that made
-the norm (act, tensor, dual, direct sum, scaled balls), with linalg's
-kernels: tensor and direct_sum use kron_cleared and block_cleared, the
-kernels of linalg.kron and linalg.block_diag, and act, moving a basis M
-to g M, carries M^-1 g^-1 and inverts only g.  The Fraction matrices
-basis, inv_basis, matrix and inv are views, built on first access; the
-comparison path (equals, distance, the self-checks) never builds one.
-Scaled balls and the norms on a lattice carry inverse rows only when
-they are already known; otherwise they are computed on first read.
+once, on first read, by linalg.inverse_rows (loading a document proves
+its basis invertible without them, see io) or carried over by the
+operation that made the norm (act, tensor, dual, direct sum, scaled
+balls), with linalg's kernels: tensor and direct_sum use kron_cleared
+and block_cleared, the kernels of linalg.kron and linalg.block_diag,
+and act, moving a basis M to g M, carries M^-1 g^-1 and inverts only
+g.  The Fraction matrices basis, inv_basis, matrix and inv are views,
+built on first access; the comparison path (equals, distance, the
+self-checks) never builds one.  Scaled balls and the norms on a lattice
+carry inverse rows only when they are already known; otherwise they are
+computed on first read.
 
 Slot weights, in op_size, evaluate and the elimination alike, are read
 from the _slot_table of a product's two factors: integer dot products

@@ -33,6 +33,16 @@ def kron_vec(v, w) -> tuple:
     return tuple(x * y for x in v for y in w)
 
 
+def canonical_rational(s: str) -> Fraction | None:
+    """The rational s writes when it is written as str(Fraction) writes it, else None.
+    Fraction expands exponents in full, so s must hold none."""
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        return None
+    return x if str(x) == s else None
+
+
 def det(m) -> Fraction:
     """Determinant by sympy's own elimination."""
     d = sympy.Matrix(m).det()

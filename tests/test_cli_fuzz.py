@@ -6,17 +6,20 @@ leave stderr empty on exit 0 and holding exactly one `error:` line
 otherwise.
 """
 
+import argparse
 import contextlib
 import io as stringio
 import json
 import random
+import re
 import signal
 import sys
+from fractions import Fraction
 
 import pytest
 
 from padicnorm import io
-from padicnorm.cli import main
+from padicnorm.cli import _frac, main
 from padicnorm.valuation import PRIME_LIMIT, digit_limit
 
 import fuzz
@@ -125,6 +128,43 @@ def test_refusals_with_the_digit_limit_switched_off(tmp_path):
         assert io.rational_str(10**5000) == "1" + "0" * 5000
     finally:
         sys.set_int_max_str_digits(previous)
+
+
+def test_large_documents_load_without_inverting(tmp_path):
+    # a 16-dim basis of 1,000-digit entries is proved invertible modulo a prime at load, and
+    # verbs that read only the values never invert it
+    rng = random.Random(1000)
+    basis = [[str(rng.choice((-1, 1)) * rng.randrange(10 ** 999, 10 ** 1000)) for _ in range(16)]
+             for _ in range(16)]
+    big = write(tmp_path, "big.json", norm_doc(["0", "1/2", "-1", "2/3"] * 4, 3, basis))
+    for verb in ("type", "fiber", "chi-weights", "graded-dims", "bc-dims"):
+        check([verb, big], codes=(0,))
+    assert run_case(["type", big], CASE_SECONDS) == (0, "8,4,4\n", "")
+
+
+def test_invertibility_past_the_certificate(tmp_path):
+    # diag(2^61 - 1, 1) has determinant 0 modulo the certificate's prime: the exact inverse
+    # decides that it is invertible, and that a singular basis is not
+    q = str(2 ** 61 - 1)
+    zero_mod_q = write(tmp_path, "q.json", norm_doc(["0", "1/2"], basis=[[q, "0"], ["0", "1"]]))
+    assert run_case(["type", zero_mod_q], CASE_SECONDS) == (0, "1,1\n", "")
+    for basis in ([["1", "2"], ["2", "4"]], [[q, "0"], [q, "0"]], [["0", "0"], ["0", "1"]]):
+        singular = write(tmp_path, "s.json", norm_doc(["0", "1/2"], basis=basis))
+        assert run_case(["type", singular], CASE_SECONDS) == (1, "", "error: matrix is singular\n")
+
+
+def test_plain_flags_read_as_fraction_reads_them():
+    # num and num/den are read as integers; every form gives Fraction's value or its refusal
+    for s in ("0", "-0", "007", "-3", "3/06", "-2/4", "1/0", "1/00", "0/0", "9" * 4300,
+              "9" * 4301, "1/" + "9" * 4301, "+1", " 1", "1_0", "0.5", "1e2", "1/-2", "x"):
+        try:
+            want = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            message = re.escape(f"not a rational: {s!r}")
+            with pytest.raises(argparse.ArgumentTypeError, match=message):
+                _frac(s)
+        else:
+            assert _frac(s) == want
 
 
 # flag entries: ordinary, non-canonical, exponents on both sides of the digit limit,

@@ -6,11 +6,12 @@ import pytest
 
 from padicnorm import FieldConfig, SplitNorm, io, linalg
 from padicnorm.errors import DocumentError, PreconditionError
-from padicnorm.norms import LatticeBasis, equals
+from padicnorm.norms import LatticeBasis, act, ball_basis, dual, equals, tensor
 from padicnorm.splittings import SplittingPair
 from padicnorm.valuation import BOTTOM, Value, val
 
 import fuzz
+import oracles
 
 F = Fraction
 CFG2 = FieldConfig(2)
@@ -31,6 +32,51 @@ def test_rational_strings():
                 "3/1", "1e1000000000"):
         with pytest.raises(DocumentError):
             io.parse_rational(bad)
+
+
+# signs, leading zeros, lowest terms, zero and negative denominators, what Fraction accepts
+# besides the canonical form (signs, spaces, underscores, non-ASCII digits such as Arabic-
+# Indic one), and numerators and denominators at and past the int-to-str digit limit
+EDGE_RATIONALS = [
+    "0", "-1", "3/4", "-3/4", "10/3", "1/10", "-0", "00", "01", "-01", "0/5", "-0/3", "0/1",
+    "1/1", "2/4", "6/-4", "1/0", "1/00", "1/02", "1/-2", "+1", " 1", "1 ", "1_0", "1/1_0",
+    "\u0661", "1/\u0662", "", "-", "/", "1/", "/2", "--1", "1//2", "1/2/3", "9" * 4300,
+    "-" + "9" * 4300, "1/" + "9" * 4300, "9" * 4301, "1/" + "9" * 4301,
+]
+
+
+def test_parser_agrees_with_fraction():
+    # a string is read exactly when str(Fraction(s)) == s, and then as that rational
+    rng = random.Random(61)
+    fuzzed = ["".join(rng.choices("-/0123456789", k=rng.randint(1, 8))) for _ in range(20000)]
+    accepted = 0
+    for s in EDGE_RATIONALS + fuzzed:
+        want = oracles.canonical_rational(s)
+        if want is None:
+            with pytest.raises(DocumentError, match="^not a canonical rational: "):
+                io.parse_rational(s)
+        else:
+            got = io.parse_rational(s)
+            assert got == want and type(got) is Fraction, s
+            accepted += 1
+    assert accepted > 5000
+
+
+def test_documents_written_from_cleared_columns():
+    # every entry of a written matrix is the rational_str of the Fraction view's entry, on
+    # frames whose cleared columns come from a document, a product, a tensor, an inverse
+    # and a scaled ball
+    rng = random.Random(62)
+    for _ in range(40):
+        nrm = fuzz.norm(rng, n=rng.randint(1, 4))
+        g = fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime)
+        read = io.norm_from_doc(io.norm_to_doc(nrm))
+        ball = ball_basis(read, 0)
+        written = [(io.lattice_to_doc(ball)["matrix"], ball.matrix)]
+        for x in (read, act(g, nrm), tensor(nrm, read), dual(read)):
+            written.append((io.norm_to_doc(x)["basis"], x.basis))
+        for cols, view in written:
+            assert cols == [[io.rational_str(x) for x in col] for col in linalg.columns(view)]
 
 
 def test_value_strings():

@@ -126,7 +126,8 @@ def test_pair_validation():
 
 
 def test_presentations_reuse_known_inverses(monkeypatch):
-    # every inverse, linalg.inverse included, comes from the integer kernel
+    # every inverse, linalg.inverse included, comes from the integer kernel; a norm makes
+    # at most one, on first read
     calls = []
     kernel = linalg.inverse_rows
     monkeypatch.setattr(linalg, "inverse_rows", lambda cols: calls.append(cols) or kernel(cols))
@@ -136,24 +137,35 @@ def test_presentations_reuse_known_inverses(monkeypatch):
         doc = io.norm_to_doc(nrm)
         pair_doc = io.pair_to_doc(pair_from_norm(nrm))
         calls.clear()
-        # the inverse that proves the basis invertible is the norm's inverse
+        # the load proves the basis invertible modulo a prime, with no inverse
         read = io.norm_from_doc(doc)
-        assert len(calls) == 1
+        assert calls == []
+        read.inv_basis
         read.inv_basis
         assert len(calls) == 1
         # the canonical lattice is scaled from the norm's inverse, and so is its norm's
         calls.clear()
         assert verify_splitting(read, pair_from_norm(read))
         assert calls == []
+        # the norm of a pair shares the lattice's one inverse
         pair = io.pair_from_doc(pair_doc)
-        calls.clear()
-        norm_from_pair(pair).inv_basis
         assert calls == []
+        norm_from_pair(pair).inv_basis
+        pair.lattice.inv
+        assert len(calls) == 1
         # a move inverts g once, which also proves g invertible: act, then here
         g = fuzz.elementary_product(rng, read.dim, read.cfg.prime)
         calls.clear()
         assert verify_splitting(act(g, read), translate_pair(g, pair_from_norm(read)))
         assert len(calls) == 2
+    # a determinant of 0 modulo the certificate's prime is decided by the exact inverse,
+    # which the norm keeps
+    q = linalg.CERTIFICATE_PRIME
+    calls.clear()
+    read = io.norm_from_doc(io.norm_to_doc(SplitNorm(CFG2, 2, ((q, 0), (0, 1)), (F(0), F(0)))))
+    assert len(calls) == 1
+    assert read.inv_basis == ((F(1, q), F(0)), (F(0), F(1)))
+    assert len(calls) == 1
 
 
 def test_moves_carry_the_inverse_of_the_moved_basis():

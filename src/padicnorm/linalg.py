@@ -184,7 +184,10 @@ def det_cleared(cols) -> Fraction:
         pk, tail = rows[k][k], rows[k][k + 1 :]
         for row in rows[k + 1 :]:
             f = row[k]
-            row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            if f:
+                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
+            elif pk != prev:  # nothing to clear, but the rescale keeps the invariant
+                row[k + 1 :] = [pk * x // prev for x in row[k + 1 :]]
         prev = pk
     return Fraction(sign * prev, math.prod(e for _, e in cols))
 

@@ -18,9 +18,11 @@ value by value; so the two are equal exactly when the sums agree, that
 is when they give e_1 ^ ... ^ e_n the same size, their volume.  _fit
 reads the sizes x(c_j) and the volume from one slot table of x^-1 C and
 its determinant, and inverts only x.  equals(a, b) asks that a's
-columns split b at a's values; homothetic, apartment_coords,
-verify_splitting and the common basis's second check ask the same of
-the columns they hold.
+columns split b at a's values; homothetic, apartment_coords and
+verify_splitting ask the same of the columns they hold.  The common
+basis's second check asks it of B @ combo, b's columns times the column
+operations: its slot table against b is combo itself, so b is not
+inverted.
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination by column operations alone.  Column
@@ -35,17 +37,16 @@ check; a common basis adds only the check of the second norm.
 
 Norms and lattices hold their basis as cleared columns, integers over
 one denominator per column, and the inverse as cleared rows, computed
-once, on first read, by linalg.inverse_rows (loading a document proves
-its basis invertible without them, see io) or carried over by the
-operation that made the norm (act, tensor, dual, direct sum, scaled
-balls), with linalg's kernels: tensor and direct_sum use kron_cleared
-and block_cleared, the kernels of linalg.kron and linalg.block_diag,
-and act, moving a basis M to g M, carries M^-1 g^-1 and inverts only
-g.  The Fraction matrices basis, inv_basis, matrix and inv are views,
-built on first access; the comparison path (equals, distance, the
-self-checks) never builds one.  Scaled balls and the norms on a lattice
-carry inverse rows only when they are already known; otherwise they are
-computed on first read.
+once, on first read: by linalg.inverse_rows (loading a document proves
+its basis invertible without them, see io), or from the inverse rows of
+what the norm was made from (act, tensor, direct sum, scaled balls, the
+norms on a lattice) with linalg's kernels.  tensor and direct_sum use
+kron_cleared and block_cleared, the kernels of linalg.kron and
+linalg.block_diag; act, moving a basis M to g M, proves g invertible by
+linalg.nonsingular_mod and builds M^-1 g^-1, inverting only g.  dual
+swaps the two.  The Fraction matrices basis, inv_basis, matrix and inv
+are views, built on first access; the comparison path (equals, distance,
+the self-checks) never builds one.
 
 Slot weights, in op_size, evaluate and the elimination alike, are read
 from the _slot_table of a product's two factors: integer dot products
@@ -88,9 +89,10 @@ def _plant(obj, name: str, value) -> None:
 class _Frame:
     """An invertible matrix held as its cleared columns _cols, with the cleared rows
     _inv_rows of its inverse built on first use: by the function _inv_from when the frame
-    was made with one (a ball scales its norm's rows), else by linalg.inverse_rows.  The
-    Fraction view of the columns, the dataclass field named by _view, is built from _cols on
-    first access when the frame was made from cleared columns."""
+    was made with one (a ball scales its norm's rows, a move or product combines those of
+    its inputs), else by linalg.inverse_rows.  The Fraction view of the columns, the
+    dataclass field named by _view, is built from _cols on first access when the frame was
+    made from cleared columns."""
 
     _view = ""
     _inv_from: Callable[[], Cleared] | None = None
@@ -253,14 +255,18 @@ def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
     return best
 
 
-def _slot_table(row_values, rows: Cleared, col_values, cols: Cleared, p: int):
+def _slot_table(row_values, rows: Cleared | None, col_values, cols: Cleared, p: int):
     """The product of the cleared rows and the cleared columns in integers: (row_w, col_w,
     table, dens, scale), where table[j][i] is the dot product s of row i over its denominator
     d and column j over e = dens[j], and row_w[i] - col_w[j] - scale * v(s) is scale times
-    the weight of slot (i, j), s / (d e)."""
+    the weight of slot (i, j), s / (d e).  rows None stands for the unit rows: the table is
+    then the columns' own integers, with no product."""
     ((values, scale),) = linalg.int_rows(((*row_values, *col_values),))
+    n = len(row_values)
+    col_w = [a - scale * multiplicity(e, p) for a, (_, e) in zip(values[n:], cols)]
+    if rows is None:
+        return values[:n], col_w, [c for c, _ in cols], [e for _, e in cols], scale
     row_w = [a + scale * multiplicity(d, p) for a, (_, d) in zip(values, rows)]
-    col_w = [a - scale * multiplicity(e, p) for a, (_, e) in zip(values[len(rows) :], cols)]
     table = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
     return row_w, col_w, table, [e for _, e in cols], scale
 
@@ -355,12 +361,18 @@ def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
 
 def _fit(x: SplitNorm, cols: Cleared, values) -> tuple[list[int], int] | None:
     """Do the cleared columns c_j split x?  When they do, (t, scale), with t_j = scale *
-    (x(c_j) - values[j]) the excess of column j, from one _slot_table of x^-1 C; None when
-    they do not.  The norm taking c_j to values[j] + t_j / scale dominates x, so it is x
-    exactly when the two volumes agree (see the module docstring), read from the determinant
-    of the same table.  Only x is inverted; a singular C raises SingularMatrixError."""
+    (x(c_j) - values[j]) the excess of column j, read by _fit_table from the _slot_table
+    of x^-1 C; None when they do not.  Only x is inverted; a singular C raises
+    SingularMatrixError."""
     p = x.cfg.prime
-    row_w, col_w, table, _, scale = _slot_table(x.values, x._inv_rows, values, cols, p)
+    return _fit_table(_slot_table(x.values, x._inv_rows, values, cols, p), p)
+
+
+def _fit_table(slots, p: int) -> tuple[list[int], int] | None:
+    """_fit read from the given _slot_table of x^-1 C.  The norm taking c_j to values[j] +
+    t_j / scale dominates x, so it is x exactly when the two volumes agree (see the module
+    docstring), read from the determinant of the same table."""
+    row_w, col_w, table, _, scale = slots
     tops = [_heaviest(row_w, col_w, table, scale, p, (j,)) for j in range(len(table))]
     det = linalg.det_cleared([(c, 1) for c in table]).numerator if all(tops) else 0
     if not det:
@@ -380,12 +392,28 @@ def equals(a: SplitNorm, b: SplitNorm) -> bool:
     return fit is not None and not any(fit[0])
 
 
-def _moved(g, frame: _Frame) -> tuple[Cleared, Cleared]:
-    """The cleared columns of g M, M the frame's matrix, and the cleared rows of (g M)^-1 =
-    M^-1 g^-1: the columns of (g^-1)^T (M^-1)^T, from the inverse of g alone."""
+def _moved(g, frame: _Frame) -> tuple[Cleared, Callable[[], Cleared]]:
+    """The cleared columns of g M, M the frame's matrix, and a function building the cleared
+    rows of (g M)^-1 = M^-1 g^-1 on first read.  g is proven invertible by
+    linalg.nonsingular_mod; only a determinant that vanishes modulo its prime is decided by
+    the exact inverse of g, which raises SingularMatrixError for a singular g and is kept."""
     g_cols = linalg.cleared(linalg.square(g, len(frame._cols), "acting matrix"))
-    inv_rows = linalg.times_cleared(linalg.inverse_rows(g_cols), frame._inv_rows)
-    return linalg.times_cleared(g_cols, frame._cols), inv_rows
+    g_inv = None if linalg.nonsingular_mod(g_cols) else linalg.inverse_rows(g_cols)
+    return linalg.times_cleared(g_cols, frame._cols), partial(_moved_rows, g_cols, g_inv, frame)
+
+
+def _moved_rows(g_cols: Cleared, g_inv: Cleared | None, frame: _Frame) -> Cleared:
+    """The cleared rows of M^-1 g^-1: the columns of (g^-1)^T (M^-1)^T, from the inverse of g
+    alone, made here unless already known."""
+    if g_inv is None:
+        g_inv = linalg.inverse_rows(g_cols)
+    return linalg.times_cleared(g_inv, frame._inv_rows)
+
+
+def _paired_rows(kernel, a: SplitNorm, b: SplitNorm, *sizes: int) -> Cleared:
+    """The cleared inverse rows of a tensor product or direct sum, by the kernel that built
+    its columns, from the inverse rows of its two factors."""
+    return kernel(a._inv_rows, b._inv_rows, *sizes)
 
 
 def act(g, norm: SplitNorm) -> SplitNorm:
@@ -400,7 +428,7 @@ def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
     values = tuple(x + y for x in a.values for y in b.values)
     cols = linalg.kron_cleared(a._cols, b._cols)
-    return _split(a.cfg, cols, values, linalg.kron_cleared(a._inv_rows, b._inv_rows))
+    return _split(a.cfg, cols, values, partial(_paired_rows, linalg.kron_cleared, a, b))
 
 
 def dual(a: SplitNorm) -> SplitNorm:
@@ -414,7 +442,7 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
     cols = linalg.block_cleared(a._cols, b._cols, a.dim, b.dim)
-    inv_rows = linalg.block_cleared(a._inv_rows, b._inv_rows, a.dim, b.dim)
+    inv_rows = partial(_paired_rows, linalg.block_cleared, a, b, a.dim, b.dim)
     return _split(a.cfg, cols, a.values + b.values, inv_rows)
 
 
@@ -532,8 +560,8 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
 
     Returns (basis, a_values, b_values): the columns of basis split a
     with a_values and b with b_values.  Columns are scaled so that
-    a_values lie in [0, 1).  Both reconstructions are checked via
-    equals before returning.
+    a_values lie in [0, 1).  Both reconstructions are checked by the
+    splitting test _fit before returning; only a is inverted.
     """
     common = _common_norm(a, b)
     lattice, a_vals = _canonical(common)
@@ -544,10 +572,13 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
 
 def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """a on unscaled columns that split b with b.values: _split_span of b's basis against a,
-    whose check covers a, and the second reconstruction check, of b."""
+    whose check covers a, and the second reconstruction check, of b.  b's n columns leave no
+    ambient row over, so the common columns are B @ combo and B^-1 C is combo itself: the
+    check reads its slot table off the column operations, and b is not inverted."""
     _check_compatible(a, b)
-    common, _ = _split_span(a, b._cols, b.values)
-    fit = _fit(b, common._cols, b.values)
+    common, combo = _split_span(a, b._cols, b.values)
+    p = b.cfg.prime
+    fit = _fit_table(_slot_table(b.values, None, b.values, combo, p), p)
     if fit is None or any(fit[0]):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common

@@ -1,12 +1,15 @@
 """The reconstruction checks behind restrict, quotient, common_splitting_basis and distance
 fire when the elimination is wrong: _monomialize is wrapped to corrupt its result."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from padicnorm import FieldConfig, SplitNorm, linalg, norms
 from padicnorm.errors import SelfCheckError
+
+import fuzz
 
 F = Fraction
 CFG2 = FieldConfig(2)
@@ -47,3 +50,34 @@ def test_permuted_columns_fail_the_second_norm(monkeypatch, name):
     _wrap(monkeypatch, lambda values, ops: (values[::-1], ops[::-1]))
     with pytest.raises(SelfCheckError, match="second norm"):
         CALLS[name]()
+
+
+def _leaked(ops, p):
+    # p^-3 times column 0 added to column 1: a change of basis, but not a value-compatible one
+    (c0, e0), (c1, e1) = ops[:2]
+    col = [p**3 * e0 * y + e1 * x for x, y in zip(c0, c1)]
+    return [ops[0], linalg.reduced(col, p**3 * e0 * e1), *ops[2:]]
+
+
+@pytest.mark.parametrize("run", [norms.common_splitting_basis, norms.distance])
+def test_leaked_column_fails_the_second_norm(monkeypatch, run):
+    # under a, of values (0, 4), the leaked column keeps its size 4 and the first check
+    # passes; under BETA its size grows from 1 to 3
+    _wrap(monkeypatch, lambda values, ops: (values, _leaked(ops, 2)))
+    with pytest.raises(SelfCheckError, match="second norm"):
+        run(SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(4))), BETA)
+
+
+def test_second_check_reads_what_the_inverse_reads():
+    # the check of the second norm, read off the column operations, is _fit of b at the
+    # common columns, on true and on leaked column operations alike
+    rng = random.Random(22)
+    for _ in range(60):
+        a = fuzz.norm(rng, rng.randint(2, 6))
+        b = fuzz.norm(rng, a.dim, a.cfg.prime)
+        p = b.cfg.prime
+        _, combo = norms._split_span(a, b._cols, b.values)
+        for ops in (combo, _leaked(combo, p)):
+            fit = norms._fit(b, linalg.times_cleared(b._cols, ops), b.values)
+            slots = norms._slot_table(b.values, None, b.values, ops, p)
+            assert norms._fit_table(slots, p) == fit

@@ -6,7 +6,7 @@ import pytest
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg
 from padicnorm.errors import ConfigMismatchError, DimensionMismatchError, SingularMatrixError
-from padicnorm.norms import act, equals, lattices_equal
+from padicnorm.norms import act, direct_sum, equals, lattices_equal, tensor
 from padicnorm.splittings import (
     SplittingPair,
     norm_from_pair,
@@ -153,11 +153,12 @@ def test_presentations_reuse_known_inverses(monkeypatch):
         norm_from_pair(pair).inv_basis
         pair.lattice.inv
         assert len(calls) == 1
-        # a move inverts g once, which also proves g invertible: act, then here
+        # a move proves g invertible modulo a prime and inverts nothing; checking the moved
+        # pair reads the moved norm's inverse, which inverts g once, and not the lattice's
         g = fuzz.elementary_product(rng, read.dim, read.cfg.prime)
         calls.clear()
         assert verify_splitting(act(g, read), translate_pair(g, pair_from_norm(read)))
-        assert len(calls) == 2
+        assert calls == [linalg.cleared(g)]
     # a determinant of 0 modulo the certificate's prime is decided by the exact inverse,
     # which the norm keeps
     q = linalg.CERTIFICATE_PRIME
@@ -203,8 +204,38 @@ def test_act_inverts_g_itself(monkeypatch):
         nrm.inv_basis
         g = fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime)
         calls.clear()
-        act(g, nrm)
+        moved = act(g, nrm)
+        assert calls == []
+        # the first inverse read inverts g alone, once
+        moved.inv_basis
+        moved.inv_basis
         assert calls == [linalg.cleared(g)]
+    # a g whose determinant vanishes modulo the certificate's prime is decided by its exact
+    # inverse, which the moved norm keeps
+    g = ((linalg.CERTIFICATE_PRIME, 0), (0, 1))
+    calls.clear()
+    moved = act(g, ALPHA0)
+    assert calls == [linalg.cleared(g)]
+    assert moved.inv_basis == oracles.inverse(linalg.matmul(g, ALPHA0.basis))
+    assert len(calls) == 1
+
+
+def test_products_invert_on_first_read(monkeypatch):
+    # tensor and direct_sum invert nothing; the first inverse read inverts each factor once
+    calls = []
+    kernel = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows", lambda cols: calls.append(cols) or kernel(cols))
+    rng = random.Random(67)
+    for _ in range(20):
+        for build, join in ((tensor, linalg.kron), (direct_sum, linalg.block_diag)):
+            a = fuzz.norm(rng)
+            b = fuzz.norm(rng, p=a.cfg.prime)
+            calls.clear()
+            product = build(a, b)
+            assert calls == []
+            assert product.inv_basis == oracles.inverse(join(a.basis, b.basis))
+            assert product.inv_basis is product.inv_basis
+            assert calls == [a._cols, b._cols]
 
 
 def test_mismatched_pairs_are_refused_before_inverting(monkeypatch):

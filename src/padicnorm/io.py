@@ -12,10 +12,10 @@ A matrix is read straight into cleared columns, each entry split into
 integers by one anchored pattern and each column put over the lcm of
 its denominators, and written back from them, one gcd per entry; no
 Fraction is built per entry either way.  Loading proves the matrix
-invertible by linalg.nonsingular_mod, a determinant modulo a fixed
-prime, and leaves its inverse to be made on first read; only a
-determinant that vanishes there, as every singular one does, is decided
-by the exact inverse.
+invertible as every frame made from outside is (norms._proven): by a
+determinant modulo a fixed prime, leaving the inverse to be made on
+first read; only a determinant that vanishes there, as every singular
+one does, is decided by the exact inverse, which is kept.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DocumentError, DomainError, PreconditionError
-from .norms import LatticeBasis, SplitNorm, _frame, _on_lattice
+from .norms import LatticeBasis, SplitNorm, _frame, _on_lattice, _proven
 from .splittings import SplittingPair
 from .valuation import TOO_LARGE, FieldConfig, Value
 
@@ -119,11 +119,9 @@ def _read(doc, matrix_key: str, weights_key=None, optional=()):
         weights = doc.get(weights_key) if weights_key else []
         if weights_key and (not isinstance(weights, list) or len(weights) != dim):
             raise DocumentError(f"{weights_key} must be an array of {dim} rationals")
-        lattice = _frame(LatticeBasis, cfg, _parse_columns(doc.get(matrix_key), dim, matrix_key))
+        cols = _parse_columns(doc.get(matrix_key), dim, matrix_key)
         weights = tuple(parse_rational(w) for w in weights)
-        if not linalg.nonsingular_mod(lattice._cols):
-            lattice._inv_rows  # decides exactly: a singular matrix fails here, else it is cached
-        return lattice, weights
+        return _proven(_frame(LatticeBasis, cfg, cols)), weights
     except DomainError as exc:
         raise DocumentError(str(exc)) from exc
 

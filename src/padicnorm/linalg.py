@@ -73,10 +73,6 @@ def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def columns(m: Matrix) -> tuple[Vector, ...]:
-    return transpose(m)
-
-
 def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
 

@@ -35,18 +35,21 @@ ambient vectors of the rows never pivoted complete the split columns
 as they stand.  _split_span runs both, with the one reconstruction
 check; a common basis adds only the check of the second norm.
 
-Norms and lattices hold their basis as cleared columns, integers over
-one denominator per column, and the inverse as cleared rows, computed
-once, on first read: by linalg.inverse_rows (loading a document proves
-its basis invertible without them, see io), or from the inverse rows of
-what the norm was made from (act, tensor, direct sum, scaled balls, the
-norms on a lattice) with linalg's kernels.  tensor and direct_sum use
-kron_cleared and block_cleared, the kernels of linalg.kron and
-linalg.block_diag; act, moving a basis M to g M, proves g invertible by
-linalg.nonsingular_mod and builds M^-1 g^-1, inverting only g.  dual
-swaps the two.  The Fraction matrices basis, inv_basis, matrix and inv
-are views, built on first access; the comparison path (equals, distance,
-the self-checks) never builds one.
+Norms and lattices are frames: a basis held as cleared columns,
+integers over one denominator per column, and its inverse as cleared
+rows, made once, on first read, by the frame's recipe.  The default
+recipe is linalg.inverse_rows.  A frame made from others has one
+recipe, _inverse_from: the kernel that built its columns, applied to
+its sources' inverse rows.  tensor and direct_sum use kron_cleared and
+block_cleared; a ball B diag(p^k) uses _powers, as diag(p^-k) B^-1;
+act and translate_pair make the acting matrix g a frame, so the rows of
+M^-1 g^-1 are times_cleared of g's and M's, and only g is inverted.
+dual swaps columns and rows, and the norms on a lattice share its rows.
+Columns from outside, a document's or g's, are _proven invertible by a
+determinant modulo a fixed prime, with no inverse.  The Fraction
+matrices basis, inv_basis, matrix and inv are views, built on first
+access; the comparison path (equals, distance, the self-checks) never
+builds one.
 
 Slot weights, in op_size, evaluate and the elimination alike, are read
 from the _slot_table of a product's two factors: integer dot products
@@ -78,35 +81,33 @@ from .linalg import Cleared, Matrix, Vector
 from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, multiplicity
 
 
-# the cleared rows of a frame's inverse when known, or a function building them on first use
-InvRows = Cleared | Callable[[], Cleared] | None
-
-
 def _plant(obj, name: str, value) -> None:
     object.__setattr__(obj, name, value)
 
 
 class _Frame:
-    """An invertible matrix held as its cleared columns _cols, with the cleared rows
-    _inv_rows of its inverse built on first use: by the function _inv_from when the frame
-    was made with one (a ball scales its norm's rows, a move or product combines those of
-    its inputs), else by linalg.inverse_rows.  The Fraction view of the columns, the
-    dataclass field named by _view, is built from _cols on first access when the frame was
-    made from cleared columns."""
+    """An invertible matrix held as its cleared columns _cols, with the cleared rows _inv_rows
+    of its inverse made once, on first read, by the recipe _inv_from: linalg.inverse_rows of
+    the columns, unless the frame was made with another (see _frame).  The Fraction views,
+    the field named by _view of the columns and the one named by _inv_view of the inverse,
+    are built on first access."""
 
-    _view = ""
-    _inv_from: Callable[[], Cleared] | None = None
+    _view = _inv_view = ""
+
+    def _inv_from(self) -> Cleared:
+        return linalg.inverse_rows(self._cols)
 
     @cached_property
     def _inv_rows(self) -> Cleared:
-        if self._inv_from is not None:
-            return self._inv_from()
-        return linalg.inverse_rows(self._cols)
+        return self._inv_from()
 
     def __getattr__(self, name: str):
-        if name != self._view:
+        if name == self._view:
+            view = linalg.from_cleared_columns(self._cols, len(self._cols))
+        elif name == self._inv_view:
+            view = linalg.from_cleared(self._inv_rows)
+        else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        view = linalg.from_cleared_columns(self._cols, len(self._cols))
         _plant(self, name, view)
         return view
 
@@ -124,7 +125,7 @@ class SplitNorm(_Frame):
     basis: Matrix
     values: tuple[Fraction, ...]
 
-    _view = "basis"
+    _view, _inv_view = "basis", "_inv"
 
     def __post_init__(self) -> None:
         n = self.dim
@@ -141,16 +142,11 @@ class SplitNorm(_Frame):
     # not a cached_property: perfbench/tracing.py wraps its fget and checks "_inv" in vars(norm)
     @property
     def inv_basis(self) -> Matrix:
-        try:
-            return self._inv  # type: ignore[attr-defined]
-        except AttributeError:
-            inv = linalg.from_cleared(self._inv_rows)
-            _plant(self, "_inv", inv)
-            return inv
+        return self._inv  # type: ignore[attr-defined]
 
     @property
     def basis_columns(self) -> tuple[Vector, ...]:
-        return linalg.columns(self.basis)
+        return linalg.from_cleared(self._cols)
 
     @cached_property
     def _class_counts(self) -> dict[Fraction, int]:
@@ -174,7 +170,7 @@ class LatticeBasis(_Frame):
     cfg: FieldConfig
     matrix: Matrix
 
-    _view = "matrix"
+    _view, _inv_view = "matrix", "inv"
 
     def __post_init__(self) -> None:
         matrix = linalg.square(self.matrix, what="lattice matrix")
@@ -185,27 +181,38 @@ class LatticeBasis(_Frame):
     def dim(self) -> int:
         return len(self._cols)
 
-    @cached_property
-    def inv(self) -> Matrix:
-        return linalg.from_cleared(self._inv_rows)
 
-
-def _frame(cls, cfg: FieldConfig, cols: Cleared, inv_rows: InvRows = None):
-    """A LatticeBasis, or a SplitNorm before its dim and values, on cleared columns; inv_rows,
-    when known, clear the inverse, and a function given instead builds them on first use."""
+def _frame(cls, cfg: FieldConfig, cols: Cleared, inv_from: Callable[[], Cleared] | None = None):
+    """A frame of class cls on cleared columns, a SplitNorm still without dim and values.
+    inv_from, a function of no arguments, replaces the default recipe; it is a partial of a
+    module-level function, as _inverse_from makes them, so the frame pickles."""
     frame = object.__new__(cls)
     _plant(frame, "cfg", cfg)
     _plant(frame, "_cols", cols)
-    if callable(inv_rows):
-        _plant(frame, "_inv_from", inv_rows)
-    elif inv_rows is not None:
-        _plant(frame, "_inv_rows", inv_rows)
+    if inv_from is not None:
+        _plant(frame, "_inv_from", inv_from)
     return frame
 
 
-def _split(cfg: FieldConfig, cols: Cleared, values, inv_rows: InvRows = None) -> SplitNorm:
+def _inverse_from(kernel, *args) -> Cleared:
+    """The cleared inverse rows of a made frame: kernel of args, each frame among them standing
+    for its own inverse rows, read only now.  The one recipe of every frame made from others:
+    a ball scales its norm's rows, a move or a product combines those of its inputs."""
+    return kernel(*(a._inv_rows if isinstance(a, _Frame) else a for a in args))
+
+
+def _proven(frame: _Frame) -> _Frame:
+    """The frame, proven invertible by linalg.nonsingular_mod, a determinant modulo a fixed
+    prime; only a determinant that vanishes there is decided by the exact inverse, which
+    raises SingularMatrixError for a singular frame and is kept."""
+    if not linalg.nonsingular_mod(frame._cols):
+        frame._inv_rows
+    return frame
+
+
+def _split(cfg: FieldConfig, cols: Cleared, values, inv_from=None) -> SplitNorm:
     """The norm taking cleared column j to values[j], a tuple of Fractions."""
-    norm = _frame(SplitNorm, cfg, cols, inv_rows)
+    norm = _frame(SplitNorm, cfg, cols, inv_from)
     _plant(norm, "dim", len(cols))
     _plant(norm, "values", values)
     return norm
@@ -306,28 +313,27 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
+    """The lattice of the norm's columns times p^k, one exponent k each: B diag(p^k), whose
+    inverse diag(p^-k) B^-1 is the norm's one inverse scaled by the same _powers."""
     p = norm.cfg.prime
     # p^k has |k| log10 p digits and a basis entry cancels at most a digit limit's worth of
     # them, so past twice the limit no entry can be printed: refuse before building p^k
     if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
         raise PreconditionError(TOO_LARGE)
-    cols = [_times_power(c, e, p, k) for (c, e), k in zip(norm._cols, exponents)]
-    return _frame(LatticeBasis, norm.cfg, cols, partial(_scaled_rows, norm, exponents))
+    inv_from = partial(_inverse_from, _powers, norm, p, [-k for k in exponents])
+    return _frame(LatticeBasis, norm.cfg, _powers(norm._cols, p, exponents), inv_from)
 
 
-def _scaled_rows(norm: SplitNorm, exponents: list[int]) -> Cleared:
-    """The inverse rows of B diag(p^k), diag(p^-k) B^-1: every ball of a norm reuses its one
-    inverse."""
-    p = norm.cfg.prime
-    return [_times_power(r, d, p, -k) for (r, d), k in zip(norm._inv_rows, exponents)]
-
-
-def _times_power(ints: list[int], den: int, p: int, k: int) -> tuple[list[int], int]:
-    """The cleared vector ints / den times p^k."""
-    if k >= 0:
-        q = p**k
-        return linalg.reduced([x * q for x in ints], den)
-    return linalg.reduced(ints, den * p**-k)
+def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
+    """The cleared vectors, each times p^k for its exponent k, one power per vector."""
+    out = []
+    for (ints, den), k in zip(vectors, exponents):
+        if k >= 0:
+            q = p**k
+            out.append(linalg.reduced([x * q for x in ints], den))
+        else:
+            out.append(linalg.reduced(ints, den * p**-k))
+    return out
 
 
 def _canonical(norm: SplitNorm) -> tuple[LatticeBasis, tuple[Fraction, ...]]:
@@ -393,33 +399,19 @@ def equals(a: SplitNorm, b: SplitNorm) -> bool:
 
 
 def _moved(g, frame: _Frame) -> tuple[Cleared, Callable[[], Cleared]]:
-    """The cleared columns of g M, M the frame's matrix, and a function building the cleared
-    rows of (g M)^-1 = M^-1 g^-1 on first read.  g is proven invertible by
-    linalg.nonsingular_mod; only a determinant that vanishes modulo its prime is decided by
-    the exact inverse of g, which raises SingularMatrixError for a singular g and is kept."""
+    """The cleared columns of g M, M the frame's matrix, and the recipe of (g M)^-1 = M^-1
+    g^-1, whose rows are the columns of (g^-1)^T (M^-1)^T: times_cleared of the inverse rows
+    of g, a _proven frame, and of M, so only g is inverted."""
     g_cols = linalg.cleared(linalg.square(g, len(frame._cols), "acting matrix"))
-    g_inv = None if linalg.nonsingular_mod(g_cols) else linalg.inverse_rows(g_cols)
-    return linalg.times_cleared(g_cols, frame._cols), partial(_moved_rows, g_cols, g_inv, frame)
-
-
-def _moved_rows(g_cols: Cleared, g_inv: Cleared | None, frame: _Frame) -> Cleared:
-    """The cleared rows of M^-1 g^-1: the columns of (g^-1)^T (M^-1)^T, from the inverse of g
-    alone, made here unless already known."""
-    if g_inv is None:
-        g_inv = linalg.inverse_rows(g_cols)
-    return linalg.times_cleared(g_inv, frame._inv_rows)
-
-
-def _paired_rows(kernel, a: SplitNorm, b: SplitNorm, *sizes: int) -> Cleared:
-    """The cleared inverse rows of a tensor product or direct sum, by the kernel that built
-    its columns, from the inverse rows of its two factors."""
-    return kernel(a._inv_rows, b._inv_rows, *sizes)
+    g = _proven(_frame(_Frame, frame.cfg, g_cols))
+    inv_from = partial(_inverse_from, linalg.times_cleared, g, frame)
+    return linalg.times_cleared(g_cols, frame._cols), inv_from
 
 
 def act(g, norm: SplitNorm) -> SplitNorm:
     """Transport the norm along an invertible matrix g (v -> size of g^-1 v)."""
-    cols, inv_rows = _moved(g, norm)
-    return _split(norm.cfg, cols, norm.values, inv_rows)
+    cols, inv_from = _moved(g, norm)
+    return _split(norm.cfg, cols, norm.values, inv_from)
 
 
 def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
@@ -428,13 +420,13 @@ def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
     values = tuple(x + y for x in a.values for y in b.values)
     cols = linalg.kron_cleared(a._cols, b._cols)
-    return _split(a.cfg, cols, values, partial(_paired_rows, linalg.kron_cleared, a, b))
+    return _split(a.cfg, cols, values, partial(_inverse_from, linalg.kron_cleared, a, b))
 
 
 def dual(a: SplitNorm) -> SplitNorm:
     """Dual norm on the dual space, split by the dual basis: its columns are the rows of
     the inverse, and the inverse of its basis has the columns of a's basis as rows."""
-    return _split(a.cfg, a._inv_rows, tuple(-x for x in a.values), a._cols)
+    return _split(a.cfg, a._inv_rows, tuple(-x for x in a.values), partial(getattr, a, "_cols"))
 
 
 def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
@@ -442,8 +434,8 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
     cols = linalg.block_cleared(a._cols, b._cols, a.dim, b.dim)
-    inv_rows = partial(_paired_rows, linalg.block_cleared, a, b, a.dim, b.dim)
-    return _split(a.cfg, cols, a.values + b.values, inv_rows)
+    inv_from = partial(_inverse_from, linalg.block_cleared, a, b, a.dim, b.dim)
+    return _split(a.cfg, cols, a.values + b.values, inv_from)
 
 
 def _monomialize(row_values, rows: Cleared, col_values, cols: Cleared, p: int):

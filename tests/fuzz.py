@@ -73,7 +73,7 @@ def lattice(rng, cfg, n):
 
 def span_matrix(rng, n, d):
     """n x d matrix of full column rank d."""
-    cols = linalg.columns(invertible(rng, n))
+    cols = linalg.transpose(invertible(rng, n))
     return linalg.from_columns(cols[:d])
 
 

@@ -3,19 +3,22 @@
 Normal forms are allowed here and nowhere in the package: the Smith
 oracle recomputes relative positions from elementary divisors, and the
 ball oracles decide stabilizer membership and equality lattice by
-lattice.
+lattice.  They read only a ball's columns from the package; inverses
+come from sympy and products are taken here, in Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import floor, lcm
+from operator import mul
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
+from sympy.polys.matrices import DomainMatrix
+from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
 
-from padicnorm import linalg, norms
-from padicnorm.errors import DomainError
+from padicnorm import norms
 
 
 def integral(x: Fraction, p: int) -> bool:
@@ -50,24 +53,32 @@ def det(m) -> Fraction:
 
 
 def inverse(m) -> tuple:
-    """Inverse by sympy's own elimination, as rows of Fractions."""
-    inv = sympy.Matrix(m).inv()
-    return tuple(tuple(Fraction(int(x.p), int(x.q)) for x in inv.row(i)) for i in range(inv.rows))
+    """Inverse by sympy's own elimination over QQ, as rows of Fractions; a singular m raises
+    DMNonInvertibleMatrixError."""
+    rows = [[sympy.QQ(x.numerator, x.denominator) for x in map(Fraction, row)] for row in m]
+    inv = DomainMatrix(rows, (len(rows), len(rows)), sympy.QQ).inv().to_list()
+    return tuple(tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row) for row in inv)
+
+
+def product(a, b) -> tuple:
+    """The matrix product of two row-major matrices of Fractions."""
+    return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
 def preserves_all_balls(nrm, g) -> bool:
     """Brute-force stabilizer test: g and its inverse must carry the
     ball lattice of every value class into itself."""
-    g = linalg.mat(g)
+    g = tuple(tuple(map(Fraction, row)) for row in g)
     try:
-        g_inv = linalg.inverse(g)
-    except DomainError:
+        g_inv = inverse(g)
+    except DMNonInvertibleMatrixError:
         return False
     p = nrm.cfg.prime
     for cls in nrm.value_classes:
-        ball = norms.ball_basis(nrm, cls)
+        ball = norms.ball_basis(nrm, cls).matrix
+        ball_inv = inverse(ball)
         for h in (g, g_inv):
-            t = linalg.matmul(ball.inv, linalg.matmul(h, ball.matrix))
+            t = product(ball_inv, product(h, ball))
             if not all(integral(x, p) for row in t for x in row):
                 return False
     return True
@@ -91,7 +102,7 @@ def balls_equal(a, b) -> bool:
     for g in sorted({x - floor(x) for x in a.values + b.values}):
         ball_a, ball_b = norms.ball_basis(a, g), norms.ball_basis(b, g)
         for outer, inner in ((ball_a, ball_b), (ball_b, ball_a)):
-            t = linalg.matmul(outer.inv, inner.matrix)
+            t = product(inverse(outer.matrix), inner.matrix)
             if not all(integral(x, p) for row in t for x in row):
                 return False
     return True
@@ -109,7 +120,7 @@ def smith_cartan(a, b) -> tuple[Fraction, ...]:
     p = a.cfg.prime
     la = norms.ball_basis(a, 0)
     lb = norms.ball_basis(b, 0)
-    t = linalg.matmul(la.inv, lb.matrix)
+    t = product(inverse(la.matrix), lb.matrix)
     d = lcm(*(x.denominator for row in t for x in row))
     m = sympy.Matrix([[int(x * d) for x in row] for row in t])
     s = smith_normal_form(m, domain=sympy.ZZ)

@@ -132,6 +132,10 @@ def test_homothetic_examples():
     assert not homothetic(BETA, ALPHA0)
     half = SplitNorm(CFG2, 2, linalg.identity(2), (F(1, 2), F(1, 2)))
     assert not homothetic(BETA, half)
+    # norms over other primes or on other dimensions are never homothetic, in either order
+    for other in (SplitNorm(FieldConfig(3), 2, BETA.basis, BETA.values),
+                  SplitNorm(CFG2, 3, linalg.identity(3), (F(0),) * 3)):
+        assert not homothetic(BETA, other) and not homothetic(other, BETA)
 
 
 def test_homothetic_on_operation_built_norms():
@@ -202,7 +206,7 @@ def test_frame_equivariance():
         # a random frame mostly does not split the norm: the answer is None exactly when the
         # frame with the sizes of its columns fails the two-sided equality
         frame = fuzz.invertible(rng, n)
-        sizes = tuple(evaluate(nrm, c).mag for c in linalg.columns(frame))
+        sizes = tuple(evaluate(nrm, c).mag for c in linalg.transpose(frame))
         coords = apartment_coords(nrm, frame=frame)
         assert (coords is None) == (not equals(SplitNorm(cfg, n, frame, sizes), nrm))
         assert coords in (None, sizes)

@@ -282,6 +282,15 @@ def test_exit_codes(docs, capsys):
     code, _, err = run(capsys, "equals", alpha, docs["three"])
     assert code == 2 and err.startswith("error:")
 
+    # span columns of the wrong length, or more of them than the dimension
+    for verb in ("restrict", "quotient"):
+        for span, msg in (
+            ("1,0,0", "span matrix must have 2 rows, got 3"),
+            ("1;0", "span matrix must have 2 rows, got 1"),
+            ("1,0;0,1;1,1", "more spanning columns than the dimension allows"),
+        ):
+            assert run(capsys, verb, alpha, "--span", span) == (2, "", f"error: {msg}\n")
+
     # invertible but 3x3 on a 2-dim norm: the size is refused before the determinant
     # (2, not a 2-adic unit) could answer false
     for verb in ("stab-check", "level"):

@@ -57,7 +57,7 @@ def test_common_basis_splits_both():
         assert all(0 <= v < 1 for v in a_vals)
         # spot check the values on the common columns
         for j in range(a.dim):
-            col = linalg.columns(basis)[j]
+            col = linalg.transpose(basis)[j]
             assert evaluate(a, col) == a_vals[j]
             assert evaluate(b, col) == b_vals[j]
 

@@ -76,7 +76,7 @@ def test_documents_written_from_cleared_columns():
         for x in (read, act(g, nrm), tensor(nrm, read), dual(read)):
             written.append((io.norm_to_doc(x)["basis"], x.basis))
         for cols, view in written:
-            assert cols == [[io.rational_str(x) for x in col] for col in linalg.columns(view)]
+            assert cols == [[io.rational_str(x) for x in col] for col in linalg.transpose(view)]
 
 
 def test_value_strings():

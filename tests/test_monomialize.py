@@ -34,7 +34,7 @@ def cases():
             nrm = make(rng, n=rng.randint(1, 5), p=p)
             d = rng.randint(1, nrm.dim)
             span = fuzz.span_matrix(rng, nrm.dim, d)
-            yield nrm.values, nrm.inv_basis, (0,) * d, linalg.columns(span), p
+            yield nrm.values, nrm.inv_basis, (0,) * d, linalg.transpose(span), p
             other = make(rng, n=nrm.dim, p=p)
             yield nrm.values, nrm.inv_basis, other.values, other.basis_columns, p
 

@@ -305,6 +305,10 @@ def test_zero_dimensional_space():
 def test_bool_dimension_rejected():
     with pytest.raises(DimensionMismatchError):
         SplitNorm(CFG2, True, ((1,),), (F(0),))
+    # one value per basis column, no more and no fewer
+    for values in ((), (F(0),), (F(0),) * 3):
+        with pytest.raises(DimensionMismatchError, match=f"expected 2 values, got {len(values)}"):
+            SplitNorm(CFG2, 2, linalg.identity(2), values)
 
 
 def test_singular_basis_rejected():

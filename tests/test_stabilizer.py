@@ -171,6 +171,8 @@ def test_chain_certificates():
         # one period climbs through the whole lattice index p^n
         total = sum(pval(linalg.det(c), p) for c in certs)
         assert total == nrm.dim
+    # a 0-dimensional norm has no value class, so its period holds no ball to certify
+    assert chain_certificates(chain_period(SplitNorm(CFG2, 0, (), ()))) == ()
 
 
 def test_chain_certificates_invert_the_norm_once(monkeypatch):

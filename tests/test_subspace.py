@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from padicnorm import FieldConfig, SplitNorm, linalg
-from padicnorm.errors import RankDeficiencyError
+from padicnorm.errors import DimensionMismatchError, RankDeficiencyError
 from padicnorm.norms import equals, evaluate, quotient, restrict
 from padicnorm.valuation import frac_part
 
@@ -67,6 +67,15 @@ def test_rank_deficient_span_rejected():
         restrict(ALPHA0, linalg.from_columns([(0, 0)]))
     with pytest.raises(RankDeficiencyError):
         quotient(ALPHA0, linalg.from_columns([(1, 1), (2, 2)]))
+    # a span of more columns than the dimension, or with the wrong number of rows
+    n3 = SplitNorm(CFG2, 3, linalg.identity(3), (F(0), F(0), F(1, 2)))
+    for fn in (restrict, quotient):
+        with pytest.raises(RankDeficiencyError, match="more spanning columns than the dimension"):
+            fn(ALPHA0, linalg.from_columns([(1, 0), (0, 1), (1, 1)]))
+        for nrm, span in ((n3, linalg.from_columns([(1, 0)])), (ALPHA0, ((1, 0),) * 3)):
+            msg = f"span matrix must have {nrm.dim} rows, got {len(span)}"
+            with pytest.raises(DimensionMismatchError, match=msg):
+                fn(nrm, span)
 
 
 def test_pushforward_contract():

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import signal
 import time
@@ -78,6 +79,18 @@ def test_value_ordering():
     assert Value(Fraction(1, 2)) <= Fraction(1, 2)
     assert Value(Fraction(3)) > Value(Fraction(5, 2))
     assert sorted([Value(Fraction(1)), BOTTOM, Value(Fraction(-2))])[0].is_bottom
+
+
+def test_values_compare_only_with_numbers():
+    # a Value orders and adds with Values, ints and Fractions; anything else is refused
+    for v in (Value(Fraction(1, 2)), BOTTOM):
+        for other in ("1", None, [1], 1.5):
+            for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
+                with pytest.raises(TypeError):
+                    op(v, other)
+                with pytest.raises(TypeError):
+                    op(other, v)
+            assert v != other
 
 
 def test_value_addition_absorbs_bottom():

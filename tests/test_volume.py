@@ -47,7 +47,7 @@ def _shifted(nrm, k):
 
 
 def _sizes(nrm, frame):
-    return tuple(evaluate(nrm, c).mag for c in linalg.columns(frame))
+    return tuple(evaluate(nrm, c).mag for c in linalg.transpose(frame))
 
 
 def _pairs(rng):
@@ -115,7 +115,7 @@ def test_singular_bases_and_frames_are_refused():
     for n in range(1, 6):
         for p in fuzz.PRIMES:
             b = fuzz.norm(rng, n, p)
-            cols = list(linalg.columns(b.basis))
+            cols = list(linalg.transpose(b.basis))
             # a zero column: every other slot weighs 0, so b <= a, and the volume is undefined
             zero = linalg.from_columns([(0,) * n] + cols[1:])
             a = SplitNorm(b.cfg, n, zero, b.values)

@@ -16,7 +16,6 @@ under which every split norm becomes a lattice norm (a single class).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -72,7 +71,7 @@ def is_lattice_norm_over(norm: SplitNorm, ext: VirtualExtension) -> bool:
 def centralizer_dim(norm: SplitNorm) -> int:
     """Dimension of the centralizer of the weight character: sum of
     squared class multiplicities."""
-    return sum(m * m for m in chi_weights(norm).values())
+    return sum(m * m for m in norm.class_counts.values())
 
 
 def kernel_dim(norm: SplitNorm) -> int:
@@ -82,24 +81,17 @@ def kernel_dim(norm: SplitNorm) -> int:
 
 
 def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:
-    """Each graded piece of the ball at level g, counted from the values in two ways.
+    """Each graded piece of the ball at level g, both entries read from the one class count.
 
     For each degree d in (-1, 0] with a nonzero piece, at t = g + d, the left entry is the
-    exponent of p in the index of the open ball inside the closed ball at t, read from the
-    exponents by which the balls scale e_i, p^ceil(a_i - t) and p^(floor(a_i - t) + 1): e_i
-    adds 1 exactly when a_i - t is an integer.  The right entry is the multiplicity of the
-    class of t.  Both count the values in that class, so they agree by construction;
-    tests/test_base_change.py::test_graded_ball_dims_agree checks the index independently,
-    from the determinants of the balls.
+    exponent of p in the index of the open ball inside the closed ball at t: the balls scale
+    e_i by p^ceil(a_i - t) and p^(floor(a_i - t) + 1), which differ exactly when a_i - t is an
+    integer, so the index counts the values in the class of t.  The right entry is that
+    class's multiplicity, the same count.  tests/test_base_change.py::
+    test_graded_ball_dims_agree checks the index independently, from the determinants of the
+    balls.
     """
     # both balls scale by p^k when g moves by k, so only g mod 1 matters
     g = frac_part(linalg.to_fraction(g))
-    weights = chi_weights(norm)
-    out: dict[Fraction, tuple[int, int]] = {}
-    for cls in norm.value_classes:
-        d = degree_rep(frac_part(cls - g))
-        t = g + d
-        lhs = sum(math.floor(x) + 1 - math.ceil(x) for x in (a - t for a in norm.values))
-        rhs = weights.get(frac_part(t), 0)
-        out[d] = (lhs, rhs)
+    out = {degree_rep(frac_part(c - g)): (m, m) for c, m in norm.class_counts.items()}
     return dict(sorted(out.items(), reverse=True))

@@ -51,8 +51,12 @@ matrices basis, inv_basis, matrix and inv are views, built on first
 access; the comparison path (equals, distance, the self-checks) never
 builds one.
 
-Slot weights, in op_size, evaluate and the elimination alike, are read
-from the _slot_table of a product's two factors: integer dot products
+Slots are fixed once for the whole package.  For a map h from a norm
+split by c_1, ..., c_n at values b_1, ..., b_n to one split by
+e_1, ..., e_m at values a_1, ..., a_m, slot (i, j) holds M_ij, the
+coefficient of e_i in h(c_j), and weighs a_i - b_j - val(M_ij).  Slot
+weights, in op_size, evaluate and the elimination alike, are read from
+the _slot_table of a product's two factors: integer dot products
 over a row and a column denominator.  The elimination runs on the table
 itself, the product with each row scaled by its denominator, which the
 row's weight absorbs and column operations commute with.
@@ -299,10 +303,10 @@ def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
 def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     """Operator size of h from src to dst; h = None is the identity.
 
-    The least s with dst(h v) <= src(v) + s for every v, bottom at h = 0.
-    Slot (i, j) of M = dst.inv_basis @ h @ src.basis weighs
-    dst_i - src_j - val(M_ij); by the ultrametric inequality the
-    maximum slot weight is attained on a src-splitting column.
+    The least s with dst(h v) <= src(v) + s for every v, bottom at h = 0:
+    the maximum weight over the slots of M = dst.inv_basis @ h @ src.basis
+    (module docstring), as by the ultrametric inequality it is attained
+    on a src-splitting column.
     """
     _check_compatible(src, dst)
     image = src._cols

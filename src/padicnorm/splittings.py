@@ -34,10 +34,6 @@ class SplittingPair:
         _plant(self, "weights", weights)
 
     @property
-    def dim(self) -> int:
-        return self.lattice.dim
-
-    @property
     def is_canonical(self) -> bool:
         return all(0 <= w < 1 for w in self.weights)
 

@@ -1,20 +1,15 @@
 """The order attached to a split norm and its filtration.
 
-Slot conventions, fixed once for the whole package: for an
-endomorphism h of Q^n and a splitting basis e_1, ..., e_n with values
-a_1, ..., a_n, write h(e_i) = sum_j h_ij e_j.  The weight of slot
-(i, j) is
-
-    a_j - a_i - val(h_ij),
-
-and hom_norm is the maximum slot weight (bottom for h = 0).  The order
-of the norm consists of the h with hom_norm <= 0, equivalently the h
-carrying every closed ball into itself, and its unit group is the
-stabilizer.  Slot (i, j) can only carry weights congruent to a_j - a_i
-mod 1, which grades the order by value classes represented in (-1, 0];
-the strictly negative part of one period is the unipotent direction of
-the special fiber and the class-0 part contributes the Levi blocks,
-one block per value class of the norm.
+Slots and their weights are those the norms module docstring fixes
+once for the whole package, taken from the norm to itself, whose values
+are a_1, ..., a_n.  hom_norm is the maximum slot weight (bottom for
+h = 0).  The order of the norm consists of the h with hom_norm <= 0,
+equivalently the h carrying every closed ball into itself, and its unit
+group is the stabilizer.  Slot (i, j) can only carry weights congruent
+to a_i - a_j mod 1, which grades the order by value classes represented
+in (-1, 0]; the strictly negative part of one period is the unipotent
+direction of the special fiber and the class-0 part contributes the
+Levi blocks, one block per value class of the norm.
 
 Membership needs no inverse: an element g of the order maps each ball
 B into itself with index [B : gB] = p^val(det g) (the lattice-index
@@ -35,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
+from .base_change import kernel_dim
 from .errors import PreconditionError, SingularMatrixError
 from .norms import BallChainPeriod, SplitNorm, _slot_table, _table_max, ball_basis, op_size
 from .valuation import BOTTOM, Value, degree_rep, frac_part, pval
@@ -57,8 +53,9 @@ class FiberStructure:
     """Shape of the special fiber of the stabilizer scheme.
 
     levi_blocks are the value-class multiplicities m_c of the norm
-    (sorted descending), unipotent_dim = n^2 - sum m_c^2 counts the
-    strictly negative slot classes of one period, and total_dim is n^2.
+    (sorted descending), unipotent_dim is base_change.kernel_dim, which
+    counts the strictly negative slot classes of one period, and
+    total_dim is n^2.
     """
 
     levi_blocks: tuple[int, ...]
@@ -69,9 +66,8 @@ class FiberStructure:
 def hom_norm(norm: SplitNorm, h) -> Value:
     """Operator size of h with respect to the norm; bottom at h = 0.
 
-    Computed slotwise: the matrix of h in the splitting basis has the
-    coefficient of e_j in h(e_i) at row j, column i, contributing
-    a_j - a_i - val of that coefficient.
+    op_size from the norm to itself: the maximum slot weight, with slots
+    as the norms module docstring sets them.
     """
     return op_size(norm, norm, h)
 
@@ -115,8 +111,7 @@ def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
 def fiber_structure(norm: SplitNorm) -> FiberStructure:
     """Levi blocks, unipotent dimension, and total dimension n^2."""
     blocks = tuple(sorted(norm.class_counts.values(), reverse=True))
-    total = norm.dim * norm.dim
-    return FiberStructure(blocks, total - sum(m * m for m in blocks), total)
+    return FiberStructure(blocks, kernel_dim(norm), norm.dim * norm.dim)
 
 
 def chain_period(norm: SplitNorm) -> BallChainPeriod:

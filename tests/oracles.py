@@ -3,22 +3,20 @@
 Normal forms are allowed here and nowhere in the package: the Smith
 oracle recomputes relative positions from elementary divisors, and the
 ball oracles decide stabilizer membership and equality lattice by
-lattice.  They read only a ball's columns from the package; inverses
-come from sympy and products are taken here, in Fractions.
+lattice.  They build each ball here, from a norm's basis and values;
+inverses come from sympy and products are taken here, in Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import floor, lcm
+from math import ceil, floor, lcm
 from operator import mul
 
 import sympy
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 from sympy.polys.matrices.exceptions import DMNonInvertibleMatrixError
-
-from padicnorm import norms
 
 
 def integral(x: Fraction, p: int) -> bool:
@@ -65,6 +63,14 @@ def product(a, b) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
+def ball(nrm, g) -> tuple:
+    """The closed ball of nrm at level g, B diag(p^ceil(a_i - g)), from the norm's basis B
+    and values a_i."""
+    p, g = nrm.cfg.prime, Fraction(g)
+    scales = [Fraction(p) ** ceil(a - g) for a in nrm.values]
+    return tuple(tuple(map(mul, row, scales)) for row in nrm.basis)
+
+
 def preserves_all_balls(nrm, g) -> bool:
     """Brute-force stabilizer test: g and its inverse must carry the
     ball lattice of every value class into itself."""
@@ -75,10 +81,10 @@ def preserves_all_balls(nrm, g) -> bool:
         return False
     p = nrm.cfg.prime
     for cls in nrm.value_classes:
-        ball = norms.ball_basis(nrm, cls).matrix
-        ball_inv = inverse(ball)
+        b = ball(nrm, cls)
+        b_inv = inverse(b)
         for h in (g, g_inv):
-            t = product(ball_inv, product(h, ball))
+            t = product(b_inv, product(h, b))
             if not all(integral(x, p) for row in t for x in row):
                 return False
     return True
@@ -100,9 +106,9 @@ def balls_equal(a, b) -> bool:
     """
     p = a.cfg.prime
     for g in sorted({x - floor(x) for x in a.values + b.values}):
-        ball_a, ball_b = norms.ball_basis(a, g), norms.ball_basis(b, g)
+        ball_a, ball_b = ball(a, g), ball(b, g)
         for outer, inner in ((ball_a, ball_b), (ball_b, ball_a)):
-            t = product(inverse(outer.matrix), inner.matrix)
+            t = product(inverse(outer), inner)
             if not all(integral(x, p) for row in t for x in row):
                 return False
     return True
@@ -118,9 +124,7 @@ def smith_cartan(a, b) -> tuple[Fraction, ...]:
     assert all(v.denominator == 1 for v in a.values)
     assert all(v.denominator == 1 for v in b.values)
     p = a.cfg.prime
-    la = norms.ball_basis(a, 0)
-    lb = norms.ball_basis(b, 0)
-    t = product(inverse(la.matrix), lb.matrix)
+    t = product(inverse(ball(a, 0)), ball(b, 0))
     d = lcm(*(x.denominator for row in t for x in row))
     m = sympy.Matrix([[int(x * d) for x in row] for row in t])
     s = smith_normal_form(m, domain=sympy.ZZ)

@@ -6,10 +6,11 @@ Here both are read back as Fractions and held against the public views,
 against the construction redone in plain Fraction arithmetic, and
 against sympy's inverse; none of it goes through the integer kernel.
 The comparison path itself, distance and equals, builds no Fraction
-matrix, and neither do graded_ball_dims and homothetic, which read
-exponents and one integer slot table, nor the order layer's
+matrix, and neither do graded_ball_dims and homothetic, which read the
+class count and one integer slot table, nor the order layer's
 is_stabilizer_element and filtration_level: their counts of new
-Fractions stay linear in the dimension.
+Fractions stay linear in the dimension, and graded_ball_dims's in the
+number of value classes.
 """
 
 import fractions
@@ -156,15 +157,18 @@ def test_comparison_path_builds_no_fraction_matrix():
 
 
 def test_ball_index_and_homothety_build_no_fraction_matrix():
-    """graded_ball_dims reads the ball index from the scaling exponents and homothetic from
+    """graded_ball_dims reads both entries from the norm's class count and homothetic from
     one integer slot table and its determinant, so on a norm made by act neither builds a
-    ball or a Fraction matrix: their counts of new Fractions stay linear in the dimension."""
+    ball or a Fraction matrix.  graded_ball_dims makes at most 3 new Fractions per value
+    class, the same at n = 12 and 24 with 8 classes each; homothetic's count stays linear in
+    the dimension."""
     rng = random.Random(120)
     n = 12
     a = act(fuzz.elementary_product(rng, n, 3), fuzz.norm(rng, n=n, p=3))
     level = fuzz.rational(rng)
-    assert len(a.value_classes) == 8
-    assert _new_fractions(lambda: graded_ball_dims(a, level)) <= 15 * n
+    for x in (a, direct_sum(a, a)):
+        assert len(x.value_classes) == 8
+        assert _new_fractions(lambda: graded_ball_dims(x, level)) <= 3 * 8
     b = act(fuzz.stabilizer_element(rng, a), a)
     assert _new_fractions(lambda: homothetic(a, b)) <= n
     assert homothetic(a, b)

@@ -90,6 +90,10 @@ def test_matvec_matmul_agree():
         v = fuzz.vector(rng, n)
         col = linalg.from_columns([v])
         assert linalg.transpose(linalg.matmul(m, col))[0] == linalg.matvec(m, v)
+    # a vector whose length is not the matrix's column count is refused, either way
+    for v in ((1,), (1, 2, 3)):
+        with pytest.raises(DimensionMismatchError):
+            linalg.matvec(((1, 0), (0, 1)), v)
 
 
 def test_kron_compatibility():

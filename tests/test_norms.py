@@ -109,13 +109,15 @@ def test_ball_of_lattice_norm_recovers_lattice():
 
 
 def test_ball_membership_matches_evaluate():
-    # independent route: lattice membership vs the max formula
+    # independent routes: lattice membership vs the max formula, and the ball itself vs the
+    # one oracles.ball builds from the basis and values alone
     rng = random.Random(32)
     for _ in range(250):
         nrm = fuzz.norm(rng)
         g = fuzz.rational(rng, 3, 4)
         v = fuzz.vector(rng, nrm.dim, nonzero=True)
         size = evaluate(nrm, v)
+        assert ball_basis(nrm, g).matrix == oracles.ball(nrm, g)
         assert (size <= g) == in_lattice(ball_basis(nrm, g), v)
         assert (size < g) == in_lattice(ball_basis_open(nrm, g), v)
 

@@ -164,6 +164,8 @@ def test_chain_certificates():
         nrm = fuzz.norm(rng)
         p = nrm.cfg.prime
         period = chain_period(nrm)
+        for cls, lattice in zip(period.classes, period.lattices):
+            assert lattice.matrix == oracles.ball(nrm, cls)
         certs = chain_certificates(period)
         assert len(certs) == len(period.lattices)
         for cert in certs:

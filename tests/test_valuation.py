@@ -93,6 +93,16 @@ def test_values_compare_only_with_numbers():
             assert v != other
 
 
+def test_values_hash_and_print():
+    # equal values hash equal, so a Value, bottom included, works as a dict key
+    assert hash(Value(1)) == hash(Value(Fraction(2, 2)))
+    assert hash(Value(None)) == hash(BOTTOM)
+    table = {BOTTOM: "bottom", Value(Fraction(1, 2)): "half"}
+    assert table[Value(None)] == "bottom" and table[Value(Fraction(2, 4))] == "half"
+    assert repr(Value(Fraction(1, 2))) == "Value(1/2)"
+    assert repr(BOTTOM) == "Value(-inf)"
+
+
 def test_value_addition_absorbs_bottom():
     assert Value(Fraction(1, 3)) + Value(Fraction(1, 6)) == Value(Fraction(1, 2))
     assert (BOTTOM + Value(Fraction(5))).is_bottom

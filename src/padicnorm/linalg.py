@@ -4,11 +4,12 @@ vectors.  Everything here is dimension-agnostic and 0x0-safe.
 
 The inner loops run over int.  A vector is *cleared* as (ints, den):
 integers over one positive denominator, the lcm of its entries' when
-cleared from Fractions.  Each operation has one kernel on cleared
-vectors: times_cleared, kron_cleared, block_cleared, inverse_rows, an
-in-place fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp.
-22, 1968) from cleared columns to cleared rows, updating n entries per
-row and step, and det_cleared, the forward half of that elimination.
+cleared from Fractions by int_rows, which reads each entry once.  Each
+operation has one kernel on cleared vectors: times_cleared,
+kron_cleared, block_cleared, inverse_rows, an in-place fraction-free
+Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) from cleared
+columns to cleared rows, updating n entries per row and step, and
+det_cleared, the forward half of that elimination.
 nonsingular_mod runs forward elimination modulo the prime 2^61 - 1 on
 word-sized residues: a nonzero determinant there proves the exact one
 nonzero, so a matrix is shown invertible without its inverse.
@@ -39,6 +40,10 @@ def to_fraction(x) -> Fraction:
     if isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
     return Fraction(x)
+
+
+# the exact types int_rows reads without to_fraction
+_RATIO = {Fraction: Fraction.as_integer_ratio, int: int.as_integer_ratio, bool: int.as_integer_ratio}
 
 
 def vec(entries) -> Vector:
@@ -78,11 +83,17 @@ def from_columns(cols) -> Matrix:
 
 
 def int_rows(m) -> Cleared:
-    """Each row as integers over the lcm of its denominators: (ints, lcm)."""
+    """Each row as integers over the lcm of its denominators: (ints, lcm).  Each entry is
+    read once, by as_integer_ratio: ints and Fractions directly, anything else as to_fraction
+    reads it, which refuses floats.  A row whose lcm is 1 keeps its numerators as they are."""
     out = []
     for row in m:
-        d = math.lcm(*(x.denominator for x in row))
-        out.append(([x.numerator * (d // x.denominator) for x in row], d))
+        try:
+            ratios = [_RATIO[type(x)](x) for x in row]
+        except KeyError:
+            ratios = [to_fraction(x).as_integer_ratio() for x in row]
+        d = math.lcm(*(b for _, b in ratios))
+        out.append(([a * (d // b) for a, b in ratios] if d > 1 else [a for a, _ in ratios], d))
     return out
 
 

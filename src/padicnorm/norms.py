@@ -55,11 +55,16 @@ Slots are fixed once for the whole package.  For a map h from a norm
 split by c_1, ..., c_n at values b_1, ..., b_n to one split by
 e_1, ..., e_m at values a_1, ..., a_m, slot (i, j) holds M_ij, the
 coefficient of e_i in h(c_j), and weighs a_i - b_j - val(M_ij).  Slot
-weights, in op_size, evaluate and the elimination alike, are read from
-the _slot_table of a product's two factors: integer dot products
-over a row and a column denominator.  The elimination runs on the table
-itself, the product with each row scaled by its denominator, which the
-row's weight absorbs and column operations commute with.
+weights, in op_size, evaluate, _fit, the order layer and the elimination
+alike, are read from the _slot_table of a product's two factors: integer
+dot products over a row and a column denominator.  The row side is the
+target norm's: its inverse rows, its values as integers over one
+denominator, and the valuation of each row's denominator.  A norm makes
+it once, with its inverse, as the cached _row_side, which pickles and
+copies with it; a table then clears only its column values.  The
+elimination runs on the table itself, the product with each row scaled
+by its denominator, which the row's weight absorbs and column operations
+commute with.
 """
 
 from __future__ import annotations
@@ -151,6 +156,12 @@ class SplitNorm(_Frame):
     @property
     def basis_columns(self) -> tuple[Vector, ...]:
         return linalg.from_cleared(self._cols)
+
+    @cached_property
+    def _row_side(self):
+        """The row side of every slot table read against this norm, made once with the
+        inverse: _row_side_of its values and inverse rows."""
+        return _row_side_of(self.values, self._inv_rows, self.cfg.prime)
 
     @cached_property
     def _class_counts(self) -> dict[Fraction, int]:
@@ -245,7 +256,7 @@ def evaluate(norm: SplitNorm, v) -> Value:
     if len(v) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(v)}, norm has dim {norm.dim}")
     p = norm.cfg.prime
-    return _table_max(_slot_table(norm.values, norm._inv_rows, (0,), linalg.int_rows((v,)), p), p)
+    return _table_max(_slot_table(norm._row_side, (0,), linalg.int_rows((v,)), p), p)
 
 
 def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
@@ -266,20 +277,33 @@ def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
     return best
 
 
-def _slot_table(row_values, rows: Cleared | None, col_values, cols: Cleared, p: int):
-    """The product of the cleared rows and the cleared columns in integers: (row_w, col_w,
-    table, dens, scale), where table[j][i] is the dot product s of row i over its denominator
-    d and column j over e = dens[j], and row_w[i] - col_w[j] - scale * v(s) is scale times
-    the weight of slot (i, j), s / (d e).  rows None stands for the unit rows: the table is
-    then the columns' own integers, with no product."""
-    ((values, scale),) = linalg.int_rows(((*row_values, *col_values),))
-    n = len(row_values)
-    col_w = [a - scale * multiplicity(e, p) for a, (_, e) in zip(values[n:], cols)]
+def _row_side_of(values, rows: Cleared | None, p: int):
+    """The row side of a slot table: (rows, row_w, den), with the values as integers over one
+    denominator den and row_w[i] = den * (values[i] + v(d_i)), d_i the denominator of cleared
+    row i.  rows None stands for the unit rows, of denominator 1."""
+    ((ints, den),) = linalg.int_rows((values,))
+    if rows is not None:
+        ints = [a + den * multiplicity(d, p) for a, (_, d) in zip(ints, rows)]
+    return rows, ints, den
+
+
+def _slot_table(row_side, col_values, cols: Cleared, p: int):
+    """The product of a _row_side_of's cleared rows and the cleared columns in integers:
+    (row_w, col_w, table, dens, scale), where table[j][i] is the dot product s of row i over
+    its denominator d and column j over e = dens[j], and row_w[i] - col_w[j] - scale * v(s) is
+    scale times the weight of slot (i, j), s / (d e).  scale is the lcm of the row and the
+    column values' denominators.  For unit rows the table is the columns' own integers, with
+    no product."""
+    rows, row_w, row_den = row_side
+    ((ints, col_den),) = linalg.int_rows((col_values,))
+    scale = math.lcm(row_den, col_den)
+    row_w = [w * (scale // row_den) for w in row_w]
+    col_w = [a * (scale // col_den) - scale * multiplicity(e, p) for a, (_, e) in zip(ints, cols)]
+    dens = [e for _, e in cols]
     if rows is None:
-        return values[:n], col_w, [c for c, _ in cols], [e for _, e in cols], scale
-    row_w = [a + scale * multiplicity(d, p) for a, (_, d) in zip(values, rows)]
+        return row_w, col_w, [c for c, _ in cols], dens, scale
     table = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
-    return row_w, col_w, table, [e for _, e in cols], scale
+    return row_w, col_w, table, dens, scale
 
 
 def _table_max(slots, p: int) -> Value:
@@ -313,7 +337,7 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     if h is not None:
         image = linalg.times_cleared(linalg.cleared(linalg.square(h, src.dim)), image)
     p = src.cfg.prime
-    return _table_max(_slot_table(dst.values, dst._inv_rows, src.values, image, p), p)
+    return _table_max(_slot_table(dst._row_side, src.values, image, p), p)
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -375,7 +399,7 @@ def _fit(x: SplitNorm, cols: Cleared, values) -> tuple[list[int], int] | None:
     of x^-1 C; None when they do not.  Only x is inverted; a singular C raises
     SingularMatrixError."""
     p = x.cfg.prime
-    return _fit_table(_slot_table(x.values, x._inv_rows, values, cols, p), p)
+    return _fit_table(_slot_table(x._row_side, values, cols, p), p)
 
 
 def _fit_table(slots, p: int) -> tuple[list[int], int] | None:
@@ -442,11 +466,11 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     return _split(a.cfg, cols, a.values + b.values, inv_from)
 
 
-def _monomialize(row_values, rows: Cleared, col_values, cols: Cleared, p: int):
-    """Column-reduce m, the product of the cleared rows and the cleared columns, until every
-    column has a pivot row of its own.
+def _monomialize(row_side, col_values, cols: Cleared, p: int):
+    """Column-reduce m, the product of the cleared rows of a _row_side_of and the cleared
+    columns, until every column has a pivot row of its own.
 
-    Entry (i, j) weighs row_values[i] - val(m_ij) - col_values[j].  The
+    Entry (i, j) weighs a_i - val(m_ij) - col_values[j], a_i the row value.  The
     nonzero entry of maximal weight in the open columns, ties to the
     lowest (row, column), is the next pivot; subtracting multiples of
     its column clears its row across the other open columns, which
@@ -467,7 +491,7 @@ def _monomialize(row_values, rows: Cleared, col_values, cols: Cleared, p: int):
     split_values[j].  Each pivot row of m @ col_ops is zero on the
     columns pivoted after it.
     """
-    row_w, col_w, table, dens, scale = _slot_table(row_values, rows, col_values, cols, p)
+    row_w, col_w, table, dens, scale = _slot_table(row_side, col_values, cols, p)
     n, d = len(row_w), len(table)
     # column j of the table on top of column j of col_ops, as integers over dens[j]
     stacked = [c + [dens[j] if k == j else 0 for k in range(d)] for j, c in enumerate(table)]
@@ -503,7 +527,7 @@ def _split_span(norm: SplitNorm, cols: Cleared, col_values) -> tuple[SplitNorm, 
     at their ambient sizes, then on the ambient columns of the rows never pivoted at their
     values.  The one reconstruction check, split equal to the norm, runs before returning."""
     p = norm.cfg.prime
-    sigma, values, combo = _monomialize(norm.values, norm._inv_rows, col_values, cols, p)
+    sigma, values, combo = _monomialize(norm._row_side, col_values, cols, p)
     rest = [i for i in range(norm.dim) if i not in sigma.values()]
     full = linalg.times_cleared(cols, combo) + [norm._cols[i] for i in rest]
     split = _split(norm.cfg, full, values + tuple(norm.values[i] for i in rest))
@@ -574,7 +598,7 @@ def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     _check_compatible(a, b)
     common, combo = _split_span(a, b._cols, b.values)
     p = b.cfg.prime
-    fit = _fit_table(_slot_table(b.values, None, b.values, combo, p), p)
+    fit = _fit_table(_slot_table(_row_side_of(b.values, None, p), b.values, combo, p), p)
     if fit is None or any(fit[0]):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common

@@ -84,7 +84,7 @@ def _conjugated(norm: SplitNorm, g):
     if pval(d, p):
         return False, None  # the determinant alone refuses g
     image = linalg.times_cleared(g_cols, norm._cols)
-    slots = _slot_table(norm.values, norm._inv_rows, norm.values, image, p)
+    slots = _slot_table(norm._row_side, norm.values, image, p)
     return _table_max(slots, p) <= 0, slots
 
 

@@ -145,6 +145,8 @@ class Value:
 
 
 BOTTOM = Value(None)
+# a Fraction minus an int makes two new Fractions from Python 3.12 on, minus a Fraction one
+_ONE = Fraction(1)
 
 
 # Integers longer than this many bits take the gcd kernel of `multiplicity`.
@@ -199,21 +201,22 @@ def _bracket_exponent(g: int, p: int) -> int | None:
 def multiplicity(n: int, p: int) -> int:
     """Exponent v of the prime p in the nonzero int n.
 
-    p = 2 reads the lowest set bit and small n divide by p, p^2, p^4, ...
-    Longer n with odd p take gcds instead: g = gcd(n, p^k) divides p^k, so
-    g = p^min(v, k), which is p^v exactly once k >= v.  With b the bit
-    length of g and the per-prime bracket c/D < log2 p < (c+1)/D, v is the
-    unique integer in [(b-1)D/(c+1), bD/c) while D(b+c) < c(c+1); past
-    that, the division ladder runs on g.
+    p = 2 reads the lowest set bit.  For odd p, a unit, n not divisible
+    by p, returns 0 after one remainder, as most slot entries are units;
+    then small n divide by p, p^2, p^4, ...  Longer n take gcds instead:
+    g = gcd(n, p^k) divides p^k, so g = p^min(v, k), which is p^v exactly
+    once k >= v.  With b the bit length of g and the per-prime bracket
+    c/D < log2 p < (c+1)/D, v is the unique integer in [(b-1)D/(c+1), bD/c)
+    while D(b+c) < c(c+1); past that, the division ladder runs on g.
     """
     if not n:
         raise PreconditionError("multiplicity is undefined at 0")
     if p == 2:
         return (n & -n).bit_length() - 1
+    if n % p:
+        return 0
     v = 0
     if n.bit_length() > _LADDER_BITS:
-        if n % p:
-            return 0
         v, n = _strip_windows(n, p)
         rest = _bracket_exponent(n, p)
         if rest is not None:
@@ -251,9 +254,9 @@ def val(x: Rational, cfg: FieldConfig) -> Value:
 
 
 def frac_part(x: Rational) -> Fraction:
-    """Representative of x modulo Z, taken in [0, 1)."""
+    """Representative of x modulo Z, taken in [0, 1), built as one new Fraction."""
     x = to_fraction(x)
-    return x - (x.numerator // x.denominator)
+    return Fraction(x.numerator % x.denominator, x.denominator)
 
 
 def count_classes(values) -> dict[Fraction, int]:
@@ -264,4 +267,4 @@ def count_classes(values) -> dict[Fraction, int]:
 def degree_rep(c: Rational) -> Fraction:
     """Map a class representative in [0, 1) to the one in (-1, 0]."""
     c = to_fraction(c)
-    return c if c == 0 else c - 1
+    return c if c == 0 else c - _ONE

@@ -10,16 +10,18 @@ matrix, and neither do graded_ball_dims and homothetic, which read the
 class count and one integer slot table, nor the order layer's
 is_stabilizer_element and filtration_level: their counts of new
 Fractions stay linear in the dimension, and graded_ball_dims's in the
-number of value classes.
+number of value classes.  Building a norm reads each Fraction entry
+once, and a norm makes the row side of its slot tables once.
 """
 
 import fractions
 import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg, norms
 from padicnorm.base_change import graded_ball_dims
 from padicnorm.building import homothetic
 from padicnorm.norms import (
@@ -33,12 +35,14 @@ from padicnorm.norms import (
     distance,
     dual,
     equals,
+    evaluate,
     quotient,
     restrict,
     tensor,
 )
 from padicnorm.splittings import pair_from_norm, translate_pair
 from padicnorm.stabilizer import filtration_level, is_stabilizer_element
+from padicnorm.valuation import multiplicity
 
 import fuzz
 import oracles
@@ -123,23 +127,57 @@ def test_cleared_forms_agree_with_the_views():
             _check_lattice(LatticeBasis(a.cfg, a.basis), a.basis)
 
 
-def _new_fractions(run):
-    """Calls of Fraction.__new__ during run(), counted by a profile hook."""
+def _fraction_calls(run):
+    """Calls into fractions.py during run(), by function name, counted by a profile hook."""
     target = fractions.__file__
-    count = 0
+    counts = Counter()
 
     def profile(frame, event, arg):
-        nonlocal count
         code = frame.f_code
-        if event == "call" and code.co_filename == target and code.co_name == "__new__":
-            count += 1
+        if event == "call" and code.co_filename == target:
+            counts[code.co_name] += 1
 
     sys.setprofile(profile)
     try:
         run()
     finally:
         sys.setprofile(None)
-    return count
+    return counts
+
+
+def _new_fractions(run):
+    """New Fractions made during run(): calls of Fraction.__new__ and, from Python 3.12 on,
+    of Fraction._from_coprime_ints, through which Fraction arithmetic builds its results."""
+    counts = _fraction_calls(run)
+    return counts["__new__"] + counts["_from_coprime_ints"]
+
+
+def test_each_entry_is_read_once_and_each_norm_weighs_its_rows_once(monkeypatch):
+    """Building a norm from a Fraction basis reads each entry once, by as_integer_ratio.  The
+    first evaluate makes the row side of the norm's slot tables; a second one clears only its
+    vector, makes one Fraction, the size, and takes the valuation of the vector's denominator
+    and of each slot at most once."""
+    rng = random.Random(124)
+    n = 12
+    a = fuzz.norm(rng, n=n, p=3)
+    built = []
+    calls = _fraction_calls(lambda: built.append(SplitNorm(a.cfg, n, a.basis, a.values)))
+    assert sum(calls.values()) == n * n
+    (fresh,) = built
+    v = fuzz.vector(rng, n, nonzero=True)
+    size = evaluate(fresh, v)
+    assert sum(_fraction_calls(lambda: evaluate(fresh, v)).values()) <= n + 1
+    valued = []
+
+    def counted(x, p):
+        valued.append(x)
+        return multiplicity(x, p)
+
+    monkeypatch.setattr(norms, "multiplicity", counted)
+    assert evaluate(fresh, v) == size
+    assert len(valued) <= n + 1
+    coords = oracles.product(oracles.inverse(a.basis), tuple((x,) for x in v))
+    assert size == max(b - oracles.valuation(c, 3) for b, (c,) in zip(a.values, coords) if c)
 
 
 def test_comparison_path_builds_no_fraction_matrix():

@@ -49,6 +49,22 @@ def test_mat_validation():
         linalg.matmul(((1, 2),), ())  # a 1x2 matrix times one with no rows
 
 
+def test_clearing_refuses_floats_and_keeps_ints():
+    # the kernels' boundary reads each entry once, by as_integer_ratio, which floats have
+    # too: it refuses them as to_fraction does
+    for call in (
+        lambda: linalg.cleared([[0.5]]),
+        lambda: linalg.int_rows([(Fraction(1), 0.5)]),
+        lambda: linalg.int_rows([(1, 2), (3, 4.0)]),
+    ):
+        with pytest.raises(TypeError, match="floats are not exact"):
+            call()
+    rows = linalg.int_rows([(True, 3, Fraction(-1, 2)), (False, 2, 1), ()])
+    assert rows == [([2, 6, -1], 2), ([0, 2, 1], 1), ([], 1)]
+    assert all(type(x) is int for v, _ in rows for x in v)
+    assert linalg.cleared(((Fraction(1, 3), 1), (Fraction(1, 6), 0))) == [([2, 1], 6), ([1, 0], 1)]
+
+
 def test_identity_and_transpose():
     i3 = linalg.identity(3)
     assert i3 == linalg.transpose(i3)

@@ -351,18 +351,27 @@ def _constructions(rng, p):
 
 def test_norms_and_lattices_survive_pickle_and_deepcopy():
     rng = random.Random(160)
+    probe_rng = random.Random(161)
     round_trips = (lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy)
     for p in fuzz.PRIMES:
         # the checks read only the copies' inverses, so each state is the one named; the
         # lattices come from a second set, whose inverses the norms on them have not read
         norms, lattices = _constructions(rng, p)[0], _constructions(rng, p)[1]
-        # fresh, then with the value classes read, then with the inverse read too
-        for read in (lambda x: None, point_type, lambda x: x.inv_basis):
-            for x in norms:
-                read(x)
+        # one vector per norm, with its size read off a copy, so the norm stays fresh
+        probes = [fuzz.vector(probe_rng, x.dim, nonzero=True) for x in norms]
+        sizes = [evaluate(copy.deepcopy(x), v) for x, v in zip(norms, probes)]
+        # fresh, then with the value classes read, then with the inverse read too, then with
+        # the row side of its slot tables cached by an evaluate
+        reads = (lambda x, v: None, lambda x, v: point_type(x), lambda x, v: x.inv_basis, evaluate)
+        for read in reads:
+            for x, v, size in zip(norms, probes, sizes):
+                read(x, v)
                 for y in [trip(x) for trip in round_trips]:
+                    # a copy carries the cached row side, and only once it is made
+                    assert ("_row_side" in vars(y)) == (read is evaluate)
                     assert equals(x, y) and y.values == x.values
                     assert point_type(y) == tuple(x.class_counts.values())
+                    assert evaluate(y, v) == size
         for read in (lambda x: None, lambda x: x.inv):
             for x in lattices:
                 read(x)

@@ -79,5 +79,5 @@ def test_second_check_reads_what_the_inverse_reads():
         _, combo = norms._split_span(a, b._cols, b.values)
         for ops in (combo, _leaked(combo, p)):
             fit = norms._fit(b, linalg.times_cleared(b._cols, ops), b.values)
-            slots = norms._slot_table(b.values, None, b.values, ops, p)
+            slots = norms._slot_table(norms._row_side_of(b.values, None, p), b.values, ops, p)
             assert norms._fit_table(slots, p) == fit

@@ -35,8 +35,7 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     """
     if frame is None:
         frame = linalg.identity(norm.dim)
-    frame = linalg.square(frame, norm.dim, "frame")
-    fit = _fit(norm, linalg.cleared(frame), (0,) * norm.dim)
+    fit = _fit(norm, linalg.cleared_square(frame, norm.dim, "frame"), (0,) * norm.dim)
     return None if fit is None else tuple(Fraction(w, fit[1]) for w in fit[0])
 
 

@@ -4,7 +4,11 @@ vectors.  Everything here is dimension-agnostic and 0x0-safe.
 
 The inner loops run over int.  A vector is *cleared* as (ints, den):
 integers over one positive denominator, the lcm of its entries' when
-cleared from Fractions by int_rows, which reads each entry once.  Each
+cleared from Fractions by int_rows, which reads each entry once.  A
+square matrix from outside, an acting g, an h or a frame, crosses the
+boundary in one pass, cleared_square: it reads each entry once, refuses
+floats, ragged and wrong-size matrices with the errors of square, and
+returns cleared columns with no Fraction matrix in between.  Each
 operation has one kernel on cleared vectors: times_cleared,
 kron_cleared, block_cleared, inverse_rows, an in-place fraction-free
 Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) from cleared
@@ -42,7 +46,7 @@ def to_fraction(x) -> Fraction:
     return Fraction(x)
 
 
-# the exact types int_rows reads without to_fraction
+# the exact types _ratios reads without to_fraction
 _RATIO = {Fraction: Fraction.as_integer_ratio, int: int.as_integer_ratio, bool: int.as_integer_ratio}
 
 
@@ -50,20 +54,28 @@ def vec(entries) -> Vector:
     return tuple(to_fraction(x) for x in entries)
 
 
+def _check_ragged(rows) -> None:
+    if rows and any(len(r) != len(rows[0]) for r in rows):
+        raise DimensionMismatchError("ragged matrix")
+
+
+def _check_square(rows, n: int | None, what: str) -> None:
+    size = len(rows) if n is None else n
+    if len(rows) != size or any(len(row) != size for row in rows):
+        shape = "square" if n is None else f"{n}x{n}"
+        raise DimensionMismatchError(f"{what} must be {shape}")
+
+
 def mat(rows) -> Matrix:
     out = tuple(vec(r) for r in rows)
-    if out and any(len(r) != len(out[0]) for r in out):
-        raise DimensionMismatchError("ragged matrix")
+    _check_ragged(out)
     return out
 
 
 def square(rows, n: int | None = None, what: str = "matrix") -> Matrix:
     """Coerce to a matrix that is n x n, or square of any size when n is None."""
     m = mat(rows)
-    size = len(m) if n is None else n
-    if len(m) != size or any(len(row) != size for row in m):
-        shape = "square" if n is None else f"{n}x{n}"
-        raise DimensionMismatchError(f"{what} must be {shape}")
+    _check_square(m, n, what)
     return m
 
 
@@ -82,24 +94,42 @@ def from_columns(cols) -> Matrix:
     return transpose(mat(cols))
 
 
+def _ratios(row) -> list[tuple[int, int]]:
+    """The (numerator, denominator) of each entry, from one as_integer_ratio call: ints and
+    Fractions directly, anything else as to_fraction reads it, which refuses floats."""
+    if not isinstance(row, (list, tuple)):
+        row = list(row)  # the fallback reads the row a second time
+    try:
+        return [_RATIO[type(x)](x) for x in row]
+    except KeyError:
+        return [to_fraction(x).as_integer_ratio() for x in row]
+
+
+def _clear(ratios) -> tuple[list[int], int]:
+    """Integers over the lcm of the ratios' denominators; numerators as they are at lcm 1."""
+    d = math.lcm(*(b for _, b in ratios))
+    return ([a * (d // b) for a, b in ratios] if d > 1 else [a for a, _ in ratios], d)
+
+
 def int_rows(m) -> Cleared:
-    """Each row as integers over the lcm of its denominators: (ints, lcm).  Each entry is
-    read once, by as_integer_ratio: ints and Fractions directly, anything else as to_fraction
-    reads it, which refuses floats.  A row whose lcm is 1 keeps its numerators as they are."""
-    out = []
-    for row in m:
-        try:
-            ratios = [_RATIO[type(x)](x) for x in row]
-        except KeyError:
-            ratios = [to_fraction(x).as_integer_ratio() for x in row]
-        d = math.lcm(*(b for _, b in ratios))
-        out.append(([a * (d // b) for a, b in ratios] if d > 1 else [a for a, _ in ratios], d))
-    return out
+    """Each row as integers over the lcm of its denominators: (ints, lcm), each entry read
+    once (see _ratios)."""
+    return [_clear(_ratios(row)) for row in m]
 
 
 def cleared(m) -> Cleared:
     """The columns of a matrix, each cleared: integers over the lcm of its denominators."""
     return int_rows(transpose(m))
+
+
+def cleared_square(rows, n: int | None = None, what: str = "matrix") -> Cleared:
+    """The cleared columns of a matrix from outside, from one read of each entry: the checks
+    and errors of square, floats refused first, then a ragged matrix, then one not n x n (or
+    not square, when n is None), with no Fraction matrix built."""
+    ratios = [_ratios(row) for row in rows]
+    _check_ragged(ratios)
+    _check_square(ratios, n, what)
+    return [_clear(col) for col in zip(*ratios)]
 
 
 def from_cleared(vectors) -> Matrix:

@@ -65,6 +65,16 @@ copies with it; a table then clears only its column values.  The
 elimination runs on the table itself, the product with each row scaled
 by its denominator, which the row's weight absorbs and column operations
 commute with.
+
+A slot is valued only when it can win, in three steps: its bound
+a_i - b_j, the weight at valuation 0, must beat the best weight so far;
+then, k valuation steps above it, one remainder mod p^k must be nonzero
+(_gain); only then is the valuation taken.  _heaviest reads a table in
+this order, and through it op_size, hom_norm, membership, the level,
+_fit_table and _monomialize.  evaluate builds no table: it computes its
+one column on demand, row by row in the norm's _row_order, heaviest
+first, made once beside _row_side, and stops at the first row whose
+bound cannot win.
 """
 
 from __future__ import annotations
@@ -164,6 +174,12 @@ class SplitNorm(_Frame):
         return _row_side_of(self.values, self._inv_rows, self.cfg.prime)
 
     @cached_property
+    def _row_order(self) -> list[int]:
+        """The rows by descending weight in _row_side, ties in row order: evaluate reads them
+        in this order.  Made once, beside the row side, and copied with it."""
+        return sorted(range(self.dim), key=self._row_side[1].__getitem__, reverse=True)
+
+    @cached_property
     def _class_counts(self) -> dict[Fraction, int]:
         return count_classes(self.values)
 
@@ -251,29 +267,60 @@ def _check_compatible(a: SplitNorm, b: SplitNorm) -> None:
 
 
 def evaluate(norm: SplitNorm, v) -> Value:
-    """Size of a vector, bottom at the zero vector."""
-    v = linalg.vec(v)
-    if len(v) != norm.dim:
-        raise DimensionMismatchError(f"vector has length {len(v)}, norm has dim {norm.dim}")
+    """Size of a vector, bottom at the zero vector: the greatest weight of the one column of
+    the slot table of B^-1 v, computed on demand.  The vector is cleared once, as integers
+    over e.  Row i is read in the norm's _row_order, heaviest first: its coordinate, a dot
+    product, is computed only while its bound row_w[i] + scale * v(e) beats the best weight
+    so far, and the first row whose bound does not ends the search, as no later bound is
+    greater.  Then _gain takes the p^k test, and the valuation only of a coordinate that wins."""
+    ((ints, e),) = linalg.int_rows((v,))
+    if len(ints) != norm.dim:
+        raise DimensionMismatchError(f"vector has length {len(ints)}, norm has dim {norm.dim}")
+    rows, row_w, scale = norm._row_side
     p = norm.cfg.prime
-    return _table_max(_slot_table(norm._row_side, (0,), linalg.int_rows((v,)), p), p)
+    shift = scale * multiplicity(e, p)
+    best = None
+    for i in norm._row_order:
+        top = row_w[i] + shift
+        if best is not None and top <= best:
+            break
+        x = sum(map(mul, rows[i][0], ints))
+        if x:
+            w = _gain(x, top, best, scale, p)
+            if w is not None:
+                best = w
+    return BOTTOM if best is None else Value(Fraction(best, scale))
+
+
+def _gain(x: int, top: int, best: int | None, scale: int, p: int) -> int | None:
+    """The weight top - scale * v(x) of a slot holding the nonzero integer x when it beats
+    best, the greatest weight so far (None: there is none yet); else None.  The caller has
+    checked the bound, top > best.  The weight beats best exactly when v(x) < k =
+    ceil((top - best) / scale), so one remainder mod p^k comes before the valuation.  As
+    |x| >= p^v(x) >= 2^v(x), x passes once k reaches its bit length, with no p^k built."""
+    if best is not None:
+        k = -((best - top) // scale)
+        if k < x.bit_length() and not x % p**k:
+            return None
+    return top - scale * multiplicity(x, p)
 
 
 def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
     """The slot (w, i, j) of greatest weight w = row_w[i] - col_w[j] - scale * v(cols[j][i])
     over the nonzero integer entries, ties to the lowest (row, column); None if all are 0.
-    As v >= 0 on integers, a slot with row_w[i] - col_w[j] <= the best w so far is skipped."""
-    best: tuple[int, int, int] | None = None
+    A slot is read in three steps, each only if the one before leaves it a chance: its bound
+    row_w[i] - col_w[j] must beat the best weight so far, as v >= 0 on integers; then _gain
+    takes one remainder mod p^k; then the valuation of the entry."""
+    best = best_w = None
     for i, r in enumerate(row_w):
         for j in open_cols:
             top = r - col_w[j]
-            if best is not None and top <= best[0]:
-                continue
-            x = cols[j][i]
-            if x:
-                w = top - scale * multiplicity(x, p)
-                if best is None or w > best[0]:
-                    best = (w, i, j)
+            if best_w is None or top > best_w:
+                x = cols[j][i]
+                if x:
+                    w = _gain(x, top, best_w, scale, p)
+                    if w is not None:
+                        best_w, best = w, (w, i, j)
     return best
 
 
@@ -335,7 +382,7 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     _check_compatible(src, dst)
     image = src._cols
     if h is not None:
-        image = linalg.times_cleared(linalg.cleared(linalg.square(h, src.dim)), image)
+        image = linalg.times_cleared(linalg.cleared_square(h, src.dim), image)
     p = src.cfg.prime
     return _table_max(_slot_table(dst._row_side, src.values, image, p), p)
 
@@ -430,7 +477,7 @@ def _moved(g, frame: _Frame) -> tuple[Cleared, Callable[[], Cleared]]:
     """The cleared columns of g M, M the frame's matrix, and the recipe of (g M)^-1 = M^-1
     g^-1, whose rows are the columns of (g^-1)^T (M^-1)^T: times_cleared of the inverse rows
     of g, a _proven frame, and of M, so only g is inverted."""
-    g_cols = linalg.cleared(linalg.square(g, len(frame._cols), "acting matrix"))
+    g_cols = linalg.cleared_square(g, len(frame._cols), "acting matrix")
     g = _proven(_frame(_Frame, frame.cfg, g_cols))
     inv_from = partial(_inverse_from, linalg.times_cleared, g, frame)
     return linalg.times_cleared(g_cols, frame._cols), inv_from

@@ -76,7 +76,7 @@ def _conjugated(norm: SplitNorm, g):
     """Is g a unit of the order, and the _slot_table of B^-1 g B, B the splitting basis,
     from g cleared once; the table is None when det g is not a p-adic unit, which decides
     before any product is built.  g must be n x n, checked before it must be invertible."""
-    g_cols = linalg.cleared(linalg.square(g, norm.dim))
+    g_cols = linalg.cleared_square(g, norm.dim)
     d = linalg.det_cleared(g_cols)
     if d == 0:
         raise SingularMatrixError("matrix is singular")

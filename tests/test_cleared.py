@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg, norms
 from padicnorm.base_change import graded_ball_dims
-from padicnorm.building import homothetic
+from padicnorm.building import apartment_coords, homothetic
 from padicnorm.norms import (
     _canonical,
     _common_norm,
@@ -36,6 +36,7 @@ from padicnorm.norms import (
     dual,
     equals,
     evaluate,
+    op_size,
     quotient,
     restrict,
     tensor,
@@ -178,6 +179,25 @@ def test_each_entry_is_read_once_and_each_norm_weighs_its_rows_once(monkeypatch)
     assert len(valued) <= n + 1
     coords = oracles.product(oracles.inverse(a.basis), tuple((x,) for x in v))
     assert size == max(b - oracles.valuation(c, 3) for b, (c,) in zip(a.values, coords) if c)
+
+
+def test_outside_matrices_are_read_once(monkeypatch):
+    """An acting g, an h and a frame cross the boundary in one pass, linalg.cleared_square,
+    which reads a Fraction entry by as_integer_ratio alone: membership, the level, act,
+    op_size and apartment_coords call linalg.to_fraction on none of the n^2 entries."""
+    rng = random.Random(125)
+    n = 12
+    a = fuzz.norm(rng, n=n, p=3)
+    g = fuzz.stabilizer_element(rng, a)  # reads a's inverse
+    calls = []
+    to_fraction = linalg.to_fraction
+    monkeypatch.setattr(linalg, "to_fraction", lambda x: calls.append(x) or to_fraction(x))
+    assert is_stabilizer_element(a, g)
+    assert filtration_level(a, g) <= 0
+    assert op_size(a, a, g) <= 0
+    assert equals(act(g, a), a)
+    assert apartment_coords(a, a.basis) == a.values
+    assert calls == []
 
 
 def test_comparison_path_builds_no_fraction_matrix():

@@ -65,6 +65,31 @@ def test_clearing_refuses_floats_and_keeps_ints():
     assert linalg.cleared(((Fraction(1, 3), 1), (Fraction(1, 6), 0))) == [([2, 1], 6), ([1, 0], 1)]
 
 
+def test_outside_matrices_clear_in_one_pass():
+    # cleared_square returns what cleared(square(m)) does, from any exact entries and
+    # one-shot rows, and refuses what square refuses with the same error: a float first,
+    # even in a ragged or wrong-size matrix, then a ragged matrix, then a wrong size
+    rng = random.Random(12)
+    for n in (0, 1, 3, 6):
+        m = tuple(tuple(fuzz.rational(rng) for _ in range(n)) for _ in range(n))
+        assert linalg.cleared_square(m, n) == linalg.cleared_square(m) == linalg.cleared(m)
+    mixed = ((1, "1/2"), (Fraction(2, 3), True))
+    want = linalg.cleared(linalg.square(mixed))
+    assert linalg.cleared_square(mixed, 2) == want == [([3, 2], 3), ([1, 2], 2)]
+    assert linalg.cleared_square(iter(row) for row in mixed) == want
+    assert linalg.int_rows([iter((1, "1/2", Fraction(1, 3)))]) == [([6, 3, 2], 6)]
+    for rows, n, error, message in (
+        (((1, 0.5), (3,)), None, TypeError, "floats are not exact"),
+        (((1, 2), (3, 4), (5, 0.5)), 2, TypeError, "floats are not exact"),
+        (((1, 2), (3,)), 2, DimensionMismatchError, "ragged matrix"),
+        (((1, 2, 3), (4, 5, 6)), 2, DimensionMismatchError, "frame must be 2x2"),
+        (((1, 2), (3, 4), (5, 6)), None, DimensionMismatchError, "frame must be square"),
+    ):
+        for clear in (linalg.cleared_square, linalg.square):
+            with pytest.raises(error, match=message):
+                clear(rows, n, "frame")
+
+
 def test_identity_and_transpose():
     i3 = linalg.identity(3)
     assert i3 == linalg.transpose(i3)

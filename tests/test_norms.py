@@ -361,14 +361,17 @@ def test_norms_and_lattices_survive_pickle_and_deepcopy():
         probes = [fuzz.vector(probe_rng, x.dim, nonzero=True) for x in norms]
         sizes = [evaluate(copy.deepcopy(x), v) for x, v in zip(norms, probes)]
         # fresh, then with the value classes read, then with the inverse read too, then with
-        # the row side of its slot tables cached by an evaluate
+        # the row side of its slot tables and evaluate's row order cached by an evaluate
         reads = (lambda x, v: None, lambda x, v: point_type(x), lambda x, v: x.inv_basis, evaluate)
         for read in reads:
             for x, v, size in zip(norms, probes, sizes):
                 read(x, v)
                 for y in [trip(x) for trip in round_trips]:
-                    # a copy carries the cached row side, and only once it is made
+                    # a copy carries the cached row side and row order, and only once made
                     assert ("_row_side" in vars(y)) == (read is evaluate)
+                    assert ("_row_order" in vars(y)) == (read is evaluate)
+                    if read is evaluate:
+                        assert y._row_order == x._row_order and y._row_side == x._row_side
                     assert equals(x, y) and y.values == x.values
                     assert point_type(y) == tuple(x.class_counts.values())
                     assert evaluate(y, v) == size

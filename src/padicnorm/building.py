@@ -15,13 +15,13 @@ from fractions import Fraction
 from . import linalg
 from .errors import PreconditionError
 from .norms import SplitNorm, _fit, _split, ball_basis, distance
-from .valuation import FieldConfig, val
+from .valuation import FieldConfig, multiplicity
 
 
 def norm_from_apartment(coords, cfg: FieldConfig) -> SplitNorm:
     """The standard-apartment norm with the given coordinate vector."""
     coords = linalg.vec(coords)
-    return SplitNorm(cfg, len(coords), linalg.identity(len(coords)), coords)
+    return _split(cfg, linalg.units(len(coords)), coords)
 
 
 def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None:
@@ -33,24 +33,23 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     norms._fit).  The norm is inverted, not the frame; a singular frame
     raises SingularMatrixError.
     """
-    if frame is None:
-        frame = linalg.identity(norm.dim)
-    fit = _fit(norm, linalg.cleared_square(frame, norm.dim, "frame"), (0,) * norm.dim)
+    n = norm.dim
+    cols = linalg.units(n) if frame is None else linalg.cleared_square(frame, n, "frame")
+    fit = _fit(norm, cols, (0,) * n)
     return None if fit is None else tuple(Fraction(w, fit[1]) for w in fit[0])
 
 
 def torus_translation(t, cfg: FieldConfig) -> tuple[Fraction, ...]:
     """Translation vector of a diagonal torus element: the valuations
     of its diagonal entries."""
-    t = linalg.square(t, what="torus element")
-    n = len(t)
-    for i in range(n):
-        for j in range(n):
-            if i != j and t[i][j] != 0:
-                raise PreconditionError("torus element must be diagonal")
-        if t[i][i] == 0:
+    t, p = linalg.square_ratios(t, what="torus element"), cfg.prime
+    for i, row in enumerate(t):
+        if any(a for j, (a, _) in enumerate(row) if j != i):
+            raise PreconditionError("torus element must be diagonal")
+        if not row[i][0]:
             raise PreconditionError("torus element must be invertible")
-    return tuple(val(t[i][i], cfg).mag for i in range(n))
+    diagonal = [row[i] for i, row in enumerate(t)]  # in lowest terms: a or b is prime to p
+    return tuple(Fraction(multiplicity(a, p) or -multiplicity(b, p)) for a, b in diagonal)
 
 
 def cartan_position(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, ...]:

@@ -75,17 +75,14 @@ def parse_rational(s) -> Fraction:
 
 
 def _parse_columns(entry, n: int, what: str) -> linalg.Cleared:
-    """The cleared columns of a document's matrix: integers over the lcm of each column's
-    denominators, as linalg.cleared makes them."""
+    """The cleared columns of a document's matrix, each by the one rule linalg.clear."""
     if not isinstance(entry, list) or len(entry) != n:
         raise DocumentError(f"{what} must be an array of {n} columns")
     cols = []
     for col in entry:
         if not isinstance(col, list) or len(col) != n:
             raise DocumentError(f"each {what} column must have {n} entries")
-        pairs = [_num_den(x) for x in col]
-        den = math.lcm(*(d for _, d in pairs))
-        cols.append(([x * (den // d) for x, d in pairs], den))
+        cols.append(linalg.clear([_num_den(x) for x in col]))
     return cols
 
 

@@ -3,24 +3,22 @@ tuples of tuples; a basis is a matrix whose columns are the basis
 vectors.  Everything here is dimension-agnostic and 0x0-safe.
 
 The inner loops run over int.  A vector is *cleared* as (ints, den):
-integers over one positive denominator, the lcm of its entries' when
-cleared from Fractions by int_rows, which reads each entry once.  A
-square matrix from outside, an acting g, an h or a frame, crosses the
-boundary in one pass, cleared_square: it reads each entry once, refuses
-floats, ragged and wrong-size matrices with the errors of square, and
-returns cleared columns with no Fraction matrix in between.  Each
-operation has one kernel on cleared vectors: times_cleared,
-kron_cleared, block_cleared, inverse_rows, an in-place fraction-free
-Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968) from cleared
-columns to cleared rows, updating n entries per row and step, and
-det_cleared, the forward half of that elimination.
-nonsingular_mod runs forward elimination modulo the prime 2^61 - 1 on
-word-sized residues: a nonzero determinant there proves the exact one
-nonzero, so a matrix is shown invertible without its inverse.
+integers over one positive denominator, the lcm of its entries', by
+the one rule clear.  cleared is the one read of a matrix, with no
+Fraction matrix (no square) on the way: each entry is read once, by
+as_integer_ratio, floats refused first, then a ragged matrix.
+cleared_square adds the size check of square_ratios, which returns the
+checked (numerator, denominator) rows themselves.  Each operation has
+one kernel on cleared vectors: times_cleared, kron_cleared,
+block_cleared, inverse_rows, an in-place fraction-free Gauss-Jordan
+elimination (Bareiss, Math. Comp. 22, 1968) from cleared columns to
+cleared rows, updating n entries per row and step, and det_cleared,
+the forward half of that elimination.  nonsingular_mod runs forward
+elimination modulo the prime 2^61 - 1 on word-sized residues: a
+nonzero determinant there proves the exact one nonzero.
 The Fraction functions matmul, matvec, kron, block_diag, inverse and
-det are views of them: each checks its input once through mat or
-square, which refuse ragged matrices and floats, and reads the kernel's
-result back as Fractions."""
+det are views of the kernels, for callers outside the package: each
+reads its input through cleared and its result back as Fractions."""
 
 from __future__ import annotations
 
@@ -59,29 +57,19 @@ def _check_ragged(rows) -> None:
         raise DimensionMismatchError("ragged matrix")
 
 
-def _check_square(rows, n: int | None, what: str) -> None:
-    size = len(rows) if n is None else n
-    if len(rows) != size or any(len(row) != size for row in rows):
-        shape = "square" if n is None else f"{n}x{n}"
-        raise DimensionMismatchError(f"{what} must be {shape}")
-
-
 def mat(rows) -> Matrix:
     out = tuple(vec(r) for r in rows)
     _check_ragged(out)
     return out
 
 
-def square(rows, n: int | None = None, what: str = "matrix") -> Matrix:
-    """Coerce to a matrix that is n x n, or square of any size when n is None."""
-    m = mat(rows)
-    _check_square(m, n, what)
-    return m
-
-
 def identity(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+    return from_cleared_columns(units(n), n)
+
+
+def units(n: int) -> Cleared:
+    """The cleared columns of the n x n identity."""
+    return [([int(i == j) for i in range(n)], 1) for j in range(n)]
 
 
 def transpose(m: Matrix) -> Matrix:
@@ -105,7 +93,7 @@ def _ratios(row) -> list[tuple[int, int]]:
         return [to_fraction(x).as_integer_ratio() for x in row]
 
 
-def _clear(ratios) -> tuple[list[int], int]:
+def clear(ratios) -> tuple[list[int], int]:
     """Integers over the lcm of the ratios' denominators; numerators as they are at lcm 1."""
     d = math.lcm(*(b for _, b in ratios))
     return ([a * (d // b) for a, b in ratios] if d > 1 else [a for a, _ in ratios], d)
@@ -114,22 +102,34 @@ def _clear(ratios) -> tuple[list[int], int]:
 def int_rows(m) -> Cleared:
     """Each row as integers over the lcm of its denominators: (ints, lcm), each entry read
     once (see _ratios)."""
-    return [_clear(_ratios(row)) for row in m]
+    return [clear(_ratios(row)) for row in m]
 
 
-def cleared(m) -> Cleared:
-    """The columns of a matrix, each cleared: integers over the lcm of its denominators."""
-    return int_rows(transpose(m))
+def _read(rows) -> list[list[tuple[int, int]]]:
+    """Each entry's ratio (_ratios), row by row: floats refused first, then a ragged matrix."""
+    ratios = [_ratios(row) for row in rows]
+    _check_ragged(ratios)
+    return ratios
+
+
+def cleared(rows) -> Cleared:
+    """The cleared columns of a matrix, from one read of each entry (_read)."""
+    return [clear(col) for col in zip(*_read(rows))]
+
+
+def square_ratios(rows, n: int | None = None, what: str = "matrix") -> list[list[tuple[int, int]]]:
+    """_read's ratios, checked after _read's checks to be n x n, or square if n is None."""
+    ratios = _read(rows)
+    size = len(ratios) if n is None else n
+    if len(ratios) != size or any(len(row) != size for row in ratios):
+        shape = "square" if n is None else f"{n}x{n}"
+        raise DimensionMismatchError(f"{what} must be {shape}")
+    return ratios
 
 
 def cleared_square(rows, n: int | None = None, what: str = "matrix") -> Cleared:
-    """The cleared columns of a matrix from outside, from one read of each entry: the checks
-    and errors of square, floats refused first, then a ragged matrix, then one not n x n (or
-    not square, when n is None), with no Fraction matrix built."""
-    ratios = [_ratios(row) for row in rows]
-    _check_ragged(ratios)
-    _check_square(ratios, n, what)
-    return [_clear(col) for col in zip(*ratios)]
+    """cleared, of a matrix that square_ratios checks to be n x n."""
+    return [clear(col) for col in zip(*square_ratios(rows, n, what))]
 
 
 def from_cleared(vectors) -> Matrix:
@@ -264,35 +264,32 @@ def block_cleared(u: Cleared, v: Cleared, m: int, n: int) -> Cleared:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a, b = mat(a), mat(b)
-    if a and len(a[0]) != len(b):
-        raise DimensionMismatchError(f"cannot multiply {len(a[0])} columns by {len(b)} rows")
-    return from_cleared_columns(times_cleared(cleared(a), cleared(b)), len(a))
+    a_cols, b_cols = cleared(a), cleared(b)
+    if a and len(a_cols) != len(b):
+        raise DimensionMismatchError(f"cannot multiply {len(a_cols)} columns by {len(b)} rows")
+    return from_cleared_columns(times_cleared(a_cols, b_cols), len(a))
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
-    m, v = mat(m), vec(v)
-    if m and len(m[0]) != len(v):
-        raise DimensionMismatchError(f"matrix is {len(m)}x{len(m[0])}, vector has length {len(v)}")
-    product = times_cleared(cleared(m), int_rows((v,)))
-    return tuple(row[0] for row in from_cleared_columns(product, len(m)))
+    cols, ((x, e),) = cleared(m), int_rows((v,))
+    if m and len(cols) != len(x):
+        raise DimensionMismatchError(f"matrix is {len(m)}x{len(cols)}, vector has length {len(x)}")
+    return tuple(row[0] for row in from_cleared_columns(times_cleared(cols, [(x, e)]), len(m)))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
-    a, b = mat(a), mat(b)
     return from_cleared_columns(kron_cleared(cleared(a), cleared(b)), len(a) * len(b))
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    a, b = mat(a), mat(b)
     cols = block_cleared(cleared(a), cleared(b), len(a), len(b))
     return from_cleared_columns(cols, len(a) + len(b))
 
 
 def det(m: Matrix) -> Fraction:
-    return det_cleared(cleared(square(m)))
+    return det_cleared(cleared_square(m))
 
 
 def inverse(m: Matrix) -> Matrix:
-    return from_cleared(inverse_rows(cleared(square(m))))
+    return from_cleared(inverse_rows(cleared_square(m)))
 

@@ -37,19 +37,22 @@ check; a common basis adds only the check of the second norm.
 
 Norms and lattices are frames: a basis held as cleared columns,
 integers over one denominator per column, and its inverse as cleared
-rows, made once, on first read, by the frame's recipe.  The default
-recipe is linalg.inverse_rows.  A frame made from others has one
-recipe, _inverse_from: the kernel that built its columns, applied to
-its sources' inverse rows.  tensor and direct_sum use kron_cleared and
-block_cleared; a ball B diag(p^k) uses _powers, as diag(p^-k) B^-1;
-act and translate_pair make the acting matrix g a frame, so the rows of
-M^-1 g^-1 are times_cleared of g's and M's, and only g is inverted.
-dual swaps columns and rows, and the norms on a lattice share its rows.
-Columns from outside, a document's or g's, are _proven invertible by a
-determinant modulo a fixed prime, with no inverse.  The Fraction
-matrices basis, inv_basis, matrix and inv are views, built on first
-access; the comparison path (equals, distance, the self-checks) never
-builds one.
+rows, made once, on first read, by the frame's recipe.  Every frame
+holds only these, made or built by a public constructor, which reads
+its basis once.  The default recipe is linalg.inverse_rows.  A frame
+made from others has one recipe, _inverse_from: the kernel that built
+its columns, applied to its sources' inverse rows.  tensor and
+direct_sum use kron_cleared and block_cleared; a ball B diag(p^k)
+uses _powers, as diag(p^-k) B^-1; act and translate_pair make the
+acting matrix g a frame, so the rows of M^-1 g^-1 are times_cleared
+of g's and M's, and only g is inverted.  dual swaps columns and rows,
+and the norms on a lattice share its rows.  Columns from outside, a
+document's or g's, are _proven invertible by a determinant modulo a
+fixed prime, with no inverse.  The Fraction matrices basis, inv_basis,
+matrix and inv are views, built on first access; the comparison path
+(equals, distance, the self-checks) never builds one.  == and hash
+read the fields basis and matrix: == compares presentations, equals
+compares norms.
 
 Slots are fixed once for the whole package.  For a map h from a norm
 split by c_1, ..., c_n at values b_1, ..., b_n to one split by
@@ -137,6 +140,7 @@ class SplitNorm(_Frame):
 
     basis: n x n invertible matrix, columns are the splitting vectors.
     values: value of the norm on each basis column, in column order.
+    The basis is not checked invertible: a singular one raises SingularMatrixError when inverted.
     """
 
     cfg: FieldConfig
@@ -150,13 +154,12 @@ class SplitNorm(_Frame):
         n = self.dim
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise DimensionMismatchError(f"dim must be a nonnegative int, got {n!r}")
-        basis = linalg.square(self.basis, n, "basis")
+        basis = vars(self).pop("basis")  # read once, into _cols: basis is a view of them
+        _plant(self, "_cols", linalg.cleared_square(basis, n, "basis"))
         values = linalg.vec(self.values)
         if len(values) != n:
             raise DimensionMismatchError(f"expected {n} values, got {len(values)}")
-        _plant(self, "basis", basis)
         _plant(self, "values", values)
-        _plant(self, "_cols", linalg.cleared(basis))
 
     # not a cached_property: perfbench/tracing.py wraps its fget and checks "_inv" in vars(norm)
     @property
@@ -204,9 +207,8 @@ class LatticeBasis(_Frame):
     _view, _inv_view = "matrix", "inv"
 
     def __post_init__(self) -> None:
-        matrix = linalg.square(self.matrix, what="lattice matrix")
-        _plant(self, "matrix", matrix)
-        _plant(self, "_cols", linalg.cleared(matrix))
+        matrix = vars(self).pop("matrix")  # read once, into _cols: matrix is a view of them
+        _plant(self, "_cols", linalg.cleared_square(matrix, what="lattice matrix"))
 
     @property
     def dim(self) -> int:
@@ -587,14 +589,12 @@ def _split_subspace(norm: SplitNorm, span) -> tuple[SplitNorm, Cleared]:
     """Split the subspace spanned by the columns of the n x d matrix span: _split_span's
     (split, combo), where span @ combo splits the subspace with sizes split.values[:d] and the
     ambient columns after them complete a splitting basis with values split.values[d:]."""
-    span = linalg.mat(span)
-    n = norm.dim
+    cols, n = linalg.cleared(span), norm.dim
     if len(span) != n:
         raise DimensionMismatchError(f"span matrix must have {n} rows, got {len(span)}")
-    d = len(span[0]) if span else 0
-    if d > n:
+    if len(cols) > n:
         raise RankDeficiencyError("more spanning columns than the dimension allows")
-    return _split_span(norm, linalg.cleared(span), (0,) * d)
+    return _split_span(norm, cols, (0,) * len(cols))
 
 
 def restrict(norm: SplitNorm, span) -> SplitNorm:
@@ -619,7 +619,7 @@ def quotient(norm: SplitNorm, span) -> SplitNorm:
     """
     split, combo = _split_subspace(norm, span)
     values = split.values[len(combo) :]
-    return SplitNorm(norm.cfg, len(values), linalg.identity(len(values)), values)
+    return _split(norm.cfg, linalg.units(len(values)), values)
 
 
 def common_splitting_basis(a: SplitNorm, b: SplitNorm):

@@ -28,11 +28,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .base_change import kernel_dim
 from .errors import PreconditionError, SingularMatrixError
-from .norms import BallChainPeriod, SplitNorm, _slot_table, _table_max, ball_basis, op_size
+from .norms import (
+    BallChainPeriod, LatticeBasis, SplitNorm, _slot_table, _table_max, ball_basis, op_size,
+)
 from .valuation import BOTTOM, Value, degree_rep, frac_part, pval
 
 
@@ -129,10 +132,17 @@ def chain_certificates(period: BallChainPeriod) -> tuple[linalg.Matrix, ...]:
     lats = period.lattices
     if not lats:
         return ()
-    certs = [linalg.matmul(big.inv, small.matrix) for small, big in zip(lats, lats[1:] + lats[:1])]
-    p = lats[0].cfg.prime
-    certs[-1] = tuple(tuple(p * x for x in row) for row in certs[-1])
-    return tuple(certs)
+    scales = [1] * (len(lats) - 1) + [lats[0].cfg.prime]
+    pairs = zip(lats, lats[1:] + lats[:1], scales)
+    return tuple(_transition(big, small, s) for small, big, s in pairs)
+
+
+def _transition(big: LatticeBasis, small: LatticeBasis, scale: int) -> linalg.Matrix:
+    """scale times big^-1 @ small, in integers: big's cleared inverse rows by small's columns."""
+    return tuple(
+        tuple(Fraction(scale * sum(map(mul, r, c)), d * e) for c, e in small._cols)
+        for r, d in big._inv_rows
+    )
 
 
 def filtration_level(norm: SplitNorm, g) -> Value:

@@ -56,10 +56,18 @@ def test_torus_translation_examples():
     assert torus_translation(linalg.identity(3), CFG2) == (0, 0, 0)
     assert torus_translation(((4, 0), (0, 1)), CFG2) == (F(2), F(0))
     assert torus_translation(((F(1, 2), 0), (0, 1)), CFG2) == (F(-1), F(0))
-    with pytest.raises(PreconditionError):
-        torus_translation(((1, 1), (0, 1)), CFG2)
-    with pytest.raises(PreconditionError):
-        torus_translation(((1, 0), (0, 0)), CFG2)
+    assert torus_translation((("3/8", 0, 0), (0, 12, 0), (0, 0, -1)), CFG2) == (-3, 2, 0)
+    # rows in order, each checked off the diagonal, then on it
+    for t, message in (
+        (((1, 1), (0, 1)), "diagonal"),
+        (((1, 0), (0, 0)), "invertible"),
+        (((0, 0), (1, 1)), "invertible"),
+        (((1, 0), (1, 0)), "diagonal"),
+    ):
+        with pytest.raises(PreconditionError, match=f"torus element must be {message}"):
+            torus_translation(t, CFG2)
+    with pytest.raises(DimensionMismatchError, match="torus element must be square"):
+        torus_translation(((1, 0),), CFG2)
 
 
 def test_point_type_examples():

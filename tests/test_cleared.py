@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg, norms
 from padicnorm.base_change import graded_ball_dims
-from padicnorm.building import apartment_coords, homothetic
+from padicnorm.building import apartment_coords, homothetic, norm_from_apartment
 from padicnorm.norms import (
     _canonical,
     _common_norm,
@@ -161,8 +161,9 @@ def test_each_entry_is_read_once_and_each_norm_weighs_its_rows_once(monkeypatch)
     rng = random.Random(124)
     n = 12
     a = fuzz.norm(rng, n=n, p=3)
+    basis = a.basis  # a view, built here and not in the count
     built = []
-    calls = _fraction_calls(lambda: built.append(SplitNorm(a.cfg, n, a.basis, a.values)))
+    calls = _fraction_calls(lambda: built.append(SplitNorm(a.cfg, n, basis, a.values)))
     assert sum(calls.values()) == n * n
     (fresh,) = built
     v = fuzz.vector(rng, n, nonzero=True)
@@ -179,6 +180,50 @@ def test_each_entry_is_read_once_and_each_norm_weighs_its_rows_once(monkeypatch)
     assert len(valued) <= n + 1
     coords = oracles.product(oracles.inverse(a.basis), tuple((x,) for x in v))
     assert size == max(b - oracles.valuation(c, 3) for b, (c,) in zip(a.values, coords) if c)
+
+
+def _int_presentation(n):
+    """An invertible n x n int matrix, unit upper triangular, and n int values."""
+    rng = random.Random(126)
+    entry = lambda i, j: int(i == j) + (rng.randint(-9, 9) if j > i else 0)
+    matrix = tuple(tuple(entry(i, j) for j in range(n)) for i in range(n))
+    return matrix, tuple(rng.randint(-5, 5) for _ in range(n))
+
+
+def test_a_norm_from_ints_makes_one_fraction_per_value():
+    """SplitNorm reads an int basis by int.as_integer_ratio into cleared columns and keeps no
+    Fraction basis: at n = 12 it makes one Fraction per value and calls nothing else in
+    fractions.py."""
+    n = 12
+    matrix, values = _int_presentation(n)
+    calls = _fraction_calls(lambda: SplitNorm(FieldConfig(3), n, matrix, values))
+    assert calls["__new__"] <= n and sum(calls.values()) == calls["__new__"]
+
+
+def test_a_lattice_from_ints_makes_no_fraction():
+    n = 12
+    matrix, _ = _int_presentation(n)
+    assert _fraction_calls(lambda: LatticeBasis(FieldConfig(3), matrix)) == {}
+
+
+def test_the_standard_apartment_clears_no_entry():
+    """norm_from_apartment takes unit cleared columns, with no identity matrix to clear."""
+    n = 12
+    _, values = _int_presentation(n)
+    calls = _fraction_calls(lambda: norm_from_apartment(values, FieldConfig(3)))
+    assert calls["as_integer_ratio"] == 0
+
+
+def test_basis_and_matrix_are_views_built_on_first_read():
+    n = 5
+    matrix, values = _int_presentation(n)
+    cfg = FieldConfig(3)
+    nrm, lat = SplitNorm(cfg, n, matrix, values), LatticeBasis(cfg, matrix)
+    std = norm_from_apartment(values, cfg)
+    assert "basis" not in vars(nrm) and "matrix" not in vars(lat) and "basis" not in vars(std)
+    assert nrm.basis == lat.matrix == linalg.mat(matrix) and std.basis == linalg.identity(n)
+    assert "basis" in vars(nrm) and "matrix" in vars(lat) and "basis" in vars(std)
+    assert nrm.values == std.values == linalg.vec(values)
 
 
 def test_outside_matrices_are_read_once(monkeypatch):

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -66,17 +67,29 @@ def test_clearing_refuses_floats_and_keeps_ints():
 
 
 def test_outside_matrices_clear_in_one_pass():
-    # cleared_square returns what cleared(square(m)) does, from any exact entries and
-    # one-shot rows, and refuses what square refuses with the same error: a float first,
-    # even in a ragged or wrong-size matrix, then a ragged matrix, then a wrong size
+    # cleared reads each entry once, from any exact entries and one-shot rows, into the
+    # columns over the lcm of their denominators; cleared_square adds only the size check.
+    # The errors come in one order: a float first, even in a ragged or wrong-size matrix,
+    # then a ragged matrix, then a wrong size
     rng = random.Random(12)
     for n in (0, 1, 3, 6):
         m = tuple(tuple(fuzz.rational(rng) for _ in range(n)) for _ in range(n))
-        assert linalg.cleared_square(m, n) == linalg.cleared_square(m) == linalg.cleared(m)
+        cols = linalg.cleared(m)
+        assert linalg.cleared_square(m, n) == linalg.cleared_square(m) == cols
+        assert tuple(tuple(Fraction(x, d) for x in c) for c, d in cols) == linalg.transpose(m)
+        assert all(math.gcd(d, *c) == 1 for c, d in cols)
     mixed = ((1, "1/2"), (Fraction(2, 3), True))
-    want = linalg.cleared(linalg.square(mixed))
-    assert linalg.cleared_square(mixed, 2) == want == [([3, 2], 3), ([1, 2], 2)]
+    want = [([3, 2], 3), ([1, 2], 2)]
+    assert linalg.cleared(mixed) == linalg.cleared_square(mixed, 2) == want
+    assert linalg.cleared(iter(row) for row in mixed) == want
     assert linalg.cleared_square(iter(row) for row in mixed) == want
+    assert linalg.square_ratios(mixed) == [[(1, 1), (1, 2)], [(2, 3), (1, 1)]]
+    assert linalg.cleared(((1, Fraction(1, 2), 3), (2, Fraction(1, 4), 0))) == [
+        ([1, 2], 1),
+        ([2, 1], 4),
+        ([3, 0], 1),
+    ]
+    assert linalg.cleared(((), ())) == linalg.cleared(()) == linalg.cleared_square(()) == []
     assert linalg.int_rows([iter((1, "1/2", Fraction(1, 3)))]) == [([6, 3, 2], 6)]
     for rows, n, error, message in (
         (((1, 0.5), (3,)), None, TypeError, "floats are not exact"),
@@ -84,10 +97,14 @@ def test_outside_matrices_clear_in_one_pass():
         (((1, 2), (3,)), 2, DimensionMismatchError, "ragged matrix"),
         (((1, 2, 3), (4, 5, 6)), 2, DimensionMismatchError, "frame must be 2x2"),
         (((1, 2), (3, 4), (5, 6)), None, DimensionMismatchError, "frame must be square"),
+        (((), (), ()), None, DimensionMismatchError, "frame must be square"),
     ):
-        for clear in (linalg.cleared_square, linalg.square):
+        for read in (linalg.cleared_square, linalg.square_ratios):
             with pytest.raises(error, match=message):
-                clear(rows, n, "frame")
+                read(rows, n, "frame")
+        if "frame" not in message:
+            with pytest.raises(error, match=message):
+                linalg.cleared(rows)
 
 
 def test_identity_and_transpose():

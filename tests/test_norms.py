@@ -349,6 +349,30 @@ def _constructions(rng, p):
     return norms + [lattice_norm(lat) for lat in lattices], lattices
 
 
+def test_equality_compares_presentations():
+    """== and hash read the presentation, the basis and values as given, and repr shows it as
+    Fractions; equals compares norms."""
+    a = SplitNorm(CFG2, 2, ((1, 0), (2, 1)), (0, F(1, 2)))
+    assert repr(a) == (
+        "SplitNorm(cfg=FieldConfig(prime=2), dim=2, basis=((Fraction(1, 1), Fraction(0, 1)), "
+        "(Fraction(2, 1), Fraction(1, 1))), values=(Fraction(0, 1), Fraction(1, 2)))"
+    )
+    lat = LatticeBasis(CFG2, ((1, 0), (2, 1)))
+    assert repr(lat) == (
+        "LatticeBasis(cfg=FieldConfig(prime=2), matrix=((Fraction(1, 1), Fraction(0, 1)), "
+        "(Fraction(2, 1), Fraction(1, 1))))"
+    )
+    same = SplitNorm(CFG2, 2, ((F(1), F(0)), (F(2), F(1))), (F(0), F(1, 2)))
+    assert a == same and hash(a) == hash(same)
+    same_lat = LatticeBasis(CFG2, same.basis)
+    assert lat == same_lat and hash(lat) == hash(same_lat)
+    # ALPHA0 is the same norm in another basis, of the same lattice: equal as norms and
+    # lattices, not as presentations
+    standard = LatticeBasis(CFG2, ALPHA0.basis)
+    assert equals(a, ALPHA0) and a != ALPHA0
+    assert lattices_equal(lat, standard) and lat != standard
+
+
 def test_norms_and_lattices_survive_pickle_and_deepcopy():
     rng = random.Random(160)
     probe_rng = random.Random(161)
@@ -380,3 +404,20 @@ def test_norms_and_lattices_survive_pickle_and_deepcopy():
                 read(x)
                 for y in [trip(x) for trip in round_trips]:
                     assert lattices_equal(x, y)
+        # a public constructor keeps no basis or matrix until it is read: a copy taken before
+        # the read builds its own view, one taken after carries the view
+        a = fuzz.norm(rng, n=3, p=p)
+        basis = a.basis
+        for x, view in (
+            (SplitNorm(a.cfg, 3, basis, a.values), "basis"),
+            (LatticeBasis(a.cfg, basis), "matrix"),
+        ):
+            for read in (False, True):
+                if read:
+                    getattr(x, view)
+                copies = [trip(x) for trip in round_trips]
+                for y in copies:
+                    assert (view in vars(y)) == read
+                    assert y._cols == x._cols and getattr(y, view) == basis
+                    assert y == x and hash(y) == hash(x)
+                    assert equals(x, y) if view == "basis" else lattices_equal(x, y)

@@ -168,8 +168,13 @@ def test_chain_certificates():
             assert lattice.matrix == oracles.ball(nrm, cls)
         certs = chain_certificates(period)
         assert len(certs) == len(period.lattices)
-        for cert in certs:
+        lats = period.lattices
+        for k, (cert, small, big) in enumerate(zip(certs, lats, lats[1:] + lats[:1])):
             assert all(oracles.integral(x, p) for row in cert for x in row)
+            # big^-1 small in Fractions, the wrap-around one times p
+            want = oracles.product(oracles.inverse(big.matrix), small.matrix)
+            scale = p if k == len(lats) - 1 else 1
+            assert cert == tuple(tuple(scale * x for x in row) for row in want)
         # one period climbs through the whole lattice index p^n
         total = sum(pval(linalg.det(c), p) for c in certs)
         assert total == nrm.dim

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
 from .errors import PreconditionError
 from .norms import SplitNorm
 from .valuation import count_classes, degree_rep, frac_part
@@ -92,6 +91,6 @@ def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:
     balls.
     """
     # both balls scale by p^k when g moves by k, so only g mod 1 matters
-    g = frac_part(linalg.to_fraction(g))
+    g = frac_part(g)
     out = {degree_rep(frac_part(c - g)): (m, m) for c, m in norm.class_counts.items()}
     return dict(sorted(out.items(), reverse=True))

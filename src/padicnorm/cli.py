@@ -6,11 +6,12 @@ malformed document, 2 when a precondition is violated; diagnostics go
 to stderr as a single `error:` line.
 
 A verb is one `add(...)` line in `build_parser`: its handler, the
-positional arguments that are norm documents, and its flags.  `main`
-loads the declared documents and passes the norms to the handler after
-the parsed arguments.  A handler returns either a document dict or a
-`(text line, machine payload)` pair, and `_render` applies `--format`
-to that result once.
+positional arguments that are norm documents, and its flags.  A flag is
+only split here, at `,` and `;`: `linalg.to_fraction` reads each entry,
+and the library refuses a ragged matrix.  `main` loads the declared
+documents and passes the norms to the handler after the parsed
+arguments.  A handler returns either a document dict or a `(text line,
+machine payload)` pair, and `_render` applies `--format` to it once.
 
 The parser is built once per process and reused, so `main(argv)` may
 be called repeatedly in-process; `build_parser` says why that is safe.
@@ -20,30 +21,23 @@ from __future__ import annotations
 
 import argparse
 import functools
-import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from . import base_change, building, io, linalg, norms, stabilizer
 from .errors import DocumentError, DomainError, PreconditionError
-from .valuation import FieldConfig, degree_rep, digit_limit, frac_part
+from .valuation import FieldConfig, degree_rep, frac_part
 
 # `tree` prints all p + 1 neighbors of a vertex, so it refuses primes above this
 TREE_PRIME_LIMIT = 1000
 
-# a flag written as num or num/den, read without Fraction's string parser
-_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
-
 
 def _frac(s: str) -> Fraction:
-    # Fraction expands an exponent in full: refuse one past the digit limit (or too long for int)
-    exponent, limit = re.search(r"[eE]([-+]?[0-9_]+)", s), digit_limit()
-    if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
-        raise argparse.ArgumentTypeError(f"exponent beyond {limit} in {s!r}")
-    plain = _PLAIN.fullmatch(s)
     try:
-        return Fraction(int(plain[1]), int(plain[2] or 1)) if plain else Fraction(s)
+        return linalg.to_fraction(s)
+    except PreconditionError as exc:  # argparse calls this outside main's try
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from exc
 
@@ -53,14 +47,7 @@ def _vector(s: str) -> tuple[Fraction, ...]:
 
 
 def _matrix(s: str) -> linalg.Matrix:
-    rows = [_vector(r) for r in s.split(";")] if s.strip() else []
-    if rows and any(len(r) != len(rows[0]) for r in rows):
-        raise argparse.ArgumentTypeError("ragged matrix")
-    return tuple(rows)
-
-
-def _span(s: str) -> list[tuple[Fraction, ...]]:
-    return [_vector(part) for part in s.split(";")] if s.strip() else []
+    return tuple(_vector(r) for r in s.split(";")) if s.strip() else ()
 
 
 def _ram_index(s: str):
@@ -114,7 +101,7 @@ def _cmd_eval(args, norm):
 
 
 def _cmd_span(fn, args, norm):
-    span = linalg.from_columns(args.span) if args.span else tuple(() for _ in range(norm.dim))
+    span = linalg.transpose(args.span) if args.span else tuple(() for _ in range(norm.dim))
     return io.norm_to_doc(fn(norm, span))
 
 
@@ -231,15 +218,14 @@ def build_parser() -> argparse.ArgumentParser:
     two = ("a", "b")
     vector = dict(type=_vector, required=True)
     matrix = dict(type=_matrix, required=True)
-    span = dict(type=_span, required=True)
     prime = dict(type=int, required=True)
     rational = dict(type=_frac, default=None)
     add("eval", _cmd_eval, vector=vector)
     add("tensor", lambda _, a, b: io.norm_to_doc(norms.tensor(a, b)), files=two)
     add("dual", lambda _, n: io.norm_to_doc(norms.dual(n)))
     add("sum", lambda _, a, b: io.norm_to_doc(norms.direct_sum(a, b)), files=two)
-    add("restrict", lambda args, n: _cmd_span(norms.restrict, args, n), span=span)
-    add("quotient", lambda args, n: _cmd_span(norms.quotient, args, n), span=span)
+    add("restrict", lambda args, n: _cmd_span(norms.restrict, args, n), span=matrix)
+    add("quotient", lambda args, n: _cmd_span(norms.quotient, args, n), span=matrix)
     add("act", lambda args, n: io.norm_to_doc(norms.act(args.matrix, n)), matrix=matrix)
     add("equals", lambda _, a, b: _truth(norms.equals(a, b)), files=two)
     add("ball", _cmd_ball, at={**rational, "default": Fraction(0)}, open=dict(action="store_true"))

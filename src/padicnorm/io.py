@@ -46,8 +46,7 @@ def _ratio_str(num: int, den: int) -> str:
 
 
 def rational_str(x: Fraction) -> str:
-    x = x if type(x) is Fraction else Fraction(x)
-    return _ratio_str(x.numerator, x.denominator)
+    return _ratio_str(*linalg.to_fraction(x).as_integer_ratio())
 
 
 def value_str(v: Value) -> str:

@@ -2,20 +2,24 @@
 tuples of tuples; a basis is a matrix whose columns are the basis
 vectors.  Everything here is dimension-agnostic and 0x0-safe.
 
+to_fraction is the one gate for an outside scalar, library and CLI
+alike: it reads num or num/den as integers, and refuses a float and an
+exponent past the digit limit, which Fraction would expand in full.
+
 The inner loops run over int.  A vector is *cleared* as (ints, den):
-integers over one positive denominator, the lcm of its entries', by
-the one rule clear.  cleared is the one read of a matrix, with no
-Fraction matrix (no square) on the way: each entry is read once, by
-as_integer_ratio, floats refused first, then a ragged matrix.
-cleared_square adds the size check of square_ratios, which returns the
-checked (numerator, denominator) rows themselves.  Each operation has
-one kernel on cleared vectors: times_cleared, kron_cleared,
-block_cleared, inverse_rows, an in-place fraction-free Gauss-Jordan
-elimination (Bareiss, Math. Comp. 22, 1968) from cleared columns to
-cleared rows, updating n entries per row and step, and det_cleared,
-the forward half of that elimination.  nonsingular_mod runs forward
-elimination modulo the prime 2^61 - 1 on word-sized residues: a
-nonzero determinant there proves the exact one nonzero.
+integers over one positive denominator, the lcm of its entries', by the
+one rule clear.  cleared is the one read of a matrix, with no Fraction
+matrix (no square) on the way: each entry is read once, by
+as_integer_ratio, floats refused first, then a ragged matrix, as
+transpose refuses one.  cleared_square adds the size check of
+square_ratios, which returns the checked (numerator, denominator) rows
+themselves.  Each operation has one kernel on cleared vectors:
+times_cleared, kron_cleared, block_cleared, inverse_rows, an in-place
+fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
+from cleared columns to cleared rows, updating n entries per row and
+step, and det_cleared, its forward half on integer columns.
+nonsingular_mod runs forward elimination modulo the prime 2^61 - 1 on
+word-sized residues: a nonzero determinant there proves invertibility.
 The Fraction functions matmul, matvec, kron, block_diag, inverse and
 det are views of the kernels, for callers outside the package: each
 reads its input through cleared and its result back as Fractions."""
@@ -23,10 +27,12 @@ reads its input through cleared and its result back as Fractions."""
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from operator import mul
 
-from .errors import DimensionMismatchError, SingularMatrixError
+from .errors import DimensionMismatchError, PreconditionError, SingularMatrixError
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
@@ -36,10 +42,29 @@ Cleared = list[tuple[list[int], int]]
 CERTIFICATE_PRIME = 2**61 - 1
 
 
+# num or num/den, read as integers; an exponent, in any of the digits Fraction reads
+_PLAIN = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?")
+_EXPONENT = re.compile(r"[eE]([-+]?[\d_]+)")
+
+
+def digit_limit() -> int:
+    """Python's int-to-str digit limit, or its default when the limit is switched off."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
 def to_fraction(x) -> Fraction:
+    """The gate for an outside scalar (module docstring): TypeError on a float,
+    PreconditionError on an exponent past digit_limit, else Fraction's own errors."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
+    if isinstance(x, str):
+        plain = _PLAIN.fullmatch(x)
+        if plain:
+            return Fraction(int(plain[1]), int(plain[2] or 1))
+        exponent, limit = _EXPONENT.search(x), digit_limit()
+        if exponent and (len(exponent[1]) > limit or abs(int(exponent[1])) > limit):
+            raise PreconditionError(f"exponent beyond {limit} in {x!r}")
+    elif isinstance(x, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
     return Fraction(x)
 
@@ -52,15 +77,14 @@ def vec(entries) -> Vector:
     return tuple(to_fraction(x) for x in entries)
 
 
-def _check_ragged(rows) -> None:
+def _rectangular(rows):
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatchError("ragged matrix")
+    return rows
 
 
 def mat(rows) -> Matrix:
-    out = tuple(vec(r) for r in rows)
-    _check_ragged(out)
-    return out
+    return _rectangular(tuple(vec(r) for r in rows))
 
 
 def identity(n: int) -> Matrix:
@@ -73,9 +97,7 @@ def units(n: int) -> Cleared:
 
 
 def transpose(m: Matrix) -> Matrix:
-    if not m:
-        return ()
-    return tuple(zip(*m))
+    return tuple(zip(*_rectangular(m)))
 
 
 def from_columns(cols) -> Matrix:
@@ -107,9 +129,7 @@ def int_rows(m) -> Cleared:
 
 def _read(rows) -> list[list[tuple[int, int]]]:
     """Each entry's ratio (_ratios), row by row: floats refused first, then a ragged matrix."""
-    ratios = [_ratios(row) for row in rows]
-    _check_ragged(ratios)
-    return ratios
+    return _rectangular([_ratios(row) for row in rows])
 
 
 def cleared(rows) -> Cleared:
@@ -204,17 +224,17 @@ def inverse_rows(cols) -> Cleared:
     ]
 
 
-def det_cleared(cols) -> Fraction:
-    """det C / prod e_j from the cleared columns (c_j, e_j) of M = C diag(1/e), by forward
+def det_cleared(cols: list[list[int]]) -> int:
+    """det C of the integer columns c_j of C (det divides it by prod e_j), by forward
     elimination (Bareiss) on C^T, updating only the rows below the pivot and the columns
     right of it; a row swap flips the sign, and the last pivot is det C up to it."""
-    rows = [list(c) for c, _ in cols]
+    rows = [list(c) for c in cols]
     n = len(rows)
     sign, prev = 1, 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
@@ -226,7 +246,7 @@ def det_cleared(cols) -> Fraction:
             elif pk != prev:  # nothing to clear, but the rescale keeps the invariant
                 row[k + 1 :] = [pk * x // prev for x in row[k + 1 :]]
         prev = pk
-    return Fraction(sign * prev, math.prod(e for _, e in cols))
+    return sign * prev
 
 
 def nonsingular_mod(cols: Cleared) -> bool:
@@ -287,7 +307,8 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Fraction:
-    return det_cleared(cleared_square(m))
+    cols = cleared_square(m)
+    return Fraction(det_cleared([c for c, _ in cols]), math.prod(e for _, e in cols))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -457,7 +457,7 @@ def _fit_table(slots, p: int) -> tuple[list[int], int] | None:
     docstring), read from the determinant of the same table."""
     row_w, col_w, table, _, scale = slots
     tops = [_heaviest(row_w, col_w, table, scale, p, (j,)) for j in range(len(table))]
-    det = linalg.det_cleared([(c, 1) for c in table]).numerator if all(tops) else 0
+    det = linalg.det_cleared(table) if all(tops) else 0
     if not det:
         raise SingularMatrixError("matrix is singular")
     t = [w for w, _, _ in tops]

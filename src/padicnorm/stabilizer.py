@@ -36,7 +36,7 @@ from .errors import PreconditionError, SingularMatrixError
 from .norms import (
     BallChainPeriod, LatticeBasis, SplitNorm, _slot_table, _table_max, ball_basis, op_size,
 )
-from .valuation import BOTTOM, Value, degree_rep, frac_part, pval
+from .valuation import BOTTOM, Value, degree_rep, frac_part, multiplicity
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,12 @@ def _conjugated(norm: SplitNorm, g):
     from g cleared once; the table is None when det g is not a p-adic unit, which decides
     before any product is built.  g must be n x n, checked before it must be invertible."""
     g_cols = linalg.cleared_square(g, norm.dim)
-    d = linalg.det_cleared(g_cols)
+    d = linalg.det_cleared([c for c, _ in g_cols])
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     p = norm.cfg.prime
-    if pval(d, p):
-        return False, None  # the determinant alone refuses g
+    if multiplicity(d, p) != sum(multiplicity(e, p) for _, e in g_cols):
+        return False, None  # the determinant alone refuses g: det g = det C / prod e_j
     image = linalg.times_cleared(g_cols, norm._cols)
     slots = _slot_table(norm._row_side, norm.values, image, p)
     return _table_max(slots, p) <= 0, slots

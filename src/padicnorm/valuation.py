@@ -10,10 +10,10 @@ base-p logarithm of its multiplicative norm.  Under that convention
 * the multiplicative interval (|p|, 1] of filtration degrees becomes
   the additive interval (-1, 0].
 
-All quantities are `fractions.Fraction`; floats never appear, and the
-value layer refuses them through the one gate, `linalg.to_fraction`.  Each
-multiplicative inequality is translated to the additive convention once
-in this module and nowhere else.
+All quantities are `fractions.Fraction`; floats never appear: every
+outside scalar passes the one gate, `linalg.to_fraction`, which says
+what it refuses.  Each multiplicative inequality is translated to the
+additive convention once in this module and nowhere else.
 
 Valuations of integers far from the base point, hundreds or thousands
 of digits long, come from one gcd rather than a ladder of divisions.
@@ -29,7 +29,6 @@ prime to p is large.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,7 +37,7 @@ from itertools import count
 from math import gcd
 
 from .errors import PreconditionError
-from .linalg import to_fraction
+from .linalg import digit_limit, to_fraction  # digit_limit is re-exported
 
 Rational = Fraction | int
 TOO_LARGE = "result has a rational too large to print"  # past the int-to-str digit limit
@@ -60,11 +59,6 @@ def _is_prime(n: int) -> bool:
         if pow(a, d, n) != 1 and all(pow(a, d << r, n) != n - 1 for r in range(s)):
             return False
     return True
-
-
-def digit_limit() -> int:
-    """Python's int-to-str digit limit, or its default when the limit is switched off."""
-    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
 
 
 @dataclass(frozen=True)

@@ -467,3 +467,32 @@ def test_group_element_verbs_refuse_the_size_first(docs, capsys):
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "matrix must be 2x2" in err, verb
+
+
+def test_ragged_matrix_flags(docs, capsys):
+    # every matrix flag is only split in the CLI and read by the library, which refuses a
+    # ragged matrix with one error line
+    alpha = docs["alpha"]
+    for argv in (
+        ("act", alpha, "--matrix", "1,0;1"),
+        ("stab-check", alpha, "--matrix", "1,0;1"),
+        ("level", alpha, "--matrix", "1,0;1"),
+        ("translate", "--prime", "2", "--matrix", "1,0;1"),
+        ("coords", alpha, "--frame", "1,0;1"),
+        ("restrict", alpha, "--span", "1,0;1"),
+        ("quotient", alpha, "--span", "1,0;1"),
+    ):
+        assert run(capsys, *argv) == (2, "", "error: ragged matrix\n"), argv
+
+
+def test_span_crosses_the_boundary_once(docs, capsys, monkeypatch):
+    # the span's entries are read by the flag's parser alone: restrict and quotient hand the
+    # library its transpose, which linalg.mat does not read again
+    calls = []
+    mat = linalg.mat
+    monkeypatch.setattr(linalg, "mat", lambda rows: calls.append(rows) or mat(rows))
+    for verb, value in ("restrict", "1/2"), ("quotient", "0"):
+        machine = f'{{"basis":[["1"]],"dim":1,"prime":2,"values":["{value}"]}}\n'
+        argv = (verb, docs["alpha"], "--span", "1,1", "--format", "machine")
+        assert run(capsys, *argv) == (0, machine, "")
+    assert calls == []

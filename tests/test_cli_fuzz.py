@@ -10,16 +10,20 @@ import argparse
 import contextlib
 import io as stringio
 import json
+import os
 import random
 import re
 import signal
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from padicnorm import io
+from padicnorm import io, linalg
 from padicnorm.cli import _frac, main
+from padicnorm.errors import PreconditionError
 from padicnorm.valuation import PRIME_LIMIT, digit_limit
 
 import fuzz
@@ -154,17 +158,58 @@ def test_invertibility_past_the_certificate(tmp_path):
 
 
 def test_plain_flags_read_as_fraction_reads_them():
-    # num and num/den are read as integers; every form gives Fraction's value or its refusal
+    # num and num/den are read as integers by the library's gate, linalg.to_fraction, which
+    # the CLI calls: every form gives Fraction's value or its refusal
     for s in ("0", "-0", "007", "-3", "3/06", "-2/4", "1/0", "1/00", "0/0", "9" * 4300,
               "9" * 4301, "1/" + "9" * 4301, "+1", " 1", "1_0", "0.5", "1e2", "1/-2", "x"):
         try:
             want = Fraction(s)
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError) as exc:
             message = re.escape(f"not a rational: {s!r}")
             with pytest.raises(argparse.ArgumentTypeError, match=message):
                 _frac(s)
+            with pytest.raises(type(exc)):
+                linalg.to_fraction(s)
         else:
-            assert _frac(s) == want
+            assert _frac(s) == linalg.to_fraction(s) == want
+    # the exponents of RATIONALS, where the gate differs from Fraction on purpose: one past
+    # the digit limit is refused before Fraction would expand it
+    read = ["1e-3", "1E2", "1e4300", "-1e4300", "1e-4300"]
+    refused = ["1e4301", "1e1000000", "1e-1000000", "1e10000000", "1e" + "0" * 5000 + "1"]
+    assert sorted(read + refused) == sorted(s for s in RATIONALS if re.search("[eE][-+]?[0-9]", s))
+    for s in read:
+        assert _frac(s) == linalg.to_fraction(s) == Fraction(s)
+    for s in refused:
+        message = f"^{re.escape(f'exponent beyond {digit_limit()} in {s!r}')}$"
+        with pytest.raises(PreconditionError, match=message):
+            linalg.to_fraction(s)
+        with pytest.raises(argparse.ArgumentTypeError, match=message):
+            _frac(s)
+
+
+def test_no_exponent_hangs_the_gate():
+    # 10 ** 100000000 is one C call that no signal handler interrupts, so the string runs in
+    # a child process, killed at the time limit if the gate expands it
+    package_root = str(Path(io.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    code = (
+        "from padicnorm import linalg\n"
+        "from padicnorm.errors import PreconditionError\n"
+        "try:\n"
+        "    linalg.to_fraction('1e100000000')\n"
+        "except PreconditionError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        encoding="utf-8",
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=CASE_SECONDS,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "exponent beyond 4300 in '1e100000000'\n", ""
+    )
 
 
 # flag entries: ordinary, non-canonical, exponents on both sides of the digit limit,

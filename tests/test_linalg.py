@@ -6,8 +6,9 @@ import pytest
 import sympy
 from sympy.matrices.expressions.kronecker import kronecker_product
 
-from padicnorm import linalg
-from padicnorm.errors import DimensionMismatchError, SingularMatrixError
+from padicnorm import FieldConfig, SplitNorm, Value, linalg
+from padicnorm.errors import DimensionMismatchError, PreconditionError, SingularMatrixError
+from padicnorm.norms import ball_basis, evaluate
 
 import fuzz
 import oracles
@@ -114,6 +115,33 @@ def test_identity_and_transpose():
     assert linalg.transpose(linalg.transpose(m)) == m
     assert linalg.transpose(m) == ((Fraction(1), Fraction(3)), (Fraction(2), Fraction(4)))
     assert linalg.from_columns(linalg.transpose(m)) == m
+
+
+def test_transpose_refuses_a_ragged_matrix():
+    # like every other reader of a matrix, rather than truncate it
+    with pytest.raises(DimensionMismatchError, match="^ragged matrix$"):
+        linalg.transpose(((1, 2), (3,)))
+
+
+def test_the_gate_refuses_an_exponent_past_the_digit_limit():
+    # Fraction expands an exponent in full: every string the library reads passes the one
+    # gate, which refuses an exponent past the digit limit before it is expanded
+    norm = SplitNorm(FieldConfig(2), 2, linalg.identity(2), (0, Fraction(1, 2)))
+    for s in ("1e4301", "-1e-4301"):
+        for call in (
+            lambda: linalg.to_fraction(s),
+            lambda: SplitNorm(FieldConfig(2), 2, ((s, 0), (0, 1)), (0, 0)),
+            lambda: evaluate(norm, (s, 1)),
+            lambda: Value(s),
+            lambda: ball_basis(norm, s),
+        ):
+            with pytest.raises(PreconditionError, match=f"^exponent beyond 4300 in '{s}'$"):
+                call()
+    assert linalg.to_fraction("1e4300") == 10**4300
+    assert linalg.to_fraction("1e-4300") == Fraction(1, 10**4300)
+    # Fraction reads any Unicode decimal digits in an exponent, and so does the gate
+    with pytest.raises(PreconditionError, match="^exponent beyond 4300 in "):
+        linalg.to_fraction("1e\u0664\u0663\u0660\u0661")  # 4301 in Arabic-Indic digits
 
 
 def test_inverse_and_det():

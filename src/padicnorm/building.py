@@ -17,6 +17,9 @@ from .errors import PreconditionError
 from .norms import SplitNorm, _fit, _split, ball_basis, distance
 from .valuation import FieldConfig, multiplicity
 
+# tree_neighbors builds all p + 1 neighbors of a vertex, so it refuses primes above this
+TREE_PRIME_LIMIT = 1000
+
 
 def norm_from_apartment(coords, cfg: FieldConfig) -> SplitNorm:
     """The standard-apartment norm with the given coordinate vector."""
@@ -80,8 +83,11 @@ def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
     sublattices, returned as lattice norms shifted by s: first the
     sublattice scaling the first column, then one per residue c with
     second column scaled and c times the second column added to the
-    first.
+    first.  A prime above TREE_PRIME_LIMIT is refused before any
+    other check.
     """
+    if norm.cfg.prime > TREE_PRIME_LIMIT:
+        raise PreconditionError(f"tree needs a prime of at most {TREE_PRIME_LIMIT}")
     if norm.dim != 2:
         raise PreconditionError("tree neighbors are defined for dimension 2 only")
     classes = norm.value_classes

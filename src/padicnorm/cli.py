@@ -29,9 +29,6 @@ from . import base_change, building, io, linalg, norms, stabilizer
 from .errors import DocumentError, DomainError, PreconditionError
 from .valuation import FieldConfig, degree_rep, frac_part
 
-# `tree` prints all p + 1 neighbors of a vertex, so it refuses primes above this
-TREE_PRIME_LIMIT = 1000
-
 
 def _frac(s: str) -> Fraction:
     try:
@@ -187,8 +184,6 @@ def _cmd_type(args, norm):
 
 
 def _cmd_tree(args, norm):
-    if norm.cfg.prime > TREE_PRIME_LIMIT:
-        raise PreconditionError(f"tree needs a prime of at most {TREE_PRIME_LIMIT}")
     return {"neighbors": [io.norm_to_doc(x) for x in building.tree_neighbors(norm)]}
 
 

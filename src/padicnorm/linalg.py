@@ -8,10 +8,10 @@ exponent past the digit limit, which Fraction would expand in full.
 
 The inner loops run over int.  A vector is *cleared* as (ints, den):
 integers over one positive denominator, the lcm of its entries', by the
-one rule clear.  cleared is the one read of a matrix, with no Fraction
-matrix (no square) on the way: each entry is read once, by
-as_integer_ratio, floats refused first, then a ragged matrix, as
-transpose refuses one.  cleared_square adds the size check of
+one rule clear.  cleared is the one read of a matrix and cleared_vector
+of a vector, with no Fraction matrix on the way: each entry is read
+once, by as_integer_ratio, floats refused first, then a ragged matrix,
+as transpose refuses one.  cleared_square adds the size check of
 square_ratios, which returns the checked (numerator, denominator) rows
 themselves.  Each operation has one kernel on cleared vectors:
 times_cleared, kron_cleared, block_cleared, inverse_rows, an in-place
@@ -121,10 +121,10 @@ def clear(ratios) -> tuple[list[int], int]:
     return ([a * (d // b) for a, b in ratios] if d > 1 else [a for a, _ in ratios], d)
 
 
-def int_rows(m) -> Cleared:
-    """Each row as integers over the lcm of its denominators: (ints, lcm), each entry read
+def cleared_vector(v) -> tuple[list[int], int]:
+    """The vector as integers over the lcm of its denominators: (ints, lcm), each entry read
     once (see _ratios)."""
-    return [clear(_ratios(row)) for row in m]
+    return clear(_ratios(v))
 
 
 def _read(rows) -> list[list[tuple[int, int]]]:
@@ -291,7 +291,7 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def matvec(m: Matrix, v: Vector) -> Vector:
-    cols, ((x, e),) = cleared(m), int_rows((v,))
+    cols, (x, e) = cleared(m), cleared_vector(v)
     if m and len(cols) != len(x):
         raise DimensionMismatchError(f"matrix is {len(m)}x{len(cols)}, vector has length {len(x)}")
     return tuple(row[0] for row in from_cleared_columns(times_cleared(cols, [(x, e)]), len(m)))

@@ -73,11 +73,12 @@ A slot is valued only when it can win, in three steps: its bound
 a_i - b_j, the weight at valuation 0, must beat the best weight so far;
 then, k valuation steps above it, one remainder mod p^k must be nonzero
 (_gain); only then is the valuation taken.  _heaviest reads a table in
-this order, and through it op_size, hom_norm, membership, the level,
-_fit_table and _monomialize.  evaluate builds no table: it computes its
-one column on demand, row by row in the norm's _row_order, heaviest
-first, made once beside _row_side, and stops at the first row whose
-bound cannot win.
+this order for _fit_table, _monomialize and _op_size, the one scan of
+op_size and hom_norm, and of membership and the level as _op_size of
+g - 1; no other module reads a slot table.  evaluate builds no table:
+it computes its one column on demand, row by row in the norm's
+_row_order, heaviest first, made once beside _row_side, and stops at
+the first row whose bound cannot win.
 """
 
 from __future__ import annotations
@@ -261,9 +262,13 @@ class BallChainPeriod:
     lattices: tuple[LatticeBasis, ...]
 
 
-def _check_compatible(a: SplitNorm, b: SplitNorm) -> None:
+def _check_prime(a: SplitNorm, b: SplitNorm) -> None:
     if a.cfg != b.cfg:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
+
+
+def _check_compatible(a: SplitNorm, b: SplitNorm) -> None:
+    _check_prime(a, b)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
@@ -275,7 +280,7 @@ def evaluate(norm: SplitNorm, v) -> Value:
     product, is computed only while its bound row_w[i] + scale * v(e) beats the best weight
     so far, and the first row whose bound does not ends the search, as no later bound is
     greater.  Then _gain takes the p^k test, and the valuation only of a coordinate that wins."""
-    ((ints, e),) = linalg.int_rows((v,))
+    ints, e = linalg.cleared_vector(v)
     if len(ints) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(ints)}, norm has dim {norm.dim}")
     rows, row_w, scale = norm._row_side
@@ -330,7 +335,7 @@ def _row_side_of(values, rows: Cleared | None, p: int):
     """The row side of a slot table: (rows, row_w, den), with the values as integers over one
     denominator den and row_w[i] = den * (values[i] + v(d_i)), d_i the denominator of cleared
     row i.  rows None stands for the unit rows, of denominator 1."""
-    ((ints, den),) = linalg.int_rows((values,))
+    ints, den = linalg.cleared_vector(values)
     if rows is not None:
         ints = [a + den * multiplicity(d, p) for a, (_, d) in zip(ints, rows)]
     return rows, ints, den
@@ -344,7 +349,7 @@ def _slot_table(row_side, col_values, cols: Cleared, p: int):
     column values' denominators.  For unit rows the table is the columns' own integers, with
     no product."""
     rows, row_w, row_den = row_side
-    ((ints, col_den),) = linalg.int_rows((col_values,))
+    ints, col_den = linalg.cleared_vector(col_values)
     scale = math.lcm(row_den, col_den)
     row_w = [w * (scale // row_den) for w in row_w]
     col_w = [a * (scale // col_den) - scale * multiplicity(e, p) for a, (_, e) in zip(ints, cols)]
@@ -353,13 +358,6 @@ def _slot_table(row_side, col_values, cols: Cleared, p: int):
         return row_w, col_w, [c for c, _ in cols], dens, scale
     table = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
     return row_w, col_w, table, dens, scale
-
-
-def _table_max(slots, p: int) -> Value:
-    """The greatest slot weight of a _slot_table, bottom if every slot is 0."""
-    row_w, col_w, table, _, scale = slots
-    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
-    return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
 
 def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
@@ -382,11 +380,17 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     on a src-splitting column.
     """
     _check_compatible(src, dst)
-    image = src._cols
-    if h is not None:
-        image = linalg.times_cleared(linalg.cleared_square(h, src.dim), image)
+    return _op_size(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
+
+
+def _op_size(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> Value:
+    """op_size of the map with these cleared columns, None for the identity: the greatest
+    weight of the _slot_table of dst's rows and h's columns times src's, in one scan."""
+    image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
     p = src.cfg.prime
-    return _table_max(_slot_table(dst._row_side, src.values, image, p), p)
+    row_w, col_w, table, _, scale = _slot_table(dst._row_side, src.values, image, p)
+    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
+    return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -493,8 +497,7 @@ def act(g, norm: SplitNorm) -> SplitNorm:
 
 def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Tensor product norm; the pairwise basis tensors split it."""
-    if a.cfg != b.cfg:
-        raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
+    _check_prime(a, b)
     values = tuple(x + y for x in a.values for y in b.values)
     cols = linalg.kron_cleared(a._cols, b._cols)
     return _split(a.cfg, cols, values, partial(_inverse_from, linalg.kron_cleared, a, b))
@@ -508,8 +511,7 @@ def dual(a: SplitNorm) -> SplitNorm:
 
 def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Max-of-components norm on the direct sum."""
-    if a.cfg != b.cfg:
-        raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
+    _check_prime(a, b)
     cols = linalg.block_cleared(a._cols, b._cols, a.dim, b.dim)
     inv_from = partial(_inverse_from, linalg.block_cleared, a, b, a.dim, b.dim)
     return _split(a.cfg, cols, a.values + b.values, inv_from)

@@ -16,11 +16,13 @@ B into itself with index [B : gB] = p^val(det g) (the lattice-index
 argument of Goldman and Iwahori, Acta Math. 109, 1963), so g is a unit
 of the order exactly when det g is a p-adic unit.
 
-Membership and the filtration level clear g once and conjugate it into
-the splitting basis B once, into the slot table of B^-1 g B, unless
-det g is not a p-adic unit, which refuses g first.  The level
-is read from the same table with the identity subtracted, as
-B^-1 (g - 1) B = B^-1 g B - 1.
+Membership and the filtration level are one operator size: the
+ultrametric inequality and hom_norm(1) = 0 give hom_norm(g) <=
+max(hom_norm(g - 1), 0) and hom_norm(g - 1) <= max(hom_norm(g), 0), so
+hom_norm(g) <= 0 exactly when the level hom_norm(g - 1) <= 0.  Both
+clear g once, refuse it first when det g is not a p-adic unit, and
+read the level from one slot table of B^-1 (g - 1) B, B the splitting
+basis.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from operator import mul
 from . import linalg
 from .base_change import kernel_dim
 from .errors import PreconditionError, SingularMatrixError
-from .norms import (
-    BallChainPeriod, LatticeBasis, SplitNorm, _slot_table, _table_max, ball_basis, op_size,
-)
+from .norms import BallChainPeriod, LatticeBasis, SplitNorm, _op_size, ball_basis, op_size
 from .valuation import BOTTOM, Value, degree_rep, frac_part, multiplicity
 
 
@@ -75,30 +75,32 @@ def hom_norm(norm: SplitNorm, h) -> Value:
     return op_size(norm, norm, h)
 
 
-def _conjugated(norm: SplitNorm, g):
-    """Is g a unit of the order, and the _slot_table of B^-1 g B, B the splitting basis,
-    from g cleared once; the table is None when det g is not a p-adic unit, which decides
-    before any product is built.  g must be n x n, checked before it must be invertible."""
+def _level(norm: SplitNorm, g) -> Value | None:
+    """hom_norm(g - 1), from g cleared once; None when det g is not a p-adic unit, which
+    decides before any product is built.  g must be n x n, checked before it must be
+    invertible."""
     g_cols = linalg.cleared_square(g, norm.dim)
     d = linalg.det_cleared([c for c, _ in g_cols])
     if d == 0:
         raise SingularMatrixError("matrix is singular")
     p = norm.cfg.prime
     if multiplicity(d, p) != sum(multiplicity(e, p) for _, e in g_cols):
-        return False, None  # the determinant alone refuses g: det g = det C / prod e_j
-    image = linalg.times_cleared(g_cols, norm._cols)
-    slots = _slot_table(norm._row_side, norm.values, image, p)
-    return _table_max(slots, p) <= 0, slots
+        return None  # the determinant alone refuses g: det g = det C / prod e_j
+    for j, (c, e) in enumerate(g_cols):
+        c[j] -= e  # column j of g - 1: e_j over the denominator e holds e in row j
+    return _op_size(norm, norm, g_cols)
 
 
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:
     """Does g preserve the norm (equivalently every ball lattice)?
 
-    True iff hom_norm(g) <= 0 and det g is a p-adic unit (see the
-    module docstring).  Raises on a matrix of the wrong size, invertible
-    or not, then on a singular one.
+    True iff det g is a p-adic unit and hom_norm(g - 1) <= 0, which
+    holds exactly when hom_norm(g) <= 0 (see the module docstring).
+    Raises on a matrix of the wrong size, invertible or not, then on a
+    singular one.
     """
-    return _conjugated(norm, g)[0]
+    level = _level(norm, g)
+    return level is not None and level <= 0
 
 
 def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
@@ -153,12 +155,7 @@ def filtration_level(norm: SplitNorm, g) -> Value:
     collapse to bottom, so the result is either bottom or a value in
     the interval (-1, 0].
     """
-    member, slots = _conjugated(norm, g)
-    if not member:
+    level = _level(norm, g)
+    if level is None or level > 0:
         raise PreconditionError("filtration level requires a stabilizer element")
-    _, _, table, dens, _ = slots
-    # the identity's slot (i, i) in the table's form: 1 times row and column denominators
-    for i, (_, d_i) in enumerate(norm._inv_rows):
-        table[i][i] -= d_i * dens[i]
-    level = _table_max(slots, norm.cfg.prime)
     return BOTTOM if level <= -1 else level

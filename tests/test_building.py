@@ -131,6 +131,15 @@ def test_tree_neighbors_preconditions():
         tree_neighbors(ALPHA0)
     with pytest.raises(PreconditionError):
         tree_neighbors(SplitNorm(CFG2, 3, linalg.identity(3), (F(0),) * 3))
+    # the library refuses a prime whose p + 1 neighbors it would build, before its other
+    # checks: a vertex at p = 1009 would have 1,010 of them
+    big = FieldConfig(1009)
+    for nrm in (
+        SplitNorm(big, 2, linalg.identity(2), (F(0), F(0))),
+        SplitNorm(big, 3, linalg.identity(3), (F(0),) * 3),
+    ):
+        with pytest.raises(PreconditionError, match="tree needs a prime of at most 1000"):
+            tree_neighbors(nrm)
 
 
 def test_homothetic_examples():

@@ -56,12 +56,12 @@ def test_clearing_refuses_floats_and_keeps_ints():
     # too: it refuses them as to_fraction does
     for call in (
         lambda: linalg.cleared([[0.5]]),
-        lambda: linalg.int_rows([(Fraction(1), 0.5)]),
-        lambda: linalg.int_rows([(1, 2), (3, 4.0)]),
+        lambda: linalg.cleared_vector((Fraction(1), 0.5)),
+        lambda: linalg.cleared(linalg.transpose(((1, 2), (3, 4.0)))),
     ):
         with pytest.raises(TypeError, match="floats are not exact"):
             call()
-    rows = linalg.int_rows([(True, 3, Fraction(-1, 2)), (False, 2, 1), ()])
+    rows = [linalg.cleared_vector(v) for v in ((True, 3, Fraction(-1, 2)), (False, 2, 1), ())]
     assert rows == [([2, 6, -1], 2), ([0, 2, 1], 1), ([], 1)]
     assert all(type(x) is int for v, _ in rows for x in v)
     assert linalg.cleared(((Fraction(1, 3), 1), (Fraction(1, 6), 0))) == [([2, 1], 6), ([1, 0], 1)]
@@ -91,7 +91,7 @@ def test_outside_matrices_clear_in_one_pass():
         ([3, 0], 1),
     ]
     assert linalg.cleared(((), ())) == linalg.cleared(()) == linalg.cleared_square(()) == []
-    assert linalg.int_rows([iter((1, "1/2", Fraction(1, 3)))]) == [([6, 3, 2], 6)]
+    assert linalg.cleared_vector(iter((1, "1/2", Fraction(1, 3)))) == ([6, 3, 2], 6)
     for rows, n, error, message in (
         (((1, 0.5), (3,)), None, TypeError, "floats are not exact"),
         (((1, 2), (3, 4), (5, 0.5)), 2, TypeError, "floats are not exact"),

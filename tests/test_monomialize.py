@@ -6,8 +6,8 @@ every output over the seeded cases pins the tie-break to the lowest
 (row, column) among pivots of maximal weight.  The elimination reads the
 two factors of a product; handed the product itself over the identity,
 it must return the same, and its first pivot must weigh what op_size's
-_table_max finds in the _slot_table of the same factors.  Both take the factors cleared: the
-rows of the left one as a row side, with the row values, and the columns of the right one.
+scan, _heaviest, finds in the _slot_table of the same factors.  Both take the factors cleared:
+the rows of the left one as a row side, with the row values, and the columns of the right one.
 """
 
 import hashlib
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 
 from padicnorm import linalg
-from padicnorm.norms import _monomialize, _row_side_of, _slot_table, _table_max
+from padicnorm.norms import _heaviest, _monomialize, _row_side_of, _slot_table
 
 import fuzz
 import oracles
@@ -41,13 +41,13 @@ def cases():
 
 def row_side(row_values, rows, p):
     """The row side of a slot table from the row values and the Fraction rows."""
-    return _row_side_of(row_values, linalg.int_rows(rows), p)
+    return _row_side_of(row_values, linalg.cleared(linalg.transpose(rows)), p)
 
 
 def monomialize(row_values, rows, col_values, cols, p):
     """_monomialize of Fraction factors, its column operations as a Fraction matrix."""
     sigma, split_values, col_ops = _monomialize(
-        row_side(row_values, rows, p), col_values, linalg.int_rows(cols), p
+        row_side(row_values, rows, p), col_values, linalg.cleared(linalg.transpose(cols)), p
     )
     return sigma, split_values, linalg.transpose(linalg.from_cleared(col_ops))
 
@@ -73,8 +73,10 @@ def test_contract():
         sigma, split_values, col_ops = out
         # pivot weights never rise, so the first pivot is the slot maximum
         heaviest = max(s - b for s, b in zip(split_values, col_values))
-        slots = _slot_table(row_side(row_values, rows, p), col_values, linalg.int_rows(cols), p)
-        assert heaviest == _table_max(slots, p).mag
+        row_w, col_w, table, _, scale = _slot_table(
+            row_side(row_values, rows, p), col_values, linalg.cleared(linalg.transpose(cols)), p
+        )
+        assert heaviest == F(_heaviest(row_w, col_w, table, scale, p, range(d))[0], scale)
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
         reduced = linalg.matmul(m, col_ops)
         # in pivot order, each pivot row is zero on every column pivoted after it

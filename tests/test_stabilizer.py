@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg, norms
 from padicnorm.errors import DimensionMismatchError, PreconditionError, SingularMatrixError
 from padicnorm.norms import act, equals, lattice_norm, lattices_equal
 from padicnorm.stabilizer import (
@@ -263,7 +263,7 @@ def _level_by_definition(nrm, g):
 
 
 def test_conjugation_matches_definitions():
-    # membership and the level read one table of B^-1 g B; the definitions read g itself
+    # membership and the level read one table of B^-1 (g - 1) B; the definitions read g itself
     rng = random.Random(80)
     for n in range(2, 9):
         for p in fuzz.PRIMES:
@@ -292,7 +292,7 @@ def test_group_element_refusals():
 
 
 def test_level_conjugates_once(monkeypatch):
-    # one product B^-1 g B serves membership and the level; the norm's inverse is reused
+    # one product B^-1 (g - 1) B serves membership and the level; the norm's inverse is reused
     counts = {"times_cleared": 0, "inverse_rows": 0}
     for name in counts:
         kernel = getattr(linalg, name)
@@ -311,9 +311,39 @@ def test_level_conjugates_once(monkeypatch):
         assert counts == {"times_cleared": 1, "inverse_rows": 0}
 
 
+def test_level_scans_one_table(monkeypatch):
+    # membership and the level are one scan of the slot table of B^-1 (g - 1) B
+    calls = []
+    scan = norms._heaviest
+    monkeypatch.setattr(norms, "_heaviest", lambda *args: calls.append(args) or scan(*args))
+    rng = random.Random(83)
+    for _ in range(20):
+        nrm = fuzz.norm(rng)
+        g = fuzz.stabilizer_element(rng, nrm)
+        for verb in (is_stabilizer_element, filtration_level):
+            calls.clear()
+            verb(nrm, g)
+            assert len(calls) == 1
+
+
+def test_level_boundary_on_the_standard_lattice():
+    # at p = 3: g - 1 = diag(-2, 0) has size exactly 0; diag(1, 3) - 1 has size 0 too, but
+    # det 3 refuses it; diag(1, 4) - 1 = diag(0, 3) has size -1, which clips to bottom
+    std = SplitNorm(FieldConfig(3), 2, linalg.identity(2), (F(0), F(0)))
+    assert is_stabilizer_element(std, ((-1, 0), (0, 1)))
+    level = filtration_level(std, ((-1, 0), (0, 1)))
+    assert not level.is_bottom and level == 0
+    assert hom_norm(std, ((0, 0), (0, 2))) == 0
+    assert not is_stabilizer_element(std, ((1, 0), (0, 3)))
+    with pytest.raises(PreconditionError, match="requires a stabilizer element"):
+        filtration_level(std, ((1, 0), (0, 3)))
+    assert is_stabilizer_element(std, ((1, 0), (0, 4)))
+    assert filtration_level(std, ((1, 0), (0, 4))).is_bottom
+
+
 def test_non_unit_determinant_builds_no_product(monkeypatch):
     # g scaling one splitting vector by p has det p: the determinant refuses it before any
-    # product B^-1 g B is built, and the norm's inverse is not read
+    # product B^-1 (g - 1) B is built, and the norm's inverse is not read
     rng = random.Random(82)
     cases = []
     for n in range(1, 7):

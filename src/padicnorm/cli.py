@@ -253,7 +253,3 @@ def main(argv=None) -> int:
         return 1 if isinstance(exc, DocumentError) else 2
     sys.stdout.write(_render(result, args.format))
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

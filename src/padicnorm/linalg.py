@@ -20,9 +20,11 @@ from cleared columns to cleared rows, updating n entries per row and
 step, and det_cleared, its forward half on integer columns.
 nonsingular_mod runs forward elimination modulo the prime 2^61 - 1 on
 word-sized residues: a nonzero determinant there proves invertibility.
-The Fraction functions matmul, matvec, kron, block_diag, inverse and
-det are views of the kernels, for callers outside the package: each
-reads its input through cleared and its result back as Fractions."""
+The Fraction functions matmul, matvec, kron, det and inverse are
+views of the kernels, and no module of the package calls them: each
+reads its input through cleared and its result back as Fractions.
+They stay only because the benchmark reads them, its tracer wrapping
+all five and its lattice check calling matmul and det."""
 
 from __future__ import annotations
 
@@ -83,14 +85,6 @@ def _rectangular(rows):
     return rows
 
 
-def mat(rows) -> Matrix:
-    return _rectangular(tuple(vec(r) for r in rows))
-
-
-def identity(n: int) -> Matrix:
-    return from_cleared_columns(units(n), n)
-
-
 def units(n: int) -> Cleared:
     """The cleared columns of the n x n identity."""
     return [([int(i == j) for i in range(n)], 1) for j in range(n)]
@@ -98,10 +92,6 @@ def units(n: int) -> Cleared:
 
 def transpose(m: Matrix) -> Matrix:
     return tuple(zip(*_rectangular(m)))
-
-
-def from_columns(cols) -> Matrix:
-    return transpose(mat(cols))
 
 
 def _ratios(row) -> list[tuple[int, int]]:
@@ -299,11 +289,6 @@ def matvec(m: Matrix, v: Vector) -> Vector:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     return from_cleared_columns(kron_cleared(cleared(a), cleared(b)), len(a) * len(b))
-
-
-def block_diag(a: Matrix, b: Matrix) -> Matrix:
-    cols = block_cleared(cleared(a), cleared(b), len(a), len(b))
-    return from_cleared_columns(cols, len(a) + len(b))
 
 
 def det(m: Matrix) -> Fraction:

@@ -100,7 +100,7 @@ from .errors import (
     SelfCheckError,
     SingularMatrixError,
 )
-from .linalg import Cleared, Matrix, Vector
+from .linalg import Cleared, Matrix
 from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, multiplicity
 
 
@@ -166,10 +166,6 @@ class SplitNorm(_Frame):
     @property
     def inv_basis(self) -> Matrix:
         return self._inv  # type: ignore[attr-defined]
-
-    @property
-    def basis_columns(self) -> tuple[Vector, ...]:
-        return linalg.from_cleared(self._cols)
 
     @cached_property
     def _row_side(self):

@@ -13,6 +13,8 @@ from fractions import Fraction
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
 
+import oracles
+
 PRIMES = (2, 3, 5)
 
 
@@ -73,8 +75,7 @@ def lattice(rng, cfg, n):
 
 def span_matrix(rng, n, d):
     """n x d matrix of full column rank d."""
-    cols = linalg.transpose(invertible(rng, n))
-    return linalg.from_columns(cols[:d])
+    return linalg.transpose(linalg.transpose(invertible(rng, n))[:d])
 
 
 def unit(rng, p):
@@ -86,9 +87,9 @@ def unit(rng, p):
 
 
 def stabilizer_element(rng, nrm):
-    """A matrix fixing the norm: a product of diagonal units and
+    """A matrix fixing the norm: a product h of diagonal units and
     slot-legal elementary factors, conjugated out of the splitting
-    coordinates."""
+    coordinates as B h B^-1, with the oracles' product and inverse."""
     n = nrm.dim
     p = nrm.cfg.prime
     a = nrm.values
@@ -105,8 +106,8 @@ def stabilizer_element(rng, nrm):
         k = math.ceil(a[j] - a[i]) + rng.randint(0, 1)
         factor = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
         factor[j][i] = Fraction(p) ** k * rng.choice((1, -1, 1 + p))
-        h = linalg.matmul(h, factor)
-    return linalg.matmul(nrm.basis, linalg.matmul(h, nrm.inv_basis))
+        h = oracles.product(h, factor)
+    return oracles.product(nrm.basis, oracles.product(h, oracles.inverse(nrm.basis)))
 
 
 def elementary_product(rng, n, p):

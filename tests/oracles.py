@@ -58,6 +58,11 @@ def inverse(m) -> tuple:
     return tuple(tuple(Fraction(int(x.numerator), int(x.denominator)) for x in row) for row in inv)
 
 
+def identity(n: int) -> tuple:
+    """The n x n identity as int rows, which every matrix reader of the package accepts."""
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def product(a, b) -> tuple:
     """The matrix product of two row-major matrices of Fractions."""
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)

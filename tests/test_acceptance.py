@@ -101,14 +101,14 @@ def test_criterion_03_dimension_counts():
 
 def test_criterion_04_iwahori_cross_check():
     with criterion(4, "Iwahori and hyperspecial fibers"):
-        iwahori = SplitNorm(FieldConfig(2), 2, linalg.identity(2), (F(0), F(1, 2)))
+        iwahori = SplitNorm(FieldConfig(2), 2, oracles.identity(2), (F(0), F(1, 2)))
         fs = fiber_structure(iwahori)
         assert fs.levi_blocks == (1, 1)
         assert fs.unipotent_dim == 2
         assert fs.total_dim == 4
         for n in range(1, 6):
             fs = fiber_structure(
-                SplitNorm(FieldConfig(3), n, linalg.identity(n), (F(0),) * n)
+                SplitNorm(FieldConfig(3), n, oracles.identity(n), (F(0),) * n)
             )
             assert fs.levi_blocks == (n,)
             assert fs.unipotent_dim == 0
@@ -179,7 +179,7 @@ def test_criterion_08_graded_ball_dimensions():
 def test_criterion_09_tree_neighbors():
     with criterion(9, "rank-2 tree neighbor counts and positions"):
         for p in (2, 3, 5):
-            origin = SplitNorm(FieldConfig(p), 2, linalg.identity(2), (F(0), F(0)))
+            origin = SplitNorm(FieldConfig(p), 2, oracles.identity(2), (F(0), F(0)))
             nbrs = tree_neighbors(origin)
             assert len(nbrs) == p + 1
             for i, a in enumerate(nbrs):

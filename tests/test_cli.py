@@ -11,6 +11,8 @@ import padicnorm
 from padicnorm import FieldConfig, SplitNorm, building, cli, io, linalg, norms
 from padicnorm.cli import main
 
+import oracles
+
 F = Fraction
 CFG2 = FieldConfig(2)
 
@@ -28,17 +30,17 @@ def docs(tmp_path_factory):
     bad.write_text('{"prime": 2}', encoding="utf-8")
     return {
         "alpha": write(
-            "alpha.json", SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(1, 2)))
+            "alpha.json", SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(1, 2)))
         ),
-        "beta": write("beta.json", SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(0)))),
+        "beta": write("beta.json", SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(0)))),
         "lat": write(
             "lat.json",
-            SplitNorm(CFG2, 2, linalg.from_columns([(1, 0), (0, 2)]), (F(0), F(0))),
+            SplitNorm(CFG2, 2, linalg.transpose([(1, 0), (0, 2)]), (F(0), F(0))),
         ),
         "bad": str(bad),
         "three": write(
             "three.json",
-            SplitNorm(FieldConfig(3), 3, linalg.identity(3), (F(0), F(0), F(0))),
+            SplitNorm(FieldConfig(3), 3, oracles.identity(3), (F(0), F(0), F(0))),
         ),
     }
 
@@ -487,12 +489,19 @@ def test_ragged_matrix_flags(docs, capsys):
 
 def test_span_crosses_the_boundary_once(docs, capsys, monkeypatch):
     # the span's entries are read by the flag's parser alone: restrict and quotient hand the
-    # library its transpose, which linalg.mat does not read again
-    calls = []
-    mat = linalg.mat
-    monkeypatch.setattr(linalg, "mat", lambda rows: calls.append(rows) or mat(rows))
+    # library its transpose in Fractions, which the library reads without the gate
+    reads = []
+    gate = linalg.to_fraction
+
+    def counting(x):
+        if isinstance(x, str):
+            reads.append(x)
+        return gate(x)
+
+    monkeypatch.setattr(linalg, "to_fraction", counting)
     for verb, value in ("restrict", "1/2"), ("quotient", "0"):
         machine = f'{{"basis":[["1"]],"dim":1,"prime":2,"values":["{value}"]}}\n'
-        argv = (verb, docs["alpha"], "--span", "1,1", "--format", "machine")
+        argv = (verb, docs["alpha"], "--span", "2,1/3", "--format", "machine")
+        reads.clear()
         assert run(capsys, *argv) == (0, machine, "")
-    assert calls == []
+        assert reads == ["2", "1/3"]

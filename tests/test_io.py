@@ -15,7 +15,7 @@ import oracles
 
 F = Fraction
 CFG2 = FieldConfig(2)
-ALPHA0 = SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(1, 2)))
+ALPHA0 = SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(1, 2)))
 
 ALPHA0_MACHINE = '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}\n'
 
@@ -181,7 +181,7 @@ def test_invalid_json():
 
 
 def test_lattice_doc():
-    lat = LatticeBasis(CFG2, linalg.from_columns([(1, 1), (0, 2)]))
+    lat = LatticeBasis(CFG2, linalg.transpose([(1, 1), (0, 2)]))
     blob = io.dumps_machine(io.lattice_to_doc(lat))
     assert blob == '{"dim":2,"matrix":[["1","1"],["0","2"]],"prime":2}\n'
     again = io.lattice_from_doc(io.loads_document(blob))
@@ -195,7 +195,7 @@ def test_lattice_doc():
 
 
 def test_pair_doc():
-    pair = SplittingPair(LatticeBasis(CFG2, linalg.identity(2)), (F(0), F(1, 2)))
+    pair = SplittingPair(LatticeBasis(CFG2, oracles.identity(2)), (F(0), F(1, 2)))
     blob = io.dumps_machine(io.pair_to_doc(pair))
     assert (
         blob

@@ -36,7 +36,7 @@ def cases():
             span = fuzz.span_matrix(rng, nrm.dim, d)
             yield nrm.values, nrm.inv_basis, (0,) * d, linalg.transpose(span), p
             other = make(rng, n=nrm.dim, p=p)
-            yield nrm.values, nrm.inv_basis, other.values, other.basis_columns, p
+            yield nrm.values, nrm.inv_basis, other.values, linalg.transpose(other.basis), p
 
 
 def row_side(row_values, rows, p):
@@ -54,11 +54,11 @@ def monomialize(row_values, rows, col_values, cols, p):
 
 def test_tie_break_example():
     # every entry weighs 0: the pivot is (0, 0), then (1, 1)
-    m = linalg.mat(((1, 1), (1, 2)))
-    sigma, split_values, col_ops = monomialize((0, 0), m, (0, 0), linalg.identity(2), 3)
+    m = ((1, 1), (1, 2))
+    sigma, split_values, col_ops = monomialize((0, 0), m, (0, 0), oracles.identity(2), 3)
     assert list(sigma.items()) == [(0, 0), (1, 1)]
     assert split_values == (F(0), F(0))
-    assert col_ops == linalg.mat(((1, -1), (0, 1)))
+    assert col_ops == ((1, -1), (0, 1))
 
 
 def test_contract():
@@ -69,7 +69,7 @@ def test_contract():
         m = linalg.matmul(rows, linalg.transpose(cols))
         out = monomialize(row_values, rows, col_values, cols, p)
         # repr, unlike ==, also compares the pivot order of sigma
-        assert repr(out) == repr(monomialize(row_values, m, col_values, linalg.identity(d), p))
+        assert repr(out) == repr(monomialize(row_values, m, col_values, oracles.identity(d), p))
         sigma, split_values, col_ops = out
         # pivot weights never rise, so the first pivot is the slot maximum
         heaviest = max(s - b for s, b in zip(split_values, col_values))

@@ -10,13 +10,14 @@ from padicnorm import FieldConfig, SplitNorm, linalg, norms
 from padicnorm.errors import SelfCheckError
 
 import fuzz
+import oracles
 
 F = Fraction
 CFG2 = FieldConfig(2)
-ALPHA0 = SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(1, 2)))
-BETA = SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(1)))
-N3 = SplitNorm(CFG2, 3, linalg.identity(3), (F(0), F(0), F(1, 2)))
-SPAN = linalg.from_columns([(1, 1, 0), (0, 1, 1)])
+ALPHA0 = SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(1, 2)))
+BETA = SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(1)))
+N3 = SplitNorm(CFG2, 3, oracles.identity(3), (F(0), F(0), F(1, 2)))
+SPAN = linalg.transpose([(1, 1, 0), (0, 1, 1)])
 
 CALLS = {
     "restrict": lambda: norms.restrict(N3, SPAN),
@@ -65,7 +66,7 @@ def test_leaked_column_fails_the_second_norm(monkeypatch, run):
     # passes; under BETA its size grows from 1 to 3
     _wrap(monkeypatch, lambda values, ops: (values, _leaked(ops, 2)))
     with pytest.raises(SelfCheckError, match="second norm"):
-        run(SplitNorm(CFG2, 2, linalg.identity(2), (F(0), F(4))), BETA)
+        run(SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(4))), BETA)
 
 
 def test_second_check_reads_what_the_inverse_reads():

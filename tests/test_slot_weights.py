@@ -164,7 +164,7 @@ def test_far_apart_values_build_no_power_of_p(gap):
     n = 4
     basis = fuzz.invertible(random.Random(3), n)
     far = SplitNorm(cfg, n, basis, tuple(Fraction(k * gap) for k in range(n)))
-    near = SplitNorm(cfg, n, linalg.identity(n), (Fraction(0),) * n)
+    near = SplitNorm(cfg, n, oracles.identity(n), (Fraction(0),) * n)
     g = tuple(tuple(Fraction(2 * int(i == j)) for j in range(n)) for i in range(n))
     previous = signal.signal(signal.SIGALRM, _alarm)
     signal.setitimer(signal.ITIMER_REAL, 1)

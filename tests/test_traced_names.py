@@ -1,6 +1,8 @@
 """Every name the benchmark tracer wraps exists: the tracer skips a name it cannot find,
-so a rename under src/ would only zero a per-layer metric without this check."""
+so a rename under src/ would only zero a per-layer metric without this check.  The
+Fraction views of linalg stay only while the benchmark reads them."""
 
+import ast
 import importlib
 import importlib.util
 from fractions import Fraction
@@ -8,7 +10,10 @@ from pathlib import Path
 
 from padicnorm import FieldConfig, SplitNorm, norms
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
+VIEWS = ("matmul", "matvec", "kron", "det", "inverse")
 
 
 def _tracing():
@@ -43,3 +48,19 @@ def test_tracer_counts_inverse_views_and_restores_the_package():
     finally:
         tracer.uninstall()
     assert norms.evaluate is evaluate and SplitNorm.__dict__["inv_basis"] is prop
+
+
+def _called(path: Path) -> set[str]:
+    """The name of everything a module calls: a bare name, or an attribute's last part."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    calls = (node.func for node in ast.walk(tree) if isinstance(node, ast.Call))
+    return {f.id if isinstance(f, ast.Name) else getattr(f, "attr", "") for f in calls}
+
+
+def test_the_fraction_views_stay_only_for_the_benchmark():
+    # no module of the package calls linalg's Fraction views; each stays while the tracer
+    # wraps it or a workload calls it, and may leave when neither does
+    package = set().union(*map(_called, (ROOT / "src" / "padicnorm").glob("*.py")))
+    assert package.isdisjoint(VIEWS)
+    read = set(_tracing().LAYERS["linalg"]) | _called(WORKLOADS)
+    assert [name for name in VIEWS if name not in read] == []

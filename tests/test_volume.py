@@ -90,7 +90,8 @@ def test_homothetic_matches_the_ball_oracle():
         assert homothetic(a, shifted) and homothetic(shifted, a) and homothetic(a, same)
         assert oracles.balls_equal(a, _shifted(shifted, -k))
         # the only possible shift is the gap on one vector; the oracle decides the rest
-        gap = evaluate(a, a.basis_columns[0]).mag - evaluate(tweaked, a.basis_columns[0]).mag
+        e = linalg.transpose(a.basis)[0]
+        gap = evaluate(a, e).mag - evaluate(tweaked, e).mag
         expect = gap.denominator == 1 and oracles.balls_equal(a, _shifted(tweaked, gap))
         assert homothetic(a, tweaked) is expect
         assert homothetic(tweaked, a) is expect
@@ -117,10 +118,10 @@ def test_singular_bases_and_frames_are_refused():
             b = fuzz.norm(rng, n, p)
             cols = list(linalg.transpose(b.basis))
             # a zero column: every other slot weighs 0, so b <= a, and the volume is undefined
-            zero = linalg.from_columns([(0,) * n] + cols[1:])
+            zero = linalg.transpose([(0,) * n] + cols[1:])
             a = SplitNorm(b.cfg, n, zero, b.values)
             # a repeated column, with values high enough that b <= a
-            repeated = linalg.from_columns(cols[:1] * 2 + cols[2:]) if n > 1 else zero
+            repeated = linalg.transpose(cols[:1] * 2 + cols[2:]) if n > 1 else zero
             top = SplitNorm(b.cfg, n, repeated, (max(b.values) + 10,) * n)
             for x in (a, top):
                 for left, right in ((x, b), (b, x)):
@@ -145,7 +146,7 @@ def test_singular_bases_and_frames_are_refused():
                     refused()
     cfg = FieldConfig(2)
     with pytest.raises(SingularMatrixError, match="matrix is singular"):
-        lattices_equal(LatticeBasis(cfg, ((1, 0), (0, 0))), LatticeBasis(cfg, linalg.identity(2)))
+        lattices_equal(LatticeBasis(cfg, ((1, 0), (0, 0))), LatticeBasis(cfg, oracles.identity(2)))
 
 
 def _count_inverses(monkeypatch):

@@ -16,12 +16,14 @@ under which every split norm becomes a lattice norm (a single class).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .errors import PreconditionError
 from .norms import SplitNorm
-from .valuation import count_classes, degree_rep, frac_part
+from .valuation import by_degree
 
 WeightMultiset = dict[Fraction, int]
 
@@ -56,9 +58,10 @@ def extension_value_classes(norm: SplitNorm, ext: VirtualExtension) -> WeightMul
     e = ext.ram_index
     if e is None:
         return {Fraction(0): norm.dim} if norm.dim else {}
-    counts = {c / e: m for c, m in count_classes(a * e for a in norm.values).items()}
-    assert all(0 <= c < Fraction(1, e) for c in counts)
-    return counts
+    # a = x / den has e a = x e / den, whose class (x e mod den) / den divided by e is the key
+    ints, den = norm._vals
+    counts = sorted(Counter(x * e % den for x in ints).items())
+    return {Fraction(r, den * e): m for r, m in counts}
 
 
 def is_lattice_norm_over(norm: SplitNorm, ext: VirtualExtension) -> bool:
@@ -70,7 +73,7 @@ def is_lattice_norm_over(norm: SplitNorm, ext: VirtualExtension) -> bool:
 def centralizer_dim(norm: SplitNorm) -> int:
     """Dimension of the centralizer of the weight character: sum of
     squared class multiplicities."""
-    return sum(m * m for m in norm.class_counts.values())
+    return sum(m * m for _, m in norm._residues)
 
 
 def kernel_dim(norm: SplitNorm) -> int:
@@ -90,7 +93,9 @@ def graded_ball_dims(norm: SplitNorm, g) -> dict[Fraction, tuple[int, int]]:
     test_graded_ball_dims_agree checks the index independently, from the determinants of the
     balls.
     """
-    # both balls scale by p^k when g moves by k, so only g mod 1 matters
-    g = frac_part(g)
-    out = {degree_rep(frac_part(c - g)): (m, m) for c, m in norm.class_counts.items()}
-    return dict(sorted(out.items(), reverse=True))
+    # both balls scale by p^k when g moves by k, so only g mod 1 matters: with g = num / den
+    # and class c = r / d, c - g is (r den - num d) / q, q = d den, of residue k mod q
+    num, den = linalg.ratio(g)
+    d = norm._vals[1]
+    q, t = d * den, num * d
+    return by_degree({(r * den - t) % q: (m, m) for r, m in norm._residues}, q)

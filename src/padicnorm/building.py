@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import PreconditionError
-from .norms import SplitNorm, _fit, _split, ball_basis, distance
+from .norms import SplitNorm, _ball, _fit, _split, distance
 from .valuation import FieldConfig, multiplicity
 
 # tree_neighbors builds all p + 1 neighbors of a vertex, so it refuses primes above this
@@ -23,8 +23,8 @@ TREE_PRIME_LIMIT = 1000
 
 def norm_from_apartment(coords, cfg: FieldConfig) -> SplitNorm:
     """The standard-apartment norm with the given coordinate vector."""
-    coords = linalg.vec(coords)
-    return _split(cfg, linalg.units(len(coords)), coords)
+    vals = linalg.cleared_vector(coords)
+    return _split(cfg, linalg.units(len(vals[0])), vals)
 
 
 def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None:
@@ -38,7 +38,7 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     """
     n = norm.dim
     cols = linalg.units(n) if frame is None else linalg.cleared_square(frame, n, "frame")
-    fit = _fit(norm, cols, (0,) * n)
+    fit = _fit(norm, cols, ([0] * n, 1))
     return None if fit is None else tuple(Fraction(w, fit[1]) for w in fit[0])
 
 
@@ -72,7 +72,7 @@ def point_type(norm: SplitNorm) -> tuple[int, ...]:
     Length 1 with class zero means hyperspecial; length n means the
     barycenter of a chamber.
     """
-    return tuple(norm.class_counts.values())
+    return tuple(m for _, m in norm._residues)
 
 
 def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
@@ -90,15 +90,14 @@ def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
         raise PreconditionError(f"tree needs a prime of at most {TREE_PRIME_LIMIT}")
     if norm.dim != 2:
         raise PreconditionError("tree neighbors are defined for dimension 2 only")
-    classes = norm.value_classes
-    if len(classes) != 1:
+    if len(norm._residues) != 1:
         raise PreconditionError("tree vertices carry a single value class")
-    s = classes[0]
+    (r, _), den = norm._residues[0], norm._vals[1]
     p = norm.cfg.prime
-    ball = ball_basis(norm, s)._cols
+    ball = _ball(norm, r, den, True)._cols
     # the integral transitions ((p, 0), (0, 1)) and ((1, 0), (c, p)), as cleared columns
     moves = [[([p, 0], 1), ([0, 1], 1)]] + [[([1, c], 1), ([0, p], 1)] for c in range(p)]
-    return tuple(_split(norm.cfg, linalg.times_cleared(ball, m), (s, s)) for m in moves)
+    return tuple(_split(norm.cfg, linalg.times_cleared(ball, m), ([r, r], den)) for m in moves)
 
 
 def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
@@ -110,7 +109,7 @@ def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     """
     if a.cfg != b.cfg or a.dim != b.dim:
         return False
-    fit = _fit(a, b._cols, b.values)
+    fit = _fit(a, b._cols, b._vals)
     if fit is None:
         return False
     t, scale = fit

@@ -85,19 +85,22 @@ def _parse_columns(entry, n: int, what: str) -> linalg.Cleared:
     return cols
 
 
-def _doc(frame, matrix_key: str, weights_key=None, weights=()) -> dict:
-    """The document of a frame's columns, with one weight per column under weights_key."""
+def _doc(frame, matrix_key: str, weights_key=None, weights=None) -> dict:
+    """The document of a frame's columns, with one weight per column under weights_key, the
+    weights cleared as (ints, den)."""
     cols = [[_ratio_str(x, d) for x in ints] for ints, d in frame._cols]
     doc = {"dim": len(cols), matrix_key: cols, "prime": frame.cfg.prime}
     if weights_key is not None:
-        doc[weights_key] = [rational_str(w) for w in weights]
+        ints, den = weights
+        doc[weights_key] = [_ratio_str(x, den) for x in ints]
     return doc
 
 
 def _read(doc, matrix_key: str, weights_key=None, optional=()):
-    """(lattice, weights) of a document of any kind, checked in one order: header, unknown
-    fields, label, weights array, matrix columns, weight rationals, and invertibility.  A
-    DomainError on the way (bad prime, singular matrix) is a DocumentError."""
+    """(lattice, weights) of a document of any kind, the weights cleared as (ints, den) by
+    linalg.clear, checked in one order: header, unknown fields, label, weights array, matrix
+    columns, weight rationals, and invertibility.  A DomainError on the way (bad prime,
+    singular matrix) is a DocumentError."""
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
     prime, dim = doc.get("prime"), doc.get("dim")
@@ -116,14 +119,14 @@ def _read(doc, matrix_key: str, weights_key=None, optional=()):
         if weights_key and (not isinstance(weights, list) or len(weights) != dim):
             raise DocumentError(f"{weights_key} must be an array of {dim} rationals")
         cols = _parse_columns(doc.get(matrix_key), dim, matrix_key)
-        weights = tuple(parse_rational(w) for w in weights)
+        weights = linalg.clear([_num_den(w) for w in weights])
         return _proven(_frame(LatticeBasis, cfg, cols)), weights
     except DomainError as exc:
         raise DocumentError(str(exc)) from exc
 
 
 def norm_to_doc(norm: SplitNorm, label: str | None = None) -> dict:
-    doc = _doc(norm, "basis", "values", norm.values)
+    doc = _doc(norm, "basis", "values", norm._vals)
     if label is not None:
         doc["label"] = label
     return doc
@@ -142,11 +145,12 @@ def lattice_from_doc(doc) -> LatticeBasis:
 
 
 def pair_to_doc(pair: SplittingPair) -> dict:
-    return _doc(pair.lattice, "lattice", "weights", pair.weights)
+    return _doc(pair.lattice, "lattice", "weights", linalg.cleared_vector(pair.weights))
 
 
 def pair_from_doc(doc) -> SplittingPair:
-    return SplittingPair(*_read(doc, "lattice", "weights"))
+    lattice, weights = _read(doc, "lattice", "weights")
+    return SplittingPair(lattice, linalg.from_cleared_vector(weights))
 
 
 def dumps_machine(obj) -> str:

@@ -8,10 +8,10 @@ exponent past the digit limit, which Fraction would expand in full.
 
 The inner loops run over int.  A vector is *cleared* as (ints, den):
 integers over one positive denominator, the lcm of its entries', by the
-one rule clear.  cleared is the one read of a matrix and cleared_vector
-of a vector, with no Fraction matrix on the way: each entry is read
-once, by as_integer_ratio, floats refused first, then a ragged matrix,
-as transpose refuses one.  cleared_square adds the size check of
+one rule clear.  cleared is the one read of a matrix, cleared_vector
+of a vector and ratio of one scalar, with no Fraction matrix on the
+way: each entry is read once, by as_integer_ratio, floats refused
+first, then a ragged matrix, as transpose refuses one.  cleared_square adds the size check of
 square_ratios, which returns the checked (numerator, denominator) rows
 themselves.  Each operation has one kernel on cleared vectors:
 times_cleared, kron_cleared, block_cleared, inverse_rows, an in-place
@@ -117,6 +117,18 @@ def cleared_vector(v) -> tuple[list[int], int]:
     return clear(_ratios(v))
 
 
+def ratio(x) -> tuple[int, int]:
+    """(num, den) of one outside scalar in lowest terms, read as _ratios reads an entry."""
+    return _ratios((x,))[0]
+
+
+def aligned(u, v) -> tuple[list[int], list[int], int]:
+    """The integers of two cleared vectors over the lcm m of their denominators: (x, y, m)."""
+    (x, d), (y, e) = u, v
+    m = math.lcm(d, e)
+    return [a * (m // d) for a in x], [b * (m // e) for b in y], m
+
+
 def _read(rows) -> list[list[tuple[int, int]]]:
     """Each entry's ratio (_ratios), row by row: floats refused first, then a ragged matrix."""
     return _rectangular([_ratios(row) for row in rows])
@@ -142,9 +154,15 @@ def cleared_square(rows, n: int | None = None, what: str = "matrix") -> Cleared:
     return [clear(col) for col in zip(*square_ratios(rows, n, what))]
 
 
+def from_cleared_vector(v) -> Vector:
+    """The Fractions of a cleared vector (ints, den), one Fraction(x, den) per entry."""
+    ints, den = v
+    return tuple(Fraction(x, den) for x in ints)
+
+
 def from_cleared(vectors) -> Matrix:
     """The Fraction rows of cleared vectors (ints, den)."""
-    return tuple(tuple(Fraction(x, d) for x in v) for v, d in vectors)
+    return tuple(map(from_cleared_vector, vectors))
 
 
 def from_cleared_columns(cols: Cleared, rows: int) -> Matrix:

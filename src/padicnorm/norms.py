@@ -54,6 +54,17 @@ matrix and inv are views, built on first access; the comparison path
 read the fields basis and matrix: == compares presentations, equals
 compares norms.
 
+A norm's values are cleared the same way, once, into _vals = (ints,
+den), integers over the lcm of their denominators.  A public
+constructor keeps the values it is given and makes _vals on first use;
+a norm the package makes is born with _vals, and its values are a view
+built on first read.  Every computation on values reads _vals in
+integers: the slot tables, the balls (ceilings and floors by integer
+floor division), the residues mod den that count the value classes and
+grade the order and the balls, and the values of the norms made from
+others.  A Fraction is built only for a public result, one
+Fraction(a, den) per entry.
+
 Slots are fixed once for the whole package.  For a map h from a norm
 split by c_1, ..., c_n at values b_1, ..., b_n to one split by
 e_1, ..., e_m at values a_1, ..., a_m, slot (i, j) holds M_ij, the
@@ -61,10 +72,10 @@ coefficient of e_i in h(c_j), and weighs a_i - b_j - val(M_ij).  Slot
 weights, in op_size, evaluate, _fit, the order layer and the elimination
 alike, are read from the _slot_table of a product's two factors: integer
 dot products over a row and a column denominator.  The row side is the
-target norm's: its inverse rows, its values as integers over one
-denominator, and the valuation of each row's denominator.  A norm makes
-it once, with its inverse, as the cached _row_side, which pickles and
-copies with it; a table then clears only its column values.  The
+target norm's: its inverse rows, its _vals, and the valuation of each
+row's denominator.  A norm makes it once, with its inverse, as the
+cached _row_side, which pickles and copies with it; a table takes its
+column values cleared too, the source norm's _vals.  The
 elimination runs on the table itself, the product with each row scaled
 by its denominator, which the row's weight absorbs and column operations
 commute with.
@@ -84,6 +95,7 @@ the first row whose bound cannot win.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -101,7 +113,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .linalg import Cleared, Matrix
-from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, count_classes, digit_limit, multiplicity
+from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, digit_limit, multiplicity
 
 
 def _plant(obj, name: str, value) -> None:
@@ -112,8 +124,8 @@ class _Frame:
     """An invertible matrix held as its cleared columns _cols, with the cleared rows _inv_rows
     of its inverse made once, on first read, by the recipe _inv_from: linalg.inverse_rows of
     the columns, unless the frame was made with another (see _frame).  The Fraction views,
-    the field named by _view of the columns and the one named by _inv_view of the inverse,
-    are built on first access."""
+    the field named by _view of the columns, the one named by _inv_view of the inverse and
+    the values of a norm born with _vals, are built on first access."""
 
     _view = _inv_view = ""
 
@@ -129,6 +141,8 @@ class _Frame:
             view = linalg.from_cleared_columns(self._cols, len(self._cols))
         elif name == self._inv_view:
             view = linalg.from_cleared(self._inv_rows)
+        elif name == "values" and "_vals" in vars(self):  # a norm the package made
+            view = linalg.from_cleared_vector(self._vals)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         _plant(self, name, view)
@@ -168,10 +182,16 @@ class SplitNorm(_Frame):
         return self._inv  # type: ignore[attr-defined]
 
     @cached_property
+    def _vals(self) -> tuple[list[int], int]:
+        """The values as integers over the lcm of their denominators, read once from the
+        values a public constructor keeps; a norm the package makes is born with them."""
+        return linalg.cleared_vector(self.values)
+
+    @cached_property
     def _row_side(self):
         """The row side of every slot table read against this norm, made once with the
         inverse: _row_side_of its values and inverse rows."""
-        return _row_side_of(self.values, self._inv_rows, self.cfg.prime)
+        return _row_side_of(self._vals, self._inv_rows, self.cfg.prime)
 
     @cached_property
     def _row_order(self) -> list[int]:
@@ -180,8 +200,16 @@ class SplitNorm(_Frame):
         return sorted(range(self.dim), key=self._row_side[1].__getitem__, reverse=True)
 
     @cached_property
+    def _residues(self) -> list[tuple[int, int]]:
+        """Each value class as (r, m): r the residue mod den of the integers of _vals = (ints,
+        den), so the class is r / den in [0, 1), and m its multiplicity; r ascending."""
+        ints, den = self._vals
+        return sorted(Counter(a % den for a in ints).items())
+
+    @cached_property
     def _class_counts(self) -> dict[Fraction, int]:
-        return count_classes(self.values)
+        den = self._vals[1]
+        return {Fraction(r, den): m for r, m in self._residues}
 
     @property
     def class_counts(self) -> MappingProxyType[Fraction, int]:
@@ -240,11 +268,12 @@ def _proven(frame: _Frame) -> _Frame:
     return frame
 
 
-def _split(cfg: FieldConfig, cols: Cleared, values, inv_from=None) -> SplitNorm:
-    """The norm taking cleared column j to values[j], a tuple of Fractions."""
+def _split(cfg: FieldConfig, cols: Cleared, vals, inv_from=None) -> SplitNorm:
+    """The norm taking cleared column j to value j of the cleared vector vals = (ints, den),
+    kept as _vals over the lcm of the values' denominators; values is a view of them."""
     norm = _frame(SplitNorm, cfg, cols, inv_from)
     _plant(norm, "dim", len(cols))
-    _plant(norm, "values", values)
+    _plant(norm, "_vals", linalg.reduced(*vals))
     return norm
 
 
@@ -327,25 +356,25 @@ def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
     return best
 
 
-def _row_side_of(values, rows: Cleared | None, p: int):
-    """The row side of a slot table: (rows, row_w, den), with the values as integers over one
-    denominator den and row_w[i] = den * (values[i] + v(d_i)), d_i the denominator of cleared
-    row i.  rows None stands for the unit rows, of denominator 1."""
-    ints, den = linalg.cleared_vector(values)
+def _row_side_of(vals, rows: Cleared | None, p: int):
+    """The row side of a slot table: (rows, row_w, den), from the values cleared as vals =
+    (ints, den), with row_w[i] = ints[i] + den * v(d_i), d_i the denominator of cleared row i.
+    rows None stands for the unit rows, of denominator 1."""
+    ints, den = vals
     if rows is not None:
         ints = [a + den * multiplicity(d, p) for a, (_, d) in zip(ints, rows)]
     return rows, ints, den
 
 
-def _slot_table(row_side, col_values, cols: Cleared, p: int):
-    """The product of a _row_side_of's cleared rows and the cleared columns in integers:
-    (row_w, col_w, table, dens, scale), where table[j][i] is the dot product s of row i over
-    its denominator d and column j over e = dens[j], and row_w[i] - col_w[j] - scale * v(s) is
-    scale times the weight of slot (i, j), s / (d e).  scale is the lcm of the row and the
-    column values' denominators.  For unit rows the table is the columns' own integers, with
-    no product."""
+def _slot_table(row_side, col_vals, cols: Cleared, p: int):
+    """The product of a _row_side_of's cleared rows and the cleared columns in integers, the
+    column values cleared as col_vals = (ints, den): (row_w, col_w, table, dens, scale), where
+    table[j][i] is the dot product s of row i over its denominator d and column j over e =
+    dens[j], and row_w[i] - col_w[j] - scale * v(s) is scale times the weight of slot (i, j),
+    s / (d e).  scale is the lcm of the row and the column values' denominators.  For unit rows
+    the table is the columns' own integers, with no product."""
     rows, row_w, row_den = row_side
-    ints, col_den = linalg.cleared_vector(col_values)
+    ints, col_den = col_vals
     scale = math.lcm(row_den, col_den)
     row_w = [w * (scale // row_den) for w in row_w]
     col_w = [a * (scale // col_den) - scale * multiplicity(e, p) for a, (_, e) in zip(ints, cols)]
@@ -356,15 +385,15 @@ def _slot_table(row_side, col_values, cols: Cleared, p: int):
     return row_w, col_w, table, dens, scale
 
 
-def _on_lattice(lattice: LatticeBasis, values) -> SplitNorm:
-    """The norm taking column i of the lattice to values[i], a tuple of Fractions; it shares
-    the lattice's cleared columns and inverse rows."""
-    return _split(lattice.cfg, lattice._cols, values, partial(getattr, lattice, "_inv_rows"))
+def _on_lattice(lattice: LatticeBasis, vals) -> SplitNorm:
+    """The norm taking column i of the lattice to value i of the cleared vector vals; it
+    shares the lattice's cleared columns and inverse rows."""
+    return _split(lattice.cfg, lattice._cols, vals, partial(getattr, lattice, "_inv_rows"))
 
 
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
     """The norm whose unit ball is exactly the given lattice."""
-    return _on_lattice(lattice, (Fraction(0),) * lattice.dim)
+    return _on_lattice(lattice, ([0] * lattice.dim, 1))
 
 
 def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
@@ -384,7 +413,7 @@ def _op_size(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> Value:
     weight of the _slot_table of dst's rows and h's columns times src's, in one scan."""
     image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
     p = src.cfg.prime
-    row_w, col_w, table, _, scale = _slot_table(dst._row_side, src.values, image, p)
+    row_w, col_w, table, _, scale = _slot_table(dst._row_side, src._vals, image, p)
     best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
     return BOTTOM if best is None else Value(Fraction(best[0], scale))
 
@@ -413,22 +442,34 @@ def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
     return out
 
 
-def _canonical(norm: SplitNorm) -> tuple[LatticeBasis, tuple[Fraction, ...]]:
-    """The lattice of p^floor(a_i) e_i and the sizes a_i - floor(a_i) in [0, 1) of its columns."""
-    shifts = [math.floor(a) for a in norm.values]
-    return _scaled_ball(norm, shifts), tuple(a - k for a, k in zip(norm.values, shifts))
+def _canonical(norm: SplitNorm) -> tuple[LatticeBasis, list[int], tuple[Fraction, ...]]:
+    """The lattice of p^floor(a_i) e_i, the floors floor(a_i), and the sizes a_i - floor(a_i)
+    in [0, 1) of its columns, read from _vals = (ints, den) as ints[i] // den and
+    ints[i] % den over den."""
+    ints, den = norm._vals
+    shifts = [a // den for a in ints]
+    return _scaled_ball(norm, shifts), shifts, tuple(Fraction(a % den, den) for a in ints)
+
+
+def _ball(norm: SplitNorm, num: int, den: int, closed: bool) -> LatticeBasis:
+    """The closed or open ball at the level g = num / den, den > 0: with a_i = ints[i] / d
+    from _vals, a_i - g is (ints[i] den - num d) / (d den), whose ceiling and floor are
+    integer floor divisions."""
+    ints, d = norm._vals
+    t, q = num * d, d * den
+    if closed:
+        return _scaled_ball(norm, [-((t - a * den) // q) for a in ints])
+    return _scaled_ball(norm, [(a * den - t) // q + 1 for a in ints])
 
 
 def ball_basis(norm: SplitNorm, g) -> LatticeBasis:
     """Lattice of vectors of size at most g: spanned by p^ceil(a_i - g) e_i."""
-    g = linalg.to_fraction(g)
-    return _scaled_ball(norm, [math.ceil(a - g) for a in norm.values])
+    return _ball(norm, *linalg.ratio(g), True)
 
 
 def ball_basis_open(norm: SplitNorm, g) -> LatticeBasis:
-    """Lattice of vectors of size strictly below g."""
-    g = linalg.to_fraction(g)
-    return _scaled_ball(norm, [math.floor(a - g) + 1 for a in norm.values])
+    """Lattice of vectors of size strictly below g: spanned by p^(floor(a_i - g) + 1) e_i."""
+    return _ball(norm, *linalg.ratio(g), False)
 
 
 def lattice_contains(outer: LatticeBasis, inner: LatticeBasis) -> bool:
@@ -442,13 +483,13 @@ def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     return equals(lattice_norm(a), lattice_norm(b))
 
 
-def _fit(x: SplitNorm, cols: Cleared, values) -> tuple[list[int], int] | None:
+def _fit(x: SplitNorm, cols: Cleared, vals) -> tuple[list[int], int] | None:
     """Do the cleared columns c_j split x?  When they do, (t, scale), with t_j = scale *
-    (x(c_j) - values[j]) the excess of column j, read by _fit_table from the _slot_table
-    of x^-1 C; None when they do not.  Only x is inverted; a singular C raises
-    SingularMatrixError."""
+    (x(c_j) - values[j]) the excess of column j, values cleared as vals, read by _fit_table
+    from the _slot_table of x^-1 C; None when they do not.  Only x is inverted; a singular C
+    raises SingularMatrixError."""
     p = x.cfg.prime
-    return _fit_table(_slot_table(x._row_side, values, cols, p), p)
+    return _fit_table(_slot_table(x._row_side, vals, cols, p), p)
 
 
 def _fit_table(slots, p: int) -> tuple[list[int], int] | None:
@@ -471,7 +512,7 @@ def equals(a: SplitNorm, b: SplitNorm) -> bool:
     """Exact equality of norms: a's columns split b, each at its value in a (see _fit).  Only
     b's inverse is read; a singular basis of a raises SingularMatrixError."""
     _check_compatible(a, b)
-    fit = _fit(b, a._cols, a.values)
+    fit = _fit(b, a._cols, a._vals)
     return fit is not None and not any(fit[0])
 
 
@@ -488,21 +529,23 @@ def _moved(g, frame: _Frame) -> tuple[Cleared, Callable[[], Cleared]]:
 def act(g, norm: SplitNorm) -> SplitNorm:
     """Transport the norm along an invertible matrix g (v -> size of g^-1 v)."""
     cols, inv_from = _moved(g, norm)
-    return _split(norm.cfg, cols, norm.values, inv_from)
+    return _split(norm.cfg, cols, norm._vals, inv_from)
 
 
 def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Tensor product norm; the pairwise basis tensors split it."""
     _check_prime(a, b)
-    values = tuple(x + y for x in a.values for y in b.values)
+    x, y, m = linalg.aligned(a._vals, b._vals)
+    vals = ([u + v for u in x for v in y], m)
     cols = linalg.kron_cleared(a._cols, b._cols)
-    return _split(a.cfg, cols, values, partial(_inverse_from, linalg.kron_cleared, a, b))
+    return _split(a.cfg, cols, vals, partial(_inverse_from, linalg.kron_cleared, a, b))
 
 
 def dual(a: SplitNorm) -> SplitNorm:
     """Dual norm on the dual space, split by the dual basis: its columns are the rows of
     the inverse, and the inverse of its basis has the columns of a's basis as rows."""
-    return _split(a.cfg, a._inv_rows, tuple(-x for x in a.values), partial(getattr, a, "_cols"))
+    ints, den = a._vals
+    return _split(a.cfg, a._inv_rows, ([-x for x in ints], den), partial(getattr, a, "_cols"))
 
 
 def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
@@ -510,15 +553,17 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     _check_prime(a, b)
     cols = linalg.block_cleared(a._cols, b._cols, a.dim, b.dim)
     inv_from = partial(_inverse_from, linalg.block_cleared, a, b, a.dim, b.dim)
-    return _split(a.cfg, cols, a.values + b.values, inv_from)
+    x, y, m = linalg.aligned(a._vals, b._vals)
+    return _split(a.cfg, cols, (x + y, m), inv_from)
 
 
-def _monomialize(row_side, col_values, cols: Cleared, p: int):
+def _monomialize(row_side, col_vals, cols: Cleared, p: int):
     """Column-reduce m, the product of the cleared rows of a _row_side_of and the cleared
     columns, until every column has a pivot row of its own.
 
-    Entry (i, j) weighs a_i - val(m_ij) - col_values[j], a_i the row value.  The
-    nonzero entry of maximal weight in the open columns, ties to the
+    Entry (i, j) weighs a_i - val(m_ij) - b_j, a_i the row value and b_j
+    value j of the cleared vector col_vals.  The nonzero entry of
+    maximal weight in the open columns, ties to the
     lowest (row, column), is the next pivot; subtracting multiples of
     its column clears its row across the other open columns, which
     never disturbs the column values.  Its column then closes, with
@@ -531,20 +576,21 @@ def _monomialize(row_side, col_values, cols: Cleared, p: int):
     operations commute with row scaling, so pivots and col_ops are those
     of m.
 
-    Returns (sigma, split_values, col_ops): sigma maps each column to
+    Returns (sigma, split_vals, col_ops): sigma maps each column to
     its pivot row, in pivot order; col_ops are the cleared columns of
     the accumulated column operations, and column j of m @ col_ops has
-    ambient size
-    split_values[j].  Each pivot row of m @ col_ops is zero on the
-    columns pivoted after it.
+    ambient size value j of split_vals, a cleared vector over the table's
+    scale.  Each pivot row of m @ col_ops is zero on the columns pivoted
+    after it.
     """
-    row_w, col_w, table, dens, scale = _slot_table(row_side, col_values, cols, p)
+    row_w, col_w, table, dens, scale = _slot_table(row_side, col_vals, cols, p)
+    lift = scale // col_vals[1]  # a column value over scale
     n, d = len(row_w), len(table)
     # column j of the table on top of column j of col_ops, as integers over dens[j]
     stacked = [c + [dens[j] if k == j else 0 for k in range(d)] for j, c in enumerate(table)]
     open_cols = list(range(d))
     sigma: dict[int, int] = {}
-    split_values: list[Fraction] = [Fraction(0)] * d
+    split = [0] * d
     for _ in range(d):
         best = _heaviest(row_w, col_w, stacked, scale, p, open_cols)
         if best is None:
@@ -563,21 +609,24 @@ def _monomialize(row_side, col_values, cols: Cleared, p: int):
                 stacked[j], dens[j] = [x // g for x in col], den // g
                 col_w[j] -= scale * (vb - multiplicity(g, p))
         sigma[pj] = pi
-        split_values[pj] = Fraction(w, scale) + col_values[pj]
+        split[pj] = w + col_vals[0][pj] * lift
     col_ops = [linalg.reduced(c[n:], den) for c, den in zip(stacked, dens)]
-    return sigma, tuple(split_values), col_ops
+    return sigma, (split, scale), col_ops
 
 
-def _split_span(norm: SplitNorm, cols: Cleared, col_values) -> tuple[SplitNorm, Cleared]:
-    """Split the span of the cleared columns, of sizes col_values, against the norm: (split,
-    combo), with combo the column operations of _monomialize and split the norm on cols @ combo
-    at their ambient sizes, then on the ambient columns of the rows never pivoted at their
-    values.  The one reconstruction check, split equal to the norm, runs before returning."""
+def _split_span(norm: SplitNorm, cols: Cleared, col_vals) -> tuple[SplitNorm, Cleared]:
+    """Split the span of the cleared columns, of sizes the cleared vector col_vals, against
+    the norm: (split, combo), with combo the column operations of _monomialize and split the
+    norm on cols @ combo at their ambient sizes, then on the ambient columns of the rows never
+    pivoted at their values.  The one reconstruction check, split equal to the norm, runs
+    before returning."""
     p = norm.cfg.prime
-    sigma, values, combo = _monomialize(norm._row_side, col_values, cols, p)
+    sigma, vals, combo = _monomialize(norm._row_side, col_vals, cols, p)
     rest = [i for i in range(norm.dim) if i not in sigma.values()]
     full = linalg.times_cleared(cols, combo) + [norm._cols[i] for i in rest]
-    split = _split(norm.cfg, full, values + tuple(norm.values[i] for i in rest))
+    ints, den = norm._vals
+    x, y, m = linalg.aligned(vals, ([ints[i] for i in rest], den))
+    split = _split(norm.cfg, full, (x + y, m))
     if not equals(split, norm):
         raise SelfCheckError("splitting failed to reconstruct the norm")
     return split, combo
@@ -592,7 +641,7 @@ def _split_subspace(norm: SplitNorm, span) -> tuple[SplitNorm, Cleared]:
         raise DimensionMismatchError(f"span matrix must have {n} rows, got {len(span)}")
     if len(cols) > n:
         raise RankDeficiencyError("more spanning columns than the dimension allows")
-    return _split_span(norm, cols, (0,) * len(cols))
+    return _split_span(norm, cols, ([0] * len(cols), 1))
 
 
 def restrict(norm: SplitNorm, span) -> SplitNorm:
@@ -603,7 +652,8 @@ def restrict(norm: SplitNorm, span) -> SplitNorm:
     combinations of the spanning columns split the restriction.
     """
     split, combo = _split_subspace(norm, span)
-    return _split(norm.cfg, combo, split.values[: len(combo)])
+    ints, den = split._vals
+    return _split(norm.cfg, combo, (ints[: len(combo)], den))
 
 
 def quotient(norm: SplitNorm, span) -> SplitNorm:
@@ -616,8 +666,9 @@ def quotient(norm: SplitNorm, span) -> SplitNorm:
     complementary component.
     """
     split, combo = _split_subspace(norm, span)
-    values = split.values[len(combo) :]
-    return _split(norm.cfg, linalg.units(len(values)), values)
+    ints, den = split._vals
+    rest = ints[len(combo) :]
+    return _split(norm.cfg, linalg.units(len(rest)), (rest, den))
 
 
 def common_splitting_basis(a: SplitNorm, b: SplitNorm):
@@ -629,21 +680,22 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     splitting test _fit before returning; only a is inverted.
     """
     common = _common_norm(a, b)
-    lattice, a_vals = _canonical(common)
-    # column j was scaled by p^(raw_j - a_j), which lowers its b-value by as much
-    b_vals = tuple(v - r + s for v, r, s in zip(b.values, common.values, a_vals))
+    lattice, shifts, a_vals = _canonical(common)
+    # column j was scaled by p^shifts[j], which lowers its b-value by as much
+    ints, den = b._vals
+    b_vals = tuple(Fraction(v - k * den, den) for v, k in zip(ints, shifts))
     return lattice.matrix, a_vals, b_vals
 
 
 def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
-    """a on unscaled columns that split b with b.values: _split_span of b's basis against a,
+    """a on unscaled columns that split b at its values: _split_span of b's basis against a,
     whose check covers a, and the second reconstruction check, of b.  b's n columns leave no
     ambient row over, so the common columns are B @ combo and B^-1 C is combo itself: the
     check reads its slot table off the column operations, and b is not inverted."""
     _check_compatible(a, b)
-    common, combo = _split_span(a, b._cols, b.values)
+    common, combo = _split_span(a, b._cols, b._vals)
     p = b.cfg.prime
-    fit = _fit_table(_slot_table(_row_side_of(b.values, None, p), b.values, combo, p), p)
+    fit = _fit_table(_slot_table(_row_side_of(b._vals, None, p), b._vals, combo, p), p)
     if fit is None or any(fit[0]):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common
@@ -658,6 +710,7 @@ def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]
     so the differences are read before the canonical scaling.
     """
     common = _common_norm(a, b)
-    diffs = tuple(sorted((bv - av for av, bv in zip(common.values, b.values)), reverse=True))
-    d_inf = max((abs(x) for x in diffs), default=Fraction(0))
-    return d_inf, diffs
+    x, y, m = linalg.aligned(common._vals, b._vals)
+    diffs = sorted((v - u for u, v in zip(x, y)), reverse=True)
+    d_inf = max(map(abs, diffs), default=0)
+    return Fraction(d_inf, m), linalg.from_cleared_vector((diffs, m))

@@ -40,7 +40,7 @@ class SplittingPair:
 
 def norm_from_pair(pair: SplittingPair) -> SplitNorm:
     """The norm sending each lattice column to its weight."""
-    return _on_lattice(pair.lattice, pair.weights)
+    return _on_lattice(pair.lattice, linalg.cleared_vector(pair.weights))
 
 
 def pair_from_norm(norm: SplitNorm) -> SplittingPair:
@@ -49,7 +49,8 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
     Column i of the lattice is p^floor(a_i) times splitting vector i,
     which has size equal to the fractional part of a_i.
     """
-    return SplittingPair(*_canonical(norm))
+    lattice, _, weights = _canonical(norm)
+    return SplittingPair(lattice, weights)
 
 
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:
@@ -65,5 +66,5 @@ def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
     ConfigMismatchError ("prime mismatch: 2 vs 3", the norm's prime first), another dimension
     DimensionMismatchError."""
     _check_compatible(norm, pair.lattice)
-    fit = _fit(norm, pair.lattice._cols, pair.weights)
+    fit = _fit(norm, pair.lattice._cols, linalg.cleared_vector(pair.weights))
     return fit is not None and not any(fit[0])

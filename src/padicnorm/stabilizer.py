@@ -35,8 +35,8 @@ from operator import mul
 from . import linalg
 from .base_change import kernel_dim
 from .errors import PreconditionError, SingularMatrixError
-from .norms import BallChainPeriod, LatticeBasis, SplitNorm, _op_size, ball_basis, op_size
-from .valuation import BOTTOM, Value, degree_rep, frac_part, multiplicity
+from .norms import BallChainPeriod, LatticeBasis, SplitNorm, _ball, _op_size, op_size
+from .valuation import BOTTOM, Value, by_degree, multiplicity
 
 
 @dataclass(frozen=True)
@@ -104,25 +104,29 @@ def is_stabilizer_element(norm: SplitNorm, g) -> bool:
 
 
 def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
-    """Slot counts per value class; classes with no slots are omitted."""
-    counts: Counter[Fraction] = Counter()
-    classes = norm.class_counts.items()
-    for ci, mi in classes:
-        for cj, mj in classes:
-            counts[degree_rep(frac_part(ci - cj))] += mi * mj
-    return GradedOrderSummary(norm.dim, dict(sorted(counts.items(), reverse=True)))
+    """Slot counts per value class; classes with no slots are omitted.  Slot (i, j) of the
+    classes r_i / den and r_j / den has the class of (r_i - r_j) / den."""
+    den = norm._vals[1]
+    counts: Counter[int] = Counter()
+    classes = norm._residues
+    for ri, mi in classes:
+        for rj, mj in classes:
+            counts[(ri - rj) % den] += mi * mj
+    return GradedOrderSummary(norm.dim, by_degree(counts, den))
 
 
 def fiber_structure(norm: SplitNorm) -> FiberStructure:
     """Levi blocks, unipotent dimension, and total dimension n^2."""
-    blocks = tuple(sorted(norm.class_counts.values(), reverse=True))
+    blocks = tuple(sorted((m for _, m in norm._residues), reverse=True))
     return FiberStructure(blocks, kernel_dim(norm), norm.dim * norm.dim)
 
 
 def chain_period(norm: SplitNorm) -> BallChainPeriod:
-    """One period of ball lattices, in ascending class order."""
-    classes = norm.value_classes
-    return BallChainPeriod(classes, tuple(ball_basis(norm, g) for g in classes))
+    """One period of ball lattices, in ascending class order: the closed ball at each class
+    r / den of the norm's residues."""
+    den = norm._vals[1]
+    lattices = tuple(_ball(norm, r, den, True) for r, _ in norm._residues)
+    return BallChainPeriod(norm.value_classes, lattices)
 
 
 def chain_certificates(period: BallChainPeriod) -> tuple[linalg.Matrix, ...]:

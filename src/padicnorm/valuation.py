@@ -29,7 +29,6 @@ prime to p is large.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -253,12 +252,14 @@ def frac_part(x: Rational) -> Fraction:
     return Fraction(x.numerator % x.denominator, x.denominator)
 
 
-def count_classes(values) -> dict[Fraction, int]:
-    """Multiplicity of each class mod 1 among the values, keys ascending in [0, 1)."""
-    return dict(sorted(Counter(frac_part(a) for a in values).items()))
-
-
 def degree_rep(c: Rational) -> Fraction:
     """Map a class representative in [0, 1) to the one in (-1, 0]."""
     c = to_fraction(c)
     return c if c == 0 else c - _ONE
+
+
+def by_degree(counts: dict, q: int) -> dict:
+    """Entries keyed by residues k mod q, the classes k / q, keyed instead by the classes'
+    representatives in (-1, 0], (k - q) / q or 0, descending: one Fraction per key."""
+    degrees = sorted(((k - q if k else 0, v) for k, v in counts.items()), reverse=True)
+    return {Fraction(d, q): v for d, v in degrees}

@@ -5,10 +5,14 @@ oracle recomputes relative positions from elementary divisors, and the
 ball oracles decide stabilizer membership and equality lattice by
 lattice.  They build each ball here, from a norm's basis and values;
 inverses come from sympy and products are taken here, in Fractions.
+The value oracles (ball exponents, class counts, graded pieces) read
+the values as plain Fractions, by math.ceil and floor, x % 1 and
+sorting, where the package computes in integers.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import ceil, floor, lcm
 from operator import mul
@@ -68,12 +72,48 @@ def product(a, b) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
-def ball(nrm, g) -> tuple:
-    """The closed ball of nrm at level g, B diag(p^ceil(a_i - g)), from the norm's basis B
-    and values a_i."""
-    p, g = nrm.cfg.prime, Fraction(g)
-    scales = [Fraction(p) ** ceil(a - g) for a in nrm.values]
+def ball_exponents(values, g, closed: bool = True) -> list[int]:
+    """The exponents k_i of the ball B diag(p^k_i) at level g: ceil(a_i - g) for the closed
+    ball, floor(a_i - g) + 1 for the open one."""
+    g = Fraction(g)
+    return [ceil(a - g) if closed else floor(a - g) + 1 for a in values]
+
+
+def ball(nrm, g, closed: bool = True) -> tuple:
+    """The closed (or open) ball of nrm at level g, B diag(p^k), from the norm's basis B and
+    the ball_exponents k of its values."""
+    p = nrm.cfg.prime
+    scales = [Fraction(p) ** k for k in ball_exponents(nrm.values, g, closed)]
     return tuple(tuple(map(mul, row, scales)) for row in nrm.basis)
+
+
+def degree(x) -> Fraction:
+    """The class of x mod 1, represented in (-1, 0]."""
+    r = Fraction(x) % 1
+    return r - 1 if r else r
+
+
+def class_counts(values) -> dict:
+    """Multiplicity of each class a % 1 among the values, keys ascending in [0, 1)."""
+    return dict(sorted(Counter(a % 1 for a in values).items()))
+
+
+def graded_ball_dims(values, g) -> dict:
+    """(m, m) for each degree of the class c - g, c a value class of multiplicity m, degrees
+    descending in (-1, 0]."""
+    pieces = {degree(c - Fraction(g)): (m, m) for c, m in class_counts(values).items()}
+    return dict(sorted(pieces.items(), reverse=True))
+
+
+def graded_dims(values) -> dict:
+    """Slot counts by the degree of a_i - a_j over all pairs, degrees descending in (-1, 0]."""
+    counts = Counter(degree(a - b) for a in values for b in values)
+    return dict(sorted(counts.items(), reverse=True))
+
+
+def extension_value_classes(values, e) -> dict:
+    """Multiplicity of each class (e a % 1) / e, keys ascending in [0, 1/e)."""
+    return dict(sorted(Counter((a * e) % 1 / e for a in values).items()))
 
 
 def preserves_all_balls(nrm, g) -> bool:

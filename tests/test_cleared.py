@@ -12,6 +12,13 @@ is_stabilizer_element and filtration_level: their counts of new
 Fractions stay linear in the dimension, and graded_ball_dims's in the
 number of value classes.  Building a norm reads each Fraction entry
 once, and a norm makes the row side of its slot tables once.
+
+A norm's values are read once, into _vals, integers over one
+denominator.  Once they are, the balls read only their level, the
+class pieces build one Fraction per returned key, the derived norms
+build none until their values are read, and a norm's document is
+written from the integers; a seeded oracle in plain Fractions checks
+the integer computations on large denominators.
 """
 
 import fractions
@@ -22,7 +29,7 @@ from collections import Counter
 from fractions import Fraction
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg, norms
-from padicnorm.base_change import graded_ball_dims
+from padicnorm.base_change import VirtualExtension, extension_value_classes, graded_ball_dims
 from padicnorm.building import apartment_coords, homothetic, norm_from_apartment
 from padicnorm.norms import (
     _canonical,
@@ -42,7 +49,7 @@ from padicnorm.norms import (
     tensor,
 )
 from padicnorm.splittings import pair_from_norm, translate_pair
-from padicnorm.stabilizer import filtration_level, is_stabilizer_element
+from padicnorm.stabilizer import chain_period, filtration_level, graded_dims, is_stabilizer_element
 from padicnorm.valuation import multiplicity
 
 import fuzz
@@ -90,6 +97,7 @@ def _check(frame, view, inv_view, expected=None):
 def _check_norm(nrm, expected=None):
     _check(nrm, nrm.basis, nrm.inv_basis, expected)
     assert nrm.dim == len(nrm.basis) == len(nrm.values)
+    assert nrm._vals == linalg.cleared_vector(nrm.values)
 
 
 def _check_lattice(lat, expected=None):
@@ -288,3 +296,129 @@ def test_order_layer_builds_no_fraction_matrix():
     assert _new_fractions(lambda: is_stabilizer_element(a, g)) <= n
     assert _new_fractions(lambda: filtration_level(a, g)) <= 3 * n
     assert is_stabilizer_element(a, g)
+
+
+def _made_norms(rng, n, p):
+    """A norm from the public constructor with its _vals read, and norms the package makes,
+    born with theirs."""
+    a = fuzz.norm(rng, n=n, p=p)
+    a._vals
+    return [a, act(fuzz.elementary_product(rng, n, p), a), dual(a), tensor(a, a)]
+
+
+def test_balls_read_only_their_level():
+    """Once a norm's _vals are read, ball_basis and ball_basis_open make exactly the
+    fractions.py calls of reading their level, none for an int, and chain_period, with the
+    value classes read, makes none."""
+    rng = random.Random(127)
+    levels = (3, -2, "7/3", "-5/4", Fraction(11, 6), Fraction(-13, 10))
+    for x in _made_norms(rng, 6, 3):
+        for g in levels:
+            read = _fraction_calls(lambda: linalg.ratio(g))
+            assert (read == {}) == (type(g) is int)
+            assert _fraction_calls(lambda: ball_basis(x, g)) == read
+            assert _fraction_calls(lambda: ball_basis_open(x, g)) == read
+        x.value_classes
+        assert _fraction_calls(lambda: chain_period(x)) == {}
+
+
+def test_class_pieces_build_one_fraction_per_key():
+    """Once a norm's _vals are read, the class count, the graded ball pieces at an int level,
+    the graded order and the refined classes each build one Fraction per returned key, which
+    the result's dict hashes once, and call nothing else in fractions.py but, from Python 3.12
+    on, the cached helper of the hash."""
+    rng = random.Random(128)
+    for x in _made_norms(rng, 6, 5):
+        runs = [
+            lambda: x.class_counts,
+            lambda: graded_ball_dims(x, -2),
+            lambda: graded_dims(x).class_dims,
+        ] + [lambda e=e: extension_value_classes(x, VirtualExtension(e)) for e in (1, 2, 3, None)]
+        for run in runs:
+            keys = []
+            calls = _fraction_calls(lambda: keys.extend(run()))
+            assert calls.pop("__new__") == calls.pop("__hash__") == len(keys)
+            assert set(calls) <= {"_hash_algorithm"}
+
+
+def test_derived_norms_build_no_values_until_read():
+    """tensor, direct_sum and dual compute their values in integers from _vals: no fractions.py
+    call, and no values view until it is read, which builds one Fraction per value."""
+    rng = random.Random(129)
+    a, b = fuzz.norm(rng, n=4, p=3), fuzz.norm(rng, n=3, p=3)
+    a._vals, b._vals
+    for make, want in (
+        (lambda: tensor(a, b), tuple(x + y for x in a.values for y in b.values)),
+        (lambda: direct_sum(a, b), a.values + b.values),
+        (lambda: dual(a), tuple(-x for x in a.values)),
+    ):
+        made = []
+        assert _fraction_calls(lambda: made.append(make())) == {}
+        (x,) = made
+        assert "values" not in vars(x)
+        calls = _fraction_calls(lambda: x.values)
+        assert calls == {"__new__": len(want)} and x.values == want
+
+
+def test_a_norm_document_is_written_from_integers():
+    """io.norm_to_doc writes the values from _vals, one gcd per entry: no fractions.py call,
+    for a norm from the public constructor with its _vals read and for one the package made."""
+    rng = random.Random(130)
+    for x in _made_norms(rng, 5, 2):
+        assert _fraction_calls(lambda: io.norm_to_doc(x)) == {}
+        assert io.norm_to_doc(x)["values"] == [str(v) for v in x.values]
+
+
+def _wide_norm(rng, n, p):
+    """A norm with values of either sign in (-20, 20), over denominators up to 10^6."""
+    def value():
+        den = rng.choice((1, 2, 3, 10**6, rng.randint(1, 10**6)))
+        return Fraction(rng.randint(-20 * den, 20 * den), den)
+
+    basis = fuzz.invertible(rng, n) if n else ()
+    return SplitNorm(FieldConfig(p), n, basis, [value() for _ in range(n)])
+
+
+def _level(rng):
+    """A level as an int, a str or a Fraction, of either sign."""
+    x = Fraction(rng.randint(-30 * 10**6, 30 * 10**6), rng.randint(1, 10**6))
+    return rng.choice((round(x), str(x), x))
+
+
+def test_integer_values_agree_with_a_fraction_oracle():
+    """Balls, class counts, graded pieces, refined classes, derived values, the common basis's
+    values and the differences of distance, computed in integers, against plain Fraction
+    arithmetic on the values, in dimensions 0 to 4."""
+    rng = random.Random(131)
+    for trial in range(60):
+        n, p = trial % 5, fuzz.PRIMES[trial % 3]
+        a, b = _wide_norm(rng, n, p), _wide_norm(rng, n, p)
+        small = _wide_norm(rng, rng.randint(0, 2), p)
+        g = _level(rng)
+        made = [act(fuzz.elementary_product(rng, n, p), a) if n else a, dual(a), tensor(a, small)]
+        made.append(direct_sum(a, small))
+        assert made[1].values == tuple(-x for x in a.values)
+        assert made[2].values == tuple(x + y for x in a.values for y in small.values)
+        assert made[3].values == a.values + small.values
+        assert io.norm_from_doc(io.norm_to_doc(a)).values == a.values
+        for x in [a] + made:
+            _check_norm(x)
+            assert ball_basis(x, g).matrix == oracles.ball(x, g)
+            assert ball_basis_open(x, g).matrix == oracles.ball(x, g, closed=False)
+            # dict equality ignores order, so the items are compared as lists
+            assert list(x.class_counts.items()) == list(oracles.class_counts(x.values).items())
+            want = oracles.graded_ball_dims(x.values, g)
+            assert list(graded_ball_dims(x, g).items()) == list(want.items())
+            want = oracles.graded_dims(x.values)
+            assert list(graded_dims(x).class_dims.items()) == list(want.items())
+            for e in (1, 2, 7):
+                got = extension_value_classes(x, VirtualExtension(e))
+                want = oracles.extension_value_classes(x.values, e)
+                assert list(got.items()) == list(want.items())
+                assert all(0 <= c < Fraction(1, e) for c in got)
+        _, a_vals, b_vals = common_splitting_basis(a, b)
+        assert all(0 <= v < 1 for v in a_vals)
+        assert oracles.class_counts(a_vals) == oracles.class_counts(a.values)
+        assert oracles.class_counts(b_vals) == oracles.class_counts(b.values)
+        diffs = sorted((y - x for x, y in zip(a_vals, b_vals)), reverse=True)
+        assert distance(a, b) == (max(map(abs, diffs), default=0), tuple(diffs))

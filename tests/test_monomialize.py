@@ -7,7 +7,8 @@ every output over the seeded cases pins the tie-break to the lowest
 two factors of a product; handed the product itself over the identity,
 it must return the same, and its first pivot must weigh what op_size's
 scan, _heaviest, finds in the _slot_table of the same factors.  Both take the factors cleared:
-the rows of the left one as a row side, with the row values, and the columns of the right one.
+the rows of the left one as a row side, with the row values, and the columns of the right one,
+with the column values as one cleared vector.
 """
 
 import hashlib
@@ -41,15 +42,21 @@ def cases():
 
 def row_side(row_values, rows, p):
     """The row side of a slot table from the row values and the Fraction rows."""
-    return _row_side_of(row_values, linalg.cleared(linalg.transpose(rows)), p)
+    rows = linalg.cleared(linalg.transpose(rows))
+    return _row_side_of(linalg.cleared_vector(row_values), rows, p)
 
 
 def monomialize(row_values, rows, col_values, cols, p):
-    """_monomialize of Fraction factors, its column operations as a Fraction matrix."""
-    sigma, split_values, col_ops = _monomialize(
-        row_side(row_values, rows, p), col_values, linalg.cleared(linalg.transpose(cols)), p
+    """_monomialize of Fraction factors, its split values as Fractions and its column
+    operations as a Fraction matrix."""
+    sigma, split_vals, col_ops = _monomialize(
+        row_side(row_values, rows, p),
+        linalg.cleared_vector(col_values),
+        linalg.cleared(linalg.transpose(cols)),
+        p,
     )
-    return sigma, split_values, linalg.transpose(linalg.from_cleared(col_ops))
+    col_ops = linalg.transpose(linalg.from_cleared(col_ops))
+    return sigma, linalg.from_cleared_vector(split_vals), col_ops
 
 
 def test_tie_break_example():
@@ -74,7 +81,10 @@ def test_contract():
         # pivot weights never rise, so the first pivot is the slot maximum
         heaviest = max(s - b for s, b in zip(split_values, col_values))
         row_w, col_w, table, _, scale = _slot_table(
-            row_side(row_values, rows, p), col_values, linalg.cleared(linalg.transpose(cols)), p
+            row_side(row_values, rows, p),
+            linalg.cleared_vector(col_values),
+            linalg.cleared(linalg.transpose(cols)),
+            p,
         )
         assert heaviest == F(_heaviest(row_w, col_w, table, scale, p, range(d))[0], scale)
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d

@@ -1,5 +1,6 @@
 """The reconstruction checks behind restrict, quotient, common_splitting_basis and distance
-fire when the elimination is wrong: _monomialize is wrapped to corrupt its result."""
+fire when the elimination is wrong: _monomialize is wrapped to corrupt its result, its split
+values read as Fractions and cleared again."""
 
 import random
 from fractions import Fraction
@@ -31,8 +32,9 @@ def _wrap(monkeypatch, corrupt):
     original = norms._monomialize
 
     def wrapped(*args):
-        sigma, split_values, col_ops = original(*args)
-        return (sigma, *corrupt(split_values, col_ops))
+        sigma, split_vals, col_ops = original(*args)
+        values, ops = corrupt(linalg.from_cleared_vector(split_vals), col_ops)
+        return sigma, linalg.cleared_vector(values), ops
 
     monkeypatch.setattr(norms, "_monomialize", wrapped)
 
@@ -77,8 +79,8 @@ def test_second_check_reads_what_the_inverse_reads():
         a = fuzz.norm(rng, rng.randint(2, 6))
         b = fuzz.norm(rng, a.dim, a.cfg.prime)
         p = b.cfg.prime
-        _, combo = norms._split_span(a, b._cols, b.values)
+        _, combo = norms._split_span(a, b._cols, b._vals)
         for ops in (combo, _leaked(combo, p)):
-            fit = norms._fit(b, linalg.times_cleared(b._cols, ops), b.values)
-            slots = norms._slot_table(norms._row_side_of(b.values, None, p), b.values, ops, p)
+            fit = norms._fit(b, linalg.times_cleared(b._cols, ops), b._vals)
+            slots = norms._slot_table(norms._row_side_of(b._vals, None, p), b._vals, ops, p)
             assert norms._fit_table(slots, p) == fit

@@ -58,16 +58,18 @@ def extension_value_classes(norm: SplitNorm, ext: VirtualExtension) -> WeightMul
     e = ext.ram_index
     if e is None:
         return {Fraction(0): norm.dim} if norm.dim else {}
-    # a = x / den has e a = x e / den, whose class (x e mod den) / den divided by e is the key
-    ints, den = norm._vals
-    counts = sorted(Counter(x * e % den for x in ints).items())
-    return {Fraction(r, den * e): m for r, m in counts}
+    # a in the class r / den has e a in the class (r e mod den) / den; divided by e, the key
+    den = norm._vals[1]
+    counts = Counter()
+    for r, m in norm._residues:
+        counts[r * e % den] += m
+    return {Fraction(r, den * e): m for r, m in sorted(counts.items())}
 
 
 def is_lattice_norm_over(norm: SplitNorm, ext: VirtualExtension) -> bool:
-    """Does the norm become a lattice norm over the extension?"""
-    classes = extension_value_classes(norm, ext)
-    return len(classes) <= 1 and all(c == 0 for c in classes)
+    """Does the norm become a lattice norm over the extension: is e c in Z for each class c?"""
+    e, den = ext.ram_index, norm._vals[1]
+    return e is None or all(r * e % den == 0 for r, _ in norm._residues)
 
 
 def centralizer_dim(norm: SplitNorm) -> int:

@@ -145,7 +145,7 @@ def lattice_from_doc(doc) -> LatticeBasis:
 
 
 def pair_to_doc(pair: SplittingPair) -> dict:
-    return _doc(pair.lattice, "lattice", "weights", linalg.cleared_vector(pair.weights))
+    return _doc(pair.lattice, "lattice", "weights", pair._vals)
 
 
 def pair_from_doc(doc) -> SplittingPair:

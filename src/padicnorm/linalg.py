@@ -75,10 +75,6 @@ def to_fraction(x) -> Fraction:
 _RATIO = {Fraction: Fraction.as_integer_ratio, int: int.as_integer_ratio, bool: int.as_integer_ratio}
 
 
-def vec(entries) -> Vector:
-    return tuple(to_fraction(x) for x in entries)
-
-
 def _rectangular(rows):
     if rows and any(len(r) != len(rows[0]) for r in rows):
         raise DimensionMismatchError("ragged matrix")

@@ -54,16 +54,16 @@ matrix and inv are views, built on first access; the comparison path
 read the fields basis and matrix: == compares presentations, equals
 compares norms.
 
-A norm's values are cleared the same way, once, into _vals = (ints,
-den), integers over the lcm of their denominators.  A public
-constructor keeps the values it is given and makes _vals on first use;
-a norm the package makes is born with _vals, and its values are a view
-built on first read.  Every computation on values reads _vals in
-integers: the slot tables, the balls (ceilings and floors by integer
-floor division), the residues mod den that count the value classes and
-grade the order and the balls, and the values of the norms made from
-others.  A Fraction is built only for a public result, one
-Fraction(a, den) per entry.
+A norm's values are cleared the same way, into _vals = (ints, den),
+integers over the lcm of their denominators.  One rule holds for both:
+a public constructor reads basis and values once, into _cols and
+_vals, a norm the package makes is born with them, and every Fraction
+on a frame, values too, is a view built on first read.  Every
+computation on values reads _vals in integers: the slot tables, the
+balls (ceilings and floors by integer floor division), the residues
+mod den that count the value classes and grade the order and the
+balls, and the values of the norms made from others.  A Fraction is
+built only for a public result, one Fraction(a, den) per entry.
 
 Slots are fixed once for the whole package.  For a map h from a norm
 split by c_1, ..., c_n at values b_1, ..., b_n to one split by
@@ -123,11 +123,12 @@ def _plant(obj, name: str, value) -> None:
 class _Frame:
     """An invertible matrix held as its cleared columns _cols, with the cleared rows _inv_rows
     of its inverse made once, on first read, by the recipe _inv_from: linalg.inverse_rows of
-    the columns, unless the frame was made with another (see _frame).  The Fraction views,
-    the field named by _view of the columns, the one named by _inv_view of the inverse and
-    the values of a norm born with _vals, are built on first access."""
+    the columns, unless the frame was made with another (see _frame).  Every Fraction on a
+    frame is a view, built on first access: the field named by _view of the columns, the one
+    named by _inv_view of the inverse and, for a norm, the one named by _vals_view of its
+    cleared values _vals."""
 
-    _view = _inv_view = ""
+    _view = _inv_view = _vals_view = ""
 
     def _inv_from(self) -> Cleared:
         return linalg.inverse_rows(self._cols)
@@ -141,7 +142,7 @@ class _Frame:
             view = linalg.from_cleared_columns(self._cols, len(self._cols))
         elif name == self._inv_view:
             view = linalg.from_cleared(self._inv_rows)
-        elif name == "values" and "_vals" in vars(self):  # a norm the package made
+        elif name == self._vals_view:
             view = linalg.from_cleared_vector(self._vals)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
@@ -163,7 +164,7 @@ class SplitNorm(_Frame):
     basis: Matrix
     values: tuple[Fraction, ...]
 
-    _view, _inv_view = "basis", "_inv"
+    _view, _inv_view, _vals_view = "basis", "_inv", "values"
 
     def __post_init__(self) -> None:
         n = self.dim
@@ -171,21 +172,15 @@ class SplitNorm(_Frame):
             raise DimensionMismatchError(f"dim must be a nonnegative int, got {n!r}")
         basis = vars(self).pop("basis")  # read once, into _cols: basis is a view of them
         _plant(self, "_cols", linalg.cleared_square(basis, n, "basis"))
-        values = linalg.vec(self.values)
-        if len(values) != n:
-            raise DimensionMismatchError(f"expected {n} values, got {len(values)}")
-        _plant(self, "values", values)
+        vals = linalg.cleared_vector(vars(self).pop("values"))  # read once, into _vals
+        if len(vals[0]) != n:
+            raise DimensionMismatchError(f"expected {n} values, got {len(vals[0])}")
+        _plant(self, "_vals", vals)
 
     # not a cached_property: perfbench/tracing.py wraps its fget and checks "_inv" in vars(norm)
     @property
     def inv_basis(self) -> Matrix:
         return self._inv  # type: ignore[attr-defined]
-
-    @cached_property
-    def _vals(self) -> tuple[list[int], int]:
-        """The values as integers over the lcm of their denominators, read once from the
-        values a public constructor keeps; a norm the package makes is born with them."""
-        return linalg.cleared_vector(self.values)
 
     @cached_property
     def _row_side(self):

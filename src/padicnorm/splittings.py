@@ -4,7 +4,8 @@ A splitting pair is a full lattice together with one rational weight
 per lattice column.  The associated norm takes each column to its
 weight; conversely every split norm has a canonical pair whose weights
 lie in [0, 1), obtained by scaling each splitting vector into that
-window by a power of p.
+window by a power of p.  A pair reads its weights once, into _vals, as
+a norm reads its values; weights are the Fractions of those integers.
 """
 
 from __future__ import annotations
@@ -26,21 +27,21 @@ class SplittingPair:
     weights: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        weights = linalg.vec(self.weights)
-        if len(weights) != self.lattice.dim:
-            raise DimensionMismatchError(
-                f"expected {self.lattice.dim} weights, got {len(weights)}"
-            )
-        _plant(self, "weights", weights)
+        vals = linalg.cleared_vector(self.weights)  # read once, into _vals
+        if len(vals[0]) != self.lattice.dim:
+            raise DimensionMismatchError(f"expected {self.lattice.dim} weights, got {len(vals[0])}")
+        _plant(self, "_vals", vals)
+        _plant(self, "weights", linalg.from_cleared_vector(vals))
 
     @property
     def is_canonical(self) -> bool:
-        return all(0 <= w < 1 for w in self.weights)
+        ints, den = self._vals
+        return all(0 <= x < den for x in ints)
 
 
 def norm_from_pair(pair: SplittingPair) -> SplitNorm:
     """The norm sending each lattice column to its weight."""
-    return _on_lattice(pair.lattice, linalg.cleared_vector(pair.weights))
+    return _on_lattice(pair.lattice, pair._vals)
 
 
 def pair_from_norm(norm: SplitNorm) -> SplittingPair:
@@ -66,5 +67,5 @@ def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
     ConfigMismatchError ("prime mismatch: 2 vs 3", the norm's prime first), another dimension
     DimensionMismatchError."""
     _check_compatible(norm, pair.lattice)
-    fit = _fit(norm, pair.lattice._cols, linalg.cleared_vector(pair.weights))
+    fit = _fit(norm, pair.lattice._cols, pair._vals)
     return fit is not None and not any(fit[0])

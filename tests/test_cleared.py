@@ -13,12 +13,13 @@ Fractions stay linear in the dimension, and graded_ball_dims's in the
 number of value classes.  Building a norm reads each Fraction entry
 once, and a norm makes the row side of its slot tables once.
 
-A norm's values are read once, into _vals, integers over one
-denominator.  Once they are, the balls read only their level, the
-class pieces build one Fraction per returned key, the derived norms
-build none until their values are read, and a norm's document is
-written from the integers; a seeded oracle in plain Fractions checks
-the integer computations on large denominators.
+A norm's values are read once, as it is built, into _vals, integers
+over one denominator, and a pair's weights the same way.  The balls
+read only their level, the class pieces build one Fraction per
+returned key, the derived norms build none until their values are
+read, and a norm's document is written from the integers; a seeded
+oracle in plain Fractions checks the integer computations on large
+denominators.
 """
 
 import fractions
@@ -28,9 +29,17 @@ import sys
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg, norms
-from padicnorm.base_change import VirtualExtension, extension_value_classes, graded_ball_dims
+from padicnorm.base_change import (
+    VirtualExtension,
+    extension_value_classes,
+    graded_ball_dims,
+    is_lattice_norm_over,
+)
 from padicnorm.building import apartment_coords, homothetic, norm_from_apartment
+from padicnorm.errors import DimensionMismatchError, PreconditionError
 from padicnorm.norms import (
     _canonical,
     _common_norm,
@@ -48,7 +57,7 @@ from padicnorm.norms import (
     restrict,
     tensor,
 )
-from padicnorm.splittings import pair_from_norm, translate_pair
+from padicnorm.splittings import SplittingPair, pair_from_norm, translate_pair
 from padicnorm.stabilizer import chain_period, filtration_level, graded_dims, is_stabilizer_element
 from padicnorm.valuation import multiplicity
 
@@ -162,17 +171,18 @@ def _new_fractions(run):
 
 
 def test_each_entry_is_read_once_and_each_norm_weighs_its_rows_once(monkeypatch):
-    """Building a norm from a Fraction basis reads each entry once, by as_integer_ratio.  The
-    first evaluate makes the row side of the norm's slot tables; a second one clears only its
-    vector, makes one Fraction, the size, and takes the valuation of the vector's denominator
-    and of each slot at most once."""
+    """Building a norm from a Fraction basis and values reads each entry and each value once,
+    by as_integer_ratio: n^2 + n calls into fractions.py and no other.  The first evaluate
+    makes the row side of the norm's slot tables; a second one clears only its vector, makes
+    one Fraction, the size, and takes the valuation of the vector's denominator and of each
+    slot at most once."""
     rng = random.Random(124)
     n = 12
     a = fuzz.norm(rng, n=n, p=3)
-    basis = a.basis  # a view, built here and not in the count
+    basis, values = a.basis, a.values  # views, built here and not in the count
     built = []
-    calls = _fraction_calls(lambda: built.append(SplitNorm(a.cfg, n, basis, a.values)))
-    assert sum(calls.values()) == n * n
+    calls = _fraction_calls(lambda: built.append(SplitNorm(a.cfg, n, basis, values)))
+    assert calls == {"as_integer_ratio": n * n + n}
     (fresh,) = built
     v = fuzz.vector(rng, n, nonzero=True)
     size = evaluate(fresh, v)
@@ -223,15 +233,33 @@ def test_the_standard_apartment_clears_no_entry():
 
 
 def test_basis_and_matrix_are_views_built_on_first_read():
+    """basis, matrix and values are views of the cleared forms, built on first read; bad values
+    and weights are refused as they are read, each with the error of its kind."""
     n = 5
     matrix, values = _int_presentation(n)
     cfg = FieldConfig(3)
     nrm, lat = SplitNorm(cfg, n, matrix, values), LatticeBasis(cfg, matrix)
     std = norm_from_apartment(values, cfg)
     assert "basis" not in vars(nrm) and "matrix" not in vars(lat) and "basis" not in vars(std)
+    assert "values" not in vars(nrm) and "values" not in vars(std)
     assert nrm.basis == lat.matrix == matrix and std.basis == oracles.identity(n)
     assert "basis" in vars(nrm) and "matrix" in vars(lat) and "basis" in vars(std)
-    assert nrm.values == std.values == linalg.vec(values)
+    assert nrm.values == std.values == tuple(map(Fraction, values))
+    assert "values" in vars(nrm) and "values" in vars(std)
+    square = LatticeBasis(cfg, oracles.identity(2))
+    for make, what in (
+        (lambda x: SplitNorm(cfg, 2, oracles.identity(2), x), "values"),
+        (lambda x: SplittingPair(square, x), "weights"),
+    ):
+        for bad, error, message in (
+            ((0, 0.5), TypeError, "floats are not exact"),
+            ((0,), DimensionMismatchError, f"expected 2 {what}, got 1"),
+            ((0, "1e5000"), PreconditionError, "exponent beyond"),
+            (7, TypeError, "not iterable"),
+            ((0, "x"), ValueError, "Invalid literal"),
+        ):
+            with pytest.raises(error, match=message):
+                make(bad)
 
 
 def test_outside_matrices_are_read_once(monkeypatch):
@@ -299,17 +327,14 @@ def test_order_layer_builds_no_fraction_matrix():
 
 
 def _made_norms(rng, n, p):
-    """A norm from the public constructor with its _vals read, and norms the package makes,
-    born with theirs."""
+    """A norm from the public constructor and norms the package makes."""
     a = fuzz.norm(rng, n=n, p=p)
-    a._vals
     return [a, act(fuzz.elementary_product(rng, n, p), a), dual(a), tensor(a, a)]
 
 
 def test_balls_read_only_their_level():
-    """Once a norm's _vals are read, ball_basis and ball_basis_open make exactly the
-    fractions.py calls of reading their level, none for an int, and chain_period, with the
-    value classes read, makes none."""
+    """ball_basis and ball_basis_open make exactly the fractions.py calls of reading their
+    level, none for an int, and chain_period, with the value classes read, makes none."""
     rng = random.Random(127)
     levels = (3, -2, "7/3", "-5/4", Fraction(11, 6), Fraction(-13, 10))
     for x in _made_norms(rng, 6, 3):
@@ -323,10 +348,11 @@ def test_balls_read_only_their_level():
 
 
 def test_class_pieces_build_one_fraction_per_key():
-    """Once a norm's _vals are read, the class count, the graded ball pieces at an int level,
-    the graded order and the refined classes each build one Fraction per returned key, which
-    the result's dict hashes once, and call nothing else in fractions.py but, from Python 3.12
-    on, the cached helper of the hash."""
+    """The class count, the graded ball pieces at an int level, the graded order and the
+    refined classes each build one Fraction per returned key, which the result's dict hashes
+    once, and call nothing else in fractions.py but, from Python 3.12 on, the cached helper of
+    the hash.  Whether the norm is a lattice norm over an extension is read off the residues,
+    with no call into fractions.py."""
     rng = random.Random(128)
     for x in _made_norms(rng, 6, 5):
         runs = [
@@ -339,6 +365,8 @@ def test_class_pieces_build_one_fraction_per_key():
             calls = _fraction_calls(lambda: keys.extend(run()))
             assert calls.pop("__new__") == calls.pop("__hash__") == len(keys)
             assert set(calls) <= {"_hash_algorithm"}
+        for e in (1, 2, 3, None):
+            assert _fraction_calls(lambda: is_lattice_norm_over(x, VirtualExtension(e))) == {}
 
 
 def test_derived_norms_build_no_values_until_read():
@@ -346,7 +374,6 @@ def test_derived_norms_build_no_values_until_read():
     call, and no values view until it is read, which builds one Fraction per value."""
     rng = random.Random(129)
     a, b = fuzz.norm(rng, n=4, p=3), fuzz.norm(rng, n=3, p=3)
-    a._vals, b._vals
     for make, want in (
         (lambda: tensor(a, b), tuple(x + y for x in a.values for y in b.values)),
         (lambda: direct_sum(a, b), a.values + b.values),
@@ -362,7 +389,7 @@ def test_derived_norms_build_no_values_until_read():
 
 def test_a_norm_document_is_written_from_integers():
     """io.norm_to_doc writes the values from _vals, one gcd per entry: no fractions.py call,
-    for a norm from the public constructor with its _vals read and for one the package made."""
+    for a norm from the public constructor and for one the package made."""
     rng = random.Random(130)
     for x in _made_norms(rng, 5, 2):
         assert _fraction_calls(lambda: io.norm_to_doc(x)) == {}

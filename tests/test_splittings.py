@@ -40,6 +40,9 @@ def test_pair_from_norm_examples():
     assert pair.lattice.matrix == oracles.identity(2)
     assert pair.weights == (F(0), F(1, 2))
     assert pair.is_canonical
+    # canonical weights lie in [0, 1): 1 and -1/3 do not
+    for weights in ((0, 1), ("-1/3", "1/2"), ("2/3", "3/2")):
+        assert not SplittingPair(STD2, weights).is_canonical
 
     tall = SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(3, 2)))
     pair = pair_from_norm(tall)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from . import base_change, building, io, linalg, norms, stabilizer
 from .errors import DocumentError, DomainError, PreconditionError
-from .valuation import FieldConfig, degree_rep, frac_part
+from .valuation import FieldConfig, degree_rep
 
 
 def _frac(s: str) -> Fraction:
@@ -120,7 +120,7 @@ def _cmd_chain(args, norm):
 def _cmd_graded_dims(args, norm):
     summary = stabilizer.graded_dims(norm)
     if args.delta is not None:
-        count = summary.class_dims.get(degree_rep(frac_part(args.delta)), 0)
+        count = summary.class_dims.get(degree_rep(args.delta), 0)
         return str(count), {"class": io.rational_str(args.delta), "dim": count}
     return _classes("classes", summary.class_dims, total=summary.total)
 

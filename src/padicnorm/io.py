@@ -68,11 +68,6 @@ def _num_den(s) -> tuple[int, int]:
     return num, den
 
 
-def parse_rational(s) -> Fraction:
-    """Read a rational written exactly as rational_str writes it."""
-    return Fraction(*_num_den(s))
-
-
 def _parse_columns(entry, n: int, what: str) -> linalg.Cleared:
     """The cleared columns of a document's matrix, each by the one rule linalg.clear."""
     if not isinstance(entry, list) or len(entry) != n:

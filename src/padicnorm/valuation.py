@@ -8,7 +8,8 @@ base-p logarithm of its multiplicative norm.  Under that convention
 * the norm of the zero vector is a bottom element below every rational,
   written "-inf" in serialized form,
 * the multiplicative interval (|p|, 1] of filtration degrees becomes
-  the additive interval (-1, 0].
+  the additive interval (-1, 0], one rule in two forms: `degree_rep`
+  for a rational and `by_degree` for residues mod q, in integers.
 
 All quantities are `fractions.Fraction`; floats never appear: every
 outside scalar passes the one gate, `linalg.to_fraction`, which says
@@ -94,36 +95,34 @@ class Value:
         return self.mag is None
 
     @staticmethod
-    def _coerce(other) -> "Value":
+    def _mag(other):  # a Value's mag, an int or Fraction as it is: no new Value or Fraction
         if isinstance(other, Value):
-            return other
+            return other.mag
         if isinstance(other, (int, Fraction)):
-            return Value(other)
-        return NotImplemented  # type: ignore[return-value]
+            return other
+        return NotImplemented
 
     def __eq__(self, other) -> bool:
-        o = self._coerce(other)
+        o = self._mag(other)
         if o is NotImplemented:
             return NotImplemented
-        return self.mag == o.mag
+        return self.mag == o
 
     def __lt__(self, other) -> bool:
-        o = self._coerce(other)
+        o = self._mag(other)
         if o is NotImplemented:
             return NotImplemented
         if self.mag is None:
-            return o.mag is not None
-        if o.mag is None:
-            return False
-        return self.mag < o.mag
+            return o is not None
+        return o is not None and self.mag < o
 
     def __add__(self, other) -> "Value":
-        o = self._coerce(other)
+        o = self._mag(other)
         if o is NotImplemented:
             return NotImplemented
-        if self.mag is None or o.mag is None:
+        if self.mag is None or o is None:
             return BOTTOM
-        return Value(self.mag + o.mag)
+        return Value(self.mag + o)
 
     __radd__ = __add__
 
@@ -138,8 +137,6 @@ class Value:
 
 
 BOTTOM = Value(None)
-# a Fraction minus an int makes two new Fractions from Python 3.12 on, minus a Fraction one
-_ONE = Fraction(1)
 
 
 # Integers longer than this many bits take the gcd kernel of `multiplicity`.
@@ -246,16 +243,11 @@ def val(x: Rational, cfg: FieldConfig) -> Value:
     return Value(Fraction(pval(x, cfg.prime)))
 
 
-def frac_part(x: Rational) -> Fraction:
-    """Representative of x modulo Z, taken in [0, 1), built as one new Fraction."""
-    x = to_fraction(x)
-    return Fraction(x.numerator % x.denominator, x.denominator)
-
-
-def degree_rep(c: Rational) -> Fraction:
-    """Map a class representative in [0, 1) to the one in (-1, 0]."""
-    c = to_fraction(c)
-    return c if c == 0 else c - _ONE
+def degree_rep(x: Rational) -> Fraction:
+    """Representative of x modulo Z in the degree interval (-1, 0], -((-num) mod den) / den,
+    built as one new Fraction from x's integers."""
+    num, den = to_fraction(x).as_integer_ratio()
+    return Fraction(-(-num % den), den)
 
 
 def by_degree(counts: dict, q: int) -> dict:

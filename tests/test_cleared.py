@@ -10,8 +10,9 @@ matrix, and neither do graded_ball_dims and homothetic, which read the
 class count and one integer slot table, nor the order layer's
 is_stabilizer_element and filtration_level: their counts of new
 Fractions stay linear in the dimension, and graded_ball_dims's in the
-number of value classes.  Building a norm reads each Fraction entry
-once, and a norm makes the row side of its slot tables once.
+number of value classes, and a Value meets the ints they test it
+against as ints.  Building a norm reads each Fraction entry once, and a
+norm makes the row side of its slot tables once.
 
 A norm's values are read once, as it is built, into _vals, integers
 over one denominator, and a pair's weights the same way.  The balls
@@ -59,7 +60,7 @@ from padicnorm.norms import (
 )
 from padicnorm.splittings import SplittingPair, pair_from_norm, translate_pair
 from padicnorm.stabilizer import chain_period, filtration_level, graded_dims, is_stabilizer_element
-from padicnorm.valuation import multiplicity
+from padicnorm.valuation import BOTTOM, Value, multiplicity
 
 import fuzz
 import oracles
@@ -324,6 +325,16 @@ def test_order_layer_builds_no_fraction_matrix():
     assert _new_fractions(lambda: is_stabilizer_element(a, g)) <= n
     assert _new_fractions(lambda: filtration_level(a, g)) <= 3 * n
     assert is_stabilizer_element(a, g)
+
+
+def test_a_value_meets_an_int_as_an_int():
+    """The order layer's tests level <= 0 and level <= -1 compare a Value with an int: they
+    make no Value of the int, so no new Fraction and no numerator or denominator read."""
+    v = Value(Fraction(-1, 2))
+    results = []
+    calls = _fraction_calls(lambda: results.extend((v <= 0, v > 0, v <= -1, v == 0, BOTTOM < -1)))
+    assert results == [True, False, False, False, True]
+    assert calls["__new__"] == calls["numerator"] == calls["denominator"] == 0
 
 
 def _made_norms(rng, n, p):

@@ -77,6 +77,10 @@ def test_frozen_lines(docs, capsys):
         # the level counts mod 1, and is echoed as given
         (("graded-dims", alpha, "--delta", "1/2"), "2\n", '{"class":"1/2","dim":2}\n'),
         (("graded-dims", alpha, "--delta", "1"), "2\n", '{"class":"1","dim":2}\n'),
+        (("graded-dims", alpha, "--delta", "3/2"), "2\n", '{"class":"3/2","dim":2}\n'),
+        (("graded-dims", alpha, "--delta=-3/2"), "2\n", '{"class":"-3/2","dim":2}\n'),
+        (("graded-dims", alpha, "--delta", "7/4"), "0\n", '{"class":"7/4","dim":0}\n'),
+        (("graded-dims", alpha, "--delta=-5"), "2\n", '{"class":"-5","dim":2}\n'),
         (("chi-weights", alpha), "0 1\n1/2 1\n", '{"weights":[["0",1],["1/2",1]]}\n'),
         (
             ("bc-dims", alpha),

@@ -24,14 +24,14 @@ def test_rational_strings():
     assert io.rational_str(F(3, 4)) == "3/4"
     assert io.rational_str(F(-1, 2)) == "-1/2"
     assert io.rational_str(F(5)) == "5"
-    assert io.parse_rational("3/4") == F(3, 4)
-    assert io.parse_rational("-7") == F(-7)
-    assert io.parse_rational("0") == F(0)
+    assert io._num_den("3/4") == (3, 4)
+    assert io._num_den("-7") == (-7, 1)
+    assert io._num_den("0") == (0, 1)
     # only the exact strings rational_str writes; an exponent must not be expanded
     for bad in (3, None, 0.5, "abc", "1/0", "", "2/4", " 3 ", "1e-3", "1_000", "+1", "-0",
                 "3/1", "1e1000000000"):
         with pytest.raises(DocumentError):
-            io.parse_rational(bad)
+            io._num_den(bad)
 
 
 # signs, leading zeros, lowest terms, zero and negative denominators, what Fraction accepts
@@ -54,10 +54,9 @@ def test_parser_agrees_with_fraction():
         want = oracles.canonical_rational(s)
         if want is None:
             with pytest.raises(DocumentError, match="^not a canonical rational: "):
-                io.parse_rational(s)
+                io._num_den(s)
         else:
-            got = io.parse_rational(s)
-            assert got == want and type(got) is Fraction, s
+            assert io._num_den(s) == want.as_integer_ratio(), s
             accepted += 1
     assert accepted > 5000
 

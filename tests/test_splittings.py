@@ -15,7 +15,6 @@ from padicnorm.splittings import (
     translate_pair,
     verify_splitting,
 )
-from padicnorm.valuation import frac_part
 
 import fuzz
 import oracles
@@ -62,7 +61,7 @@ def test_round_trips():
         assert pair.is_canonical
         assert equals(norm_from_pair(pair), nrm)
         # weight classes match the norm's value classes as multisets
-        assert Counter(pair.weights) == Counter(frac_part(a) for a in nrm.values)
+        assert Counter(pair.weights) == Counter(a % 1 for a in nrm.values)
         again = pair_from_norm(norm_from_pair(pair))
         assert lattices_equal(again.lattice, pair.lattice)
         assert Counter(again.weights) == Counter(pair.weights)

@@ -1,6 +1,7 @@
 """Every name the benchmark tracer wraps exists: the tracer skips a name it cannot find,
 so a rename under src/ would only zero a per-layer metric without this check.  The
-Fraction views of linalg stay only while the benchmark reads them."""
+Fraction views of linalg stay only while the benchmark reads them, and every public name
+of the package has a reader outside the tests."""
 
 import ast
 import importlib
@@ -11,6 +12,7 @@ from pathlib import Path
 from padicnorm import FieldConfig, SplitNorm, norms
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "padicnorm"
 TRACING = ROOT / "perfbench" / "tracing.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 VIEWS = ("matmul", "matvec", "kron", "det", "inverse")
@@ -60,7 +62,36 @@ def _called(path: Path) -> set[str]:
 def test_the_fraction_views_stay_only_for_the_benchmark():
     # no module of the package calls linalg's Fraction views; each stays while the tracer
     # wraps it or a workload calls it, and may leave when neither does
-    package = set().union(*map(_called, (ROOT / "src" / "padicnorm").glob("*.py")))
+    package = set().union(*map(_called, SRC.glob("*.py")))
     assert package.isdisjoint(VIEWS)
     read = set(_tracing().LAYERS["linalg"]) | _called(WORKLOADS)
     assert [name for name in VIEWS if name not in read] == []
+
+
+def _referenced(path: Path) -> set[str]:
+    """Every name a module reads: a bare name, or an attribute's last part."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_reader():
+    # a module-level def or class without a leading underscore is read by a module of the
+    # package, exported, wrapped by the tracer or read by the benchmark; a name only the
+    # tests read is a second implementation that nothing else uses
+    read = set().union(*map(_referenced, [*SRC.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]))
+    read |= set(importlib.import_module("padicnorm").__all__)
+    layers = _tracing().LAYERS
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if node.name in read or node.name in layers.get(path.stem, ()):
+                continue
+            unread.append(f"{path.stem}.{node.name}")
+    assert unread == []

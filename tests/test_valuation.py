@@ -16,7 +16,6 @@ from padicnorm.valuation import (
     _bracket_exponent,
     _is_prime,
     degree_rep,
-    frac_part,
     multiplicity,
     pval,
 )
@@ -74,6 +73,7 @@ def test_value_ordering():
     assert BOTTOM < Value(Fraction(-10**9))
     assert not BOTTOM < BOTTOM
     assert BOTTOM == Value(None)
+    assert Value(1) == 1 == True
     assert Value(Fraction(1, 2)) == Fraction(1, 2)
     assert Value(Fraction(1, 2)) < 1
     assert Value(Fraction(1, 2)) <= Fraction(1, 2)
@@ -84,18 +84,18 @@ def test_value_ordering():
 def test_values_compare_only_with_numbers():
     # a Value orders and adds with Values, ints and Fractions; anything else is refused
     for v in (Value(Fraction(1, 2)), BOTTOM):
-        for other in ("1", None, [1], 1.5):
+        for other in ("1", "x", None, [1], 1.5, 0.5):
             for op in (operator.lt, operator.le, operator.gt, operator.ge, operator.add):
                 with pytest.raises(TypeError):
                     op(v, other)
                 with pytest.raises(TypeError):
                     op(other, v)
-            assert v != other
+            assert v != other and (v == other) is False
 
 
 def test_values_hash_and_print():
     # equal values hash equal, so a Value, bottom included, works as a dict key
-    assert hash(Value(1)) == hash(Value(Fraction(2, 2)))
+    assert hash(Value(1)) == hash(Value(Fraction(2, 2))) == hash(1)
     assert hash(Value(None)) == hash(BOTTOM)
     table = {BOTTOM: "bottom", Value(Fraction(1, 2)): "half"}
     assert table[Value(None)] == "bottom" and table[Value(Fraction(2, 4))] == "half"
@@ -109,6 +109,9 @@ def test_value_addition_absorbs_bottom():
     assert (Value(Fraction(5)) + BOTTOM).is_bottom
     assert Value(Fraction(1, 2)) + Fraction(1, 2) == Value(Fraction(1))
     assert Fraction(1, 2) + Value(Fraction(1, 2)) == Value(Fraction(1))
+    half = 1 + Value(Fraction(-1, 2))
+    assert type(half) is Value and type(half.mag) is Fraction and half == Value(Fraction(1, 2))
+    assert (Value(Fraction(-1, 2)) + BOTTOM).is_bottom and (BOTTOM + 1).is_bottom
 
 
 def test_floats_are_refused():
@@ -116,7 +119,6 @@ def test_floats_are_refused():
     for call in (
         lambda: Value(0.1),
         lambda: val(0.1, CFG2),
-        lambda: frac_part(0.5),
         lambda: degree_rep(0.5),
     ):
         with pytest.raises(TypeError, match="floats are not exact"):
@@ -129,13 +131,15 @@ def test_value_immutable():
         v.mag = Fraction(2)
 
 
-def test_frac_part_and_degree_rep():
-    assert frac_part(Fraction(3, 2)) == Fraction(1, 2)
-    assert frac_part(Fraction(-1, 3)) == Fraction(2, 3)
-    assert frac_part(5) == 0
+def test_degree_rep_examples():
     assert degree_rep(Fraction(0)) == 0
     assert degree_rep(Fraction(1, 2)) == Fraction(-1, 2)
     assert degree_rep(Fraction(2, 3)) == Fraction(-1, 3)
+    # any rational, not only a representative in [0, 1)
+    assert degree_rep(Fraction(3, 2)) == Fraction(-1, 2)
+    assert degree_rep(Fraction(-1, 3)) == Fraction(-1, 3)
+    assert degree_rep(5) == 0
+    assert degree_rep(Fraction(-7, 3)) == Fraction(-1, 3)
 
 
 def naive_pval(x: Fraction, p: int) -> int:
@@ -179,7 +183,9 @@ def test_degree_rep_lands_in_the_degree_interval():
     rng = random.Random(2003)
     for _ in range(300):
         d = Fraction(rng.randint(-30, 30), rng.randint(1, 12))
-        assert (-1 < d <= 0) == (degree_rep(frac_part(d)) == d)
+        rep = degree_rep(d)
+        assert (-1 < d <= 0) == (rep == d)
+        assert -1 < rep <= 0 and (rep - d).denominator == 1
 
 
 def test_val_is_a_valuation():

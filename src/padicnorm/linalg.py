@@ -18,8 +18,10 @@ times_cleared, kron_cleared, block_cleared, inverse_rows, an in-place
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
 from cleared columns to cleared rows, updating n entries per row and
 step, and det_cleared, its forward half on integer columns.
-nonsingular_mod runs forward elimination modulo the prime 2^61 - 1 on
-word-sized residues: a nonzero determinant there proves invertibility.
+nonsingular_mod runs forward elimination modulo a prime q on integer
+columns: with q the word-sized 2^61 - 1, its default, a nonzero
+determinant there proves invertibility, and with q = p it decides a
+matrix of residues over F_p.
 The Fraction functions matmul, matvec, kron, det and inverse are
 views of the kernels, and no module of the package calls them: each
 reads its input through cleared and its result back as Fractions.
@@ -40,7 +42,7 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 Vector = tuple[Fraction, ...]
 Cleared = list[tuple[list[int], int]]
 
-# the modulus of nonsingular_mod, a Mersenne prime: residues fit a machine word
+# the default modulus of nonsingular_mod, a Mersenne prime: residues fit a machine word
 CERTIFICATE_PRIME = 2**61 - 1
 
 
@@ -253,13 +255,14 @@ def det_cleared(cols: list[list[int]]) -> int:
     return sign * prev
 
 
-def nonsingular_mod(cols: Cleared) -> bool:
-    """Is det C nonzero modulo q = CERTIFICATE_PRIME, for the cleared columns (c_j, e_j) of
-    M = C diag(1/e)?  True proves M invertible, as det C != 0 mod q implies det C != 0; False
-    decides nothing, and the exact inverse_rows must decide.  Forward elimination on C^T
-    mod q: a row update scales the row by the pivot, a unit mod q, so no inverse is taken."""
-    q = CERTIFICATE_PRIME
-    rows = [[x % q for x in c] for c, _ in cols]
+def nonsingular_mod(cols: list[list[int]], q: int = CERTIFICATE_PRIME) -> bool:
+    """Is det C nonzero modulo the prime q, for the integer columns c_j of C?  With the
+    default q, the word-sized Mersenne prime CERTIFICATE_PRIME, True proves C invertible, as
+    det C != 0 mod q implies det C != 0, and False decides nothing: the exact det_cleared or
+    inverse_rows must decide.  With q = p it decides whether a matrix of residues mod p is
+    invertible over F_p.  Forward elimination on C^T mod q: a row update scales the row by
+    the pivot, a unit mod q, so no inverse is taken."""
+    rows = [[x % q for x in c] for c in cols]
     n = len(rows)
     for k in range(n):
         pivot = next((r for r in range(k, n) if rows[r][k]), None)

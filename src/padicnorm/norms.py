@@ -11,18 +11,22 @@ All operations keep this presentation; no other representation of a
 norm exists in the package.
 
 Equality is one splitting test, _fit: do given columns c_1, ..., c_n
-split a norm x?  By the ultrametric inequality the norm taking each
-c_j to x(c_j) dominates x.  Two split norms share a splitting basis
-(Goldman and Iwahori, Acta Math. 109, 1963), and in it domination is
-value by value; so the two are equal exactly when the sums agree, that
-is when they give e_1 ^ ... ^ e_n the same size, their volume.  _fit
-reads the sizes x(c_j) and the volume from one slot table of x^-1 C and
-its determinant, and inverts only x.  equals(a, b) asks that a's
-columns split b at a's values; homothetic, apartment_coords and
-verify_splitting ask the same of the columns they hold.  The common
-basis's second check asks it of B @ combo, b's columns times the column
-operations: its slot table against b is combo itself, so b is not
-inverted.
+split a norm x?  The lattice chain of x has graded pieces, one vector
+space over F_p per value class, and a vector has a leading term in the
+piece of its size's class, read off the coordinates that attain the
+size.  The columns split x exactly when their leading terms are
+independent (Goldman and Iwahori, Acta Math. 109, 1963): every class
+holds as many columns as x has values in it, and each class's square
+block of leading residues is nonsingular mod p.  _fit reads the sizes
+x(c_j) and the residues from one slot table of x^-1 C and inverts only
+x; only columns that do not split are told singular from not split, by
+a determinant modulo a fixed prime, and by the exact one only when that
+vanishes.
+equals(a, b) asks that a's columns split b at a's values; homothetic,
+apartment_coords and verify_splitting ask the same of the columns they
+hold.  The common basis's second check asks it of B @ combo, b's
+columns times the column operations: its slot table against b is combo
+itself, so b is not inverted.
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination by column operations alone.  Column
@@ -258,7 +262,7 @@ def _proven(frame: _Frame) -> _Frame:
     """The frame, proven invertible by linalg.nonsingular_mod, a determinant modulo a fixed
     prime; only a determinant that vanishes there is decided by the exact inverse, which
     raises SingularMatrixError for a singular frame and is kept."""
-    if not linalg.nonsingular_mod(frame._cols):
+    if not linalg.nonsingular_mod([c for c, _ in frame._cols]):
         frame._inv_rows
     return frame
 
@@ -400,17 +404,19 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     on a src-splitting column.
     """
     _check_compatible(src, dst)
-    return _op_size(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
+    w, scale = _op_size(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
+    return BOTTOM if w is None else Value(Fraction(w, scale))
 
 
-def _op_size(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> Value:
-    """op_size of the map with these cleared columns, None for the identity: the greatest
-    weight of the _slot_table of dst's rows and h's columns times src's, in one scan."""
+def _op_size(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> tuple[int | None, int]:
+    """op_size of the map with these cleared columns, None for the identity, in integers: (w,
+    scale), w / scale the greatest weight of the _slot_table of dst's rows and h's columns
+    times src's, read in one scan, and w None at h = 0."""
     image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
     p = src.cfg.prime
     row_w, col_w, table, _, scale = _slot_table(dst._row_side, src._vals, image, p)
     best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
-    return BOTTOM if best is None else Value(Fraction(best[0], scale))
+    return (None if best is None else best[0]), scale
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -479,28 +485,55 @@ def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
 
 
 def _fit(x: SplitNorm, cols: Cleared, vals) -> tuple[list[int], int] | None:
-    """Do the cleared columns c_j split x?  When they do, (t, scale), with t_j = scale *
-    (x(c_j) - values[j]) the excess of column j, values cleared as vals, read by _fit_table
-    from the _slot_table of x^-1 C; None when they do not.  Only x is inverted; a singular C
-    raises SingularMatrixError."""
+    """Do the cleared columns c_j split x, their leading terms independent in its graded
+    pieces?  When they do, (t, scale), with t_j = scale * (x(c_j) - values[j]) the excess of
+    column j, values cleared as vals, read by _fit_table from the _slot_table of x^-1 C; None
+    when they do not.  Only x is inverted; a singular C raises SingularMatrixError."""
     p = x.cfg.prime
     return _fit_table(_slot_table(x._row_side, vals, cols, p), p)
 
 
 def _fit_table(slots, p: int) -> tuple[list[int], int] | None:
-    """_fit read from the given _slot_table of x^-1 C.  The norm taking c_j to values[j] +
-    t_j / scale dominates x, so it is x exactly when the two volumes agree (see the module
-    docstring), read from the determinant of the same table."""
+    """_fit read from the given _slot_table of x^-1 C: the columns split x exactly when their
+    leading terms are independent in the graded pieces (_graded), and no determinant is
+    taken.  Columns that do not split are told not split (None) from singular (raises) as
+    _proven tells a frame: by linalg.nonsingular_mod at its fixed prime, and only when that
+    vanishes by the exact det_cleared."""
     row_w, col_w, table, _, scale = slots
     tops = [_heaviest(row_w, col_w, table, scale, p, (j,)) for j in range(len(table))]
-    det = linalg.det_cleared(table) if all(tops) else 0
-    if not det:
-        raise SingularMatrixError("matrix is singular")
-    t = [w for w, _, _ in tops]
-    # scale times the volume of x less that of the norm taking c_j to values[j]: the volume
-    # of a norm is the sum of its values plus v(det) of its basis
-    gap = sum(row_w) - sum(col_w) - scale * multiplicity(det, p)
-    return (t, scale) if gap == sum(t) else None
+    t = [top[0] for top in tops if top]  # a zero column has no weight, and leaves t short
+    if len(t) == len(table) and _graded(row_w, col_w, table, t, scale, p):
+        return t, scale
+    if linalg.nonsingular_mod(table) or linalg.det_cleared(table):
+        return None
+    raise SingularMatrixError("matrix is singular")
+
+
+def _graded(row_w, col_w, table, t, scale: int, p: int) -> bool:
+    """Are the leading terms of the columns independent in the graded pieces of x, a vector
+    space over F_p per value class (Goldman and Iwahori, Acta Math. 109, 1963)?  Row i lies in
+    the class row_w[i] % scale and column j, whose size is attained there, in (t[j] + col_w[j])
+    % scale.  They are when every class holds as many columns as rows and the class's block
+    of leading residues is nonsingular mod p.  Slot (i, j), holding x_ij, would weigh t[j] at
+    valuation k = (row_w[i] - col_w[j] - t[j]) / scale, and as no slot of column j weighs more,
+    v(x_ij) >= k: its leading residue x_ij / p^k mod p is nonzero exactly when it attains
+    t[j], and is 0 when k < 0.  A block of one row is nonsingular, as its one slot attains."""
+    classes: dict[int, tuple[list[int], list[int]]] = {}
+    for i, w in enumerate(row_w):
+        classes.setdefault(w % scale, ([], []))[0].append(i)
+    for j, w in enumerate(t):
+        classes[(w + col_w[j]) % scale][1].append(j)  # the class of the row that attains t[j]
+    if any(len(rows) != len(cols) for rows, cols in classes.values()):
+        return False
+    for rows, cols in classes.values():
+        if len(rows) > 1:
+            block = []
+            for j in cols:
+                ks = [(row_w[i] - col_w[j] - t[j]) // scale for i in rows]
+                block.append([table[j][i] // p**k % p if k >= 0 else 0 for i, k in zip(rows, ks)])
+            if not linalg.nonsingular_mod(block, p):
+                return False
+    return True
 
 
 def equals(a: SplitNorm, b: SplitNorm) -> bool:

@@ -75,10 +75,11 @@ def hom_norm(norm: SplitNorm, h) -> Value:
     return op_size(norm, norm, h)
 
 
-def _level(norm: SplitNorm, g) -> Value | None:
-    """hom_norm(g - 1), from g cleared once; None when det g is not a p-adic unit, which
-    decides before any product is built.  g must be n x n, checked before it must be
-    invertible."""
+def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
+    """hom_norm(g - 1) in integers, (w, scale) as _op_size gives it, from g cleared once, with
+    bottom, at g = 1, as w = -scale: the level is bottom at or below -1 alike.  None when det
+    g is not a p-adic unit, which decides before any product is built.  g must be n x n,
+    checked before it must be invertible."""
     g_cols = linalg.cleared_square(g, norm.dim)
     d = linalg.det_cleared([c for c, _ in g_cols])
     if d == 0:
@@ -88,7 +89,8 @@ def _level(norm: SplitNorm, g) -> Value | None:
         return None  # the determinant alone refuses g: det g = det C / prod e_j
     for j, (c, e) in enumerate(g_cols):
         c[j] -= e  # column j of g - 1: e_j over the denominator e holds e in row j
-    return _op_size(norm, norm, g_cols)
+    w, scale = _op_size(norm, norm, g_cols)
+    return (-scale if w is None else w), scale
 
 
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:
@@ -100,7 +102,7 @@ def is_stabilizer_element(norm: SplitNorm, g) -> bool:
     singular one.
     """
     level = _level(norm, g)
-    return level is not None and level <= 0
+    return level is not None and level[0] <= 0
 
 
 def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
@@ -160,6 +162,7 @@ def filtration_level(norm: SplitNorm, g) -> Value:
     the interval (-1, 0].
     """
     level = _level(norm, g)
-    if level is None or level > 0:
+    if level is None or level[0] > 0:
         raise PreconditionError("filtration level requires a stabilizer element")
-    return BOTTOM if level <= -1 else level
+    w, scale = level
+    return BOTTOM if w <= -scale else Value(Fraction(w, scale))

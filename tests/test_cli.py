@@ -87,6 +87,12 @@ def test_frozen_lines(docs, capsys):
             "kernel=2 centralizer=2 total=4\n",
             '{"centralizer":2,"kernel":2,"total":4}\n',
         ),
+        # index 1 refines no class: alpha's two classes stay apart, and it is no lattice norm
+        (
+            ("bc-dims", alpha, "--ram-index", "1"),
+            "ram_index=1 classes=[0:1 1/2:1] lattice_norm=false\n",
+            '{"classes":[["0",1],["1/2",1]],"lattice_norm":false,"ram_index":1}\n',
+        ),
         (
             ("bc-dims", alpha, "--ram-index", "2"),
             "ram_index=2 classes=[0:2] lattice_norm=true\n",

@@ -168,6 +168,8 @@ def test_norm_doc_check_order():
         ({"basis": untyped, "values": ["0", 2]}, "rational entries must be strings, got 1"),
         ({"basis": [["1", "1"]], "values": "0"}, "values must be an array of 2 rationals"),
     ]
+    # a prime that is no int is refused by the document reader, before FieldConfig reads it
+    cases += [({"prime": prime}, "prime must be an integer") for prime in ("3", True, 3.0, None)]
     for changes, message in cases:
         with pytest.raises(DocumentError) as exc:
             io.norm_from_doc({**good, **changes})

@@ -284,3 +284,19 @@ def test_large_inverse_round_trip():
         m = _random_matrix(rng, n)
         assert linalg.det(m) != 0
         assert linalg.matmul(m, linalg.inverse(m)) == oracles.identity(n)
+
+
+def test_nonsingular_mod_reads_the_determinant_mod_q():
+    # the modulus is any prime q: small residues, p itself, or the default 2^61 - 1, where a
+    # determinant divisible by q reads as singular and decides nothing
+    rng = random.Random(18)
+    q = linalg.CERTIFICATE_PRIME
+    for n in (0, 1, 2, 3, 5):
+        for _ in range(12):
+            cols = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            d = int(sympy.Matrix(n, n, [x for c in cols for x in c]).det()) if n else 1
+            for p in (2, 3, 5):
+                assert linalg.nonsingular_mod(cols, p) is (d % p != 0)
+            assert linalg.nonsingular_mod(cols) is (d != 0)
+    assert not linalg.nonsingular_mod([[q, 0], [0, 1]])
+    assert linalg.nonsingular_mod([[q, 0], [0, 1]], 3)

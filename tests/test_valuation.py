@@ -56,8 +56,9 @@ def test_large_prime_validation():
     start = time.perf_counter()
     FieldConfig(1000000000000000003)
     assert time.perf_counter() - start < 1
-    # strong pseudoprimes to the first few bases, and a Carmichael number
-    for bad in (561, 2047, 3215031751, 3825123056546413051, 1000000000000000001):
+    # strong pseudoprimes to the first few bases, and Carmichael numbers: 1152271 = 43 * 127 *
+    # 211, 3 mod 4 and with no factor among the bases, passes a Fermat test to every base
+    for bad in (561, 2047, 3215031751, 3825123056546413051, 1000000000000000001, 1152271):
         with pytest.raises(PreconditionError):
             FieldConfig(bad)
     # the first strong pseudoprime to all 13 bases marks the proven limit

@@ -1,17 +1,24 @@
 """Equality as one splitting test.
 
 equals, homothetic, apartment_coords and verify_splitting ask whether
-given columns split a norm, from a single slot table and its
-determinant: the columns at their sizes dominate the norm, and then
-split it exactly when the two give e_1 ^ ... ^ e_n the same size.  Here
-they are held against the independent ball oracle, against the parent
-definitions (two dominations; the frame with the sizes of its columns),
-and against the count of inverses they may take: only the norm measured
-against is inverted, and no basis built only to be checked.
+given columns split a norm, from a single slot table: the columns split
+it exactly when their leading terms are independent in the graded
+pieces, value class by value class, over F_p.  Only columns that do not
+split are told singular from not split, by a determinant modulo a fixed
+prime, and only if that vanishes by the exact one.  Here they are held
+against the independent ball oracle, with sizes from sympy's inverse,
+on split, non-split and singular columns and on classes of several
+values; against the parent definitions (two dominations; the frame with
+the sizes of its columns); against the count of inverses they may take,
+as only the norm measured against is inverted, and no basis built only
+to be checked; and against the count of exact determinants, none on
+nonsingular columns.
 """
 
+import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
@@ -20,6 +27,7 @@ from padicnorm.building import apartment_coords, cartan_position, homothetic
 from padicnorm.errors import SingularMatrixError
 from padicnorm.splittings import SplittingPair, norm_from_pair, pair_from_norm, verify_splitting
 from padicnorm.norms import (
+    _fit,
     act,
     ball_basis,
     common_splitting_basis,
@@ -117,7 +125,7 @@ def test_singular_bases_and_frames_are_refused():
         for p in fuzz.PRIMES:
             b = fuzz.norm(rng, n, p)
             cols = list(linalg.transpose(b.basis))
-            # a zero column: every other slot weighs 0, so b <= a, and the volume is undefined
+            # a zero column: it has no size and no leading term
             zero = linalg.transpose([(0,) * n] + cols[1:])
             a = SplitNorm(b.cfg, n, zero, b.values)
             # a repeated column, with values high enough that b <= a
@@ -203,3 +211,120 @@ def test_only_the_measuring_norm_is_inverted(monkeypatch):
             calls.clear()
             run(first, second)
             assert calls == [first._cols]
+
+
+def _oracle_sizes(x, frame):
+    """The size under x of each column of frame, from sympy's inverse of x's basis."""
+    inv, p = oracles.inverse(x.basis), x.cfg.prime
+    sizes = []
+    for col in zip(*frame):
+        coords = [sum(map(mul, row, map(F, col))) for row in inv]
+        sizes.append(max(a - oracles.valuation(c, p) for a, c in zip(x.values, coords) if c))
+    return sizes
+
+
+def _classed_norm(rng, p):
+    """A 5-dim norm whose values fall in two classes, of two and of three values."""
+    c = F(rng.randint(1, 5), 6)
+    values = [F(rng.randint(-2, 2)) for _ in range(2)] + [c + rng.randint(-2, 2) for _ in range(3)]
+    rng.shuffle(values)
+    return SplitNorm(FieldConfig(p), 5, fuzz.invertible(rng, 5), tuple(values))
+
+
+def _frames(rng, x):
+    """(kind, frame) around x's basis B, values a: split (a stabilizer element times B);
+    parallel, two columns B_i + p^m B_j and B_i + (1 + p) p^m B_j of one class, m = a_j - a_i,
+    whose leading terms agree mod p; crowded, B_j pushed into the class of a_i as B_i + p^k
+    B_j, one column more than rows there; singular, a repeated and a zero column; and random."""
+    n, p, a = x.dim, x.cfg.prime, x.values
+    cols = [list(c) for c in linalg.transpose(x.basis)]
+    frames = [("split", act(fuzz.stabilizer_element(rng, x), x).basis)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    same = [(i, j) for i, j in pairs if (a[j] - a[i]).denominator == 1]
+    other = [(i, j) for i, j in pairs if (a[j] - a[i]).denominator != 1]
+    if same:
+        i, j = rng.choice(same)
+        m = int(a[j] - a[i])
+        frame = [list(c) for c in cols]
+        frame[i] = [u + F(p) ** m * v for u, v in zip(cols[i], cols[j])]
+        frame[j] = [u + (1 + p) * F(p) ** m * v for u, v in zip(cols[i], cols[j])]
+        frames.append(("parallel", linalg.transpose(frame)))
+    if other:
+        i, j = rng.choice(other)
+        k = math.ceil(a[j] - a[i]) + rng.randint(1, 2)
+        frame = [list(c) for c in cols]
+        frame[j] = [u + F(p) ** k * v for u, v in zip(cols[i], cols[j])]
+        frames.append(("crowded", linalg.transpose(frame)))
+    if n > 1:
+        i, j = rng.sample(range(n), 2)
+        for col in (cols[j], [0] * n):
+            frame = [list(c) for c in cols]
+            frame[i] = col
+            frames.append(("singular", linalg.transpose(frame)))
+    frames.append(("random", fuzz.invertible(rng, n)))
+    return frames
+
+
+def _fit_cases(rng):
+    for _ in range(6):
+        for p in fuzz.PRIMES:
+            for x in (_classed_norm(rng, p), fuzz.norm(rng, rng.randint(1, 5), p, max_den=2)):
+                for kind, frame in _frames(rng, x):
+                    yield kind, x, frame, fuzz.values(rng, x.dim, 3)
+
+
+def test_fit_matches_the_oracles():
+    seen = {}
+    for kind, x, frame, vals in _fit_cases(random.Random(155)):
+        fit = lambda: _fit(_fresh(x), linalg.cleared(frame), linalg.cleared_vector(vals))
+        if oracles.det(frame) == 0:
+            with pytest.raises(SingularMatrixError, match="matrix is singular"):
+                fit()
+            outcome = "singular"
+        else:
+            sizes = _oracle_sizes(x, frame)
+            if oracles.balls_equal(SplitNorm(x.cfg, x.dim, frame, sizes), x):
+                t, scale = fit()
+                assert [F(w, scale) for w in t] == [s - v for s, v in zip(sizes, vals)]
+                outcome = "split"
+            else:
+                assert fit() is None
+                outcome = "not split"
+        seen.setdefault(kind, set()).add(outcome)
+    assert seen == {
+        "split": {"split"},
+        "parallel": {"not split"},
+        "crowded": {"not split"},
+        "singular": {"singular"},
+        "random": {"split", "not split"},
+    }
+
+
+def test_equality_takes_no_exact_determinant(monkeypatch):
+    rng = random.Random(156)
+    cases = []
+    for n in range(2, 7):
+        for p in fuzz.PRIMES:
+            for a in (fuzz.norm(rng, n, p), fuzz.integer_norm(rng, n, p)):
+                same = act(fuzz.stabilizer_element(rng, a), a)
+                # unequal norms: one value moved, and all moved by 1/2, split by a's columns
+                values = list(same.values)
+                values[rng.randrange(n)] += rng.choice((-1, 1))
+                unequal = (_fresh(same, tuple(values)), _shifted(same, F(1, 2)))
+                span = fuzz.span_matrix(rng, n, rng.randint(1, n - 1))
+                cases.append((a, same, unequal, fuzz.norm(rng, n, p), span))
+    calls = []
+    kernel = linalg.det_cleared
+    monkeypatch.setattr(linalg, "det_cleared", lambda cols: calls.append(cols) or kernel(cols))
+    for a, same, unequal, other, span in cases:
+        assert equals(_fresh(a), _fresh(same))
+        assert not any(equals(_fresh(a), _fresh(b)) for b in unequal)
+        common_splitting_basis(_fresh(a), _fresh(other))
+        restrict(_fresh(a), span)
+    assert calls == []
+    # a determinant the fixed prime q divides is the one nonsingular case read exactly: the
+    # columns (1, 1) and (1, 1 + 2q) do not split the unit norm at p = 2, and det = 2q
+    q = linalg.CERTIFICATE_PRIME
+    x = SplitNorm(FieldConfig(2), 2, oracles.identity(2), (F(0), F(0)))
+    assert apartment_coords(x, ((1, 1), (1, 1 + 2 * q))) is None
+    assert len(calls) == 1

@@ -84,16 +84,30 @@ elimination runs on the table itself, the product with each row scaled
 by its denominator, which the row's weight absorbs and column operations
 commute with.
 
+A map of rank one needs no table.  Hom(V, W) = V^dual (x) W carries the
+tensor norm, whose value on a pure tensor is the sum of its factors'
+sizes: for h = u phi, M_ij is coordinate i of u in the e's times
+coordinate j of phi in the dual basis of the c's, so the greatest slot
+weight is dst(u) + dual(src)(phi).  _op_size reads such an h as these
+two vector sizes: the dual's inverse rows are src's own columns, so
+nothing is inverted and no product is built.  Root-group elements
+1 + t E_ji conjugated by the splitting basis, whose g - 1 has rank one,
+are sized so in membership and the level.  _rank_one tells h from a map
+of higher rank at the first entry of the first column that is not a
+multiple of its first nonzero one.
+
 A slot is valued only when it can win, in three steps: its bound
 a_i - b_j, the weight at valuation 0, must beat the best weight so far;
 then, k valuation steps above it, one remainder mod p^k must be nonzero
-(_gain); only then is the valuation taken.  _heaviest reads a table in
-this order for _fit_table, _monomialize and _op_size, the one scan of
-op_size and hom_norm, and of membership and the level as _op_size of
-g - 1; no other module reads a slot table.  evaluate builds no table:
-it computes its one column on demand, row by row in the norm's
-_row_order, heaviest first, made once beside _row_side, and stops at
-the first row whose bound cannot win.
+(_gain); only then is the valuation taken.  _heaviest reads a whole
+table in this order, for _monomialize and for the one scan of op_size
+and hom_norm, and of membership and the level as _op_size of g - 1, on
+any map not of rank one; no other module reads a slot table.  _size
+reads one column, rows heaviest first in a _descending order, and stops
+at the first row whose bound cannot win: _fit_table reads each column
+of its table so, and evaluate and the two sizes of a rank-one map
+compute their one column on demand, in a norm's _row_order or its
+_dual_side, each made once beside _row_side.
 """
 
 from __future__ import annotations
@@ -196,7 +210,16 @@ class SplitNorm(_Frame):
     def _row_order(self) -> list[int]:
         """The rows by descending weight in _row_side, ties in row order: evaluate reads them
         in this order.  Made once, beside the row side, and copied with it."""
-        return sorted(range(self.dim), key=self._row_side[1].__getitem__, reverse=True)
+        return _descending(self._row_side[1])
+
+    @cached_property
+    def _dual_side(self):
+        """(side, order): the row side of dual(self) and its _descending order, which size
+        the covector of a rank-one map.  The dual's inverse rows are this norm's columns, so
+        nothing is inverted; made once, and copied with the norm."""
+        ints, den = self._vals
+        side = _row_side_of(([-a for a in ints], den), self._cols, self.cfg.prime)
+        return side, _descending(side[1])
 
     @cached_property
     def _residues(self) -> list[tuple[int, int]]:
@@ -299,28 +322,42 @@ def _check_compatible(a: SplitNorm, b: SplitNorm) -> None:
 
 def evaluate(norm: SplitNorm, v) -> Value:
     """Size of a vector, bottom at the zero vector: the greatest weight of the one column of
-    the slot table of B^-1 v, computed on demand.  The vector is cleared once, as integers
-    over e.  Row i is read in the norm's _row_order, heaviest first: its coordinate, a dot
-    product, is computed only while its bound row_w[i] + scale * v(e) beats the best weight
-    so far, and the first row whose bound does not ends the search, as no later bound is
-    greater.  Then _gain takes the p^k test, and the valuation only of a coordinate that wins."""
+    the slot table of B^-1 v, computed on demand by _size from the vector cleared once, as
+    integers over e."""
     ints, e = linalg.cleared_vector(v)
     if len(ints) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(ints)}, norm has dim {norm.dim}")
-    rows, row_w, scale = norm._row_side
-    p = norm.cfg.prime
-    shift = scale * multiplicity(e, p)
+    side, p = norm._row_side, norm.cfg.prime
+    best = _size(side, norm._row_order, ints, side[2] * multiplicity(e, p), p)
+    return BOTTOM if best is None else Value(Fraction(best, side[2]))
+
+
+def _size(side, order, ints, shift: int, p: int) -> int | None:
+    """The greatest weight of one column of a slot table, None if it is 0: the column of the
+    cleared rows of the row side side = (rows, row_w, scale) times the integers ints, whose
+    entry x_i, the dot product of row i and ints, weighs row_w[i] + shift - scale * v(x_i);
+    rows None stands for the unit rows, and ints is the column itself.  Row i is read in
+    order, which descends in row_w, heaviest first: x_i is computed only while its bound
+    row_w[i] + shift beats the best weight so far, and the first row whose bound does not
+    ends the search, as no later bound is greater.  Then _gain takes the p^k test, and the
+    valuation only of an entry that wins."""
+    rows, row_w, scale = side
     best = None
-    for i in norm._row_order:
+    for i in order:
         top = row_w[i] + shift
         if best is not None and top <= best:
             break
-        x = sum(map(mul, rows[i][0], ints))
+        x = ints[i] if rows is None else sum(map(mul, rows[i][0], ints))
         if x:
             w = _gain(x, top, best, scale, p)
             if w is not None:
                 best = w
-    return BOTTOM if best is None else Value(Fraction(best, scale))
+    return best
+
+
+def _descending(row_w) -> list[int]:
+    """The rows by descending weight, ties in row order: the order _size reads them in."""
+    return sorted(range(len(row_w)), key=row_w.__getitem__, reverse=True)
 
 
 def _gain(x: int, top: int, best: int | None, scale: int, p: int) -> int | None:
@@ -401,7 +438,9 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     The least s with dst(h v) <= src(v) + s for every v, bottom at h = 0:
     the maximum weight over the slots of M = dst.inv_basis @ h @ src.basis
     (module docstring), as by the ultrametric inequality it is attained
-    on a src-splitting column.
+    on a src-splitting column.  It is the size of h in the tensor norm
+    of dual(src) and dst, so a map h = u phi of rank one has size
+    dst(u) + dual(src)(phi), and is read as those two vector sizes.
     """
     _check_compatible(src, dst)
     w, scale = _op_size(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
@@ -411,12 +450,44 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
 def _op_size(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> tuple[int | None, int]:
     """op_size of the map with these cleared columns, None for the identity, in integers: (w,
     scale), w / scale the greatest weight of the _slot_table of dst's rows and h's columns
-    times src's, read in one scan, and w None at h = 0."""
-    image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
+    times src's, and w None at h = 0.  A map h = u phi of rank one is read as dst(u) +
+    dual(src)(phi), two _size calls and no product (module docstring); any other map in one
+    scan of the table."""
     p = src.cfg.prime
-    row_w, col_w, table, _, scale = _slot_table(dst._row_side, src._vals, image, p)
-    best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
-    return (None if best is None else best[0]), scale
+    pure = None if h_cols is None else _rank_one(h_cols)
+    if pure is None:
+        image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
+        row_w, col_w, table, _, scale = _slot_table(dst._row_side, src._vals, image, p)
+        best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
+        return (None if best is None else best[0]), scale
+    s_dst, s_src = dst._vals[1], src._vals[1]
+    scale = math.lcm(s_dst, s_src)
+    u, (ints, den) = pure
+    side, order = src._dual_side
+    w_u = _size(dst._row_side, dst._row_order, u, 0, p)
+    w_phi = _size(side, order, ints, s_src * multiplicity(den, p), p)
+    return w_u * (scale // s_dst) + w_phi * (scale // s_src), scale
+
+
+def _rank_one(h_cols: Cleared):
+    """h as u phi when it has rank one: (u, phi), u the integers of h's first nonzero column
+    and phi = (ints, den) the cleared row with column j of h equal to phi_j u; None when h
+    is 0 or has rank two or more.  With k the first nonzero entry of u, column c_j over e_j
+    is phi_j u exactly when c_j[i] u[k] = u[i] c_j[k] for every i, and then phi_j = c_j[k] /
+    (e_j u[k]), cleared over u[k] lcm(e).  A column that is not a multiple of u ends the
+    test, at its first entry that differs."""
+    j0 = next((j for j, (c, _) in enumerate(h_cols) if any(c)), None)
+    if j0 is None:
+        return None
+    u = h_cols[j0][0]
+    k = next(i for i, x in enumerate(u) if x)
+    uk = u[k]
+    for c, _ in h_cols[j0 + 1 :]:
+        ck = c[k]
+        if any(x * uk != y * ck for x, y in zip(c, u)):
+            return None
+    m = math.lcm(*(e for _, e in h_cols))
+    return u, ([c[k] * (m // e) for c, e in h_cols], uk * m)
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -494,14 +565,15 @@ def _fit(x: SplitNorm, cols: Cleared, vals) -> tuple[list[int], int] | None:
 
 
 def _fit_table(slots, p: int) -> tuple[list[int], int] | None:
-    """_fit read from the given _slot_table of x^-1 C: the columns split x exactly when their
-    leading terms are independent in the graded pieces (_graded), and no determinant is
-    taken.  Columns that do not split are told not split (None) from singular (raises) as
+    """_fit read from the given _slot_table of x^-1 C, each column's size by _size, rows
+    heaviest first: the columns split x exactly when their leading terms are independent in
+    the graded pieces (_graded), and no determinant is taken.  Columns that do not split are told not split (None) from singular (raises) as
     _proven tells a frame: by linalg.nonsingular_mod at its fixed prime, and only when that
     vanishes by the exact det_cleared."""
     row_w, col_w, table, _, scale = slots
-    tops = [_heaviest(row_w, col_w, table, scale, p, (j,)) for j in range(len(table))]
-    t = [top[0] for top in tops if top]  # a zero column has no weight, and leaves t short
+    side, order = (None, row_w, scale), _descending(row_w)
+    tops = [_size(side, order, c, -w, p) for c, w in zip(table, col_w)]
+    t = [w for w in tops if w is not None]  # a zero column has no weight, and leaves t short
     if len(t) == len(table) and _graded(row_w, col_w, table, t, scale, p):
         return t, scale
     if linalg.nonsingular_mod(table) or linalg.det_cleared(table):
@@ -517,7 +589,8 @@ def _graded(row_w, col_w, table, t, scale: int, p: int) -> bool:
     of leading residues is nonsingular mod p.  Slot (i, j), holding x_ij, would weigh t[j] at
     valuation k = (row_w[i] - col_w[j] - t[j]) / scale, and as no slot of column j weighs more,
     v(x_ij) >= k: its leading residue x_ij / p^k mod p is nonzero exactly when it attains
-    t[j], and is 0 when k < 0.  A block of one row is nonsingular, as its one slot attains."""
+    t[j], and is 0 when k < 0.  A block of one row is nonsingular, as its one slot attains,
+    and a block of two is decided by ad - bc mod p."""
     classes: dict[int, tuple[list[int], list[int]]] = {}
     for i, w in enumerate(row_w):
         classes.setdefault(w % scale, ([], []))[0].append(i)
@@ -531,7 +604,11 @@ def _graded(row_w, col_w, table, t, scale: int, p: int) -> bool:
             for j in cols:
                 ks = [(row_w[i] - col_w[j] - t[j]) // scale for i in rows]
                 block.append([table[j][i] // p**k % p if k >= 0 else 0 for i, k in zip(rows, ks)])
-            if not linalg.nonsingular_mod(block, p):
+            if len(block) == 2:
+                (a, b), (c, d) = block
+                if not (a * d - b * c) % p:
+                    return False
+            elif not linalg.nonsingular_mod(block, p):
                 return False
     return True
 

@@ -110,6 +110,35 @@ def stabilizer_element(rng, nrm):
     return oracles.product(nrm.basis, oracles.product(h, oracles.inverse(nrm.basis)))
 
 
+def root_element(rng, nrm):
+    """A root-group element fixing the norm, n >= 2: one slot-legal elementary factor 1 + t
+    E_ji, conjugated out of the splitting coordinates as B (1 + t E_ji) B^-1, so g - 1 has
+    rank one."""
+    n, p, a = nrm.dim, nrm.cfg.prime, nrm.values
+    i, j = rng.sample(range(n), 2)
+    # the slot at row j, column i tolerates valuation >= a_j - a_i
+    t = Fraction(p) ** (math.ceil(a[j] - a[i]) + rng.randint(0, 1)) * unit(rng, p)
+    factor = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+    factor[j][i] = t
+    return oracles.product(nrm.basis, oracles.product(factor, oracles.inverse(nrm.basis)))
+
+
+def rank_one(rng, n, p):
+    """u phi for random nonzero vectors u and phi of p-power entries, each with a random
+    number of leading zeros: an n x n matrix of rank one, whose first rows or columns may
+    be 0."""
+
+    def factor():
+        zeros = rng.randrange(n)
+        tail = [rational(rng) * Fraction(p) ** rng.randint(-2, 3) for _ in range(n - zeros)]
+        return [Fraction(0)] * zeros + tail
+
+    while True:
+        u, phi = factor(), factor()
+        if any(u) and any(phi):
+            return tuple(tuple(x * y for y in phi) for x in u)
+
+
 def elementary_product(rng, n, p):
     """Random invertible matrix mixing p-power scalings, shears, and
     swaps; membership in any given stabilizer is accidental."""

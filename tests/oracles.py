@@ -72,6 +72,26 @@ def product(a, b) -> tuple:
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
 
 
+def rank(m) -> int:
+    """Rank by sympy's own elimination."""
+    return sympy.Matrix(m).rank()
+
+
+def slot_max(src, dst, h) -> Fraction | None:
+    """The greatest slot weight b_i - a_j - valuation(x_ij) over the nonzero entries x_ij of
+    dst.basis^-1 @ h @ src.basis, a the values of src and b those of dst, every slot valued:
+    the dense operator size of h from src to dst; None at h = 0."""
+    m = product(inverse(dst.basis), product(h, src.basis))
+    p = src.cfg.prime
+    weights = [
+        b - a - valuation(x, p)
+        for b, row in zip(dst.values, m)
+        for a, x in zip(src.values, row)
+        if x
+    ]
+    return max(weights, default=None)
+
+
 def ball_exponents(values, g, closed: bool = True) -> list[int]:
     """The exponents k_i of the ball B diag(p^k_i) at level g: ceil(a_i - g) for the closed
     ball, floor(a_i - g) + 1 for the open one."""

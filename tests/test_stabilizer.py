@@ -291,8 +291,22 @@ def test_group_element_refusals():
                 verb(ALPHA0, g)
 
 
+def _not_rank_one(g) -> int:
+    """0 when g - 1 has rank one, by the oracle, else 1: the count of products and table
+    scans that membership and the level take, as a g - 1 of rank one is sized from its two
+    factors."""
+    return int(oracles.rank(minus_identity(g)) != 1)
+
+
+def _elements(rng, roots, nrm):
+    """A stabilizer element and, for n >= 2, a root-group element drawn from roots."""
+    g = fuzz.stabilizer_element(rng, nrm)
+    return [g, fuzz.root_element(roots, nrm)] if nrm.dim > 1 else [g]
+
+
 def test_level_conjugates_once(monkeypatch):
-    # one product B^-1 (g - 1) B serves membership and the level; the norm's inverse is reused
+    # one product B^-1 (g - 1) B serves membership and the level, and none when g - 1 has
+    # rank one; the norm's inverse is reused
     counts = {"times_cleared": 0, "inverse_rows": 0}
     for name in counts:
         kernel = getattr(linalg, name)
@@ -302,29 +316,36 @@ def test_level_conjugates_once(monkeypatch):
             return kernel(*args)
 
         monkeypatch.setattr(linalg, name, counted)
-    rng = random.Random(81)
+    rng, roots = random.Random(81), random.Random(84)
+    products = []
     for _ in range(20):
         nrm = fuzz.norm(rng)
-        g = fuzz.stabilizer_element(rng, nrm)
-        nrm.inv_basis  # builds the norm's inverse
-        counts.update(times_cleared=0, inverse_rows=0)
-        filtration_level(nrm, g)
-        assert counts == {"times_cleared": 1, "inverse_rows": 0}
+        for g in _elements(rng, roots, nrm):
+            nrm.inv_basis  # builds the norm's inverse
+            counts.update(times_cleared=0, inverse_rows=0)
+            filtration_level(nrm, g)
+            products.append(_not_rank_one(g))
+            assert counts == {"times_cleared": products[-1], "inverse_rows": 0}
+    assert 0 in products and 1 in products
 
 
 def test_level_scans_one_table(monkeypatch):
-    # membership and the level are one scan of the slot table of B^-1 (g - 1) B
+    # membership and the level are one scan of the slot table of B^-1 (g - 1) B, and none
+    # when g - 1 has rank one
     calls = []
     scan = norms._heaviest
     monkeypatch.setattr(norms, "_heaviest", lambda *args: calls.append(args) or scan(*args))
-    rng = random.Random(83)
+    rng, roots = random.Random(83), random.Random(85)
+    scans = []
     for _ in range(20):
         nrm = fuzz.norm(rng)
-        g = fuzz.stabilizer_element(rng, nrm)
-        for verb in (is_stabilizer_element, filtration_level):
-            calls.clear()
-            verb(nrm, g)
-            assert len(calls) == 1
+        for g in _elements(rng, roots, nrm):
+            for verb in (is_stabilizer_element, filtration_level):
+                calls.clear()
+                verb(nrm, g)
+                scans.append(_not_rank_one(g))
+                assert len(calls) == scans[-1]
+    assert 0 in scans and 1 in scans
 
 
 def test_level_boundary_on_the_standard_lattice():

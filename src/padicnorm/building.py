@@ -38,7 +38,7 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     """
     n = norm.dim
     cols = linalg.units(n) if frame is None else linalg.cleared_square(frame, n, "frame")
-    fit = _fit(norm, cols, ([0] * n, 1))
+    fit = _fit(norm._row_side, cols, ([0] * n, 1), norm.cfg.prime)
     return None if fit is None else tuple(Fraction(w, fit[1]) for w in fit[0])
 
 
@@ -109,7 +109,7 @@ def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     """
     if a.cfg != b.cfg or a.dim != b.dim:
         return False
-    fit = _fit(a, b._cols, b._vals)
+    fit = _fit(a._row_side, b._cols, b._vals, a.cfg.prime)
     if fit is None:
         return False
     t, scale = fit

@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import linalg
 from .errors import DocumentError, DomainError, PreconditionError
 from .norms import LatticeBasis, SplitNorm, _frame, _on_lattice, _proven
-from .splittings import SplittingPair
+from .splittings import SplittingPair, _pair
 from .valuation import TOO_LARGE, FieldConfig, Value
 
 # what rational_str writes, up to lowest terms: ASCII digits with no leading zero, no sign on
@@ -144,8 +144,7 @@ def pair_to_doc(pair: SplittingPair) -> dict:
 
 
 def pair_from_doc(doc) -> SplittingPair:
-    lattice, weights = _read(doc, "lattice", "weights")
-    return SplittingPair(lattice, linalg.from_cleared_vector(weights))
+    return _pair(*_read(doc, "lattice", "weights"))
 
 
 def dumps_machine(obj) -> str:

@@ -260,20 +260,23 @@ def nonsingular_mod(cols: list[list[int]], q: int = CERTIFICATE_PRIME) -> bool:
     default q, the word-sized Mersenne prime CERTIFICATE_PRIME, True proves C invertible, as
     det C != 0 mod q implies det C != 0, and False decides nothing: the exact det_cleared or
     inverse_rows must decide.  With q = p it decides whether a matrix of residues mod p is
-    invertible over F_p.  Forward elimination on C^T mod q: a row update scales the row by
-    the pivot, a unit mod q, so no inverse is taken."""
+    invertible over F_p.  Forward elimination on C^T mod q, in place on one reduced copy: a
+    row update scales the row by the pivot, a unit mod q, so no inverse is taken."""
     rows = [[x % q for x in c] for c in cols]
     n = len(rows)
     for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot is None:
+        for r in range(k, n):
+            if rows[r][k]:
+                break
+        else:
             return False
-        rows[k], rows[pivot] = rows[pivot], rows[k]
-        pk, tail = rows[k][k], rows[k][k + 1 :]
+        pivot, rows[r] = rows[r], rows[k]  # the pivot row is not read again from rows
+        pk = pivot[k]
         for row in rows[k + 1 :]:
             f = row[k]
             if f:
-                row[k + 1 :] = [(pk * x - f * y) % q for x, y in zip(row[k + 1 :], tail)]
+                for i in range(k + 1, n):
+                    row[i] = (pk * row[i] - f * pivot[i]) % q
     return True
 
 

@@ -21,12 +21,12 @@ block of leading residues is nonsingular mod p.  _fit reads the sizes
 x(c_j) and the residues from one slot table of x^-1 C and inverts only
 x; only columns that do not split are told singular from not split, by
 a determinant modulo a fixed prime, and by the exact one only when that
-vanishes.
-equals(a, b) asks that a's columns split b at a's values; homothetic,
-apartment_coords and verify_splitting ask the same of the columns they
-hold.  The common basis's second check asks it of B @ combo, b's
-columns times the column operations: its slot table against b is combo
-itself, so b is not inverted.
+vanishes.  _splits asks that the columns split x each at a given value:
+equals(a, b) asks it of a's columns against b, verify_splitting of a
+pair's lattice, and the common basis's second check of B @ combo, b's
+columns times the column operations, whose slot table against b is
+combo itself on unit rows, so b is not inverted.  homothetic and
+apartment_coords read the excesses _fit returns.
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination by column operations alone.  Column
@@ -72,42 +72,38 @@ built only for a public result, one Fraction(a, den) per entry.
 Slots are fixed once for the whole package.  For a map h from a norm
 split by c_1, ..., c_n at values b_1, ..., b_n to one split by
 e_1, ..., e_m at values a_1, ..., a_m, slot (i, j) holds M_ij, the
-coefficient of e_i in h(c_j), and weighs a_i - b_j - val(M_ij).  Slot
-weights, in op_size, evaluate, _fit, the order layer and the elimination
-alike, are read from the _slot_table of a product's two factors: integer
-dot products over a row and a column denominator.  The row side is the
-target norm's: its inverse rows, its _vals, and the valuation of each
-row's denominator.  A norm makes it once, with its inverse, as the
-cached _row_side, which pickles and copies with it; a table takes its
-column values cleared too, the source norm's _vals.  The
-elimination runs on the table itself, the product with each row scaled
-by its denominator, which the row's weight absorbs and column operations
-commute with.
+coefficient of e_i in h(c_j), and weighs a_i - b_j - val(M_ij).  Every
+slot weight is read from the _slot_table of a product's two factors:
+integer dot products over a row and a column denominator.  The row side
+is the target norm's: its inverse rows, each row's weight (its value
+plus the valuation of its denominator) and the rows heaviest first.  A
+norm makes it once, with its inverse, as the cached _row_side, which
+pickles and copies with it.  A table takes its column values cleared
+too, the source norm's _vals, and is its own row side, of unit rows
+with the same order.  The elimination runs on the table itself, the
+product with each row scaled by its denominator, which the row's weight
+absorbs and column operations commute with.
+
+A slot is valued only when it can win, in three steps: its bound
+a_i - b_j, the weight at valuation 0, must beat the best weight so far;
+then, k valuation steps above it, one remainder mod p^k must be nonzero
+(_gain); only then is the valuation taken.  _heaviest reads a whole
+table so, for _monomialize and for the one scan of an operator size;
+no other module reads a slot table.  _size reads one column, rows
+heaviest first, and stops at the first row whose bound cannot win: _fit
+reads each column of its table so, and evaluate and the two sizes of a
+rank-one map compute their one column on demand.
 
 A map of rank one needs no table.  Hom(V, W) = V^dual (x) W carries the
 tensor norm, whose value on a pure tensor is the sum of its factors'
 sizes: for h = u phi, M_ij is coordinate i of u in the e's times
 coordinate j of phi in the dual basis of the c's, so the greatest slot
 weight is dst(u) + dual(src)(phi).  _op_size reads such an h as these
-two vector sizes: the dual's inverse rows are src's own columns, so
-nothing is inverted and no product is built.  Root-group elements
-1 + t E_ji conjugated by the splitting basis, whose g - 1 has rank one,
-are sized so in membership and the level.  _rank_one tells h from a map
-of higher rank at the first entry of the first column that is not a
-multiple of its first nonzero one.
-
-A slot is valued only when it can win, in three steps: its bound
-a_i - b_j, the weight at valuation 0, must beat the best weight so far;
-then, k valuation steps above it, one remainder mod p^k must be nonzero
-(_gain); only then is the valuation taken.  _heaviest reads a whole
-table in this order, for _monomialize and for the one scan of op_size
-and hom_norm, and of membership and the level as _op_size of g - 1, on
-any map not of rank one; no other module reads a slot table.  _size
-reads one column, rows heaviest first in a _descending order, and stops
-at the first row whose bound cannot win: _fit_table reads each column
-of its table so, and evaluate and the two sizes of a rank-one map
-compute their one column on demand, in a norm's _row_order or its
-_dual_side, each made once beside _row_side.
+two vector sizes, the second against src's cached _dual_side, whose
+inverse rows are src's own columns: nothing is inverted and no product
+is built.  Membership in the order of a norm and the filtration level
+(stabilizer) are _op_size of g - 1, so a root-group element 1 + t E_ji
+conjugated by the splitting basis is sized so.
 """
 
 from __future__ import annotations
@@ -202,24 +198,14 @@ class SplitNorm(_Frame):
 
     @cached_property
     def _row_side(self):
-        """The row side of every slot table read against this norm, made once with the
-        inverse: _row_side_of its values and inverse rows."""
+        """_row_side_of this norm's values and inverse rows, made once with the inverse."""
         return _row_side_of(self._vals, self._inv_rows, self.cfg.prime)
 
     @cached_property
-    def _row_order(self) -> list[int]:
-        """The rows by descending weight in _row_side, ties in row order: evaluate reads them
-        in this order.  Made once, beside the row side, and copied with it."""
-        return _descending(self._row_side[1])
-
-    @cached_property
     def _dual_side(self):
-        """(side, order): the row side of dual(self) and its _descending order, which size
-        the covector of a rank-one map.  The dual's inverse rows are this norm's columns, so
-        nothing is inverted; made once, and copied with the norm."""
+        """The _row_side of dual(self), whose inverse rows are this norm's columns."""
         ints, den = self._vals
-        side = _row_side_of(([-a for a in ints], den), self._cols, self.cfg.prime)
-        return side, _descending(side[1])
+        return _row_side_of(([-a for a in ints], den), self._cols, self.cfg.prime)
 
     @cached_property
     def _residues(self) -> list[tuple[int, int]]:
@@ -321,27 +307,21 @@ def _check_compatible(a: SplitNorm, b: SplitNorm) -> None:
 
 
 def evaluate(norm: SplitNorm, v) -> Value:
-    """Size of a vector, bottom at the zero vector: the greatest weight of the one column of
-    the slot table of B^-1 v, computed on demand by _size from the vector cleared once, as
-    integers over e."""
+    """Size of a vector, bottom at the zero vector: _size of B^-1 v, v cleared once."""
     ints, e = linalg.cleared_vector(v)
     if len(ints) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(ints)}, norm has dim {norm.dim}")
     side, p = norm._row_side, norm.cfg.prime
-    best = _size(side, norm._row_order, ints, side[2] * multiplicity(e, p), p)
+    best = _size(side, ints, side[2] * multiplicity(e, p), p)
     return BOTTOM if best is None else Value(Fraction(best, side[2]))
 
 
-def _size(side, order, ints, shift: int, p: int) -> int | None:
+def _size(side, ints, shift: int, p: int) -> int | None:
     """The greatest weight of one column of a slot table, None if it is 0: the column of the
-    cleared rows of the row side side = (rows, row_w, scale) times the integers ints, whose
-    entry x_i, the dot product of row i and ints, weighs row_w[i] + shift - scale * v(x_i);
-    rows None stands for the unit rows, and ints is the column itself.  Row i is read in
-    order, which descends in row_w, heaviest first: x_i is computed only while its bound
-    row_w[i] + shift beats the best weight so far, and the first row whose bound does not
-    ends the search, as no later bound is greater.  Then _gain takes the p^k test, and the
-    valuation only of an entry that wins."""
-    rows, row_w, scale = side
+    row side's cleared rows times the integers ints, whose entry x_i, the dot product of row
+    i and ints, weighs row_w[i] + shift - scale * v(x_i), for side = (rows, row_w, scale,
+    order); rows None stands for the unit rows, and ints is the column itself."""
+    rows, row_w, scale, order = side
     best = None
     for i in order:
         top = row_w[i] + shift
@@ -355,30 +335,24 @@ def _size(side, order, ints, shift: int, p: int) -> int | None:
     return best
 
 
-def _descending(row_w) -> list[int]:
-    """The rows by descending weight, ties in row order: the order _size reads them in."""
-    return sorted(range(len(row_w)), key=row_w.__getitem__, reverse=True)
-
-
 def _gain(x: int, top: int, best: int | None, scale: int, p: int) -> int | None:
     """The weight top - scale * v(x) of a slot holding the nonzero integer x when it beats
     best, the greatest weight so far (None: there is none yet); else None.  The caller has
-    checked the bound, top > best.  The weight beats best exactly when v(x) < k =
-    ceil((top - best) / scale), so one remainder mod p^k comes before the valuation.  As
-    |x| >= p^v(x) >= 2^v(x), x passes once k reaches its bit length, with no p^k built."""
+    checked the bound, top > best."""
     if best is not None:
+        # it beats best exactly when v(x) < k; as |x| >= 2^v(x), it does once k passes the
+        # bit length of x, with no p^k built
         k = -((best - top) // scale)
         if k < x.bit_length() and not x % p**k:
             return None
     return top - scale * multiplicity(x, p)
 
 
-def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
+def _heaviest(side, col_w, cols, p: int, open_cols):
     """The slot (w, i, j) of greatest weight w = row_w[i] - col_w[j] - scale * v(cols[j][i])
-    over the nonzero integer entries, ties to the lowest (row, column); None if all are 0.
-    A slot is read in three steps, each only if the one before leaves it a chance: its bound
-    row_w[i] - col_w[j] must beat the best weight so far, as v >= 0 on integers; then _gain
-    takes one remainder mod p^k; then the valuation of the entry."""
+    over the nonzero integers of the open columns, ties to the lowest (row, column), for a
+    table's side = (None, row_w, scale, order); None if all are 0."""
+    _, row_w, scale, _ = side
     best = best_w = None
     for i, r in enumerate(row_w):
         for j in open_cols:
@@ -393,32 +367,34 @@ def _heaviest(row_w, col_w, cols, scale: int, p: int, open_cols):
 
 
 def _row_side_of(vals, rows: Cleared | None, p: int):
-    """The row side of a slot table: (rows, row_w, den), from the values cleared as vals =
-    (ints, den), with row_w[i] = ints[i] + den * v(d_i), d_i the denominator of cleared row i.
-    rows None stands for the unit rows, of denominator 1."""
+    """The row side of a slot table: (rows, row_w, den, order), from the values cleared as
+    vals = (ints, den), with row_w[i] = ints[i] + den * v(d_i), d_i the denominator of cleared
+    row i, and order the rows by descending row_w, ties in row order.  rows None stands for
+    the unit rows, of denominator 1."""
     ints, den = vals
     if rows is not None:
         ints = [a + den * multiplicity(d, p) for a, (_, d) in zip(ints, rows)]
-    return rows, ints, den
+    return rows, ints, den, sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
 
 
 def _slot_table(row_side, col_vals, cols: Cleared, p: int):
-    """The product of a _row_side_of's cleared rows and the cleared columns in integers, the
-    column values cleared as col_vals = (ints, den): (row_w, col_w, table, dens, scale), where
+    """The product of a row side's cleared rows and the cleared columns in integers, the
+    column values cleared as col_vals = (ints, den): (side, col_w, table, dens), where
     table[j][i] is the dot product s of row i over its denominator d and column j over e =
-    dens[j], and row_w[i] - col_w[j] - scale * v(s) is scale times the weight of slot (i, j),
-    s / (d e).  scale is the lcm of the row and the column values' denominators.  For unit rows
-    the table is the columns' own integers, with no product."""
-    rows, row_w, row_den = row_side
+    dens[j], and side = (None, row_w, scale, order) is the table's own row side, with
+    row_w[i] - col_w[j] - scale * v(s) scale times the weight of slot (i, j), s / (d e).
+    scale is the lcm of the row and the column values' denominators.  For unit rows the
+    table is the columns' own integers, with no product."""
+    rows, row_w, row_den, order = row_side
     ints, col_den = col_vals
     scale = math.lcm(row_den, col_den)
-    row_w = [w * (scale // row_den) for w in row_w]
+    side = (None, [w * (scale // row_den) for w in row_w], scale, order)
     col_w = [a * (scale // col_den) - scale * multiplicity(e, p) for a, (_, e) in zip(ints, cols)]
     dens = [e for _, e in cols]
     if rows is None:
-        return row_w, col_w, [c for c, _ in cols], dens, scale
+        return side, col_w, [c for c, _ in cols], dens
     table = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
-    return row_w, col_w, table, dens, scale
+    return side, col_w, table, dens
 
 
 def _on_lattice(lattice: LatticeBasis, vals) -> SplitNorm:
@@ -438,9 +414,7 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     The least s with dst(h v) <= src(v) + s for every v, bottom at h = 0:
     the maximum weight over the slots of M = dst.inv_basis @ h @ src.basis
     (module docstring), as by the ultrametric inequality it is attained
-    on a src-splitting column.  It is the size of h in the tensor norm
-    of dual(src) and dst, so a map h = u phi of rank one has size
-    dst(u) + dual(src)(phi), and is read as those two vector sizes.
+    on a src-splitting column.
     """
     _check_compatible(src, dst)
     w, scale = _op_size(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
@@ -450,22 +424,19 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
 def _op_size(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> tuple[int | None, int]:
     """op_size of the map with these cleared columns, None for the identity, in integers: (w,
     scale), w / scale the greatest weight of the _slot_table of dst's rows and h's columns
-    times src's, and w None at h = 0.  A map h = u phi of rank one is read as dst(u) +
-    dual(src)(phi), two _size calls and no product (module docstring); any other map in one
-    scan of the table."""
+    times src's, and w None at h = 0."""
     p = src.cfg.prime
     pure = None if h_cols is None else _rank_one(h_cols)
     if pure is None:
         image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
-        row_w, col_w, table, _, scale = _slot_table(dst._row_side, src._vals, image, p)
-        best = _heaviest(row_w, col_w, table, scale, p, range(len(table)))
-        return (None if best is None else best[0]), scale
+        side, col_w, table, _ = _slot_table(dst._row_side, src._vals, image, p)
+        best = _heaviest(side, col_w, table, p, range(len(table)))
+        return (None if best is None else best[0]), side[2]
     s_dst, s_src = dst._vals[1], src._vals[1]
     scale = math.lcm(s_dst, s_src)
     u, (ints, den) = pure
-    side, order = src._dual_side
-    w_u = _size(dst._row_side, dst._row_order, u, 0, p)
-    w_phi = _size(side, order, ints, s_src * multiplicity(den, p), p)
+    w_u = _size(dst._row_side, u, 0, p)
+    w_phi = _size(src._dual_side, ints, s_src * multiplicity(den, p), p)
     return w_u * (scale // s_dst) + w_phi * (scale // s_src), scale
 
 
@@ -514,13 +485,13 @@ def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
     return out
 
 
-def _canonical(norm: SplitNorm) -> tuple[LatticeBasis, list[int], tuple[Fraction, ...]]:
-    """The lattice of p^floor(a_i) e_i, the floors floor(a_i), and the sizes a_i - floor(a_i)
-    in [0, 1) of its columns, read from _vals = (ints, den) as ints[i] // den and
-    ints[i] % den over den."""
+def _canonical(norm: SplitNorm):
+    """(lattice, shifts, sizes): the lattice of p^floor(a_i) e_i, the floors floor(a_i), and
+    the sizes a_i - floor(a_i) in [0, 1) of its columns, cleared; from _vals = (ints, den)
+    they are ints[i] // den and ints[i] % den over den."""
     ints, den = norm._vals
     shifts = [a // den for a in ints]
-    return _scaled_ball(norm, shifts), shifts, tuple(Fraction(a % den, den) for a in ints)
+    return _scaled_ball(norm, shifts), shifts, ([a % den for a in ints], den)
 
 
 def _ball(norm: SplitNorm, num: int, den: int, closed: bool) -> LatticeBasis:
@@ -555,42 +526,37 @@ def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     return equals(lattice_norm(a), lattice_norm(b))
 
 
-def _fit(x: SplitNorm, cols: Cleared, vals) -> tuple[list[int], int] | None:
-    """Do the cleared columns c_j split x, their leading terms independent in its graded
-    pieces?  When they do, (t, scale), with t_j = scale * (x(c_j) - values[j]) the excess of
-    column j, values cleared as vals, read by _fit_table from the _slot_table of x^-1 C; None
-    when they do not.  Only x is inverted; a singular C raises SingularMatrixError."""
-    p = x.cfg.prime
-    return _fit_table(_slot_table(x._row_side, vals, cols, p), p)
-
-
-def _fit_table(slots, p: int) -> tuple[list[int], int] | None:
-    """_fit read from the given _slot_table of x^-1 C, each column's size by _size, rows
-    heaviest first: the columns split x exactly when their leading terms are independent in
-    the graded pieces (_graded), and no determinant is taken.  Columns that do not split are told not split (None) from singular (raises) as
-    _proven tells a frame: by linalg.nonsingular_mod at its fixed prime, and only when that
-    vanishes by the exact det_cleared."""
-    row_w, col_w, table, _, scale = slots
-    side, order = (None, row_w, scale), _descending(row_w)
-    tops = [_size(side, order, c, -w, p) for c, w in zip(table, col_w)]
+def _fit(row_side, cols: Cleared, vals, p: int) -> tuple[list[int], int] | None:
+    """Do the cleared columns c_j split x, the norm of this row side (module docstring)?  When
+    they do, (t, scale), with t_j = scale * (x(c_j) - values[j]) the excess of column j, values
+    cleared as vals; None when they do not.  A singular C raises SingularMatrixError, told
+    from columns that do not split as _proven tells a frame."""
+    side, col_w, table, _ = _slot_table(row_side, vals, cols, p)
+    tops = [_size(side, c, -w, p) for c, w in zip(table, col_w)]
     t = [w for w in tops if w is not None]  # a zero column has no weight, and leaves t short
-    if len(t) == len(table) and _graded(row_w, col_w, table, t, scale, p):
-        return t, scale
+    if len(t) == len(table) and _graded(side, col_w, table, t, p):
+        return t, side[2]
     if linalg.nonsingular_mod(table) or linalg.det_cleared(table):
         return None
     raise SingularMatrixError("matrix is singular")
 
 
-def _graded(row_w, col_w, table, t, scale: int, p: int) -> bool:
-    """Are the leading terms of the columns independent in the graded pieces of x, a vector
-    space over F_p per value class (Goldman and Iwahori, Acta Math. 109, 1963)?  Row i lies in
-    the class row_w[i] % scale and column j, whose size is attained there, in (t[j] + col_w[j])
-    % scale.  They are when every class holds as many columns as rows and the class's block
-    of leading residues is nonsingular mod p.  Slot (i, j), holding x_ij, would weigh t[j] at
+def _splits(row_side, cols: Cleared, vals, p: int) -> bool:
+    """Do the cleared columns split the norm of this row side, each at its value in vals?"""
+    fit = _fit(row_side, cols, vals, p)
+    return fit is not None and not any(fit[0])
+
+
+def _graded(side, col_w, table, t, p: int) -> bool:
+    """Are the leading terms of the columns independent in the graded pieces of x, for the
+    table's side = (None, row_w, scale, order) and t the columns' greatest weights?  Row i
+    lies in the class row_w[i] % scale and column j, whose size is attained there, in (t[j] +
+    col_w[j]) % scale; every class must hold as many columns as rows, and its block of
+    leading residues be nonsingular mod p.  Slot (i, j), holding x_ij, would weigh t[j] at
     valuation k = (row_w[i] - col_w[j] - t[j]) / scale, and as no slot of column j weighs more,
     v(x_ij) >= k: its leading residue x_ij / p^k mod p is nonzero exactly when it attains
-    t[j], and is 0 when k < 0.  A block of one row is nonsingular, as its one slot attains,
-    and a block of two is decided by ad - bc mod p."""
+    t[j], and is 0 when k < 0.  A block of one row is nonsingular, as its one slot attains."""
+    _, row_w, scale, _ = side
     classes: dict[int, tuple[list[int], list[int]]] = {}
     for i, w in enumerate(row_w):
         classes.setdefault(w % scale, ([], []))[0].append(i)
@@ -603,12 +569,8 @@ def _graded(row_w, col_w, table, t, scale: int, p: int) -> bool:
             block = []
             for j in cols:
                 ks = [(row_w[i] - col_w[j] - t[j]) // scale for i in rows]
-                block.append([table[j][i] // p**k % p if k >= 0 else 0 for i, k in zip(rows, ks)])
-            if len(block) == 2:
-                (a, b), (c, d) = block
-                if not (a * d - b * c) % p:
-                    return False
-            elif not linalg.nonsingular_mod(block, p):
+                block.append([table[j][i] // p**k if k >= 0 else 0 for i, k in zip(rows, ks)])
+            if not linalg.nonsingular_mod(block, p):
                 return False
     return True
 
@@ -617,8 +579,7 @@ def equals(a: SplitNorm, b: SplitNorm) -> bool:
     """Exact equality of norms: a's columns split b, each at its value in a (see _fit).  Only
     b's inverse is read; a singular basis of a raises SingularMatrixError."""
     _check_compatible(a, b)
-    fit = _fit(b, a._cols, a._vals)
-    return fit is not None and not any(fit[0])
+    return _splits(b._row_side, a._cols, a._vals, b.cfg.prime)
 
 
 def _moved(g, frame: _Frame) -> tuple[Cleared, Callable[[], Cleared]]:
@@ -663,8 +624,8 @@ def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
 
 
 def _monomialize(row_side, col_vals, cols: Cleared, p: int):
-    """Column-reduce m, the product of the cleared rows of a _row_side_of and the cleared
-    columns, until every column has a pivot row of its own.
+    """Column-reduce m, the product of a row side's cleared rows and the cleared columns,
+    until every column has a pivot row of its own.
 
     Entry (i, j) weighs a_i - val(m_ij) - b_j, a_i the row value and b_j
     value j of the cleared vector col_vals.  The nonzero entry of
@@ -673,13 +634,7 @@ def _monomialize(row_side, col_vals, cols: Cleared, p: int):
     its column clears its row across the other open columns, which
     never disturbs the column values.  Its column then closes, with
     every nonzero entry in a row not yet pivoted, so the pivot attains
-    its ambient size.  No row operation is needed: the pivot row is now
-    zero on the open columns, so one would change only closed columns,
-    and the pivot search never meets a pivoted row again.  It runs on
-    the _slot_table of the two factors, which is m with row i scaled by
-    its denominator d_i; the row's weight carries v(d_i), and column
-    operations commute with row scaling, so pivots and col_ops are those
-    of m.
+    its ambient size (module docstring).
 
     Returns (sigma, split_vals, col_ops): sigma maps each column to
     its pivot row, in pivot order; col_ops are the cleared columns of
@@ -688,16 +643,17 @@ def _monomialize(row_side, col_vals, cols: Cleared, p: int):
     scale.  Each pivot row of m @ col_ops is zero on the columns pivoted
     after it.
     """
-    row_w, col_w, table, dens, scale = _slot_table(row_side, col_vals, cols, p)
+    side, col_w, table, dens = _slot_table(row_side, col_vals, cols, p)
+    scale = side[2]
     lift = scale // col_vals[1]  # a column value over scale
-    n, d = len(row_w), len(table)
+    n, d = len(side[1]), len(table)
     # column j of the table on top of column j of col_ops, as integers over dens[j]
     stacked = [c + [dens[j] if k == j else 0 for k in range(d)] for j, c in enumerate(table)]
     open_cols = list(range(d))
     sigma: dict[int, int] = {}
     split = [0] * d
     for _ in range(d):
-        best = _heaviest(row_w, col_w, stacked, scale, p, open_cols)
+        best = _heaviest(side, col_w, stacked, p, open_cols)
         if best is None:
             raise RankDeficiencyError("columns do not have full rank")
         w, pi, pj = best
@@ -788,20 +744,18 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     lattice, shifts, a_vals = _canonical(common)
     # column j was scaled by p^shifts[j], which lowers its b-value by as much
     ints, den = b._vals
-    b_vals = tuple(Fraction(v - k * den, den) for v, k in zip(ints, shifts))
-    return lattice.matrix, a_vals, b_vals
+    b_vals = ([v - k * den for v, k in zip(ints, shifts)], den)
+    return lattice.matrix, linalg.from_cleared_vector(a_vals), linalg.from_cleared_vector(b_vals)
 
 
 def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """a on unscaled columns that split b at its values: _split_span of b's basis against a,
-    whose check covers a, and the second reconstruction check, of b.  b's n columns leave no
-    ambient row over, so the common columns are B @ combo and B^-1 C is combo itself: the
-    check reads its slot table off the column operations, and b is not inverted."""
+    whose check covers a, and the second reconstruction check, of b, read off the column
+    operations (module docstring)."""
     _check_compatible(a, b)
     common, combo = _split_span(a, b._cols, b._vals)
     p = b.cfg.prime
-    fit = _fit_table(_slot_table(_row_side_of(b._vals, None, p), b._vals, combo, p), p)
-    if fit is None or any(fit[0]):
+    if not _splits(_row_side_of(b._vals, None, p), combo, b._vals, p):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common
 

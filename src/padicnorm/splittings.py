@@ -5,7 +5,8 @@ per lattice column.  The associated norm takes each column to its
 weight; conversely every split norm has a canonical pair whose weights
 lie in [0, 1), obtained by scaling each splitting vector into that
 window by a power of p.  A pair reads its weights once, into _vals, as
-a norm reads its values; weights are the Fractions of those integers.
+a norm reads its values, and a pair the package makes is born with
+them, by _pair; weights are the Fractions of those integers.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from fractions import Fraction
 from . import linalg
 from .errors import DimensionMismatchError
 from .norms import (
-    LatticeBasis, SplitNorm, _canonical, _check_compatible, _fit, _frame, _moved, _on_lattice,
-    _plant,
+    LatticeBasis, SplitNorm, _canonical, _check_compatible, _frame, _moved, _on_lattice, _plant,
+    _splits,
 )
 
 
@@ -39,6 +40,16 @@ class SplittingPair:
         return all(0 <= x < den for x in ints)
 
 
+def _pair(lattice: LatticeBasis, vals) -> SplittingPair:
+    """The pair of the lattice and the weights cleared as vals = (ints, den), over the lcm of
+    their denominators, kept as _vals; weights are their Fractions."""
+    pair = object.__new__(SplittingPair)
+    _plant(pair, "lattice", lattice)
+    _plant(pair, "_vals", vals)
+    _plant(pair, "weights", linalg.from_cleared_vector(vals))
+    return pair
+
+
 def norm_from_pair(pair: SplittingPair) -> SplitNorm:
     """The norm sending each lattice column to its weight."""
     return _on_lattice(pair.lattice, pair._vals)
@@ -51,13 +62,13 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
     which has size equal to the fractional part of a_i.
     """
     lattice, _, weights = _canonical(norm)
-    return SplittingPair(lattice, weights)
+    return _pair(lattice, weights)
 
 
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:
     """Transport a pair along an invertible matrix: lattice moves, weights stay."""
     lattice = _frame(LatticeBasis, pair.lattice.cfg, *_moved(g, pair.lattice))
-    return SplittingPair(lattice, pair.weights)
+    return _pair(lattice, pair._vals)
 
 
 def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
@@ -67,5 +78,4 @@ def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
     ConfigMismatchError ("prime mismatch: 2 vs 3", the norm's prime first), another dimension
     DimensionMismatchError."""
     _check_compatible(norm, pair.lattice)
-    fit = _fit(norm, pair.lattice._cols, pair._vals)
-    return fit is not None and not any(fit[0])
+    return _splits(norm._row_side, pair.lattice._cols, pair._vals, norm.cfg.prime)

@@ -21,13 +21,12 @@ ultrametric inequality and hom_norm(1) = 0 give hom_norm(g) <=
 max(hom_norm(g - 1), 0) and hom_norm(g - 1) <= max(hom_norm(g), 0), so
 hom_norm(g) <= 0 exactly when the level hom_norm(g - 1) <= 0.  Both
 clear g once, refuse it first when det g is not a p-adic unit, and
-read the level from one slot table of B^-1 (g - 1) B, B the splitting
-basis, unless g - 1 has rank one.  The root-group elements 1 + t E_ji
-conjugated by B, which generate the Bruhat-Tits group schemes and
-their Moy-Prasad filtrations (Bruhat and Tits, Publ. IHES 41, 1972;
-Moy and Prasad, Invent. Math. 116, 1994), are such g: g - 1 = u phi,
-and its level is norm(u) + dual(norm)(phi), the size of a pure tensor
-of Hom = dual (x) norm, with no product.
+read the level as norms._op_size of g - 1.  The root-group elements
+1 + t E_ji conjugated by the splitting basis, which generate the
+Bruhat-Tits group schemes and their Moy-Prasad filtrations (Bruhat and
+Tits, Publ. IHES 41, 1972; Moy and Prasad, Invent. Math. 116, 1994),
+have g - 1 of rank one, which needs no product (norms module
+docstring).
 """
 
 from __future__ import annotations
@@ -75,8 +74,7 @@ def hom_norm(norm: SplitNorm, h) -> Value:
     """Operator size of h with respect to the norm; bottom at h = 0.
 
     op_size from the norm to itself: the maximum slot weight, with slots
-    as the norms module docstring sets them; for h = u phi of rank one,
-    norm(u) + dual(norm)(phi).
+    as the norms module docstring sets them.
     """
     return op_size(norm, norm, h)
 

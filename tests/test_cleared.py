@@ -407,6 +407,31 @@ def test_a_norm_document_is_written_from_integers():
         assert io.norm_to_doc(x)["values"] == [str(v) for v in x.values]
 
 
+def test_pair_makers_plant_their_weights():
+    """pair_from_norm, io.pair_from_doc and translate_pair plant the cleared weights of the
+    pair they make, as a norm the package makes is born with its values: one Fraction per
+    weight, for the weights field, and no as_integer_ratio call but the n^2 entries of
+    translate_pair's acting matrix."""
+    rng = random.Random(3)
+    n = 6
+    nrm = fuzz.norm(rng, n=n, p=3)
+    pair = pair_from_norm(nrm)
+    doc = io.pair_to_doc(pair)
+    g = fuzz.invertible(rng, n)
+    for make, reads in (
+        (lambda: pair_from_norm(nrm), 0),
+        (lambda: io.pair_from_doc(doc), 0),
+        (lambda: translate_pair(g, pair), n * n),
+    ):
+        made = []
+        calls = _fraction_calls(lambda: made.append(make()))
+        assert calls["as_integer_ratio"] == reads and calls["__new__"] <= n
+        assert set(calls) <= {"as_integer_ratio", "__new__"}
+        (x,) = made
+        assert x._vals == linalg.cleared_vector(x.weights) == pair._vals
+        assert x == SplittingPair(x.lattice, x.weights)
+
+
 def _wide_norm(rng, n, p):
     """A norm with values of either sign in (-20, 20), over denominators up to 10^6."""
     def value():

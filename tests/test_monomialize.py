@@ -80,13 +80,17 @@ def test_contract():
         sigma, split_values, col_ops = out
         # pivot weights never rise, so the first pivot is the slot maximum
         heaviest = max(s - b for s, b in zip(split_values, col_values))
-        row_w, col_w, table, _, scale = _slot_table(
-            row_side(row_values, rows, p),
-            linalg.cleared_vector(col_values),
-            linalg.cleared(linalg.transpose(cols)),
-            p,
+        rows_side = row_side(row_values, rows, p)
+        cleared_cols = linalg.cleared(linalg.transpose(cols))
+        side, col_w, table, dens = _slot_table(
+            rows_side, linalg.cleared_vector(col_values), cleared_cols, p
         )
-        assert heaviest == F(_heaviest(row_w, col_w, table, scale, p, range(d))[0], scale)
+        # the table is its own row side, of unit rows, and keeps the rows' order, which
+        # descends in the scaled weights
+        unit, row_w, scale, order = side
+        assert unit is None and order == rows_side[3] and dens == [e for _, e in cleared_cols]
+        assert [row_w[i] for i in order] == sorted(row_w, reverse=True)
+        assert heaviest == F(_heaviest(side, col_w, table, p, range(d))[0], scale)
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
         reduced = linalg.matmul(m, col_ops)
         # in pivot order, each pivot row is zero on every column pivoted after it

@@ -9,6 +9,8 @@ against the tensor norm itself.  Root-group elements 1 + t E_ji, conjugated out 
 splitting coordinates, are the stabilizer elements with g - 1 of rank one.
 """
 
+import copy
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -125,6 +127,25 @@ def test_rank_one_edge_cases():
     assert not is_stabilizer_element(nrm, ((1, 0, 0), (0, 1, 0), (0, 0, 3)))
     with pytest.raises(PreconditionError, match="requires a stabilizer element"):
         filtration_level(nrm, ((1, 0, 0), (0, 1, 0), (0, 0, 3)))
+
+
+def test_the_dual_side_is_copied_with_the_norm(monkeypatch):
+    # a rank-one hom_norm makes the norm's _dual_side; pickle and deepcopy carry it, and the
+    # same hom_norm on a copy inverts nothing
+    inverses = []
+    kernel = linalg.inverse_rows
+    monkeypatch.setattr(linalg, "inverse_rows", lambda cols: inverses.append(cols) or kernel(cols))
+    rng = random.Random(124)
+    for n in range(1, 7):
+        for p in fuzz.PRIMES:
+            nrm, h = fuzz.norm(rng, n, p), fuzz.rank_one(rng, n, p)
+            size = hom_norm(nrm, h)
+            assert "_dual_side" in vars(nrm)
+            for y in (pickle.loads(pickle.dumps(nrm)), copy.deepcopy(nrm)):
+                assert "_dual_side" in vars(y) and y._dual_side == nrm._dual_side
+                inverses.clear()
+                assert hom_norm(y, h) == size
+                assert inverses == []
 
 
 def test_rank_one_builds_no_product(monkeypatch):

@@ -276,7 +276,9 @@ def _fit_cases(rng):
 def test_fit_matches_the_oracles():
     seen = {}
     for kind, x, frame, vals in _fit_cases(random.Random(155)):
-        fit = lambda: _fit(_fresh(x), linalg.cleared(frame), linalg.cleared_vector(vals))
+        fit = lambda: _fit(
+            _fresh(x)._row_side, linalg.cleared(frame), linalg.cleared_vector(vals), x.cfg.prime
+        )
         if oracles.det(frame) == 0:
             with pytest.raises(SingularMatrixError, match="matrix is singular"):
                 fit()

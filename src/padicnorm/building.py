@@ -5,16 +5,16 @@ basis; a rational vector of coordinates is the corresponding tuple of
 values.  A norm lies in the apartment of a frame exactly when the
 frame splits it, and homothetic norms differ by one integer on the
 columns of any basis that splits one of them: both are read from the
-one splitting test of norms (see norms._fit), as equality is.
+one splitting test, slots.fit, as equality is.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, slots
 from .errors import PreconditionError
-from .norms import SplitNorm, _ball, _fit, _split, distance
+from .norms import SplitNorm, ball_at, distance, norm_on
 from .valuation import FieldConfig, multiplicity
 
 # tree_neighbors builds all p + 1 neighbors of a vertex, so it refuses primes above this
@@ -24,7 +24,7 @@ TREE_PRIME_LIMIT = 1000
 def norm_from_apartment(coords, cfg: FieldConfig) -> SplitNorm:
     """The standard-apartment norm with the given coordinate vector."""
     vals = linalg.cleared_vector(coords)
-    return _split(cfg, linalg.units(len(vals[0])), vals)
+    return norm_on(cfg, linalg.units(len(vals[0])), vals)
 
 
 def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None:
@@ -33,12 +33,12 @@ def apartment_coords(norm: SplitNorm, frame=None) -> tuple[Fraction, ...] | None
     The only candidate coordinates are the sizes of the frame columns,
     and the norm lies in the apartment iff the frame splits it at those
     sizes: the excesses of the frame columns over values 0 (see
-    norms._fit).  The norm is inverted, not the frame; a singular frame
+    slots.fit).  The norm is inverted, not the frame; a singular frame
     raises SingularMatrixError.
     """
     n = norm.dim
     cols = linalg.units(n) if frame is None else linalg.cleared_square(frame, n, "frame")
-    fit = _fit(norm._row_side, cols, ([0] * n, 1), norm.cfg.prime)
+    fit = slots.fit(norm._row_side, cols, ([0] * n, 1), norm.cfg.prime)
     return None if fit is None else tuple(Fraction(w, fit[1]) for w in fit[0])
 
 
@@ -94,22 +94,22 @@ def tree_neighbors(norm: SplitNorm) -> tuple[SplitNorm, ...]:
         raise PreconditionError("tree vertices carry a single value class")
     (r, _), den = norm._residues[0], norm._vals[1]
     p = norm.cfg.prime
-    ball = _ball(norm, r, den, True)._cols
+    ball = ball_at(norm, r, den, True)._cols
     # the integral transitions ((p, 0), (0, 1)) and ((1, 0), (c, p)), as cleared columns
     moves = [[([p, 0], 1), ([0, 1], 1)]] + [[([1, c], 1), ([0, p], 1)] for c in range(p)]
-    return tuple(_split(norm.cfg, linalg.times_cleared(ball, m), ([r, r], den)) for m in moves)
+    return tuple(norm_on(norm.cfg, linalg.times_cleared(ball, m), ([r, r], den)) for m in moves)
 
 
 def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     """Are two norms equal up to an integer shift of all values?
 
     a = b + k exactly when b's columns split a, each with the same
-    excess k over its value in b (see norms._fit).  Only a is inverted;
+    excess k over its value in b (see slots.fit).  Only a is inverted;
     a singular basis of b raises SingularMatrixError.
     """
     if a.cfg != b.cfg or a.dim != b.dim:
         return False
-    fit = _fit(a._row_side, b._cols, b._vals, a.cfg.prime)
+    fit = slots.fit(a._row_side, b._cols, b._vals, a.cfg.prime)
     if fit is None:
         return False
     t, scale = fit

@@ -12,7 +12,7 @@ A matrix is read straight into cleared columns, each entry split into
 integers by one anchored pattern and each column put over the lcm of
 its denominators, and written back from them, one gcd per entry; no
 Fraction is built per entry either way.  Loading proves the matrix
-invertible as every frame made from outside is (norms._proven): by a
+invertible as every frame made from outside is (norms.proven): by a
 determinant modulo a fixed prime, leaving the inverse to be made on
 first read; only a determinant that vanishes there, as every singular
 one does, is decided by the exact inverse, which is kept.
@@ -27,8 +27,8 @@ from fractions import Fraction
 
 from . import linalg
 from .errors import DocumentError, DomainError, PreconditionError
-from .norms import LatticeBasis, SplitNorm, _frame, _on_lattice, _proven
-from .splittings import SplittingPair, _pair
+from .norms import LatticeBasis, SplitNorm, frame_on, on_lattice, proven
+from .splittings import SplittingPair, pair_on
 from .valuation import TOO_LARGE, FieldConfig, Value
 
 # what rational_str writes, up to lowest terms: ASCII digits with no leading zero, no sign on
@@ -115,7 +115,7 @@ def _read(doc, matrix_key: str, weights_key=None, optional=()):
             raise DocumentError(f"{weights_key} must be an array of {dim} rationals")
         cols = _parse_columns(doc.get(matrix_key), dim, matrix_key)
         weights = linalg.clear([_num_den(w) for w in weights])
-        return _proven(_frame(LatticeBasis, cfg, cols)), weights
+        return proven(frame_on(LatticeBasis, cfg, cols)), weights
     except DomainError as exc:
         raise DocumentError(str(exc)) from exc
 
@@ -128,7 +128,7 @@ def norm_to_doc(norm: SplitNorm, label: str | None = None) -> dict:
 
 
 def norm_from_doc(doc) -> SplitNorm:
-    return _on_lattice(*_read(doc, "basis", "values", optional=("label",)))
+    return on_lattice(*_read(doc, "basis", "values", optional=("label",)))
 
 
 def lattice_to_doc(lattice: LatticeBasis) -> dict:
@@ -144,7 +144,7 @@ def pair_to_doc(pair: SplittingPair) -> dict:
 
 
 def pair_from_doc(doc) -> SplittingPair:
-    return _pair(*_read(doc, "lattice", "weights"))
+    return pair_on(*_read(doc, "lattice", "weights"))
 
 
 def dumps_machine(obj) -> str:

@@ -10,23 +10,12 @@ with the maximum over the nonzero coordinates and bottom at v = 0.
 All operations keep this presentation; no other representation of a
 norm exists in the package.
 
-Equality is one splitting test, _fit: do given columns c_1, ..., c_n
-split a norm x?  The lattice chain of x has graded pieces, one vector
-space over F_p per value class, and a vector has a leading term in the
-piece of its size's class, read off the coordinates that attain the
-size.  The columns split x exactly when their leading terms are
-independent (Goldman and Iwahori, Acta Math. 109, 1963): every class
-holds as many columns as x has values in it, and each class's square
-block of leading residues is nonsingular mod p.  _fit reads the sizes
-x(c_j) and the residues from one slot table of x^-1 C and inverts only
-x; only columns that do not split are told singular from not split, by
-a determinant modulo a fixed prime, and by the exact one only when that
-vanishes.  _splits asks that the columns split x each at a given value:
-equals(a, b) asks it of a's columns against b, verify_splitting of a
-pair's lattice, and the common basis's second check of B @ combo, b's
-columns times the column operations, whose slot table against b is
-combo itself on unit rows, so b is not inverted.  homothetic and
-apartment_coords read the excesses _fit returns.
+Equality is one splitting test, slots.fit, which inverts only the norm
+it tests; slots.splits asks it at given values.  equals(a, b) asks that
+of a's columns against b, verify_splitting of a pair's lattice, and the
+common basis's second check of B @ combo, b's columns times the column
+operations, whose slot table against b is combo itself on unit rows, so
+b is not inverted.  homothetic and apartment_coords read fit's excesses.
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination by column operations alone.  Column
@@ -37,7 +26,10 @@ never rewritten: once a pivot's row is cleared across the open
 columns, a row operation would subtract zero from all of them, and the
 ambient vectors of the rows never pivoted complete the split columns
 as they stand.  _split_span runs both, with the one reconstruction
-check; a common basis adds only the check of the second norm.
+check; a common basis adds only the check of the second norm.  The
+elimination runs on the slot table itself, each row scaled by its
+denominator, which the row's weight absorbs and column operations
+commute with.
 
 Norms and lattices are frames: a basis held as cleared columns,
 integers over one denominator per column, and its inverse as cleared
@@ -51,7 +43,7 @@ uses _powers, as diag(p^-k) B^-1; act and translate_pair make the
 acting matrix g a frame, so the rows of M^-1 g^-1 are times_cleared
 of g's and M's, and only g is inverted.  dual swaps columns and rows,
 and the norms on a lattice share its rows.  Columns from outside, a
-document's or g's, are _proven invertible by a determinant modulo a
+document's or g's, are proven invertible by a determinant modulo a
 fixed prime, with no inverse.  The Fraction matrices basis, inv_basis,
 matrix and inv are views, built on first access; the comparison path
 (equals, distance, the self-checks) never builds one.  == and hash
@@ -67,43 +59,14 @@ computation on values reads _vals in integers: the slot tables, the
 balls (ceilings and floors by integer floor division), the residues
 mod den that count the value classes and grade the order and the
 balls, and the values of the norms made from others.  A Fraction is
-built only for a public result, one Fraction(a, den) per entry.
+built only for a public result, one Fraction(a, den) per entry.  A
+norm makes its row side once, with its inverse, as the cached
+_row_side, which pickles and copies with it.
 
-Slots are fixed once for the whole package.  For a map h from a norm
-split by c_1, ..., c_n at values b_1, ..., b_n to one split by
-e_1, ..., e_m at values a_1, ..., a_m, slot (i, j) holds M_ij, the
-coefficient of e_i in h(c_j), and weighs a_i - b_j - val(M_ij).  Every
-slot weight is read from the _slot_table of a product's two factors:
-integer dot products over a row and a column denominator.  The row side
-is the target norm's: its inverse rows, each row's weight (its value
-plus the valuation of its denominator) and the rows heaviest first.  A
-norm makes it once, with its inverse, as the cached _row_side, which
-pickles and copies with it.  A table takes its column values cleared
-too, the source norm's _vals, and is its own row side, of unit rows
-with the same order.  The elimination runs on the table itself, the
-product with each row scaled by its denominator, which the row's weight
-absorbs and column operations commute with.
-
-A slot is valued only when it can win, in three steps: its bound
-a_i - b_j, the weight at valuation 0, must beat the best weight so far;
-then, k valuation steps above it, one remainder mod p^k must be nonzero
-(_gain); only then is the valuation taken.  _heaviest reads a whole
-table so, for _monomialize and for the one scan of an operator size;
-no other module reads a slot table.  _size reads one column, rows
-heaviest first, and stops at the first row whose bound cannot win: _fit
-reads each column of its table so, and evaluate and the two sizes of a
-rank-one map compute their one column on demand.
-
-A map of rank one needs no table.  Hom(V, W) = V^dual (x) W carries the
-tensor norm, whose value on a pure tensor is the sum of its factors'
-sizes: for h = u phi, M_ij is coordinate i of u in the e's times
-coordinate j of phi in the dual basis of the c's, so the greatest slot
-weight is dst(u) + dual(src)(phi).  _op_size reads such an h as these
-two vector sizes, the second against src's cached _dual_side, whose
-inverse rows are src's own columns: nothing is inverted and no product
-is built.  Membership in the order of a norm and the filtration level
-(stabilizer) are _op_size of g - 1, so a root-group element 1 + t E_ji
-conjugated by the splitting basis is sized so.
+op_weight sizes a map h = u phi of rank one (slots module docstring) as
+dst(u) plus dual(src)(phi), against src's cached _dual_side, whose
+inverse rows are src's own columns: no inverse and no product.
+Membership and the filtration level (stabilizer) are op_weight of g - 1.
 """
 
 from __future__ import annotations
@@ -114,30 +77,28 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from operator import mul
 from types import MappingProxyType
 
-from . import linalg
+from . import linalg, slots
 from .errors import (
     ConfigMismatchError,
     DimensionMismatchError,
     PreconditionError,
     RankDeficiencyError,
     SelfCheckError,
-    SingularMatrixError,
 )
-from .linalg import Cleared, Matrix
-from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, digit_limit, multiplicity
+from .linalg import Cleared, Matrix, digit_limit
+from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, multiplicity
 
 
-def _plant(obj, name: str, value) -> None:
+def plant(obj, name: str, value) -> None:
     object.__setattr__(obj, name, value)
 
 
 class _Frame:
     """An invertible matrix held as its cleared columns _cols, with the cleared rows _inv_rows
     of its inverse made once, on first read, by the recipe _inv_from: linalg.inverse_rows of
-    the columns, unless the frame was made with another (see _frame).  Every Fraction on a
+    the columns, unless the frame was made with another (see frame_on).  Every Fraction on a
     frame is a view, built on first access: the field named by _view of the columns, the one
     named by _inv_view of the inverse and, for a norm, the one named by _vals_view of its
     cleared values _vals."""
@@ -160,7 +121,7 @@ class _Frame:
             view = linalg.from_cleared_vector(self._vals)
         else:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        _plant(self, name, view)
+        plant(self, name, view)
         return view
 
 
@@ -185,11 +146,11 @@ class SplitNorm(_Frame):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise DimensionMismatchError(f"dim must be a nonnegative int, got {n!r}")
         basis = vars(self).pop("basis")  # read once, into _cols: basis is a view of them
-        _plant(self, "_cols", linalg.cleared_square(basis, n, "basis"))
+        plant(self, "_cols", linalg.cleared_square(basis, n, "basis"))
         vals = linalg.cleared_vector(vars(self).pop("values"))  # read once, into _vals
         if len(vals[0]) != n:
             raise DimensionMismatchError(f"expected {n} values, got {len(vals[0])}")
-        _plant(self, "_vals", vals)
+        plant(self, "_vals", vals)
 
     # not a cached_property: perfbench/tracing.py wraps its fget and checks "_inv" in vars(norm)
     @property
@@ -198,14 +159,14 @@ class SplitNorm(_Frame):
 
     @cached_property
     def _row_side(self):
-        """_row_side_of this norm's values and inverse rows, made once with the inverse."""
-        return _row_side_of(self._vals, self._inv_rows, self.cfg.prime)
+        """slots.row_side_of this norm's values and inverse rows, made once with the inverse."""
+        return slots.row_side_of(self._vals, self._inv_rows, self.cfg.prime)
 
     @cached_property
     def _dual_side(self):
         """The _row_side of dual(self), whose inverse rows are this norm's columns."""
         ints, den = self._vals
-        return _row_side_of(([-a for a in ints], den), self._cols, self.cfg.prime)
+        return slots.row_side_of(([-a for a in ints], den), self._cols, self.cfg.prime)
 
     @cached_property
     def _residues(self) -> list[tuple[int, int]]:
@@ -241,22 +202,22 @@ class LatticeBasis(_Frame):
 
     def __post_init__(self) -> None:
         matrix = vars(self).pop("matrix")  # read once, into _cols: matrix is a view of them
-        _plant(self, "_cols", linalg.cleared_square(matrix, what="lattice matrix"))
+        plant(self, "_cols", linalg.cleared_square(matrix, what="lattice matrix"))
 
     @property
     def dim(self) -> int:
         return len(self._cols)
 
 
-def _frame(cls, cfg: FieldConfig, cols: Cleared, inv_from: Callable[[], Cleared] | None = None):
+def frame_on(cls, cfg: FieldConfig, cols: Cleared, inv_from: Callable[[], Cleared] | None = None):
     """A frame of class cls on cleared columns, a SplitNorm still without dim and values.
     inv_from, a function of no arguments, replaces the default recipe; it is a partial of a
     module-level function, as _inverse_from makes them, so the frame pickles."""
     frame = object.__new__(cls)
-    _plant(frame, "cfg", cfg)
-    _plant(frame, "_cols", cols)
+    plant(frame, "cfg", cfg)
+    plant(frame, "_cols", cols)
     if inv_from is not None:
-        _plant(frame, "_inv_from", inv_from)
+        plant(frame, "_inv_from", inv_from)
     return frame
 
 
@@ -267,7 +228,7 @@ def _inverse_from(kernel, *args) -> Cleared:
     return kernel(*(a._inv_rows if isinstance(a, _Frame) else a for a in args))
 
 
-def _proven(frame: _Frame) -> _Frame:
+def proven(frame: _Frame) -> _Frame:
     """The frame, proven invertible by linalg.nonsingular_mod, a determinant modulo a fixed
     prime; only a determinant that vanishes there is decided by the exact inverse, which
     raises SingularMatrixError for a singular frame and is kept."""
@@ -276,12 +237,12 @@ def _proven(frame: _Frame) -> _Frame:
     return frame
 
 
-def _split(cfg: FieldConfig, cols: Cleared, vals, inv_from=None) -> SplitNorm:
+def norm_on(cfg: FieldConfig, cols: Cleared, vals, inv_from=None) -> SplitNorm:
     """The norm taking cleared column j to value j of the cleared vector vals = (ints, den),
     kept as _vals over the lcm of the values' denominators; values is a view of them."""
-    norm = _frame(SplitNorm, cfg, cols, inv_from)
-    _plant(norm, "dim", len(cols))
-    _plant(norm, "_vals", linalg.reduced(*vals))
+    norm = frame_on(SplitNorm, cfg, cols, inv_from)
+    plant(norm, "dim", len(cols))
+    plant(norm, "_vals", linalg.reduced(*vals))
     return norm
 
 
@@ -300,112 +261,31 @@ def _check_prime(a: SplitNorm, b: SplitNorm) -> None:
         raise ConfigMismatchError(f"prime mismatch: {a.cfg.prime} vs {b.cfg.prime}")
 
 
-def _check_compatible(a: SplitNorm, b: SplitNorm) -> None:
+def check_compatible(a: SplitNorm, b: SplitNorm) -> None:
     _check_prime(a, b)
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def evaluate(norm: SplitNorm, v) -> Value:
-    """Size of a vector, bottom at the zero vector: _size of B^-1 v, v cleared once."""
+    """Size of a vector, bottom at the zero vector: slots.size of B^-1 v, v cleared once."""
     ints, e = linalg.cleared_vector(v)
     if len(ints) != norm.dim:
         raise DimensionMismatchError(f"vector has length {len(ints)}, norm has dim {norm.dim}")
     side, p = norm._row_side, norm.cfg.prime
-    best = _size(side, ints, side[2] * multiplicity(e, p), p)
+    best = slots.size(side, ints, side[2] * multiplicity(e, p), p)
     return BOTTOM if best is None else Value(Fraction(best, side[2]))
 
 
-def _size(side, ints, shift: int, p: int) -> int | None:
-    """The greatest weight of one column of a slot table, None if it is 0: the column of the
-    row side's cleared rows times the integers ints, whose entry x_i, the dot product of row
-    i and ints, weighs row_w[i] + shift - scale * v(x_i), for side = (rows, row_w, scale,
-    order); rows None stands for the unit rows, and ints is the column itself."""
-    rows, row_w, scale, order = side
-    best = None
-    for i in order:
-        top = row_w[i] + shift
-        if best is not None and top <= best:
-            break
-        x = ints[i] if rows is None else sum(map(mul, rows[i][0], ints))
-        if x:
-            w = _gain(x, top, best, scale, p)
-            if w is not None:
-                best = w
-    return best
-
-
-def _gain(x: int, top: int, best: int | None, scale: int, p: int) -> int | None:
-    """The weight top - scale * v(x) of a slot holding the nonzero integer x when it beats
-    best, the greatest weight so far (None: there is none yet); else None.  The caller has
-    checked the bound, top > best."""
-    if best is not None:
-        # it beats best exactly when v(x) < k; as |x| >= 2^v(x), it does once k passes the
-        # bit length of x, with no p^k built
-        k = -((best - top) // scale)
-        if k < x.bit_length() and not x % p**k:
-            return None
-    return top - scale * multiplicity(x, p)
-
-
-def _heaviest(side, col_w, cols, p: int, open_cols):
-    """The slot (w, i, j) of greatest weight w = row_w[i] - col_w[j] - scale * v(cols[j][i])
-    over the nonzero integers of the open columns, ties to the lowest (row, column), for a
-    table's side = (None, row_w, scale, order); None if all are 0."""
-    _, row_w, scale, _ = side
-    best = best_w = None
-    for i, r in enumerate(row_w):
-        for j in open_cols:
-            top = r - col_w[j]
-            if best_w is None or top > best_w:
-                x = cols[j][i]
-                if x:
-                    w = _gain(x, top, best_w, scale, p)
-                    if w is not None:
-                        best_w, best = w, (w, i, j)
-    return best
-
-
-def _row_side_of(vals, rows: Cleared | None, p: int):
-    """The row side of a slot table: (rows, row_w, den, order), from the values cleared as
-    vals = (ints, den), with row_w[i] = ints[i] + den * v(d_i), d_i the denominator of cleared
-    row i, and order the rows by descending row_w, ties in row order.  rows None stands for
-    the unit rows, of denominator 1."""
-    ints, den = vals
-    if rows is not None:
-        ints = [a + den * multiplicity(d, p) for a, (_, d) in zip(ints, rows)]
-    return rows, ints, den, sorted(range(len(ints)), key=ints.__getitem__, reverse=True)
-
-
-def _slot_table(row_side, col_vals, cols: Cleared, p: int):
-    """The product of a row side's cleared rows and the cleared columns in integers, the
-    column values cleared as col_vals = (ints, den): (side, col_w, table, dens), where
-    table[j][i] is the dot product s of row i over its denominator d and column j over e =
-    dens[j], and side = (None, row_w, scale, order) is the table's own row side, with
-    row_w[i] - col_w[j] - scale * v(s) scale times the weight of slot (i, j), s / (d e).
-    scale is the lcm of the row and the column values' denominators.  For unit rows the
-    table is the columns' own integers, with no product."""
-    rows, row_w, row_den, order = row_side
-    ints, col_den = col_vals
-    scale = math.lcm(row_den, col_den)
-    side = (None, [w * (scale // row_den) for w in row_w], scale, order)
-    col_w = [a * (scale // col_den) - scale * multiplicity(e, p) for a, (_, e) in zip(ints, cols)]
-    dens = [e for _, e in cols]
-    if rows is None:
-        return side, col_w, [c for c, _ in cols], dens
-    table = [[sum(map(mul, r, c)) for r, _ in rows] for c, _ in cols]
-    return side, col_w, table, dens
-
-
-def _on_lattice(lattice: LatticeBasis, vals) -> SplitNorm:
+def on_lattice(lattice: LatticeBasis, vals) -> SplitNorm:
     """The norm taking column i of the lattice to value i of the cleared vector vals; it
     shares the lattice's cleared columns and inverse rows."""
-    return _split(lattice.cfg, lattice._cols, vals, partial(getattr, lattice, "_inv_rows"))
+    return norm_on(lattice.cfg, lattice._cols, vals, partial(getattr, lattice, "_inv_rows"))
 
 
 def lattice_norm(lattice: LatticeBasis) -> SplitNorm:
     """The norm whose unit ball is exactly the given lattice."""
-    return _on_lattice(lattice, ([0] * lattice.dim, 1))
+    return on_lattice(lattice, ([0] * lattice.dim, 1))
 
 
 def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
@@ -413,52 +293,31 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
 
     The least s with dst(h v) <= src(v) + s for every v, bottom at h = 0:
     the maximum weight over the slots of M = dst.inv_basis @ h @ src.basis
-    (module docstring), as by the ultrametric inequality it is attained
+    (slots module docstring), as by the ultrametric inequality it is attained
     on a src-splitting column.
     """
-    _check_compatible(src, dst)
-    w, scale = _op_size(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
+    check_compatible(src, dst)
+    w, scale = op_weight(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
     return BOTTOM if w is None else Value(Fraction(w, scale))
 
 
-def _op_size(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> tuple[int | None, int]:
+def op_weight(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> tuple[int | None, int]:
     """op_size of the map with these cleared columns, None for the identity, in integers: (w,
-    scale), w / scale the greatest weight of the _slot_table of dst's rows and h's columns
+    scale), w / scale the greatest weight of the slots.slot_table of dst's rows and h's columns
     times src's, and w None at h = 0."""
     p = src.cfg.prime
-    pure = None if h_cols is None else _rank_one(h_cols)
+    pure = None if h_cols is None else slots.rank_one(h_cols)
     if pure is None:
         image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
-        side, col_w, table, _ = _slot_table(dst._row_side, src._vals, image, p)
-        best = _heaviest(side, col_w, table, p, range(len(table)))
+        side, col_w, table, _ = slots.slot_table(dst._row_side, src._vals, image, p)
+        best = slots.heaviest(side, col_w, table, p, range(len(table)))
         return (None if best is None else best[0]), side[2]
     s_dst, s_src = dst._vals[1], src._vals[1]
     scale = math.lcm(s_dst, s_src)
     u, (ints, den) = pure
-    w_u = _size(dst._row_side, u, 0, p)
-    w_phi = _size(src._dual_side, ints, s_src * multiplicity(den, p), p)
+    w_u = slots.size(dst._row_side, u, 0, p)
+    w_phi = slots.size(src._dual_side, ints, s_src * multiplicity(den, p), p)
     return w_u * (scale // s_dst) + w_phi * (scale // s_src), scale
-
-
-def _rank_one(h_cols: Cleared):
-    """h as u phi when it has rank one: (u, phi), u the integers of h's first nonzero column
-    and phi = (ints, den) the cleared row with column j of h equal to phi_j u; None when h
-    is 0 or has rank two or more.  With k the first nonzero entry of u, column c_j over e_j
-    is phi_j u exactly when c_j[i] u[k] = u[i] c_j[k] for every i, and then phi_j = c_j[k] /
-    (e_j u[k]), cleared over u[k] lcm(e).  A column that is not a multiple of u ends the
-    test, at its first entry that differs."""
-    j0 = next((j for j, (c, _) in enumerate(h_cols) if any(c)), None)
-    if j0 is None:
-        return None
-    u = h_cols[j0][0]
-    k = next(i for i, x in enumerate(u) if x)
-    uk = u[k]
-    for c, _ in h_cols[j0 + 1 :]:
-        ck = c[k]
-        if any(x * uk != y * ck for x, y in zip(c, u)):
-            return None
-    m = math.lcm(*(e for _, e in h_cols))
-    return u, ([c[k] * (m // e) for c, e in h_cols], uk * m)
 
 
 def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
@@ -470,7 +329,7 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
     if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
         raise PreconditionError(TOO_LARGE)
     inv_from = partial(_inverse_from, _powers, norm, p, [-k for k in exponents])
-    return _frame(LatticeBasis, norm.cfg, _powers(norm._cols, p, exponents), inv_from)
+    return frame_on(LatticeBasis, norm.cfg, _powers(norm._cols, p, exponents), inv_from)
 
 
 def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
@@ -485,7 +344,7 @@ def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
     return out
 
 
-def _canonical(norm: SplitNorm):
+def canonical(norm: SplitNorm):
     """(lattice, shifts, sizes): the lattice of p^floor(a_i) e_i, the floors floor(a_i), and
     the sizes a_i - floor(a_i) in [0, 1) of its columns, cleared; from _vals = (ints, den)
     they are ints[i] // den and ints[i] % den over den."""
@@ -494,7 +353,7 @@ def _canonical(norm: SplitNorm):
     return _scaled_ball(norm, shifts), shifts, ([a % den for a in ints], den)
 
 
-def _ball(norm: SplitNorm, num: int, den: int, closed: bool) -> LatticeBasis:
+def ball_at(norm: SplitNorm, num: int, den: int, closed: bool) -> LatticeBasis:
     """The closed or open ball at the level g = num / den, den > 0: with a_i = ints[i] / d
     from _vals, a_i - g is (ints[i] den - num d) / (d den), whose ceiling and floor are
     integer floor divisions."""
@@ -507,12 +366,12 @@ def _ball(norm: SplitNorm, num: int, den: int, closed: bool) -> LatticeBasis:
 
 def ball_basis(norm: SplitNorm, g) -> LatticeBasis:
     """Lattice of vectors of size at most g: spanned by p^ceil(a_i - g) e_i."""
-    return _ball(norm, *linalg.ratio(g), True)
+    return ball_at(norm, *linalg.ratio(g), True)
 
 
 def ball_basis_open(norm: SplitNorm, g) -> LatticeBasis:
     """Lattice of vectors of size strictly below g: spanned by p^(floor(a_i - g) + 1) e_i."""
-    return _ball(norm, *linalg.ratio(g), False)
+    return ball_at(norm, *linalg.ratio(g), False)
 
 
 def lattice_contains(outer: LatticeBasis, inner: LatticeBasis) -> bool:
@@ -526,101 +385,54 @@ def lattices_equal(a: LatticeBasis, b: LatticeBasis) -> bool:
     return equals(lattice_norm(a), lattice_norm(b))
 
 
-def _fit(row_side, cols: Cleared, vals, p: int) -> tuple[list[int], int] | None:
-    """Do the cleared columns c_j split x, the norm of this row side (module docstring)?  When
-    they do, (t, scale), with t_j = scale * (x(c_j) - values[j]) the excess of column j, values
-    cleared as vals; None when they do not.  A singular C raises SingularMatrixError, told
-    from columns that do not split as _proven tells a frame."""
-    side, col_w, table, _ = _slot_table(row_side, vals, cols, p)
-    tops = [_size(side, c, -w, p) for c, w in zip(table, col_w)]
-    t = [w for w in tops if w is not None]  # a zero column has no weight, and leaves t short
-    if len(t) == len(table) and _graded(side, col_w, table, t, p):
-        return t, side[2]
-    if linalg.nonsingular_mod(table) or linalg.det_cleared(table):
-        return None
-    raise SingularMatrixError("matrix is singular")
-
-
-def _splits(row_side, cols: Cleared, vals, p: int) -> bool:
-    """Do the cleared columns split the norm of this row side, each at its value in vals?"""
-    fit = _fit(row_side, cols, vals, p)
-    return fit is not None and not any(fit[0])
-
-
-def _graded(side, col_w, table, t, p: int) -> bool:
-    """Are the leading terms of the columns independent in the graded pieces of x, for the
-    table's side = (None, row_w, scale, order) and t the columns' greatest weights?  Row i
-    lies in the class row_w[i] % scale and column j, whose size is attained there, in (t[j] +
-    col_w[j]) % scale; every class must hold as many columns as rows, and its block of
-    leading residues be nonsingular mod p.  Slot (i, j), holding x_ij, would weigh t[j] at
-    valuation k = (row_w[i] - col_w[j] - t[j]) / scale, and as no slot of column j weighs more,
-    v(x_ij) >= k: its leading residue x_ij / p^k mod p is nonzero exactly when it attains
-    t[j], and is 0 when k < 0.  A block of one row is nonsingular, as its one slot attains."""
-    _, row_w, scale, _ = side
-    classes: dict[int, tuple[list[int], list[int]]] = {}
-    for i, w in enumerate(row_w):
-        classes.setdefault(w % scale, ([], []))[0].append(i)
-    for j, w in enumerate(t):
-        classes[(w + col_w[j]) % scale][1].append(j)  # the class of the row that attains t[j]
-    if any(len(rows) != len(cols) for rows, cols in classes.values()):
-        return False
-    for rows, cols in classes.values():
-        if len(rows) > 1:
-            block = []
-            for j in cols:
-                ks = [(row_w[i] - col_w[j] - t[j]) // scale for i in rows]
-                block.append([table[j][i] // p**k if k >= 0 else 0 for i, k in zip(rows, ks)])
-            if not linalg.nonsingular_mod(block, p):
-                return False
-    return True
-
-
 def equals(a: SplitNorm, b: SplitNorm) -> bool:
-    """Exact equality of norms: a's columns split b, each at its value in a (see _fit).  Only
-    b's inverse is read; a singular basis of a raises SingularMatrixError."""
-    _check_compatible(a, b)
-    return _splits(b._row_side, a._cols, a._vals, b.cfg.prime)
+    """Exact equality of norms: a's columns split b, each at its value in a (see slots.fit).
+    Only b's inverse is read; a singular basis of a raises SingularMatrixError."""
+    check_compatible(a, b)
+    return slots.splits(b._row_side, a._cols, a._vals, b.cfg.prime)
 
 
-def _moved(g, frame: _Frame) -> tuple[Cleared, Callable[[], Cleared]]:
+def moved(g, frame: _Frame) -> tuple[Cleared, Callable[[], Cleared]]:
     """The cleared columns of g M, M the frame's matrix, and the recipe of (g M)^-1 = M^-1
     g^-1, whose rows are the columns of (g^-1)^T (M^-1)^T: times_cleared of the inverse rows
-    of g, a _proven frame, and of M, so only g is inverted."""
+    of g, a proven frame, and of M, so only g is inverted."""
     g_cols = linalg.cleared_square(g, len(frame._cols), "acting matrix")
-    g = _proven(_frame(_Frame, frame.cfg, g_cols))
+    g = proven(frame_on(_Frame, frame.cfg, g_cols))
     inv_from = partial(_inverse_from, linalg.times_cleared, g, frame)
     return linalg.times_cleared(g_cols, frame._cols), inv_from
 
 
 def act(g, norm: SplitNorm) -> SplitNorm:
     """Transport the norm along an invertible matrix g (v -> size of g^-1 v)."""
-    cols, inv_from = _moved(g, norm)
-    return _split(norm.cfg, cols, norm._vals, inv_from)
+    cols, inv_from = moved(g, norm)
+    return norm_on(norm.cfg, cols, norm._vals, inv_from)
+
+
+def _made_from(kernel, a: SplitNorm, b: SplitNorm, vals, *dims) -> SplitNorm:
+    """The norm at vals on kernel(a's columns, b's), its inverse rows kernel of theirs on read."""
+    inv_from = partial(_inverse_from, kernel, a, b, *dims)
+    return norm_on(a.cfg, kernel(a._cols, b._cols, *dims), vals, inv_from)
 
 
 def tensor(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Tensor product norm; the pairwise basis tensors split it."""
     _check_prime(a, b)
     x, y, m = linalg.aligned(a._vals, b._vals)
-    vals = ([u + v for u in x for v in y], m)
-    cols = linalg.kron_cleared(a._cols, b._cols)
-    return _split(a.cfg, cols, vals, partial(_inverse_from, linalg.kron_cleared, a, b))
+    return _made_from(linalg.kron_cleared, a, b, ([u + v for u in x for v in y], m))
 
 
 def dual(a: SplitNorm) -> SplitNorm:
     """Dual norm on the dual space, split by the dual basis: its columns are the rows of
     the inverse, and the inverse of its basis has the columns of a's basis as rows."""
     ints, den = a._vals
-    return _split(a.cfg, a._inv_rows, ([-x for x in ints], den), partial(getattr, a, "_cols"))
+    return norm_on(a.cfg, a._inv_rows, ([-x for x in ints], den), partial(getattr, a, "_cols"))
 
 
 def direct_sum(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """Max-of-components norm on the direct sum."""
     _check_prime(a, b)
-    cols = linalg.block_cleared(a._cols, b._cols, a.dim, b.dim)
-    inv_from = partial(_inverse_from, linalg.block_cleared, a, b, a.dim, b.dim)
     x, y, m = linalg.aligned(a._vals, b._vals)
-    return _split(a.cfg, cols, (x + y, m), inv_from)
+    return _made_from(linalg.block_cleared, a, b, (x + y, m), a.dim, b.dim)
 
 
 def _monomialize(row_side, col_vals, cols: Cleared, p: int):
@@ -643,7 +455,7 @@ def _monomialize(row_side, col_vals, cols: Cleared, p: int):
     scale.  Each pivot row of m @ col_ops is zero on the columns pivoted
     after it.
     """
-    side, col_w, table, dens = _slot_table(row_side, col_vals, cols, p)
+    side, col_w, table, dens = slots.slot_table(row_side, col_vals, cols, p)
     scale = side[2]
     lift = scale // col_vals[1]  # a column value over scale
     n, d = len(side[1]), len(table)
@@ -653,7 +465,7 @@ def _monomialize(row_side, col_vals, cols: Cleared, p: int):
     sigma: dict[int, int] = {}
     split = [0] * d
     for _ in range(d):
-        best = _heaviest(side, col_w, stacked, p, open_cols)
+        best = slots.heaviest(side, col_w, stacked, p, open_cols)
         if best is None:
             raise RankDeficiencyError("columns do not have full rank")
         w, pi, pj = best
@@ -687,7 +499,7 @@ def _split_span(norm: SplitNorm, cols: Cleared, col_vals) -> tuple[SplitNorm, Cl
     full = linalg.times_cleared(cols, combo) + [norm._cols[i] for i in rest]
     ints, den = norm._vals
     x, y, m = linalg.aligned(vals, ([ints[i] for i in rest], den))
-    split = _split(norm.cfg, full, (x + y, m))
+    split = norm_on(norm.cfg, full, (x + y, m))
     if not equals(split, norm):
         raise SelfCheckError("splitting failed to reconstruct the norm")
     return split, combo
@@ -714,7 +526,7 @@ def restrict(norm: SplitNorm, span) -> SplitNorm:
     """
     split, combo = _split_subspace(norm, span)
     ints, den = split._vals
-    return _split(norm.cfg, combo, (ints[: len(combo)], den))
+    return norm_on(norm.cfg, combo, (ints[: len(combo)], den))
 
 
 def quotient(norm: SplitNorm, span) -> SplitNorm:
@@ -729,7 +541,7 @@ def quotient(norm: SplitNorm, span) -> SplitNorm:
     split, combo = _split_subspace(norm, span)
     ints, den = split._vals
     rest = ints[len(combo) :]
-    return _split(norm.cfg, linalg.units(len(rest)), (rest, den))
+    return norm_on(norm.cfg, linalg.units(len(rest)), (rest, den))
 
 
 def common_splitting_basis(a: SplitNorm, b: SplitNorm):
@@ -738,10 +550,10 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
     Returns (basis, a_values, b_values): the columns of basis split a
     with a_values and b with b_values.  Columns are scaled so that
     a_values lie in [0, 1).  Both reconstructions are checked by the
-    splitting test _fit before returning; only a is inverted.
+    splitting test slots.fit before returning; only a is inverted.
     """
     common = _common_norm(a, b)
-    lattice, shifts, a_vals = _canonical(common)
+    lattice, shifts, a_vals = canonical(common)
     # column j was scaled by p^shifts[j], which lowers its b-value by as much
     ints, den = b._vals
     b_vals = ([v - k * den for v, k in zip(ints, shifts)], den)
@@ -752,10 +564,10 @@ def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
     """a on unscaled columns that split b at its values: _split_span of b's basis against a,
     whose check covers a, and the second reconstruction check, of b, read off the column
     operations (module docstring)."""
-    _check_compatible(a, b)
+    check_compatible(a, b)
     common, combo = _split_span(a, b._cols, b._vals)
     p = b.cfg.prime
-    if not _splits(_row_side_of(b._vals, None, p), combo, b._vals, p):
+    if not slots.splits(slots.row_side_of(b._vals, None, p), combo, b._vals, p):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
     return common
 

@@ -6,7 +6,7 @@ weight; conversely every split norm has a canonical pair whose weights
 lie in [0, 1), obtained by scaling each splitting vector into that
 window by a power of p.  A pair reads its weights once, into _vals, as
 a norm reads its values, and a pair the package makes is born with
-them, by _pair; weights are the Fractions of those integers.
+them, by pair_on; weights are the Fractions of those integers.
 """
 
 from __future__ import annotations
@@ -14,11 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import linalg, slots
 from .errors import DimensionMismatchError
 from .norms import (
-    LatticeBasis, SplitNorm, _canonical, _check_compatible, _frame, _moved, _on_lattice, _plant,
-    _splits,
+    LatticeBasis, SplitNorm, canonical, check_compatible, frame_on, moved, on_lattice, plant,
 )
 
 
@@ -31,8 +30,8 @@ class SplittingPair:
         vals = linalg.cleared_vector(self.weights)  # read once, into _vals
         if len(vals[0]) != self.lattice.dim:
             raise DimensionMismatchError(f"expected {self.lattice.dim} weights, got {len(vals[0])}")
-        _plant(self, "_vals", vals)
-        _plant(self, "weights", linalg.from_cleared_vector(vals))
+        plant(self, "_vals", vals)
+        plant(self, "weights", linalg.from_cleared_vector(vals))
 
     @property
     def is_canonical(self) -> bool:
@@ -40,19 +39,19 @@ class SplittingPair:
         return all(0 <= x < den for x in ints)
 
 
-def _pair(lattice: LatticeBasis, vals) -> SplittingPair:
+def pair_on(lattice: LatticeBasis, vals) -> SplittingPair:
     """The pair of the lattice and the weights cleared as vals = (ints, den), over the lcm of
     their denominators, kept as _vals; weights are their Fractions."""
     pair = object.__new__(SplittingPair)
-    _plant(pair, "lattice", lattice)
-    _plant(pair, "_vals", vals)
-    _plant(pair, "weights", linalg.from_cleared_vector(vals))
+    plant(pair, "lattice", lattice)
+    plant(pair, "_vals", vals)
+    plant(pair, "weights", linalg.from_cleared_vector(vals))
     return pair
 
 
 def norm_from_pair(pair: SplittingPair) -> SplitNorm:
     """The norm sending each lattice column to its weight."""
-    return _on_lattice(pair.lattice, pair._vals)
+    return on_lattice(pair.lattice, pair._vals)
 
 
 def pair_from_norm(norm: SplitNorm) -> SplittingPair:
@@ -61,21 +60,21 @@ def pair_from_norm(norm: SplitNorm) -> SplittingPair:
     Column i of the lattice is p^floor(a_i) times splitting vector i,
     which has size equal to the fractional part of a_i.
     """
-    lattice, _, weights = _canonical(norm)
-    return _pair(lattice, weights)
+    lattice, _, weights = canonical(norm)
+    return pair_on(lattice, weights)
 
 
 def translate_pair(g, pair: SplittingPair) -> SplittingPair:
     """Transport a pair along an invertible matrix: lattice moves, weights stay."""
-    lattice = _frame(LatticeBasis, pair.lattice.cfg, *_moved(g, pair.lattice))
-    return _pair(lattice, pair._vals)
+    lattice = frame_on(LatticeBasis, pair.lattice.cfg, *moved(g, pair.lattice))
+    return pair_on(lattice, pair._vals)
 
 
 def verify_splitting(norm: SplitNorm, pair: SplittingPair) -> bool:
     """Does the pair present exactly this norm: do the lattice columns split it, each at its
-    weight (see norms._fit)?  The norm is inverted, not the lattice; a singular lattice raises
+    weight (see slots.fit)?  The norm is inverted, not the lattice; a singular lattice raises
     SingularMatrixError.  Compatibility is checked first: another prime raises
     ConfigMismatchError ("prime mismatch: 2 vs 3", the norm's prime first), another dimension
     DimensionMismatchError."""
-    _check_compatible(norm, pair.lattice)
-    return _splits(norm._row_side, pair.lattice._cols, pair._vals, norm.cfg.prime)
+    check_compatible(norm, pair.lattice)
+    return slots.splits(norm._row_side, pair.lattice._cols, pair._vals, norm.cfg.prime)

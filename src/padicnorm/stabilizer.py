@@ -1,6 +1,6 @@
 """The order attached to a split norm and its filtration.
 
-Slots and their weights are those the norms module docstring fixes
+Slots and their weights are those the slots module docstring fixes
 once for the whole package, taken from the norm to itself, whose values
 are a_1, ..., a_n.  hom_norm is the maximum slot weight (bottom for
 h = 0).  The order of the norm consists of the h with hom_norm <= 0,
@@ -21,11 +21,11 @@ ultrametric inequality and hom_norm(1) = 0 give hom_norm(g) <=
 max(hom_norm(g - 1), 0) and hom_norm(g - 1) <= max(hom_norm(g), 0), so
 hom_norm(g) <= 0 exactly when the level hom_norm(g - 1) <= 0.  Both
 clear g once, refuse it first when det g is not a p-adic unit, and
-read the level as norms._op_size of g - 1.  The root-group elements
+read the level as norms.op_weight of g - 1.  The root-group elements
 1 + t E_ji conjugated by the splitting basis, which generate the
 Bruhat-Tits group schemes and their Moy-Prasad filtrations (Bruhat and
 Tits, Publ. IHES 41, 1972; Moy and Prasad, Invent. Math. 116, 1994),
-have g - 1 of rank one, which needs no product (norms module
+have g - 1 of rank one, which needs no product (slots module
 docstring).
 """
 
@@ -39,7 +39,7 @@ from operator import mul
 from . import linalg
 from .base_change import kernel_dim
 from .errors import PreconditionError, SingularMatrixError
-from .norms import BallChainPeriod, LatticeBasis, SplitNorm, _ball, _op_size, op_size
+from .norms import BallChainPeriod, LatticeBasis, SplitNorm, ball_at, op_size, op_weight
 from .valuation import BOTTOM, Value, by_degree, multiplicity
 
 
@@ -74,13 +74,13 @@ def hom_norm(norm: SplitNorm, h) -> Value:
     """Operator size of h with respect to the norm; bottom at h = 0.
 
     op_size from the norm to itself: the maximum slot weight, with slots
-    as the norms module docstring sets them.
+    as the slots module docstring sets them.
     """
     return op_size(norm, norm, h)
 
 
 def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
-    """hom_norm(g - 1) in integers, (w, scale) as _op_size gives it, from g cleared once, with
+    """hom_norm(g - 1) in integers, (w, scale) as op_weight gives it, from g cleared once, with
     bottom, at g = 1, as w = -scale: the level is bottom at or below -1 alike.  None when det
     g is not a p-adic unit, which decides before any product is built.  g must be n x n,
     checked before it must be invertible."""
@@ -93,7 +93,7 @@ def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
         return None  # the determinant alone refuses g: det g = det C / prod e_j
     for j, (c, e) in enumerate(g_cols):
         c[j] -= e  # column j of g - 1: e_j over the denominator e holds e in row j
-    w, scale = _op_size(norm, norm, g_cols)
+    w, scale = op_weight(norm, norm, g_cols)
     return (-scale if w is None else w), scale
 
 
@@ -131,7 +131,7 @@ def chain_period(norm: SplitNorm) -> BallChainPeriod:
     """One period of ball lattices, in ascending class order: the closed ball at each class
     r / den of the norm's residues."""
     den = norm._vals[1]
-    lattices = tuple(_ball(norm, r, den, True) for r, _ in norm._residues)
+    lattices = tuple(ball_at(norm, r, den, True) for r, _ in norm._residues)
     return BallChainPeriod(norm.value_classes, lattices)
 
 

@@ -37,7 +37,7 @@ from itertools import count
 from math import gcd
 
 from .errors import PreconditionError
-from .linalg import digit_limit, to_fraction  # digit_limit is re-exported
+from .linalg import to_fraction
 
 Rational = Fraction | int
 TOO_LARGE = "result has a rational too large to print"  # past the int-to-str digit limit

@@ -32,7 +32,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg, norms
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, io, linalg, norms, slots
 from padicnorm.base_change import (
     VirtualExtension,
     extension_value_classes,
@@ -42,11 +42,11 @@ from padicnorm.base_change import (
 from padicnorm.building import apartment_coords, homothetic, norm_from_apartment
 from padicnorm.errors import DimensionMismatchError, PreconditionError
 from padicnorm.norms import (
-    _canonical,
     _common_norm,
     act,
     ball_basis,
     ball_basis_open,
+    canonical,
     common_splitting_basis,
     direct_sum,
     distance,
@@ -138,7 +138,7 @@ def test_cleared_forms_agree_with_the_views():
             opened = [math.floor(x - level) + 1 for x in a.values]
             _check_lattice(ball_basis(a, level), _scaled_columns(a.basis, p, closed))
             _check_lattice(ball_basis_open(a, level), _scaled_columns(a.basis, p, opened))
-            _check_lattice(_canonical(_common_norm(a, b))[0], common_splitting_basis(a, b)[0])
+            _check_lattice(canonical(_common_norm(a, b))[0], common_splitting_basis(a, b)[0])
             _check_norm(io.norm_from_doc(io.norm_to_doc(a)), a.basis)
             pair = pair_from_norm(a)
             _check_lattice(pair.lattice)
@@ -195,6 +195,7 @@ def test_each_entry_is_read_once_and_each_norm_weighs_its_rows_once(monkeypatch)
         return multiplicity(x, p)
 
     monkeypatch.setattr(norms, "multiplicity", counted)
+    monkeypatch.setattr(slots, "multiplicity", counted)
     assert evaluate(fresh, v) == size
     assert len(valued) <= n + 1
     coords = oracles.product(oracles.inverse(a.basis), tuple((x,) for x in v))

@@ -24,7 +24,8 @@ import pytest
 from padicnorm import io, linalg
 from padicnorm.cli import _frac, main
 from padicnorm.errors import PreconditionError
-from padicnorm.valuation import PRIME_LIMIT, digit_limit
+from padicnorm.linalg import digit_limit
+from padicnorm.valuation import PRIME_LIMIT
 
 import fuzz
 

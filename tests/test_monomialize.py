@@ -6,17 +6,17 @@ every output over the seeded cases pins the tie-break to the lowest
 (row, column) among pivots of maximal weight.  The elimination reads the
 two factors of a product; handed the product itself over the identity,
 it must return the same, and its first pivot must weigh what op_size's
-scan, _heaviest, finds in the _slot_table of the same factors.  Both take the factors cleared:
-the rows of the left one as a row side, with the row values, and the columns of the right one,
-with the column values as one cleared vector.
+scan, slots.heaviest, finds in the slots.slot_table of the same factors.  Both take the
+factors cleared: the rows of the left one as a row side, with the row values, and the
+columns of the right one, with the column values as one cleared vector.
 """
 
 import hashlib
 import random
 from fractions import Fraction
 
-from padicnorm import linalg
-from padicnorm.norms import _heaviest, _monomialize, _row_side_of, _slot_table
+from padicnorm import linalg, slots
+from padicnorm.norms import _monomialize
 
 import fuzz
 import oracles
@@ -43,7 +43,7 @@ def cases():
 def row_side(row_values, rows, p):
     """The row side of a slot table from the row values and the Fraction rows."""
     rows = linalg.cleared(linalg.transpose(rows))
-    return _row_side_of(linalg.cleared_vector(row_values), rows, p)
+    return slots.row_side_of(linalg.cleared_vector(row_values), rows, p)
 
 
 def monomialize(row_values, rows, col_values, cols, p):
@@ -82,7 +82,7 @@ def test_contract():
         heaviest = max(s - b for s, b in zip(split_values, col_values))
         rows_side = row_side(row_values, rows, p)
         cleared_cols = linalg.cleared(linalg.transpose(cols))
-        side, col_w, table, dens = _slot_table(
+        side, col_w, table, dens = slots.slot_table(
             rows_side, linalg.cleared_vector(col_values), cleared_cols, p
         )
         # the table is its own row side, of unit rows, and keeps the rows' order, which
@@ -90,7 +90,7 @@ def test_contract():
         unit, row_w, scale, order = side
         assert unit is None and order == rows_side[3] and dens == [e for _, e in cleared_cols]
         assert [row_w[i] for i in order] == sorted(row_w, reverse=True)
-        assert heaviest == F(_heaviest(side, col_w, table, p, range(d))[0], scale)
+        assert heaviest == F(slots.heaviest(side, col_w, table, p, range(d))[0], scale)
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
         reduced = linalg.matmul(m, col_ops)
         # in pivot order, each pivot row is zero on every column pivoted after it

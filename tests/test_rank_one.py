@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, SplitNorm, linalg, norms
+from padicnorm import FieldConfig, SplitNorm, linalg, slots
 from padicnorm.errors import PreconditionError, SingularMatrixError
 from padicnorm.norms import dual, evaluate, op_size, tensor
 from padicnorm.stabilizer import filtration_level, hom_norm, is_stabilizer_element
@@ -152,9 +152,9 @@ def test_rank_one_builds_no_product(monkeypatch):
     # a rank-one h is sized from its two factors: no product and no table scan; any other h,
     # h = 0 among them, is one product and one scan
     counts = Counter()
-    product, scan = linalg.times_cleared, norms._heaviest
+    product, scan = linalg.times_cleared, slots.heaviest
     monkeypatch.setattr(linalg, "times_cleared", lambda *a: counts.update(["product"]) or product(*a))
-    monkeypatch.setattr(norms, "_heaviest", lambda *a: counts.update(["scan"]) or scan(*a))
+    monkeypatch.setattr(slots, "heaviest", lambda *a: counts.update(["scan"]) or scan(*a))
     rng = random.Random(123)
     for n in range(2, 7):
         for p in fuzz.PRIMES:

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, SplitNorm, linalg, norms
+from padicnorm import FieldConfig, SplitNorm, linalg, norms, slots
 from padicnorm.errors import SelfCheckError
 
 import fuzz
@@ -72,8 +72,8 @@ def test_leaked_column_fails_the_second_norm(monkeypatch, run):
 
 
 def test_second_check_reads_what_the_inverse_reads():
-    # the check of the second norm, _fit on b's unit row side over the column operations, is
-    # _fit of b at the common columns, on true and on leaked column operations alike
+    # the check of the second norm, slots.fit on b's unit row side over the column operations,
+    # is slots.fit of b at the common columns, on true and on leaked column operations alike
     rng = random.Random(22)
     for _ in range(60):
         a = fuzz.norm(rng, rng.randint(2, 6))
@@ -81,6 +81,6 @@ def test_second_check_reads_what_the_inverse_reads():
         p = b.cfg.prime
         _, combo = norms._split_span(a, b._cols, b._vals)
         for ops in (combo, _leaked(combo, p)):
-            fit = norms._fit(b._row_side, linalg.times_cleared(b._cols, ops), b._vals, p)
-            unit = norms._row_side_of(b._vals, None, p)
-            assert norms._fit(unit, ops, b._vals, p) == fit
+            fit = slots.fit(b._row_side, linalg.times_cleared(b._cols, ops), b._vals, p)
+            unit = slots.row_side_of(b._vals, None, p)
+            assert slots.fit(unit, ops, b._vals, p) == fit

@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, SplitNorm, linalg, norms
+from padicnorm import FieldConfig, SplitNorm, linalg, slots
 from padicnorm.building import norm_from_apartment
 from padicnorm.norms import act, equals, evaluate, op_size
 from padicnorm.stabilizer import filtration_level, hom_norm
-from padicnorm.valuation import BOTTOM, digit_limit
+from padicnorm.linalg import digit_limit
+from padicnorm.valuation import BOTTOM
 
 import fuzz
 import oracles
@@ -142,7 +143,7 @@ def test_evaluate_multiplies_out_only_the_heaviest_row(monkeypatch):
         products.append(1)
         return x * y
 
-    monkeypatch.setattr(norms, "mul", counted)
+    monkeypatch.setattr(slots, "mul", counted)
     assert evaluate(nrm, e) == max(values)
     assert len(products) == n
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg, norms
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg, slots
 from padicnorm.errors import DimensionMismatchError, PreconditionError, SingularMatrixError
 from padicnorm.norms import act, equals, lattice_norm, lattices_equal
 from padicnorm.stabilizer import (
@@ -333,8 +333,8 @@ def test_level_scans_one_table(monkeypatch):
     # membership and the level are one scan of the slot table of B^-1 (g - 1) B, and none
     # when g - 1 has rank one
     calls = []
-    scan = norms._heaviest
-    monkeypatch.setattr(norms, "_heaviest", lambda *args: calls.append(args) or scan(*args))
+    scan = slots.heaviest
+    monkeypatch.setattr(slots, "heaviest", lambda *args: calls.append(args) or scan(*args))
     rng, roots = random.Random(83), random.Random(85)
     scans = []
     for _ in range(20):

@@ -1,7 +1,8 @@
 """Every name the benchmark tracer wraps exists: the tracer skips a name it cannot find,
 so a rename under src/ would only zero a per-layer metric without this check.  The
 Fraction views of linalg stay only while the benchmark reads them, and every public name
-of the package has a reader outside the tests."""
+of the package has a reader outside the tests.  The modules of the package import no
+private name of one another, the slot kernel imports no frame, and every import is read."""
 
 import ast
 import importlib
@@ -94,4 +95,55 @@ def test_every_public_name_has_a_reader():
             if node.name in read or node.name in layers.get(path.stem, ()):
                 continue
             unread.append(f"{path.stem}.{node.name}")
+    assert unread == []
+
+
+def _imports(path: Path):
+    """(source, name, bound) for each name a module imports, __future__ aside: source is the
+    package module it comes from, "" for one outside the package, and bound the name it is
+    bound to in the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield "", alias.name, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if not node.level:
+                    source = ""
+                elif node.module is None:  # from . import linalg
+                    source = alias.name
+                else:
+                    source = node.module
+                yield source, alias.name, alias.asname or alias.name
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a name one module of the package reads from another is part of that module's
+    # interface and carries no leading underscore, though it stays out of __all__
+    private = [
+        f"{path.stem} imports {source}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for source, name, _ in _imports(path)
+        if source and name.startswith("_")
+    ]
+    assert private == []
+
+
+def test_the_slot_kernel_knows_no_frame():
+    # slots reads integers only: of the package it imports linalg, valuation and errors
+    sources = {source for source, _, _ in _imports(SRC / "slots.py")}
+    assert sources - {""} <= {"linalg", "valuation", "errors"}
+
+
+def test_every_imported_name_is_read():
+    # an import a module no longer reads is left behind by a move; __init__ imports to export
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = (node for node in ast.walk(tree) if isinstance(node, ast.Name))
+        loaded = {node.id for node in names if isinstance(node.ctx, ast.Load)}
+        unread += [f"{path.stem}.{bound}" for _, _, bound in _imports(path) if bound not in loaded]
     assert unread == []

@@ -22,12 +22,11 @@ from operator import mul
 
 import pytest
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg, slots
 from padicnorm.building import apartment_coords, cartan_position, homothetic
 from padicnorm.errors import SingularMatrixError
 from padicnorm.splittings import SplittingPair, norm_from_pair, pair_from_norm, verify_splitting
 from padicnorm.norms import (
-    _fit,
     act,
     ball_basis,
     common_splitting_basis,
@@ -276,7 +275,7 @@ def _fit_cases(rng):
 def test_fit_matches_the_oracles():
     seen = {}
     for kind, x, frame, vals in _fit_cases(random.Random(155)):
-        fit = lambda: _fit(
+        fit = lambda: slots.fit(
             _fresh(x)._row_side, linalg.cleared(frame), linalg.cleared_vector(vals), x.cfg.prime
         )
         if oracles.det(frame) == 0:

@@ -18,8 +18,9 @@ times_cleared, kron_cleared, block_cleared, inverse_rows, an in-place
 fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
 from cleared columns to cleared rows, updating n entries per row and
 step, and det_cleared, its forward half on integer columns.
-nonsingular_mod runs forward elimination modulo a prime q on integer
-columns: with q the word-sized 2^61 - 1, its default, a nonzero
+nonsingular_mod reads a determinant modulo a prime q on integer
+columns, in closed form up to two rows and by forward elimination past
+that: with q the word-sized 2^61 - 1, its default, a nonzero
 determinant there proves invertibility, and with q = p it decides a
 matrix of residues over F_p.
 The Fraction functions matmul, matvec, kron, det and inverse are
@@ -260,10 +261,16 @@ def nonsingular_mod(cols: list[list[int]], q: int = CERTIFICATE_PRIME) -> bool:
     default q, the word-sized Mersenne prime CERTIFICATE_PRIME, True proves C invertible, as
     det C != 0 mod q implies det C != 0, and False decides nothing: the exact det_cleared or
     inverse_rows must decide.  With q = p it decides whether a matrix of residues mod p is
-    invertible over F_p.  Forward elimination on C^T mod q, in place on one reduced copy: a
-    row update scales the row by the pivot, a unit mod q, so no inverse is taken."""
+    invertible over F_p.  Up to two rows det C is read in closed form (1, x, or ad - bc);
+    past that, forward elimination on C^T mod q, in place on one reduced copy: a row update
+    scales the row by the pivot, a unit mod q, so no inverse is taken."""
+    n = len(cols)
+    if n == 2:
+        (a, c), (b, d) = cols
+        return (a * d - b * c) % q != 0
+    if n < 2:
+        return not cols or cols[0][0] % q != 0
     rows = [[x % q for x in c] for c in cols]
-    n = len(rows)
     for k in range(n):
         for r in range(k, n):
             if rows[r][k]:

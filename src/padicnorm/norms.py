@@ -64,9 +64,10 @@ norm makes its row side once, with its inverse, as the cached
 _row_side, which pickles and copies with it.
 
 op_weight sizes a map h = u phi of rank one (slots module docstring) as
-dst(u) plus dual(src)(phi), against src's cached _dual_side, whose
-inverse rows are src's own columns: no inverse and no product.
-Membership and the filtration level (stabilizer) are op_weight of g - 1.
+dst(u) plus dual(src)(phi), pure_weight, against src's cached
+_dual_side, whose inverse rows are src's own columns: no inverse and no
+product; any other map from the one op_table.  Membership and the
+filtration level (stabilizer) read g - 1 through the same two pieces.
 """
 
 from __future__ import annotations
@@ -303,15 +304,27 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
 
 def op_weight(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> tuple[int | None, int]:
     """op_size of the map with these cleared columns, None for the identity, in integers: (w,
-    scale), w / scale the greatest weight of the slots.slot_table of dst's rows and h's columns
-    times src's, and w None at h = 0."""
-    p = src.cfg.prime
+    scale), w / scale the greatest weight of the op_table, or pure_weight when h has rank
+    one, and w None at h = 0."""
     pure = None if h_cols is None else slots.rank_one(h_cols)
-    if pure is None:
-        image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
-        side, col_w, table, _ = slots.slot_table(dst._row_side, src._vals, image, p)
-        best = slots.heaviest(side, col_w, table, p, range(len(table)))
-        return (None if best is None else best[0]), side[2]
+    if pure is not None:
+        return pure_weight(src, dst, pure)
+    side, col_w, table, _ = op_table(src, dst, h_cols)
+    best = slots.heaviest(side, col_w, table, src.cfg.prime, range(len(table)))
+    return (None if best is None else best[0]), side[2]
+
+
+def op_table(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None):
+    """The slots.slot_table of dst's rows and h's columns times src's, h_cols None the
+    identity."""
+    image = src._cols if h_cols is None else linalg.times_cleared(h_cols, src._cols)
+    return slots.slot_table(dst._row_side, src._vals, image, src.cfg.prime)
+
+
+def pure_weight(src: SplitNorm, dst: SplitNorm, pure) -> tuple[int, int]:
+    """op_weight of h = u phi, pure = (u, phi) as slots.rank_one gives it: dst(u) +
+    dual(src)(phi), two vector sizes and no product."""
+    p = src.cfg.prime
     s_dst, s_src = dst._vals[1], src._vals[1]
     scale = math.lcm(s_dst, s_src)
     u, (ints, den) = pure

@@ -28,7 +28,9 @@ split x exactly when their leading terms are independent (Goldman and
 Iwahori, Acta Math. 109, 1963): every class holds as many columns as x
 has values in it, and each class's block of leading residues is
 nonsingular mod p.  fit reads the sizes x(c_j) and the residues from
-one slot table of x^-1 C.
+one slot table of x^-1 C.  The same block test, graded, is the unit
+test of the order of x (stabilizer): the blocks at weight 0 are the
+Levi quotient of its special fiber.
 
 A map of rank one needs no table.  Hom(V, W) = V^dual (x) W carries the
 tensor norm, whose value on a pure tensor is the sum of its factors'
@@ -133,7 +135,7 @@ def fit(row_side, cols: linalg.Cleared, vals, p: int) -> tuple[list[int], int] |
     side, col_w, table, _ = slot_table(row_side, vals, cols, p)
     tops = [size(side, c, -w, p) for c, w in zip(table, col_w)]
     t = [w for w in tops if w is not None]  # a zero column has no weight, and leaves t short
-    if len(t) == len(table) and _graded(side, col_w, table, t, p):
+    if len(t) == len(table) and graded(side, col_w, table, t, p):
         return t, side[2]
     if linalg.nonsingular_mod(table) or linalg.det_cleared(table):
         return None
@@ -146,31 +148,32 @@ def splits(row_side, cols: linalg.Cleared, vals, p: int) -> bool:
     return found is not None and not any(found[0])
 
 
-def _graded(side, col_w, table, t, p: int) -> bool:
+def graded(side, col_w, table, t, p: int) -> bool:
     """Are the leading terms of the columns independent in the graded pieces of x, for the
-    table's side = (None, row_w, scale, order) and t the columns' greatest weights?  Row i
-    lies in the class row_w[i] % scale and column j, whose size is attained there, in (t[j] +
-    col_w[j]) % scale; every class must hold as many columns as rows, and its block of
-    leading residues be nonsingular mod p.  Slot (i, j), holding x_ij, would weigh t[j] at
-    valuation k = (row_w[i] - col_w[j] - t[j]) / scale, and as no slot of column j weighs more,
-    v(x_ij) >= k: its leading residue x_ij / p^k mod p is nonzero exactly when it attains
-    t[j], and is 0 when k < 0.  A block of one row is nonsingular, as its one slot attains."""
+    table's side = (None, row_w, scale, order) and t[j] the greatest weight column j may
+    reach?  Row i lies in the class row_w[i] % scale and column j in (t[j] + col_w[j]) %
+    scale, that of the rows where it can reach t[j]; every class must hold as many columns
+    as rows, and its block of leading residues, one row included, be nonsingular mod p.
+    Slot (i, j), holding x_ij, would weigh t[j] at valuation k = (row_w[i] - col_w[j] - t[j])
+    / scale, and as no slot of column j weighs more, v(x_ij) >= k: its leading residue x_ij /
+    p^k mod p is nonzero exactly when it attains t[j], and is 0 when k < 0.  As |x_ij| >= p^k
+    unless x_ij = 0, no p^k is built past the bit length of x_ij."""
     _, row_w, scale, _ = side
     classes: dict[int, tuple[list[int], list[int]]] = {}
     for i, w in enumerate(row_w):
         classes.setdefault(w % scale, ([], []))[0].append(i)
     for j, w in enumerate(t):
-        classes[(w + col_w[j]) % scale][1].append(j)  # the class of the row that attains t[j]
+        classes[(w + col_w[j]) % scale][1].append(j)  # the class of the rows that reach t[j]
     if any(len(rows) != len(cols) for rows, cols in classes.values()):
         return False
     for rows, cols in classes.values():
-        if len(rows) > 1:
-            block = []
-            for j in cols:
-                ks = [(row_w[i] - col_w[j] - t[j]) // scale for i in rows]
-                block.append([table[j][i] // p**k if k >= 0 else 0 for i, k in zip(rows, ks)])
-            if not linalg.nonsingular_mod(block, p):
-                return False
+        block = []
+        for j in cols:
+            xs = [table[j][i] for i in rows]
+            ks = [(row_w[i] - col_w[j] - t[j]) // scale for i in rows]
+            block.append([x // p**k if 0 <= k < x.bit_length() else 0 for x, k in zip(xs, ks)])
+        if not linalg.nonsingular_mod(block, p):
+            return False
     return True
 
 

@@ -11,22 +11,28 @@ in (-1, 0]; the strictly negative part of one period is the unipotent
 direction of the special fiber and the class-0 part contributes the
 Levi blocks, one block per value class of the norm.
 
-Membership needs no inverse: an element g of the order maps each ball
-B into itself with index [B : gB] = p^val(det g) (the lattice-index
-argument of Goldman and Iwahori, Acta Math. 109, 1963), so g is a unit
-of the order exactly when det g is a p-adic unit.
-
 Membership and the filtration level are one operator size: the
 ultrametric inequality and hom_norm(1) = 0 give hom_norm(g) <=
 max(hom_norm(g - 1), 0) and hom_norm(g - 1) <= max(hom_norm(g), 0), so
-hom_norm(g) <= 0 exactly when the level hom_norm(g - 1) <= 0.  Both
-clear g once, refuse it first when det g is not a p-adic unit, and
-read the level as norms.op_weight of g - 1.  The root-group elements
-1 + t E_ji conjugated by the splitting basis, which generate the
-Bruhat-Tits group schemes and their Moy-Prasad filtrations (Bruhat and
-Tits, Publ. IHES 41, 1972; Moy and Prasad, Invent. Math. 116, 1994),
-have g - 1 of rank one, which needs no product (slots module
-docstring).
+g lies in the order exactly when the level hom_norm(g - 1) <= 0.  Both
+clear g once and read the level from g - 1 through the two pieces of
+norms.op_weight, and decide on the special fiber, taking neither the
+determinant nor the inverse of a member.  At level < 0, g lies in 1 + the
+radical, and its inverse is the geometric series: a unit.  At level > 0
+it is not in the order.  At level 0 it is, and it is a unit exactly
+when its image in the Levi quotient, prod_c GL_{m_c}(F_p), is
+invertible: when every class block of the leading residues of B^-1 g B
+is nonsingular mod p, the one block test slots.graded (Goldman and
+Iwahori, Acta Math. 109, 1963; Bruhat and Tits, Publ. IHES 41, 1972).
+The root-group elements 1 + t E_ji conjugated by the splitting basis,
+which generate the Bruhat-Tits group schemes and their Moy-Prasad
+filtrations (Moy and Prasad, Invent. Math. 116, 1994), have g - 1 = u
+phi of rank one, which needs no product (slots module docstring).  An
+element g of the order maps each ball B into itself with index [B : gB]
+= p^val(det g), so it is a unit exactly when det g is a p-adic unit,
+and here det g = 1 + phi(u), the matrix determinant lemma: one dot
+product.  Only a non-member is asked whether g is singular, which then
+raises.
 """
 
 from __future__ import annotations
@@ -36,10 +42,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from . import linalg
+from . import linalg, slots
 from .base_change import kernel_dim
 from .errors import PreconditionError, SingularMatrixError
-from .norms import BallChainPeriod, LatticeBasis, SplitNorm, ball_at, op_size, op_weight
+from .norms import BallChainPeriod, LatticeBasis, SplitNorm, ball_at, op_size, op_table, pure_weight
 from .valuation import BOTTOM, Value, by_degree, multiplicity
 
 
@@ -81,32 +87,50 @@ def hom_norm(norm: SplitNorm, h) -> Value:
 
 def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
     """hom_norm(g - 1) in integers, (w, scale) as op_weight gives it, from g cleared once, with
-    bottom, at g = 1, as w = -scale: the level is bottom at or below -1 alike.  None when det
-    g is not a p-adic unit, which decides before any product is built.  g must be n x n,
-    checked before it must be invertible."""
+    bottom, at g = 1, as w = -scale: the level is bottom at or below -1 alike.  None when g
+    is not a stabilizer element, decided on the special fiber (module docstring).  g must be
+    n x n, checked before it must be invertible, which only a non-member is asked."""
     g_cols = linalg.cleared_square(g, norm.dim)
-    d = linalg.det_cleared([c for c, _ in g_cols])
-    if d == 0:
-        raise SingularMatrixError("matrix is singular")
-    p = norm.cfg.prime
-    if multiplicity(d, p) != sum(multiplicity(e, p) for _, e in g_cols):
-        return None  # the determinant alone refuses g: det g = det C / prod e_j
     for j, (c, e) in enumerate(g_cols):
         c[j] -= e  # column j of g - 1: e_j over the denominator e holds e in row j
-    w, scale = op_weight(norm, norm, g_cols)
-    return (-scale if w is None else w), scale
+    p = norm.cfg.prime
+    pure = slots.rank_one(g_cols)
+    if pure is not None:
+        u, (ints, den) = pure
+        d = den + sum(map(mul, ints, u))  # den det g, as det(1 + u phi) = 1 + phi(u)
+        if not d:
+            raise SingularMatrixError("matrix is singular")
+        if multiplicity(d, p) != multiplicity(den, p):
+            return None
+        w, scale = pure_weight(norm, norm, pure)
+        return (w, scale) if w <= 0 else None
+    side, col_w, table, dens = op_table(norm, norm, g_cols)
+    best = slots.heaviest(side, col_w, table, p, range(len(table)))
+    scale = side[2]
+    w = -scale if best is None else best[0]
+    if w == 0:
+        for j, ((_, d), e) in enumerate(zip(norm._inv_rows, dens)):
+            table[j][j] += d * e  # the table of B^-1 g B: slot (j, j) is over d_j e_j
+    if w < 0 or w == 0 and slots.graded(side, col_w, table, [0] * len(table), p):
+        return w, scale
+    for j, (c, e) in enumerate(g_cols):
+        c[j] += e  # g again, which a non-member must not be singular
+    g_ints = [c for c, _ in g_cols]
+    if linalg.nonsingular_mod(g_ints) or linalg.det_cleared(g_ints):
+        return None
+    raise SingularMatrixError("matrix is singular")
 
 
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:
     """Does g preserve the norm (equivalently every ball lattice)?
 
-    True iff det g is a p-adic unit and hom_norm(g - 1) <= 0, which
-    holds exactly when hom_norm(g) <= 0 (see the module docstring).
+    True iff hom_norm(g - 1) <= 0 and g is a unit of the order: at level
+    0 when its Levi blocks are nonsingular mod p, for a g - 1 = u phi of
+    rank one when det g = 1 + phi(u) is a p-adic unit (module docstring).
     Raises on a matrix of the wrong size, invertible or not, then on a
     singular one.
     """
-    level = _level(norm, g)
-    return level is not None and level[0] <= 0
+    return _level(norm, g) is not None
 
 
 def graded_dims(norm: SplitNorm) -> GradedOrderSummary:
@@ -166,7 +190,7 @@ def filtration_level(norm: SplitNorm, g) -> Value:
     the interval (-1, 0].
     """
     level = _level(norm, g)
-    if level is None or level[0] > 0:
+    if level is None:
         raise PreconditionError("filtration level requires a stabilizer element")
     w, scale = level
     return BOTTOM if w <= -scale else Value(Fraction(w, scale))

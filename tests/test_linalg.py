@@ -300,3 +300,18 @@ def test_nonsingular_mod_reads_the_determinant_mod_q():
             assert linalg.nonsingular_mod(cols) is (d != 0)
     assert not linalg.nonsingular_mod([[q, 0], [0, 1]])
     assert linalg.nonsingular_mod([[q, 0], [0, 1]], 3)
+    # up to two rows the determinant is read in closed form, 1, x or ad - bc, which must
+    # reduce mod q: here the entries lie near multiples of q, at p and at q itself
+    for n in (0, 1, 2):
+        for _ in range(40):
+            cols = [[rng.randint(-4, 4) + q * rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+            d = int(sympy.Matrix(n, n, [x for c in cols for x in c]).det()) if n else 1
+            for mod in (2, 3, 5, q):
+                assert linalg.nonsingular_mod(cols, mod) is (d % mod != 0)
+    assert linalg.nonsingular_mod([]) and linalg.nonsingular_mod([], 2)
+    assert not linalg.nonsingular_mod([[-q]]) and linalg.nonsingular_mod([[-q]], 2)
+    assert not linalg.nonsingular_mod([[3]], 3) and linalg.nonsingular_mod([[3]])
+    assert not linalg.nonsingular_mod([[1, 1], [1, 1 + q]])  # ad - bc = q
+    assert linalg.nonsingular_mod([[1, 1], [1, 1 + q]], 2)
+    assert not linalg.nonsingular_mod([[2, 1], [4, 5]], 3)  # ad - bc = 6
+    assert linalg.nonsingular_mod([[2, 1], [4, 5]])

@@ -364,8 +364,9 @@ def test_level_boundary_on_the_standard_lattice():
 
 
 def test_non_unit_determinant_builds_no_product(monkeypatch):
-    # g scaling one splitting vector by p has det p: the determinant refuses it before any
-    # product B^-1 (g - 1) B is built, and the norm's inverse is not read
+    # g scaling one splitting vector by p has g - 1 of rank one and det g = 1 + phi(u) = p:
+    # that one dot product refuses it, no product B^-1 (g - 1) B is built, and the norm's
+    # inverse is not read
     rng = random.Random(82)
     cases = []
     for n in range(1, 7):
@@ -390,3 +391,32 @@ def test_non_unit_determinant_builds_no_product(monkeypatch):
         with pytest.raises(PreconditionError, match="requires a stabilizer element"):
             filtration_level(nrm, g)
     assert counts == {"times_cleared": 0, "inverse_rows": 0}
+
+
+def test_members_take_no_determinant(monkeypatch):
+    # on the special fiber a member needs neither det g nor an inverse: at level < 0 it is a
+    # unit, at level 0 its Levi blocks are tested mod p, and for g - 1 = u phi det g is the
+    # dot product 1 + phi(u)
+    rng, roots = random.Random(87), random.Random(88)
+    cases = []
+    for p in fuzz.PRIMES:
+        nrm = fuzz.norm(rng, 16, p)
+        nrm._row_side  # builds the norm's inverse and its row side
+        scalar = tuple(tuple(1 + p if i == j else 0 for j in range(16)) for i in range(16))
+        cases += [(nrm, g) for g in (*_elements(rng, roots, nrm), scalar)]
+    counts = {"det_cleared": 0, "inverse_rows": 0}
+    for name in counts:
+        kernel = getattr(linalg, name)
+
+        def counted(*args, name=name, kernel=kernel):
+            counts[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, name, counted)
+    levels = []
+    for nrm, g in cases:
+        assert is_stabilizer_element(nrm, g)
+        levels.append(filtration_level(nrm, g))
+    assert counts == {"det_cleared": 0, "inverse_rows": 0}
+    # the products of 2n factors reach level 0, and the scalars 1 + p lie at bottom
+    assert all(level == 0 for level in levels[::3]) and all(x.is_bottom for x in levels[2::3])

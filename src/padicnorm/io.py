@@ -12,10 +12,11 @@ A matrix is read straight into cleared columns, each entry split into
 integers by one anchored pattern and each column put over the lcm of
 its denominators, and written back from them, one gcd per entry; no
 Fraction is built per entry either way.  Loading proves the matrix
-invertible as every frame made from outside is (norms.proven): by a
-determinant modulo a fixed prime, leaving the inverse to be made on
-first read; only a determinant that vanishes there, as every singular
-one does, is decided by the exact inverse, which is kept.
+invertible as every frame made from outside is (norms.proven, by
+linalg.invertible): by a determinant modulo a fixed prime, leaving the
+inverse to be made on first read; only a determinant that vanishes
+there, as every singular one does, is decided by the exact inverse,
+which the frame keeps.
 """
 
 from __future__ import annotations

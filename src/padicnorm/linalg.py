@@ -14,20 +14,22 @@ way: each entry is read once, by as_integer_ratio, floats refused
 first, then a ragged matrix, as transpose refuses one.  cleared_square adds the size check of
 square_ratios, which returns the checked (numerator, denominator) rows
 themselves.  Each operation has one kernel on cleared vectors:
-times_cleared, kron_cleared, block_cleared, inverse_rows, an in-place
-fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22, 1968)
-from cleared columns to cleared rows, updating n entries per row and
-step, and det_cleared, its forward half on integer columns.
+times_cleared, kron_cleared, block_cleared, and inverse_rows, from
+cleared columns to cleared rows by _eliminated, the one exact
+elimination: an in-place fraction-free Gauss-Jordan (Bareiss, Math.
+Comp. 22, 1968) updating n entries per row and step.
 nonsingular_mod reads a determinant modulo a prime q on integer
 columns, in closed form up to two rows and by forward elimination past
-that: with q the word-sized 2^61 - 1, its default, a nonzero
-determinant there proves invertibility, and with q = p it decides a
-matrix of residues over F_p.
+that: with q = p it decides a matrix of residues over F_p.  invertible
+is the one rule that proves a matrix invertible: a nonzero determinant
+modulo the word-sized prime 2^61 - 1 proves it with no inverse, and
+only one that vanishes there is decided by the exact inverse_rows.
 The Fraction functions matmul, matvec, kron, det and inverse are
 views of the kernels, and no module of the package calls them: each
-reads its input through cleared and its result back as Fractions.
-They stay only because the benchmark reads them, its tracer wrapping
-all five and its lattice check calling matmul and det."""
+reads its input through cleared and its result back as Fractions, det
+the last pivot of _eliminated.  They stay only because the benchmark
+reads them, its tracer wrapping all five and its lattice check
+calling matmul and det."""
 
 from __future__ import annotations
 
@@ -184,18 +186,14 @@ def times_cleared(left, cols) -> Cleared:
     return [reduced([sum(map(mul, r, c)) for r in rows], den * e) for c, e in cols]
 
 
-def inverse_rows(cols) -> Cleared:
-    """The cleared rows of M^-1, from the cleared columns (c_j, e_j) of M = C diag(1/e).
-
-    In-place fraction-free Gauss-Jordan (Bareiss) on [C^T | I].  The
-    pivot of column k is taken from a row r_k not yet pivoted, with no
-    swap.  Once column k is cleared it is a multiple of a unit vector,
-    so its slot stores column r_k of the right half instead, the one
-    that comes alive at this step: each step updates n entries per row,
-    not 2n.  At the end, with d the last pivot, the slots hold E with
-    E C^T = d Q, where Q[r_k][k] = 1; row k of (C^T)^-1 is row r_k of E
-    over d, and M^-1 = diag(e) C^-1.
-    """
+def _eliminated(cols):
+    """The in-place fraction-free Gauss-Jordan elimination (Bareiss) on [C^T | I], for the
+    cleared columns (c_j, e_j) of M = C diag(1/e): (rows, order, d), or None for a singular
+    C.  The pivot of column k is taken from a row r_k = order[k] not yet pivoted, with no
+    swap.  Once column k is cleared it is a multiple of a unit vector, so its slot stores
+    column r_k of the right half instead, the one that comes alive at this step: each step
+    updates n entries per row, not 2n.  At the end, with d the last pivot, the slots hold E
+    with E C^T = d Q, where Q[r_k][k] = 1, so d is det C times the sign of order."""
     n = len(cols)
     rows = [list(c) for c, _ in cols]
     free = list(range(n))
@@ -204,7 +202,7 @@ def inverse_rows(cols) -> Cleared:
     for k in range(n):
         pivot = next((r for r in free if rows[r][k]), None)
         if pivot is None:
-            raise SingularMatrixError("matrix is singular")
+            return None
         free.remove(pivot)
         order.append(pivot)
         top = rows[pivot]
@@ -221,7 +219,18 @@ def inverse_rows(cols) -> Cleared:
                 rows[r] = [pk * x // prev for x in row]
         top[k] = prev  # the identity column at the pivot row, scaled like the others
         prev = pk
-    step = [0] * n  # step[r_k] = k
+    return rows, order, prev
+
+
+def inverse_rows(cols) -> Cleared:
+    """The cleared rows of M^-1, from the cleared columns (c_j, e_j) of M = C diag(1/e), by
+    _eliminated: row k of (C^T)^-1 is row r_k of E over d, and M^-1 = diag(e) C^-1.  A
+    singular C raises SingularMatrixError."""
+    eliminated = _eliminated(cols)
+    if eliminated is None:
+        raise SingularMatrixError("matrix is singular")
+    rows, order, prev = eliminated
+    step = [0] * len(order)  # step[r_k] = k
     for k, r in enumerate(order):
         step[r] = k
     sign = -1 if prev < 0 else 1
@@ -231,36 +240,11 @@ def inverse_rows(cols) -> Cleared:
     ]
 
 
-def det_cleared(cols: list[list[int]]) -> int:
-    """det C of the integer columns c_j of C (det divides it by prod e_j), by forward
-    elimination (Bareiss) on C^T, updating only the rows below the pivot and the columns
-    right of it; a row swap flips the sign, and the last pivot is det C up to it."""
-    rows = [list(c) for c in cols]
-    n = len(rows)
-    sign, prev = 1, 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if rows[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        pk, tail = rows[k][k], rows[k][k + 1 :]
-        for row in rows[k + 1 :]:
-            f = row[k]
-            if f:
-                row[k + 1 :] = [(pk * x - f * y) // prev for x, y in zip(row[k + 1 :], tail)]
-            elif pk != prev:  # nothing to clear, but the rescale keeps the invariant
-                row[k + 1 :] = [pk * x // prev for x in row[k + 1 :]]
-        prev = pk
-    return sign * prev
-
-
 def nonsingular_mod(cols: list[list[int]], q: int = CERTIFICATE_PRIME) -> bool:
     """Is det C nonzero modulo the prime q, for the integer columns c_j of C?  With the
     default q, the word-sized Mersenne prime CERTIFICATE_PRIME, True proves C invertible, as
-    det C != 0 mod q implies det C != 0, and False decides nothing: the exact det_cleared or
-    inverse_rows must decide.  With q = p it decides whether a matrix of residues mod p is
+    det C != 0 mod q implies det C != 0, and False decides nothing (invertible reads it so,
+    then decides exactly).  With q = p it decides whether a matrix of residues mod p is
     invertible over F_p.  Up to two rows det C is read in closed form (1, x, or ad - bc);
     past that, forward elimination on C^T mod q, in place on one reduced copy: a row update
     scales the row by the pivot, a unit mod q, so no inverse is taken."""
@@ -285,6 +269,15 @@ def nonsingular_mod(cols: list[list[int]], q: int = CERTIFICATE_PRIME) -> bool:
                 for i in range(k + 1, n):
                     row[i] = (pk * row[i] - f * pivot[i]) % q
     return True
+
+
+def invertible(cols: Cleared) -> Cleared | None:
+    """Prove the cleared columns of M invertible: None when nonsingular_mod finds det C
+    nonzero modulo CERTIFICATE_PRIME, which proves it nonzero, with no inverse made; else the
+    exact inverse_rows, which decide, raising SingularMatrixError for a singular C."""
+    if nonsingular_mod([c for c, _ in cols]):
+        return None
+    return inverse_rows(cols)
 
 
 def kron_cleared(u: Cleared, v: Cleared) -> Cleared:
@@ -319,8 +312,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def det(m: Matrix) -> Fraction:
+    """The last pivot of _eliminated, signed by its row order, over prod e_j; 0 if singular."""
     cols = cleared_square(m)
-    return Fraction(det_cleared([c for c, _ in cols]), math.prod(e for _, e in cols))
+    _, order, last = _eliminated(cols) or (None, (), 0)  # a singular C: det 0
+    swaps = sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])  # inversions
+    return Fraction(-last if swaps % 2 else last, math.prod(e for _, e in cols))
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -43,8 +43,9 @@ uses _powers, as diag(p^-k) B^-1; act and translate_pair make the
 acting matrix g a frame, so the rows of M^-1 g^-1 are times_cleared
 of g's and M's, and only g is inverted.  dual swaps columns and rows,
 and the norms on a lattice share its rows.  Columns from outside, a
-document's or g's, are proven invertible by a determinant modulo a
-fixed prime, with no inverse.  The Fraction matrices basis, inv_basis,
+document's or g's, are proven invertible by linalg.invertible: by a
+determinant modulo a fixed prime, with no inverse, or else by the exact
+inverse, which is kept.  The Fraction matrices basis, inv_basis,
 matrix and inv are views, built on first access; the comparison path
 (equals, distance, the self-checks) never builds one.  == and hash
 read the fields basis and matrix: == compares presentations, equals
@@ -230,11 +231,12 @@ def _inverse_from(kernel, *args) -> Cleared:
 
 
 def proven(frame: _Frame) -> _Frame:
-    """The frame, proven invertible by linalg.nonsingular_mod, a determinant modulo a fixed
-    prime; only a determinant that vanishes there is decided by the exact inverse, which
-    raises SingularMatrixError for a singular frame and is kept."""
-    if not linalg.nonsingular_mod([c for c, _ in frame._cols]):
-        frame._inv_rows
+    """The frame, proven invertible by linalg.invertible: by a determinant modulo a fixed
+    prime, or else by the exact inverse, which raises SingularMatrixError for a singular
+    frame and is planted as its _inv_rows."""
+    rows = linalg.invertible(frame._cols)
+    if rows is not None:
+        plant(frame, "_inv_rows", rows)
     return frame
 
 

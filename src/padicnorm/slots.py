@@ -45,7 +45,6 @@ import math
 from operator import mul
 
 from . import linalg
-from .errors import SingularMatrixError
 from .valuation import multiplicity
 
 
@@ -130,16 +129,15 @@ def heaviest(side, col_w, cols, p: int, open_cols):
 def fit(row_side, cols: linalg.Cleared, vals, p: int) -> tuple[list[int], int] | None:
     """Do the cleared columns c_j split x, the norm of this row side (module docstring)?  When
     they do, (t, scale), with t_j = scale * (x(c_j) - values[j]) the excess of column j, values
-    cleared as vals; None when they do not.  A singular C raises SingularMatrixError, told
-    from columns that do not split by a determinant modulo a fixed prime, then the exact one."""
+    cleared as vals; None when they do not.  A singular C raises SingularMatrixError: columns
+    that do not split are proven invertible by linalg.invertible."""
     side, col_w, table, _ = slot_table(row_side, vals, cols, p)
     tops = [size(side, c, -w, p) for c, w in zip(table, col_w)]
     t = [w for w in tops if w is not None]  # a zero column has no weight, and leaves t short
     if len(t) == len(table) and graded(side, col_w, table, t, p):
         return t, side[2]
-    if linalg.nonsingular_mod(table) or linalg.det_cleared(table):
-        return None
-    raise SingularMatrixError("matrix is singular")
+    linalg.invertible([(c, 1) for c in table])
+    return None
 
 
 def splits(row_side, cols: linalg.Cleared, vals, p: int) -> bool:

@@ -31,8 +31,9 @@ phi of rank one, which needs no product (slots module docstring).  An
 element g of the order maps each ball B into itself with index [B : gB]
 = p^val(det g), so it is a unit exactly when det g is a p-adic unit,
 and here det g = 1 + phi(u), the matrix determinant lemma: one dot
-product.  Only a non-member is asked whether g is singular, which then
-raises.
+product.  Only a non-member is asked whether g is singular, proven
+invertible by linalg.invertible as every matrix from outside is: a
+singular one raises.
 """
 
 from __future__ import annotations
@@ -89,7 +90,8 @@ def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
     """hom_norm(g - 1) in integers, (w, scale) as op_weight gives it, from g cleared once, with
     bottom, at g = 1, as w = -scale: the level is bottom at or below -1 alike.  None when g
     is not a stabilizer element, decided on the special fiber (module docstring).  g must be
-    n x n, checked before it must be invertible, which only a non-member is asked."""
+    n x n, checked before it must be invertible, which only a non-member is asked, by
+    linalg.invertible."""
     g_cols = linalg.cleared_square(g, norm.dim)
     for j, (c, e) in enumerate(g_cols):
         c[j] -= e  # column j of g - 1: e_j over the denominator e holds e in row j
@@ -115,10 +117,8 @@ def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
         return w, scale
     for j, (c, e) in enumerate(g_cols):
         c[j] += e  # g again, which a non-member must not be singular
-    g_ints = [c for c, _ in g_cols]
-    if linalg.nonsingular_mod(g_ints) or linalg.det_cleared(g_ints):
-        return None
-    raise SingularMatrixError("matrix is singular")
+    linalg.invertible(g_cols)
+    return None
 
 
 def is_stabilizer_element(norm: SplitNorm, g) -> bool:

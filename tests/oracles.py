@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil, floor, lcm, prod
 from operator import mul
 
 import sympy
@@ -116,6 +116,15 @@ def degree(x) -> Fraction:
 def class_counts(values) -> dict:
     """Multiplicity of each class a % 1 among the values, keys ascending in [0, 1)."""
     return dict(sorted(Counter(a % 1 for a in values).items()))
+
+
+def special_fiber_units(values, p: int) -> int:
+    """|(L/pL)^x| for the order L of a norm with these values: p^(n^2 - sum m_c^2) times prod_c
+    |GL_{m_c}(F_p)|, m_c the multiplicity of class c, as L/J is prod_c M_{m_c}(F_p) for the
+    radical J, and |GL_m(F_p)| = prod_{i<m} (p^m - p^i)."""
+    ms = class_counts(values).values()
+    levi = prod(p**m - p**i for m in ms for i in range(m))
+    return p ** (len(values) ** 2 - sum(m * m for m in ms)) * levi
 
 
 def graded_ball_dims(values, g) -> dict:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -6,9 +7,10 @@ import pytest
 import sympy
 from sympy.matrices.expressions.kronecker import kronecker_product
 
-from padicnorm import FieldConfig, SplitNorm, Value, linalg
+from padicnorm import FieldConfig, SplitNorm, Value, act, apartment_coords, linalg, slots
 from padicnorm.errors import DimensionMismatchError, PreconditionError, SingularMatrixError
 from padicnorm.norms import ball_basis, evaluate
+from padicnorm.stabilizer import is_stabilizer_element
 
 import fuzz
 import oracles
@@ -160,6 +162,16 @@ def test_singular_matrix_raises():
 def test_triangular_det():
     m = ((2, 5, 1), (0, Fraction(1, 3), 7), (0, 0, -4))
     assert linalg.det(m) == Fraction(-8, 3)
+
+
+def test_det_signs_the_last_pivot_by_the_pivot_order():
+    # a scaled permutation matrix pivots on the rows in the order of its permutation, so
+    # det reads the sign of every order of up to four rows
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            m = tuple(tuple(Fraction(i + 2, 3) * (j == perm[i]) for j in range(n)) for i in range(n))
+            assert linalg.det(m) == oracles.det(m)
+    assert linalg.det(()) == 1
 
 
 def test_matvec_matmul_agree():
@@ -315,3 +327,47 @@ def test_nonsingular_mod_reads_the_determinant_mod_q():
     assert linalg.nonsingular_mod([[1, 1], [1, 1 + q]], 2)
     assert not linalg.nonsingular_mod([[2, 1], [4, 5]], 3)  # ad - bc = 6
     assert linalg.nonsingular_mod([[2, 1], [4, 5]])
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    kernel = getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda cols: calls.append(cols) or kernel(cols))
+    return calls
+
+
+def test_invertible_proves_mod_q_and_inverts_only_what_it_cannot(monkeypatch):
+    # a determinant nonzero mod q proves the columns invertible, with no inverse; one that
+    # vanishes there is decided by the exact inverse rows, returned, or SingularMatrixError
+    q = linalg.CERTIFICATE_PRIME
+    inverses = _counted(monkeypatch, "inverse_rows")
+    rng = random.Random(19)
+    for n in (1, 2, 3, 5, 8):
+        for _ in range(4):
+            assert linalg.invertible(linalg.cleared(fuzz.invertible(rng, n))) is None
+    assert linalg.invertible([]) is None and inverses == []
+    diagonal = linalg.cleared(((q, 0), (0, 1)))
+    assert linalg.invertible(diagonal) == [([1, 0], q), ([0, 1], 1)]
+    assert inverses == [diagonal]
+    for singular in (((1, 2), (2, 4)), ((q, 2 * q, 0), (2 * q, 4 * q, q), (0, 0, 3 * q))):
+        with pytest.raises(SingularMatrixError, match="matrix is singular"):
+            linalg.invertible(linalg.cleared(singular))
+    assert len(inverses) == 3
+
+
+def test_invertibility_is_proven_through_invertible(monkeypatch):
+    # a proven frame, columns that do not split and a non-member each ask linalg.invertible
+    seen = _counted(monkeypatch, "invertible")
+    rng = random.Random(20)
+    nrm = fuzz.norm(rng, 3, 3)
+    g = fuzz.invertible(rng, 3)
+    act(g, nrm)  # proves g invertible, as a frame
+    assert seen == [linalg.cleared(g)]
+    seen.clear()
+    frame = fuzz.invertible(rng, 3)
+    assert apartment_coords(nrm, frame) is None
+    _, _, table, _ = slots.slot_table(nrm._row_side, ([0] * 3, 1), linalg.cleared(frame), 3)
+    assert seen == [[(c, 1) for c in table]]
+    seen.clear()
+    assert not is_stabilizer_element(nrm, g)
+    assert seen == [linalg.cleared(g)]

@@ -10,6 +10,7 @@ level are checked by the oracles too, so each family is known to take its
 branch.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -201,8 +202,8 @@ def test_a_singular_matrix_raises_in_each_branch():
 
 def test_a_determinant_divisible_by_the_certificate_prime_is_read_exactly():
     # diag(2^61 - 1, 3) at p = 3: level 0, and its Levi block diag(1, 0) mod 3 is singular;
-    # det g = 3 (2^61 - 1) vanishes modulo the certificate prime, so the exact determinant
-    # tells it from a singular g
+    # det g = 3 (2^61 - 1) vanishes modulo the certificate prime, so the exact inverse tells
+    # it from a singular g
     std3 = SplitNorm(FieldConfig(3), 2, oracles.identity(2), (F(0), F(0)))
     g = ((2**61 - 1, 0), (0, 3))
     assert _oracle_level(std3, g) == 0
@@ -216,3 +217,26 @@ def test_blocks_of_one_row_are_tested():
     for g, member in ((((9, 0), (0, -9)), False), (((2, 0), (0, -2)), True)):
         assert _oracle_level(nrm, g) == 0
         _check(nrm, g, member)
+
+
+def test_the_units_of_the_order_mod_p_are_counted_by_the_levi_blocks():
+    # every class of the order mod p, M_ij = c_ij p^ceil(a_i - a_j) with 0 <= c_ij < p in
+    # splitting coordinates, is tested as g = B M B^-1; a singular g is no unit, and the units
+    # number p^(n^2 - sum m_c^2) prod_c |GL_{m_c}(F_p)| (oracles.special_fiber_units)
+    rng = random.Random(96)
+    shapes = set()
+    for n, p in ((1, 2), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2)):
+        for max_den in (1, 2, 3):
+            nrm = fuzz.norm(rng, n, p, max_den)
+            a = nrm.values
+            powers = [[F(p) ** math.ceil(a[i] - a[j]) for j in range(n)] for i in range(n)]
+            units = 0
+            for c in itertools.product(range(p), repeat=n * n):
+                m = tuple(tuple(c[i * n + j] * powers[i][j] for j in range(n)) for i in range(n))
+                try:
+                    units += is_stabilizer_element(nrm, _conjugated(nrm, m))
+                except SingularMatrixError:
+                    pass
+            assert units == oracles.special_fiber_units(a, p)
+            shapes.add(tuple(sorted(oracles.class_counts(a).values())))
+    assert shapes == {(1,), (2,), (3,), (1, 1), (1, 2)}

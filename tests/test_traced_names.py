@@ -131,9 +131,9 @@ def test_no_module_imports_a_private_name_of_another():
 
 
 def test_the_slot_kernel_knows_no_frame():
-    # slots reads integers only: of the package it imports linalg, valuation and errors
+    # slots reads integers only: of the package it imports linalg and valuation
     sources = {source for source, _, _ in _imports(SRC / "slots.py")}
-    assert sources - {""} <= {"linalg", "valuation", "errors"}
+    assert sources - {""} <= {"linalg", "valuation"}
 
 
 def test_every_imported_name_is_read():

@@ -313,19 +313,24 @@ def test_equality_takes_no_exact_determinant(monkeypatch):
                 values[rng.randrange(n)] += rng.choice((-1, 1))
                 unequal = (_fresh(same, tuple(values)), _shifted(same, F(1, 2)))
                 span = fuzz.span_matrix(rng, n, rng.randint(1, n - 1))
-                cases.append((a, same, unequal, fuzz.norm(rng, n, p), span))
-    calls = []
-    kernel = linalg.det_cleared
-    monkeypatch.setattr(linalg, "det_cleared", lambda cols: calls.append(cols) or kernel(cols))
-    for a, same, unequal, other, span in cases:
-        assert equals(_fresh(a), _fresh(same))
-        assert not any(equals(_fresh(a), _fresh(b)) for b in unequal)
-        common_splitting_basis(_fresh(a), _fresh(other))
-        restrict(_fresh(a), span)
-    assert calls == []
-    # a determinant the fixed prime q divides is the one nonsingular case read exactly: the
-    # columns (1, 1) and (1, 1 + 2q) do not split the unit norm at p = 2, and det = 2q
+                # the norms measured against, equals' second and the others' first, with
+                # their inverses built before the count
+                measured = (_fresh(a), _fresh(same), *map(_fresh, unequal))
+                for b in measured:
+                    b._row_side
+                cases.append((measured, fuzz.norm(rng, n, p), span))
     q = linalg.CERTIFICATE_PRIME
     x = SplitNorm(FieldConfig(2), 2, oracles.identity(2), (F(0), F(0)))
+    x._row_side
+    calls = _count_inverses(monkeypatch)
+    for (a, same, *unequal), other, span in cases:
+        assert equals(_fresh(a), same)
+        assert not any(equals(_fresh(a), b) for b in unequal)
+        common_splitting_basis(a, _fresh(other))
+        restrict(a, span)
+    assert calls == []
+    # a determinant the fixed prime q divides is the one nonsingular case read exactly: the
+    # columns (1, 1) and (1, 1 + 2q) do not split the unit norm at p = 2, and det = 2q, so
+    # their table, the columns themselves, is inverted exactly
     assert apartment_coords(x, ((1, 1), (1, 1 + 2 * q))) is None
-    assert len(calls) == 1
+    assert calls == [[([1, 1], 1), ([1, 1 + 2 * q], 1)]]

@@ -1,121 +1,19 @@
-"""Exact computations with splittable non-archimedean norms on Q^n."""
+"""Exact computations with splittable non-archimedean norms on Q^n.
 
-from .valuation import (
-    BOTTOM,
-    FieldConfig,
-    Value,
-    val,
-)
-from .norms import (
-    BallChainPeriod,
-    LatticeBasis,
-    SplitNorm,
-    act,
-    ball_basis,
-    ball_basis_open,
-    common_splitting_basis,
-    direct_sum,
-    distance,
-    dual,
-    equals,
-    evaluate,
-    lattice_contains,
-    lattice_norm,
-    lattices_equal,
-    op_size,
-    quotient,
-    restrict,
-    tensor,
-)
-from .splittings import (
-    SplittingPair,
-    norm_from_pair,
-    pair_from_norm,
-    translate_pair,
-    verify_splitting,
-)
-from .stabilizer import (
-    FiberStructure,
-    GradedOrderSummary,
-    chain_certificates,
-    chain_period,
-    fiber_structure,
-    filtration_level,
-    graded_dims,
-    hom_norm,
-    is_stabilizer_element,
-)
-from .base_change import (
-    VirtualExtension,
-    centralizer_dim,
-    chi_weights,
-    extension_value_classes,
-    graded_ball_dims,
-    is_lattice_norm_over,
-    kernel_dim,
-)
-from .building import (
-    apartment_coords,
-    cartan_position,
-    homothetic,
-    norm_from_apartment,
-    point_type,
-    torus_translation,
-    tree_neighbors,
-)
+Each module below declares its share of the package's exports once, in its __all__, and the
+package re-exports their concatenation."""
+
+from .valuation import *
+from .norms import *
+from .splittings import *
+from .stabilizer import *
+from .base_change import *
+from .building import *
+from . import base_change, building, norms, splittings, stabilizer, valuation
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOTTOM",
-    "BallChainPeriod",
-    "FieldConfig",
-    "FiberStructure",
-    "GradedOrderSummary",
-    "LatticeBasis",
-    "SplitNorm",
-    "SplittingPair",
-    "Value",
-    "VirtualExtension",
-    "act",
-    "apartment_coords",
-    "ball_basis",
-    "ball_basis_open",
-    "cartan_position",
-    "centralizer_dim",
-    "chain_certificates",
-    "chain_period",
-    "chi_weights",
-    "common_splitting_basis",
-    "direct_sum",
-    "distance",
-    "dual",
-    "equals",
-    "evaluate",
-    "extension_value_classes",
-    "fiber_structure",
-    "filtration_level",
-    "graded_ball_dims",
-    "graded_dims",
-    "hom_norm",
-    "homothetic",
-    "is_lattice_norm_over",
-    "is_stabilizer_element",
-    "kernel_dim",
-    "lattice_contains",
-    "lattice_norm",
-    "lattices_equal",
-    "norm_from_apartment",
-    "norm_from_pair",
-    "op_size",
-    "pair_from_norm",
-    "point_type",
-    "quotient",
-    "restrict",
-    "tensor",
-    "torus_translation",
-    "translate_pair",
-    "tree_neighbors",
-    "val",
-    "verify_splitting",
-]
+__all__ = (
+    valuation.__all__ + norms.__all__ + splittings.__all__
+    + stabilizer.__all__ + base_change.__all__ + building.__all__
+)

@@ -25,6 +25,11 @@ from .errors import PreconditionError
 from .norms import SplitNorm
 from .valuation import by_degree
 
+__all__ = [
+    "VirtualExtension", "chi_weights", "extension_value_classes", "is_lattice_norm_over",
+    "centralizer_dim", "kernel_dim", "graded_ball_dims",
+]
+
 WeightMultiset = dict[Fraction, int]
 
 

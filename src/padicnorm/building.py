@@ -17,6 +17,11 @@ from .errors import PreconditionError
 from .norms import SplitNorm, ball_at, distance, norm_on
 from .valuation import FieldConfig, multiplicity
 
+__all__ = [
+    "norm_from_apartment", "apartment_coords", "torus_translation", "cartan_position",
+    "point_type", "tree_neighbors", "homothetic",
+]
+
 # tree_neighbors builds all p + 1 neighbors of a vertex, so it refuses primes above this
 TREE_PRIME_LIMIT = 1000
 
@@ -115,13 +120,3 @@ def homothetic(a: SplitNorm, b: SplitNorm) -> bool:
     t, scale = fit
     return len(set(t)) < 2 and not any(w % scale for w in t)
 
-
-__all__ = [
-    "norm_from_apartment",
-    "apartment_coords",
-    "torus_translation",
-    "cartan_position",
-    "point_type",
-    "tree_neighbors",
-    "homothetic",
-]

@@ -64,7 +64,7 @@ built only for a public result, one Fraction(a, den) per entry.  A
 norm makes its row side once, with its inverse, as the cached
 _row_side, which pickles and copies with it.
 
-op_weight sizes a map h = u phi of rank one (slots module docstring) as
+op_size sizes a map h = u phi of rank one (slots module docstring) as
 dst(u) plus dual(src)(phi), pure_weight, against src's cached
 _dual_side, whose inverse rows are src's own columns: no inverse and no
 product; any other map from the one op_table.  Membership and the
@@ -91,6 +91,12 @@ from .errors import (
 )
 from .linalg import Cleared, Matrix, digit_limit
 from .valuation import BOTTOM, TOO_LARGE, FieldConfig, Value, multiplicity
+
+__all__ = [
+    "SplitNorm", "LatticeBasis", "BallChainPeriod", "evaluate", "lattice_norm", "op_size",
+    "ball_basis", "ball_basis_open", "lattice_contains", "lattices_equal", "equals", "act",
+    "tensor", "dual", "direct_sum", "restrict", "quotient", "common_splitting_basis", "distance",
+]
 
 
 def plant(obj, name: str, value) -> None:
@@ -300,20 +306,13 @@ def op_size(src: SplitNorm, dst: SplitNorm, h=None) -> Value:
     on a src-splitting column.
     """
     check_compatible(src, dst)
-    w, scale = op_weight(src, dst, None if h is None else linalg.cleared_square(h, src.dim))
-    return BOTTOM if w is None else Value(Fraction(w, scale))
-
-
-def op_weight(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None) -> tuple[int | None, int]:
-    """op_size of the map with these cleared columns, None for the identity, in integers: (w,
-    scale), w / scale the greatest weight of the op_table, or pure_weight when h has rank
-    one, and w None at h = 0."""
+    h_cols = None if h is None else linalg.cleared_square(h, src.dim)
     pure = None if h_cols is None else slots.rank_one(h_cols)
     if pure is not None:
-        return pure_weight(src, dst, pure)
+        return Value(Fraction(*pure_weight(src, dst, pure)))
     side, col_w, table, _ = op_table(src, dst, h_cols)
     best = slots.heaviest(side, col_w, table, src.cfg.prime, range(len(table)))
-    return (None if best is None else best[0]), side[2]
+    return BOTTOM if best is None else Value(Fraction(best[0], side[2]))
 
 
 def op_table(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None):
@@ -324,8 +323,8 @@ def op_table(src: SplitNorm, dst: SplitNorm, h_cols: Cleared | None):
 
 
 def pure_weight(src: SplitNorm, dst: SplitNorm, pure) -> tuple[int, int]:
-    """op_weight of h = u phi, pure = (u, phi) as slots.rank_one gives it: dst(u) +
-    dual(src)(phi), two vector sizes and no product."""
+    """op_size of h = u phi in integers, (w, scale) with w / scale the size, pure = (u, phi)
+    as slots.rank_one gives it: dst(u) + dual(src)(phi), two vector sizes and no product."""
     p = src.cfg.prime
     s_dst, s_src = dst._vals[1], src._vals[1]
     scale = math.lcm(s_dst, s_src)

@@ -20,6 +20,10 @@ from .norms import (
     LatticeBasis, SplitNorm, canonical, check_compatible, frame_on, moved, on_lattice, plant,
 )
 
+__all__ = [
+    "SplittingPair", "norm_from_pair", "pair_from_norm", "translate_pair", "verify_splitting",
+]
+
 
 @dataclass(frozen=True)
 class SplittingPair:

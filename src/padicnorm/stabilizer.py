@@ -16,24 +16,24 @@ ultrametric inequality and hom_norm(1) = 0 give hom_norm(g) <=
 max(hom_norm(g - 1), 0) and hom_norm(g - 1) <= max(hom_norm(g), 0), so
 g lies in the order exactly when the level hom_norm(g - 1) <= 0.  Both
 clear g once and read the level from g - 1 through the two pieces of
-norms.op_weight, and decide on the special fiber, taking neither the
-determinant nor the inverse of a member.  At level < 0, g lies in 1 + the
-radical, and its inverse is the geometric series: a unit.  At level > 0
-it is not in the order.  At level 0 it is, and it is a unit exactly
-when its image in the Levi quotient, prod_c GL_{m_c}(F_p), is
-invertible: when every class block of the leading residues of B^-1 g B
-is nonsingular mod p, the one block test slots.graded (Goldman and
-Iwahori, Acta Math. 109, 1963; Bruhat and Tits, Publ. IHES 41, 1972).
-The root-group elements 1 + t E_ji conjugated by the splitting basis,
-which generate the Bruhat-Tits group schemes and their Moy-Prasad
-filtrations (Moy and Prasad, Invent. Math. 116, 1994), have g - 1 = u
-phi of rank one, which needs no product (slots module docstring).  An
-element g of the order maps each ball B into itself with index [B : gB]
-= p^val(det g), so it is a unit exactly when det g is a p-adic unit,
-and here det g = 1 + phi(u), the matrix determinant lemma: one dot
-product.  Only a non-member is asked whether g is singular, proven
-invertible by linalg.invertible as every matrix from outside is: a
-singular one raises.
+norms.op_size, op_table and pure_weight, and decide on the special
+fiber, taking neither the determinant nor the inverse of a member.  At
+level < 0, g lies in 1 + the radical, and its inverse is the geometric
+series: a unit.  At level > 0 it is not in the order.  At level 0 it
+is, and it is a unit exactly when its image in the Levi quotient,
+prod_c GL_{m_c}(F_p), is invertible: when every class block of the
+leading residues of B^-1 g B is nonsingular mod p, the one block test
+slots.graded (Goldman and Iwahori, Acta Math. 109, 1963; Bruhat and
+Tits, Publ. IHES 41, 1972).  The root-group elements 1 + t E_ji
+conjugated by the splitting basis, which generate the Bruhat-Tits group
+schemes and their Moy-Prasad filtrations (Moy and Prasad, Invent. Math.
+116, 1994), have g - 1 = u phi of rank one, which needs no product
+(slots module docstring).  An element g of the order maps each ball B
+into itself with index [B : gB] = p^val(det g), so it is a unit exactly
+when det g is a p-adic unit, and here det g = 1 + phi(u), the matrix
+determinant lemma: one dot product.  Only a non-member is asked whether
+g is singular, proven invertible by linalg.invertible as every matrix
+from outside is: a singular one raises.
 """
 
 from __future__ import annotations
@@ -48,6 +48,11 @@ from .base_change import kernel_dim
 from .errors import PreconditionError, SingularMatrixError
 from .norms import BallChainPeriod, LatticeBasis, SplitNorm, ball_at, op_size, op_table, pure_weight
 from .valuation import BOTTOM, Value, by_degree, multiplicity
+
+__all__ = [
+    "GradedOrderSummary", "FiberStructure", "hom_norm", "is_stabilizer_element", "graded_dims",
+    "fiber_structure", "chain_period", "chain_certificates", "filtration_level",
+]
 
 
 @dataclass(frozen=True)
@@ -87,7 +92,7 @@ def hom_norm(norm: SplitNorm, h) -> Value:
 
 
 def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
-    """hom_norm(g - 1) in integers, (w, scale) as op_weight gives it, from g cleared once, with
+    """hom_norm(g - 1) in integers, (w, scale) as pure_weight gives it, from g cleared once, with
     bottom, at g = 1, as w = -scale: the level is bottom at or below -1 alike.  None when g
     is not a stabilizer element, decided on the special fiber (module docstring).  g must be
     n x n, checked before it must be invertible, which only a non-member is asked, by

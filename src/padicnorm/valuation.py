@@ -39,6 +39,8 @@ from math import gcd
 from .errors import PreconditionError
 from .linalg import to_fraction
 
+__all__ = ["FieldConfig", "Value", "BOTTOM", "val"]
+
 Rational = Fraction | int
 TOO_LARGE = "result has a rational too large to print"  # past the int-to-str digit limit
 

@@ -38,6 +38,12 @@ def kron_vec(v, w) -> tuple:
     return tuple(x * y for x in v for y in w)
 
 
+def kron(a, b) -> tuple:
+    """Kronecker product of two row-major matrices, row i*len(b)+k the kron_vec of row i of a
+    and row k of b."""
+    return tuple(kron_vec(row, other) for row in a for other in b)
+
+
 def canonical_rational(s: str) -> Fraction | None:
     """The rational s writes when it is written as str(Fraction) writes it, else None.
     Fraction expands exponents in full, so s must hold none."""
@@ -70,6 +76,11 @@ def identity(n: int) -> tuple:
 def product(a, b) -> tuple:
     """The matrix product of two row-major matrices of Fractions."""
     return tuple(tuple(sum(map(mul, row, col)) for col in zip(*b)) for row in a)
+
+
+def image(m, v) -> tuple:
+    """The vector m v, for a row-major matrix m."""
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
 def rank(m) -> int:

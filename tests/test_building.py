@@ -177,7 +177,7 @@ def test_homothetic_on_operation_built_norms():
             ):
                 other = SplitNorm(base.cfg, n, base.basis, values)
                 # g and g @ s, with s fixing other, move it to one norm through two bases
-                moved = act(linalg.matmul(g, fuzz.stabilizer_element(rng, other)), other)
+                moved = act(oracles.product(g, fuzz.stabilizer_element(rng, other)), other)
                 for build in (lambda x: x, dual, lambda x: tensor(x, small)):
                     a, b = build(act(g, base)), build(moved)
                     answer = homothetic(a, b)

@@ -51,7 +51,7 @@ def test_hom_norm_submultiplicative():
         nrm = fuzz.norm(rng)
         g = fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime)
         h = fuzz.elementary_product(rng, nrm.dim, nrm.cfg.prime)
-        assert hom_norm(nrm, linalg.matmul(g, h)) <= hom_norm(nrm, g) + hom_norm(nrm, h)
+        assert hom_norm(nrm, oracles.product(g, h)) <= hom_norm(nrm, g) + hom_norm(nrm, h)
         s = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(g, h))
         assert hom_norm(nrm, s) <= max(hom_norm(nrm, g), hom_norm(nrm, h))
 
@@ -66,7 +66,7 @@ def test_stabilizer_examples():
 
 def _two_sided(nrm, g):
     """The definition: g and its inverse both lie in the order."""
-    return hom_norm(nrm, g) <= 0 and hom_norm(nrm, linalg.inverse(g)) <= 0
+    return hom_norm(nrm, g) <= 0 and hom_norm(nrm, oracles.inverse(g)) <= 0
 
 
 def test_stabilizer_edge_cases():
@@ -82,7 +82,7 @@ def test_stabilizer_edge_cases():
             assert is_stabilizer_element(nrm, scalar) is _two_sided(nrm, scalar) is False
             # unit determinant, but not dominated
             torus = ((p, 0), (0, F(1, p)))
-            assert pval(linalg.det(torus), p) == 0
+            assert pval(oracles.det(torus), p) == 0
             assert is_stabilizer_element(nrm, torus) is _two_sided(nrm, torus) is False
         empty = SplitNorm(cfg, 0, (), ())
         assert is_stabilizer_element(empty, ()) is _two_sided(empty, ()) is True
@@ -176,7 +176,7 @@ def test_chain_certificates():
             scale = p if k == len(lats) - 1 else 1
             assert cert == tuple(tuple(scale * x for x in row) for row in want)
         # one period climbs through the whole lattice index p^n
-        total = sum(pval(linalg.det(c), p) for c in certs)
+        total = sum(pval(oracles.det(c), p) for c in certs)
         assert total == nrm.dim
     # a 0-dimensional norm has no value class, so its period holds no ball to certify
     assert chain_certificates(chain_period(SplitNorm(CFG2, 0, (), ()))) == ()
@@ -195,7 +195,7 @@ def test_chain_certificates_invert_the_norm_once(monkeypatch):
     certs = chain_certificates(period)
     assert len(calls) == 1
     assert all(oracles.integral(x, 3) for cert in certs for row in cert for x in row)
-    assert sum(pval(linalg.det(c), 3) for c in certs) == 6
+    assert sum(pval(oracles.det(c), 3) for c in certs) == 6
 
 
 def test_filtration_level_examples():
@@ -223,9 +223,7 @@ def test_commutator_law():
         nrm = fuzz.norm(rng)
         g = fuzz.stabilizer_element(rng, nrm)
         h = fuzz.stabilizer_element(rng, nrm)
-        comm = linalg.matmul(
-            linalg.matmul(g, h), linalg.inverse(linalg.matmul(h, g))
-        )
+        comm = oracles.product(oracles.product(g, h), oracles.inverse(oracles.product(h, g)))
         # bottom absorbs: a bottom bound forces a bottom commutator level
         bound = filtration_level(nrm, g) + filtration_level(nrm, h)
         assert filtration_level(nrm, comm) <= bound
@@ -240,9 +238,9 @@ def test_graded_additivity():
         h = fuzz.stabilizer_element(rng, nrm)
         dg = minus_identity(g)
         dh = minus_identity(h)
-        prod = linalg.matmul(dg, dh)
+        prod = oracles.product(dg, dh)
         assert hom_norm(nrm, prod) <= hom_norm(nrm, dg) + hom_norm(nrm, dh)
-        gh = minus_identity(linalg.matmul(g, h))
+        gh = minus_identity(oracles.product(g, h))
         s = tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(dg, dh))
         diff = tuple(tuple(x - y for x, y in zip(r1, r2)) for r1, r2 in zip(gh, s))
         assert hom_norm(nrm, diff) <= hom_norm(nrm, dg) + hom_norm(nrm, dh)
@@ -374,8 +372,8 @@ def test_non_unit_determinant_builds_no_product(monkeypatch):
             nrm = fuzz.norm(rng, n, p)
             i = rng.randrange(n)
             scale = tuple(tuple(F(p if r == c == i else int(r == c)) for c in range(n)) for r in range(n))
-            g = linalg.matmul(nrm.basis, linalg.matmul(scale, linalg.inverse(nrm.basis)))
-            assert pval(linalg.det(g), p) == 1
+            g = oracles.product(nrm.basis, oracles.product(scale, oracles.inverse(nrm.basis)))
+            assert pval(oracles.det(g), p) == 1
             cases.append((SplitNorm(nrm.cfg, n, nrm.basis, nrm.values), g))
     counts = {"times_cleared": 0, "inverse_rows": 0}
     for name in counts:

@@ -1,8 +1,9 @@
 """Every name the benchmark tracer wraps exists: the tracer skips a name it cannot find,
 so a rename under src/ would only zero a per-layer metric without this check.  The
 Fraction views of linalg stay only while the benchmark reads them, and every public name
-of the package has a reader outside the tests.  The modules of the package import no
-private name of one another, the slot kernel imports no frame, and every import is read."""
+of the package has a reader outside the tests.  Each exported name is declared once, in
+its home module's __all__.  The modules of the package import no private name of one
+another, the slot kernel imports no frame, and every import is read."""
 
 import ast
 import importlib
@@ -14,9 +15,11 @@ from padicnorm import FieldConfig, SplitNorm, norms
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "padicnorm"
+TESTS = ROOT / "tests"
 TRACING = ROOT / "perfbench" / "tracing.py"
 WORKLOADS = ROOT / "perfbench" / "workloads.py"
 VIEWS = ("matmul", "matvec", "kron", "det", "inverse")
+EXPORTING = ("valuation", "norms", "splittings", "stabilizer", "base_change", "building")
 
 
 def _tracing():
@@ -60,13 +63,75 @@ def _called(path: Path) -> set[str]:
     return {f.id if isinstance(f, ast.Name) else getattr(f, "attr", "") for f in calls}
 
 
+def _views_read(path: Path):
+    """Each Fraction view of linalg a module reads, as linalg.<view> or by a from-import."""
+    nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+    read = [
+        node.attr
+        for node in nodes
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "linalg"
+    ]
+    read += [
+        alias.name
+        for node in nodes
+        if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg")
+        for alias in node.names
+    ]
+    return [name for name in read if name in VIEWS]
+
+
 def test_the_fraction_views_stay_only_for_the_benchmark():
-    # no module of the package calls linalg's Fraction views; each stays while the tracer
-    # wraps it or a workload calls it, and may leave when neither does
+    # no module of the package calls linalg's Fraction views, and of the tests only their
+    # contract tests in test_linalg.py read them; each stays while the tracer wraps it or a
+    # workload calls it, and may leave when neither does
     package = set().union(*map(_called, SRC.glob("*.py")))
     assert package.isdisjoint(VIEWS)
+    tests = [
+        f"{path.name}: linalg.{name}"
+        for path in sorted(TESTS.glob("*.py"))
+        if path.name != "test_linalg.py"
+        for name in _views_read(path)
+    ]
+    assert tests == []
     read = set(_tracing().LAYERS["linalg"]) | _called(WORKLOADS)
     assert [name for name in VIEWS if name not in read] == []
+
+
+def _defined(path: Path) -> set[str]:
+    """The names a module's top level binds itself: each def, class and assignment target."""
+    defined = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return defined
+
+
+def test_each_exported_name_is_declared_once():
+    # each exporting module lists its share of the exports in one __all__ of names it
+    # defines itself, and the package re-exports their concatenation by star imports, so
+    # no name is written twice and none is imported or listed by name in __init__
+    lists = [importlib.import_module(f"padicnorm.{module}").__all__ for module in EXPORTING]
+    for module, names in zip(EXPORTING, lists):
+        assert len(set(names)) == len(names), module
+        assert not [name for name in names if name.startswith("_")], module
+        assert set(names) - _defined(SRC / f"{module}.py") == set(), module
+    exported = [name for names in lists for name in names]
+    assert len(set(exported)) == len(exported)
+    assert importlib.import_module("padicnorm").__all__ == exported
+    init = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    starred = []
+    for node in ast.walk(init):
+        if isinstance(node, ast.Import):
+            raise AssertionError(f"__init__ imports {[alias.name for alias in node.names]}")
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+            assert node.level == 1 and (names == ["*"] if node.module else set(names) <= {*EXPORTING})
+            starred += [node.module] if node.module else []
+    assert starred == list(EXPORTING)
+    constants = {node.value for node in ast.walk(init) if isinstance(node, ast.Constant)}
+    assert constants.isdisjoint(exported)
 
 
 def _referenced(path: Path) -> set[str]:

@@ -12,10 +12,12 @@ norm exists in the package.
 
 Equality is one splitting test, slots.fit, which inverts only the norm
 it tests; slots.splits asks it at given values.  equals(a, b) asks that
-of a's columns against b, verify_splitting of a pair's lattice, and the
-common basis's second check of B @ combo, b's columns times the column
-operations, whose slot table against b is combo itself on unit rows, so
-b is not inverted.  homothetic and apartment_coords read fit's excesses.
+of a's columns against b, verify_splitting of a pair's lattice, and
+the two reconstruction checks of a split of its column operations E on
+a table's unit rows, which forms no split column and inverts nothing:
+the first of the first slot table B^-1 C times E, as (B^-1 C) E =
+B^-1 (C E), the second of E itself on b's.  homothetic and
+apartment_coords read fit's excesses.
 
 The subspace and common-basis computations below are a valuated
 version of Gaussian elimination by column operations alone.  Column
@@ -25,11 +27,11 @@ weight makes every step admissible.  The ambient splitting basis is
 never rewritten: once a pivot's row is cleared across the open
 columns, a row operation would subtract zero from all of them, and the
 ambient vectors of the rows never pivoted complete the split columns
-as they stand.  _split_span runs both, with the one reconstruction
-check; a common basis adds only the check of the second norm.  The
-elimination runs on the slot table itself, each row scaled by its
-denominator, which the row's weight absorbs and column operations
-commute with.
+as they stand.  _split_span runs both, with the first check, and
+returns the values and E, not a norm; a common basis adds only the
+second check.  The elimination runs on the slot table itself, each row
+scaled by its denominator d_i, which the row's weight absorbs and
+column operations commute with.
 
 Norms and lattices are frames: a basis held as cleared columns,
 integers over one denominator per column, and its inverse as cleared
@@ -462,14 +464,16 @@ def _monomialize(row_side, col_vals, cols: Cleared, p: int):
     every nonzero entry in a row not yet pivoted, so the pivot attains
     its ambient size (module docstring).
 
-    Returns (sigma, split_vals, col_ops): sigma maps each column to
-    its pivot row, in pivot order; col_ops are the cleared columns of
+    Returns (sigma, split_vals, col_ops, first): sigma maps each column
+    to its pivot row, in pivot order; col_ops are the cleared columns of
     the accumulated column operations, and column j of m @ col_ops has
     ambient size value j of split_vals, a cleared vector over the table's
     scale.  Each pivot row of m @ col_ops is zero on the columns pivoted
-    after it.
+    after it.  first is m's slot table as it was made: (side, its
+    cleared columns), side of unit rows (module docstring).
     """
     side, col_w, table, dens = slots.slot_table(row_side, col_vals, cols, p)
+    first = side, list(zip(table, dens))  # before the column operations rewrite dens
     scale = side[2]
     lift = scale // col_vals[1]  # a column value over scale
     n, d = len(side[1]), len(table)
@@ -498,31 +502,30 @@ def _monomialize(row_side, col_vals, cols: Cleared, p: int):
         sigma[pj] = pi
         split[pj] = w + col_vals[0][pj] * lift
     col_ops = [linalg.reduced(c[n:], den) for c, den in zip(stacked, dens)]
-    return sigma, (split, scale), col_ops
+    return sigma, (split, scale), col_ops, first
 
 
-def _split_span(norm: SplitNorm, cols: Cleared, col_vals) -> tuple[SplitNorm, Cleared]:
+def _split_span(norm: SplitNorm, cols: Cleared, col_vals):
     """Split the span of the cleared columns, of sizes the cleared vector col_vals, against
-    the norm: (split, combo), with combo the column operations of _monomialize and split the
-    norm on cols @ combo at their ambient sizes, then on the ambient columns of the rows never
-    pivoted at their values.  The one reconstruction check, split equal to the norm, runs
-    before returning."""
-    p = norm.cfg.prime
-    sigma, vals, combo = _monomialize(norm._row_side, col_vals, cols, p)
-    rest = [i for i in range(norm.dim) if i not in sigma.values()]
-    full = linalg.times_cleared(cols, combo) + [norm._cols[i] for i in rest]
+    the norm: (values, combo), with combo the column operations of _monomialize and values the
+    ambient sizes of cols @ combo, then the values of the rows never pivoted, cleared.  The
+    first reconstruction check runs before returning, on the first slot table times combo,
+    then d_i e_i for each row i never pivoted; no norm and no column is made."""
+    p, n = norm.cfg.prime, norm.dim
+    sigma, vals, combo, (side, first) = _monomialize(norm._row_side, col_vals, cols, p)
+    rest = [i for i in range(n) if i not in sigma.values()]
+    units = [([norm._inv_rows[i][1] if k == i else 0 for k in range(n)], 1) for i in rest]
     ints, den = norm._vals
     x, y, m = linalg.aligned(vals, ([ints[i] for i in rest], den))
-    split = norm_on(norm.cfg, full, (x + y, m))
-    if not equals(split, norm):
+    if not slots.splits(side, linalg.times_cleared(first, combo) + units, (x + y, m), p):
         raise SelfCheckError("splitting failed to reconstruct the norm")
-    return split, combo
+    return (x + y, m), combo
 
 
-def _split_subspace(norm: SplitNorm, span) -> tuple[SplitNorm, Cleared]:
+def _split_subspace(norm: SplitNorm, span):
     """Split the subspace spanned by the columns of the n x d matrix span: _split_span's
-    (split, combo), where span @ combo splits the subspace with sizes split.values[:d] and the
-    ambient columns after them complete a splitting basis with values split.values[d:]."""
+    (values, combo), where span @ combo splits the subspace with sizes the first d values and
+    the ambient columns of the rows never pivoted complete a splitting basis with the rest."""
     cols, n = linalg.cleared(span), norm.dim
     if len(span) != n:
         raise DimensionMismatchError(f"span matrix must have {n} rows, got {len(span)}")
@@ -538,8 +541,7 @@ def restrict(norm: SplitNorm, span) -> SplitNorm:
     with the ambient norm on the subspace: its basis records which
     combinations of the spanning columns split the restriction.
     """
-    split, combo = _split_subspace(norm, span)
-    ints, den = split._vals
+    (ints, den), combo = _split_subspace(norm, span)
     return norm_on(norm.cfg, combo, (ints[: len(combo)], den))
 
 
@@ -552,8 +554,7 @@ def quotient(norm: SplitNorm, span) -> SplitNorm:
     the i-th of them, and the minimum over lifts is attained at the
     complementary component.
     """
-    split, combo = _split_subspace(norm, span)
-    ints, den = split._vals
+    (ints, den), combo = _split_subspace(norm, span)
     rest = ints[len(combo) :]
     return norm_on(norm.cfg, linalg.units(len(rest)), (rest, den))
 
@@ -563,27 +564,27 @@ def common_splitting_basis(a: SplitNorm, b: SplitNorm):
 
     Returns (basis, a_values, b_values): the columns of basis split a
     with a_values and b with b_values.  Columns are scaled so that
-    a_values lie in [0, 1).  Both reconstructions are checked by the
-    splitting test slots.fit before returning; only a is inverted.
+    a_values lie in [0, 1).  Both reconstructions are checked by slots.fit,
+    inverting only a; the columns are formed only here, to be printed.
     """
-    common = _common_norm(a, b)
-    lattice, shifts, a_vals = canonical(common)
+    vals, combo = _common_norm(a, b)
+    lattice, shifts, a_vals = canonical(norm_on(a.cfg, linalg.times_cleared(b._cols, combo), vals))
     # column j was scaled by p^shifts[j], which lowers its b-value by as much
     ints, den = b._vals
     b_vals = ([v - k * den for v, k in zip(ints, shifts)], den)
     return lattice.matrix, linalg.from_cleared_vector(a_vals), linalg.from_cleared_vector(b_vals)
 
 
-def _common_norm(a: SplitNorm, b: SplitNorm) -> SplitNorm:
-    """a on unscaled columns that split b at its values: _split_span of b's basis against a,
-    whose check covers a, and the second reconstruction check, of b, read off the column
-    operations (module docstring)."""
+def _common_norm(a: SplitNorm, b: SplitNorm):
+    """(values, combo): b's columns times combo split a at values and b at its own.  The
+    checks of _split_span of b's basis against a, and of b on b's unit rows, both read combo
+    (module docstring)."""
     check_compatible(a, b)
-    common, combo = _split_span(a, b._cols, b._vals)
+    vals, combo = _split_span(a, b._cols, b._vals)
     p = b.cfg.prime
     if not slots.splits(slots.row_side_of(b._vals, None, p), combo, b._vals, p):
         raise SelfCheckError("common basis failed to reconstruct the second norm")
-    return common
+    return vals, combo
 
 
 def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]]:
@@ -594,8 +595,7 @@ def distance(a: SplitNorm, b: SplitNorm) -> tuple[Fraction, tuple[Fraction, ...]
     the distance.  Scaling a column by p^k lowers both its values by k,
     so the differences are read before the canonical scaling.
     """
-    common = _common_norm(a, b)
-    x, y, m = linalg.aligned(common._vals, b._vals)
+    x, y, m = linalg.aligned(_common_norm(a, b)[0], b._vals)
     diffs = sorted((v - u for u, v in zip(x, y)), reverse=True)
     d_inf = max(map(abs, diffs), default=0)
     return Fraction(d_inf, m), linalg.from_cleared_vector((diffs, m))

@@ -23,9 +23,10 @@ g = p^min(v, k), which is p^v exactly for any k >= v; k is bounded from
 the bit length of n.  Then 2^(b-1) <= p^v < 2^b for b = g.bit_length(),
 and with c = floor(D log2 p), read exactly off the bit length of p^D, v
 is the unique integer in the interval [(b-1)D/(c+1), bD/c) while its
-length D(b+c)/(c(c+1)) is below 1.  No float is involved.  Windows
-p^w that grow while they divide n keep the gcd small when the part of n
-prime to p is large.
+length D(b+c)/(c(c+1)) is below 1.  No float is involved.  Three
+windows p^w, of about 32, 512 and 8,192 bits, are divided out while
+they divide n, which keeps the gcd small when the part of n prime to p
+is large; what they leave takes the one gcd.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
-from itertools import count
 from math import gcd
 
 from .errors import PreconditionError
@@ -156,30 +156,29 @@ def _bracket(p: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def _window(p: int, j: int) -> tuple[int, int]:
-    """(w, p^w) for the j-th window: p^w has about 32 * 16^j bits up to 8192, then 4 times
-    more for each further window."""
-    bits = 32 << 4 * j if j < 2 else 512 << 2 * j
-    w = max(1, bits // p.bit_length())
+    """(w, p^w) for the j-th of the three windows, j = 0, 1, 2: p^w has about 32 * 16^j
+    bits, that is 32, 512 and 8,192."""
+    w = max(1, (32 << 4 * j) // p.bit_length())
     return w, p**w
 
 
 def _strip_windows(n: int, p: int) -> tuple[int, int]:
-    """(s, p^(v - s)) for v = multiplicity(n, p): n loses the growing windows p^w while they
+    """(s, p^(v - s)) for v = multiplicity(n, p): n loses the three windows p^w while they
     divide it, and the first that does not leaves gcd(r, p^w) = p^min(v - s, w) in the
-    remainder.  The gcd with the tight power p^k comes only once a window passes k, after
-    windows of about a sixteenth of it or more divided n, so the part of n prime to p is
-    then at most about 16 times as long as p^v: a long unit part meets short windows only."""
+    remainder.  Past them, or once a window passes the bound k on v - s read off the bit
+    length of n, one gcd with the tight power p^k strips the rest: a long p^v costs one gcd,
+    not divisions by ever longer windows, each quadratic in CPython."""
     d, c = _bracket(p)
     s = 0
-    for j in count():
-        k = n.bit_length() * d // c  # p^(v-s) <= |n| < 2^bits, so v - s <= k
+    for j in range(3):
         w, pw = _window(p, j)
-        if w >= k:
-            return s, gcd(n, p**k)
+        if w >= n.bit_length() * d // c:
+            break
         q, r = divmod(n, pw)
         if r:
             return s, gcd(r, pw)
         n, s = q, s + w
+    return s, gcd(n, p ** (n.bit_length() * d // c))  # p^(v-s) <= |n| < 2^bits bounds v - s
 
 
 def _bracket_exponent(g: int, p: int) -> int | None:

@@ -53,6 +53,7 @@ from padicnorm.norms import (
     dual,
     equals,
     evaluate,
+    norm_on,
     op_size,
     quotient,
     restrict,
@@ -138,7 +139,9 @@ def test_cleared_forms_agree_with_the_views():
             opened = [math.floor(x - level) + 1 for x in a.values]
             _check_lattice(ball_basis(a, level), _scaled_columns(a.basis, p, closed))
             _check_lattice(ball_basis_open(a, level), _scaled_columns(a.basis, p, opened))
-            _check_lattice(canonical(_common_norm(a, b))[0], common_splitting_basis(a, b)[0])
+            vals, combo = _common_norm(a, b)
+            common = norm_on(a.cfg, linalg.times_cleared(b._cols, combo), vals)
+            _check_lattice(canonical(common)[0], common_splitting_basis(a, b)[0])
             _check_norm(io.norm_from_doc(io.norm_to_doc(a)), a.basis)
             pair = pair_from_norm(a)
             _check_lattice(pair.lattice)

@@ -5,9 +5,10 @@ elementary divisors; the implementation must match it exactly.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
-from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
+from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg, slots
 from padicnorm.building import cartan_position
 from padicnorm.norms import (
     act,
@@ -16,6 +17,8 @@ from padicnorm.norms import (
     equals,
     evaluate,
     lattice_norm,
+    quotient,
+    restrict,
 )
 
 import fuzz
@@ -139,3 +142,32 @@ def test_distance_under_value_shift():
         d_inf, diffs = distance(a, shifted)
         assert diffs == (delta,) * a.dim
         assert d_inf == abs(delta)
+
+
+def test_the_split_forms_two_products(monkeypatch):
+    # each n x n x d product is a times_cleared or a slot table on real rows: B^-1 C is the
+    # first slot table and its product with the column operations the one reconstruction
+    # check; only common_splitting_basis also forms C @ combo, the columns it prints
+    counts = Counter()
+    product, table = linalg.times_cleared, slots.slot_table
+
+    def counted_table(row_side, *args):
+        counts.update(["product"] * (row_side[0] is not None))
+        return table(row_side, *args)
+
+    monkeypatch.setattr(linalg, "times_cleared", lambda *a: counts.update(["product"]) or product(*a))
+    monkeypatch.setattr(slots, "slot_table", counted_table)
+    rng = random.Random(43)
+    for n in range(2, 6):
+        for p in fuzz.PRIMES:
+            a, b = fuzz.norm(rng, n, p), fuzz.norm(rng, n, p)
+            span = fuzz.span_matrix(rng, n, rng.randint(1, n))
+            a._row_side  # a's inverse, made before counting
+            runs = {
+                distance: (a, b), cartan_position: (a, b), restrict: (a, span),
+                quotient: (a, span), common_splitting_basis: (a, b),
+            }
+            for run, args in runs.items():
+                counts.clear()
+                run(*args)
+                assert counts["product"] == (3 if run is common_splitting_basis else 2), run

@@ -47,22 +47,22 @@ def row_side(row_values, rows, p):
 
 
 def monomialize(row_values, rows, col_values, cols, p):
-    """_monomialize of Fraction factors, its split values as Fractions and its column
-    operations as a Fraction matrix."""
-    sigma, split_vals, col_ops = _monomialize(
+    """_monomialize of Fraction factors, its split values as Fractions, its column
+    operations as a Fraction matrix, and its first slot table as it returns it."""
+    sigma, split_vals, col_ops, first = _monomialize(
         row_side(row_values, rows, p),
         linalg.cleared_vector(col_values),
         linalg.cleared(linalg.transpose(cols)),
         p,
     )
     col_ops = linalg.transpose(linalg.from_cleared(col_ops))
-    return sigma, linalg.from_cleared_vector(split_vals), col_ops
+    return sigma, linalg.from_cleared_vector(split_vals), col_ops, first
 
 
 def test_tie_break_example():
     # every entry weighs 0: the pivot is (0, 0), then (1, 1)
     m = ((1, 1), (1, 2))
-    sigma, split_values, col_ops = monomialize((0, 0), m, (0, 0), oracles.identity(2), 3)
+    sigma, split_values, col_ops, _ = monomialize((0, 0), m, (0, 0), oracles.identity(2), 3)
     assert list(sigma.items()) == [(0, 0), (1, 1)]
     assert split_values == (F(0), F(0))
     assert col_ops == ((1, -1), (0, 1))
@@ -76,8 +76,9 @@ def test_contract():
         m = oracles.product(rows, linalg.transpose(cols))
         out = monomialize(row_values, rows, col_values, cols, p)
         # repr, unlike ==, also compares the pivot order of sigma
-        assert repr(out) == repr(monomialize(row_values, m, col_values, oracles.identity(d), p))
-        sigma, split_values, col_ops = out
+        same = monomialize(row_values, m, col_values, oracles.identity(d), p)
+        assert repr(out[:3]) == repr(same[:3])
+        sigma, split_values, col_ops, first = out
         # pivot weights never rise, so the first pivot is the slot maximum
         heaviest = max(s - b for s, b in zip(split_values, col_values))
         rows_side = row_side(row_values, rows, p)
@@ -91,6 +92,8 @@ def test_contract():
         assert unit is None and order == rows_side[3] and dens == [e for _, e in cleared_cols]
         assert [row_w[i] for i in order] == sorted(row_w, reverse=True)
         assert heaviest == F(slots.heaviest(side, col_w, table, p, range(d))[0], scale)
+        # the first table is returned as the slot table made it, before the elimination
+        assert first == (side, list(zip(table, dens)))
         assert sorted(sigma) == list(range(d)) and len(set(sigma.values())) == d
         reduced = oracles.product(m, col_ops)
         # in pivot order, each pivot row is zero on every column pivoted after it

@@ -1,6 +1,6 @@
 """The reconstruction checks behind restrict, quotient, common_splitting_basis and distance
 fire when the elimination is wrong: _monomialize is wrapped to corrupt its result, its split
-values read as Fractions and cleared again."""
+values read as Fractions and cleared again, its first slot table passed through."""
 
 import random
 from fractions import Fraction
@@ -32,9 +32,9 @@ def _wrap(monkeypatch, corrupt):
     original = norms._monomialize
 
     def wrapped(*args):
-        sigma, split_vals, col_ops = original(*args)
+        sigma, split_vals, col_ops, first = original(*args)
         values, ops = corrupt(linalg.from_cleared_vector(split_vals), col_ops)
-        return sigma, linalg.cleared_vector(values), ops
+        return sigma, linalg.cleared_vector(values), ops, first
 
     monkeypatch.setattr(norms, "_monomialize", wrapped)
 
@@ -84,3 +84,35 @@ def test_second_check_reads_what_the_inverse_reads():
             fit = slots.fit(b._row_side, linalg.times_cleared(b._cols, ops), b._vals, p)
             unit = slots.row_side_of(b._vals, None, p)
             assert slots.fit(unit, ops, b._vals, p) == fit
+
+
+def _excesses(found):
+    return None if found is None else [F(t, found[1]) for t in found[0]]
+
+
+def test_first_check_reads_what_the_inverse_reads():
+    # the check of the first norm, slots.fit on the first slot table's unit row side over the
+    # table times the column operations and d_i at each row i never pivoted, is slots.fit of
+    # a at the columns themselves, C @ ops and then a's columns of those rows, on true and on
+    # leaked column operations alike; besides b's basis, a span of fewer columns than the
+    # dimension leaves rows unpivoted
+    rng, spans = random.Random(22), random.Random(23)
+    for _ in range(60):
+        a = fuzz.norm(rng, rng.randint(2, 6))
+        b = fuzz.norm(rng, a.dim, a.cfg.prime)
+        n, p = a.dim, a.cfg.prime
+        d = spans.randint(2, n)
+        span = linalg.cleared(fuzz.span_matrix(spans, n, d))
+        for cols, col_vals in ((b._cols, b._vals), (span, ([0] * d, 1))):
+            sigma, vals, combo, (side, first) = norms._monomialize(a._row_side, col_vals, cols, p)
+            rest = [i for i in range(n) if i not in sigma.values()]
+            units = [([a._inv_rows[i][1] if k == i else 0 for k in range(n)], 1) for i in rest]
+            ints, den = a._vals
+            x, y, m = linalg.aligned(vals, ([ints[i] for i in rest], den))
+            for ops in (combo, _leaked(combo, p)):
+                on_table = slots.fit(side, linalg.times_cleared(first, ops) + units, (x + y, m), p)
+                ambient = linalg.times_cleared(cols, ops) + [a._cols[i] for i in rest]
+                found = _excesses(on_table)
+                assert found == _excesses(slots.fit(a._row_side, ambient, (x + y, m), p))
+                if ops is combo:
+                    assert found == [0] * n

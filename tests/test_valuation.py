@@ -313,6 +313,18 @@ def test_multiplicity_is_fast_on_a_large_unit(p):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("p", [10**18 + 3, PRIME_BELOW_LIMIT])
+def test_multiplicity_strips_a_long_power_in_one_gcd(p):
+    # 7 p^20000, 1.2 to 1.6 million bits: past the three windows one gcd strips the rest in
+    # 0.1 to 0.2 s on a 2-vCPU x86-64 host under CPython 3.11, where windows that keep growing
+    # 4-fold take 0.9 to 1.8 s, one quadratic divmod each
+    n = 7 * p**20000
+    got = []
+    _within(0.5, lambda: got.append(multiplicity(n, p)), f"multiplicity of 7 * {p}^20000")
+    assert got == [20000]
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
 def test_first_call_with_a_large_prime_is_cheap():
     p = PRIME_BELOW_LIMIT
     n = p**40 * unit(random.Random(5), 3000, p)

@@ -32,8 +32,9 @@ schemes and their Moy-Prasad filtrations (Moy and Prasad, Invent. Math.
 into itself with index [B : gB] = p^val(det g), so it is a unit exactly
 when det g is a p-adic unit, and here det g = 1 + phi(u), the matrix
 determinant lemma: one dot product.  Only a non-member is asked whether
-g is singular, proven invertible by linalg.invertible as every matrix
-from outside is: a singular one raises.
+g is singular, by linalg.invertible on the table that refused it, with
+d_j e_j added at slot (j, j): that of B^-1 g B, of determinant det g
+times nonzero denominators, as slots.fit proves the columns it refuses.
 """
 
 from __future__ import annotations
@@ -96,7 +97,7 @@ def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
     bottom, at g = 1, as w = -scale: the level is bottom at or below -1 alike.  None when g
     is not a stabilizer element, decided on the special fiber (module docstring).  g must be
     n x n, checked before it must be invertible, which only a non-member is asked, by
-    linalg.invertible."""
+    linalg.invertible on the table of B^-1 g B that refused it."""
     g_cols = linalg.cleared_square(g, norm.dim)
     for j, (c, e) in enumerate(g_cols):
         c[j] -= e  # column j of g - 1: e_j over the denominator e holds e in row j
@@ -115,14 +116,13 @@ def _level(norm: SplitNorm, g) -> tuple[int, int] | None:
     best = slots.heaviest(side, col_w, table, p, range(len(table)))
     scale = side[2]
     w = -scale if best is None else best[0]
-    if w == 0:
-        for j, ((_, d), e) in enumerate(zip(norm._inv_rows, dens)):
-            table[j][j] += d * e  # the table of B^-1 g B: slot (j, j) is over d_j e_j
-    if w < 0 or w == 0 and slots.graded(side, col_w, table, [0] * len(table), p):
+    if w < 0:
         return w, scale
-    for j, (c, e) in enumerate(g_cols):
-        c[j] += e  # g again, which a non-member must not be singular
-    linalg.invertible(g_cols)
+    for j, ((_, d), e) in enumerate(zip(norm._inv_rows, dens)):
+        table[j][j] += d * e  # the table of B^-1 g B: slot (j, j) is over d_j e_j
+    if w == 0 and slots.graded(side, col_w, table, [0] * len(table), p):
+        return w, scale
+    linalg.invertible([(c, 1) for c in table])  # det g times the nonzero d_j e_j
     return None
 
 

@@ -28,7 +28,7 @@ def docs(tmp_path_factory):
 
     bad = root / "bad.json"
     bad.write_text('{"prime": 2}', encoding="utf-8")
-    return {
+    paths = {
         "alpha": write(
             "alpha.json", SplitNorm(CFG2, 2, oracles.identity(2), (F(0), F(1, 2)))
         ),
@@ -43,12 +43,35 @@ def docs(tmp_path_factory):
             SplitNorm(FieldConfig(3), 3, oracles.identity(3), (F(0), F(0), F(0))),
         ),
     }
+    # documents as a shell writes them, one line each: b presents alpha in the basis (1, 0),
+    # (2, 1) and c puts b's values on the other columns; std3 is the unit norm at p = 3, q
+    # has a basis of determinant 2^61 - 1 and singular a singular basis
+    lines = {
+        "b": '{"basis":[["1","2"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}',
+        "c": '{"basis":[["1","2"],["0","1"]],"dim":2,"prime":2,"values":["1/2","0"]}',
+        "std3": '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":3,"values":["0","0"]}',
+        "q": '{"basis":[["2305843009213693951","0"],["0","1"]],"dim":2,"prime":2,'
+        '"values":["0","1/2"]}',
+        "singular": '{"basis":[["1","2"],["2","4"]],"dim":2,"prime":2,"values":["0","1/2"]}',
+        "d3": '{"basis":[["1","0","0"],["0","1","0"],["0","0","1"]],"dim":3,"prime":2,'
+        '"values":["0","1/2","1/3"]}',
+    }
+    for name, line in lines.items():
+        path = root / f"{name}.json"
+        path.write_text(line + "\n", encoding="utf-8")
+        paths[name] = str(path)
+    return paths
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def resolved(docs, argv):
+    """argv with each document named by its key in docs replaced by the document's path."""
+    return [docs.get(arg, arg) for arg in argv]
 
 
 def assert_formats(capsys, argv, text, machine):
@@ -59,159 +82,298 @@ def assert_formats(capsys, argv, text, machine):
         assert out == want, (argv, fmt)
 
 
+AT_ZERO = "0 lhs=1 rhs=1\n-1/2 lhs=1 rhs=1\n"
+TRUE, FALSE = ("true\n", '{"result":true}\n'), ("false\n", '{"result":false}\n')
+# (argv, text stdout, machine stdout) for every line verb and mode
+LINES = [
+    (("eval", "alpha", "--vector", "1,1"), "1/2\n", '{"value":"1/2"}\n'),
+    (("eval", "alpha", "--vector", "0,0"), "-inf\n", '{"value":"-inf"}\n'),
+    (
+        ("graded-dims", "alpha"),
+        "0 2\n-1/2 2\n",
+        '{"classes":[["0",2],["-1/2",2]],"total":4}\n',
+    ),
+    (("graded-dims", "alpha", "--delta=-1/2"), "2\n", '{"class":"-1/2","dim":2}\n'),
+    (("graded-dims", "alpha", "--delta", "1/4"), "0\n", '{"class":"1/4","dim":0}\n'),
+    # the level counts mod 1, and is echoed as given
+    (("graded-dims", "alpha", "--delta", "1/2"), "2\n", '{"class":"1/2","dim":2}\n'),
+    (("graded-dims", "alpha", "--delta", "1"), "2\n", '{"class":"1","dim":2}\n'),
+    (("graded-dims", "alpha", "--delta", "3/2"), "2\n", '{"class":"3/2","dim":2}\n'),
+    (("graded-dims", "alpha", "--delta=-3/2"), "2\n", '{"class":"-3/2","dim":2}\n'),
+    (("graded-dims", "alpha", "--delta", "7/4"), "0\n", '{"class":"7/4","dim":0}\n'),
+    (("graded-dims", "alpha", "--delta=-5"), "2\n", '{"class":"-5","dim":2}\n'),
+    (("chi-weights", "alpha"), "0 1\n1/2 1\n", '{"weights":[["0",1],["1/2",1]]}\n'),
+    # the class verbs read the one class count of alpha: two classes of one value each give
+    # one-dimensional graded pieces, a 2-dimensional kernel and Levi blocks [1,1]
+    (
+        ("bc-dims", "alpha"),
+        "kernel=2 centralizer=2 total=4\n",
+        '{"centralizer":2,"kernel":2,"total":4}\n',
+    ),
+    # index 1 refines no class: alpha's two classes stay apart, and it is no lattice norm
+    (
+        ("bc-dims", "alpha", "--ram-index", "1"),
+        "ram_index=1 classes=[0:1 1/2:1] lattice_norm=false\n",
+        '{"classes":[["0",1],["1/2",1]],"lattice_norm":false,"ram_index":1}\n',
+    ),
+    (
+        ("bc-dims", "alpha", "--ram-index", "2"),
+        "ram_index=2 classes=[0:2] lattice_norm=true\n",
+        '{"classes":[["0",2]],"lattice_norm":true,"ram_index":2}\n',
+    ),
+    (
+        ("bc-dims", "alpha", "--ram-index", "unbounded"),
+        "ram_index=unbounded classes=[0:2] lattice_norm=true\n",
+        '{"classes":[["0",2]],"lattice_norm":true,"ram_index":"unbounded"}\n',
+    ),
+    (
+        ("bc-dims", "alpha", "--at", "0"),
+        AT_ZERO,
+        '{"at":"0","classes":[["0",[1,1]],["-1/2",[1,1]]]}\n',
+    ),
+    (
+        ("bc-dims", "alpha", "--at", "5/3"),
+        "-1/6 lhs=1 rhs=1\n-2/3 lhs=1 rhs=1\n",
+        '{"at":"5/3","classes":[["-1/6",[1,1]],["-2/3",[1,1]]]}\n',
+    ),
+    # the table depends on the level mod 1 only, and must not build p^100000
+    (
+        ("bc-dims", "alpha", "--at=-100000"),
+        AT_ZERO,
+        '{"at":"-100000","classes":[["0",[1,1]],["-1/2",[1,1]]]}\n',
+    ),
+    (("level", "alpha", "--matrix", "1,1;0,1"), "-1/2\n", '{"level":"-1/2"}\n'),
+    (("level", "alpha", "--matrix", "1,1;0,1", "--delta=-1/2"), *TRUE),
+    (("level", "alpha", "--matrix", "1,1;0,1", "--delta=-1"), *FALSE),
+    (
+        ("fiber", "alpha"),
+        "levi=[1,1] unipotent=2 total=4\n",
+        '{"levi":[1,1],"total":4,"unipotent":2}\n',
+    ),
+    (
+        ("fiber", "beta"),
+        "levi=[2] unipotent=0 total=4\n",
+        '{"levi":[2],"total":4,"unipotent":0}\n',
+    ),
+    (("coords", "alpha"), "0,1/2\n", '{"coords":["0","1/2"]}\n'),
+    (("coords", "alpha", "--frame", "1,0;1,1"), "none\n", '{"coords":null}\n'),
+    (("cartan", "beta", "lat"), "1,0\n", '{"position":["1","0"]}\n'),
+    (("cartan", "beta", "alpha"), "1/2,0\n", '{"position":["1/2","0"]}\n'),
+    (("type", "alpha"), "1,1\n", '{"type":[1,1]}\n'),
+    (("type", "beta"), "2\n", '{"type":[2]}\n'),
+    (
+        ("translate", "--matrix", "4,0;0,1", "--prime", "2"),
+        "2,0\n",
+        '{"translation":["2","0"]}\n',
+    ),
+    (
+        ("translate", "--matrix", "1/2,0;0,1", "--prime", "2"),
+        "-1,0\n",
+        '{"translation":["-1","0"]}\n',
+    ),
+    (("stab-check", "alpha", "--matrix", "1,2;0,1"), *TRUE),
+    (("stab-check", "alpha", "--matrix", "2,0;0,1"), *FALSE),
+    (("equals", "alpha", "beta"), *FALSE),
+    (("equals", "alpha", "alpha"), *TRUE),
+]
+
+
 def test_frozen_lines(docs, capsys):
-    # (argv, text stdout, machine stdout) for every line verb and mode
-    alpha, beta, lat = docs["alpha"], docs["beta"], docs["lat"]
-    at_zero = "0 lhs=1 rhs=1\n-1/2 lhs=1 rhs=1\n"
-    true, false = ("true\n", '{"result":true}\n'), ("false\n", '{"result":false}\n')
-    expected = [
-        (("eval", alpha, "--vector", "1,1"), "1/2\n", '{"value":"1/2"}\n'),
-        (("eval", alpha, "--vector", "0,0"), "-inf\n", '{"value":"-inf"}\n'),
-        (
-            ("graded-dims", alpha),
-            "0 2\n-1/2 2\n",
-            '{"classes":[["0",2],["-1/2",2]],"total":4}\n',
-        ),
-        (("graded-dims", alpha, "--delta=-1/2"), "2\n", '{"class":"-1/2","dim":2}\n'),
-        (("graded-dims", alpha, "--delta", "1/4"), "0\n", '{"class":"1/4","dim":0}\n'),
-        # the level counts mod 1, and is echoed as given
-        (("graded-dims", alpha, "--delta", "1/2"), "2\n", '{"class":"1/2","dim":2}\n'),
-        (("graded-dims", alpha, "--delta", "1"), "2\n", '{"class":"1","dim":2}\n'),
-        (("graded-dims", alpha, "--delta", "3/2"), "2\n", '{"class":"3/2","dim":2}\n'),
-        (("graded-dims", alpha, "--delta=-3/2"), "2\n", '{"class":"-3/2","dim":2}\n'),
-        (("graded-dims", alpha, "--delta", "7/4"), "0\n", '{"class":"7/4","dim":0}\n'),
-        (("graded-dims", alpha, "--delta=-5"), "2\n", '{"class":"-5","dim":2}\n'),
-        (("chi-weights", alpha), "0 1\n1/2 1\n", '{"weights":[["0",1],["1/2",1]]}\n'),
-        (
-            ("bc-dims", alpha),
-            "kernel=2 centralizer=2 total=4\n",
-            '{"centralizer":2,"kernel":2,"total":4}\n',
-        ),
-        # index 1 refines no class: alpha's two classes stay apart, and it is no lattice norm
-        (
-            ("bc-dims", alpha, "--ram-index", "1"),
-            "ram_index=1 classes=[0:1 1/2:1] lattice_norm=false\n",
-            '{"classes":[["0",1],["1/2",1]],"lattice_norm":false,"ram_index":1}\n',
-        ),
-        (
-            ("bc-dims", alpha, "--ram-index", "2"),
-            "ram_index=2 classes=[0:2] lattice_norm=true\n",
-            '{"classes":[["0",2]],"lattice_norm":true,"ram_index":2}\n',
-        ),
-        (
-            ("bc-dims", alpha, "--ram-index", "unbounded"),
-            "ram_index=unbounded classes=[0:2] lattice_norm=true\n",
-            '{"classes":[["0",2]],"lattice_norm":true,"ram_index":"unbounded"}\n',
-        ),
-        (
-            ("bc-dims", alpha, "--at", "0"),
-            at_zero,
-            '{"at":"0","classes":[["0",[1,1]],["-1/2",[1,1]]]}\n',
-        ),
-        (
-            ("bc-dims", alpha, "--at", "5/3"),
-            "-1/6 lhs=1 rhs=1\n-2/3 lhs=1 rhs=1\n",
-            '{"at":"5/3","classes":[["-1/6",[1,1]],["-2/3",[1,1]]]}\n',
-        ),
-        # the table depends on the level mod 1 only, and must not build p^100000
-        (
-            ("bc-dims", alpha, "--at=-100000"),
-            at_zero,
-            '{"at":"-100000","classes":[["0",[1,1]],["-1/2",[1,1]]]}\n',
-        ),
-        (("level", alpha, "--matrix", "1,1;0,1"), "-1/2\n", '{"level":"-1/2"}\n'),
-        (("level", alpha, "--matrix", "1,1;0,1", "--delta=-1/2"), *true),
-        (("level", alpha, "--matrix", "1,1;0,1", "--delta=-1"), *false),
-        (
-            ("fiber", alpha),
-            "levi=[1,1] unipotent=2 total=4\n",
-            '{"levi":[1,1],"total":4,"unipotent":2}\n',
-        ),
-        (
-            ("fiber", beta),
-            "levi=[2] unipotent=0 total=4\n",
-            '{"levi":[2],"total":4,"unipotent":0}\n',
-        ),
-        (("coords", alpha), "0,1/2\n", '{"coords":["0","1/2"]}\n'),
-        (("coords", alpha, "--frame", "1,0;1,1"), "none\n", '{"coords":null}\n'),
-        (("cartan", beta, lat), "1,0\n", '{"position":["1","0"]}\n'),
-        (("cartan", beta, alpha), "1/2,0\n", '{"position":["1/2","0"]}\n'),
-        (("type", alpha), "1,1\n", '{"type":[1,1]}\n'),
-        (("type", beta), "2\n", '{"type":[2]}\n'),
-        (
-            ("translate", "--matrix", "4,0;0,1", "--prime", "2"),
-            "2,0\n",
-            '{"translation":["2","0"]}\n',
-        ),
-        (
-            ("translate", "--matrix", "1/2,0;0,1", "--prime", "2"),
-            "-1,0\n",
-            '{"translation":["-1","0"]}\n',
-        ),
-        (("stab-check", alpha, "--matrix", "1,2;0,1"), *true),
-        (("stab-check", alpha, "--matrix", "2,0;0,1"), *false),
-        (("equals", alpha, beta), *false),
-        (("equals", alpha, alpha), *true),
-    ]
-    for argv, text, machine in expected:
-        assert_formats(capsys, argv, text, machine)
+    for argv, text, machine in LINES:
+        assert_formats(capsys, resolved(docs, argv), text, machine)
+
+
+IDENTITY4 = '"basis":[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]'
+# (argv, machine stdout); the text form is the same document indented by two
+DOCUMENTS = [
+    (("ball", "alpha"), '{"dim":2,"matrix":[["1","0"],["0","2"]],"prime":2}\n'),
+    (("ball", "alpha", "--open"), '{"dim":2,"matrix":[["2","0"],["0","2"]],"prime":2}\n'),
+    (
+        ("ball", "alpha", "--at", "3/2"),
+        '{"dim":2,"matrix":[["1/2","0"],["0","1/2"]],"prime":2}\n',
+    ),
+    (
+        ("apartment", "--vector", "0,1/2", "--prime", "2"),
+        '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}\n',
+    ),
+    (
+        ("dual", "alpha"),
+        '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","-1/2"]}\n',
+    ),
+    (
+        ("act", "beta", "--matrix", "2,0;0,1"),
+        '{"basis":[["2","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]}\n',
+    ),
+    (
+        ("restrict", "alpha", "--span", "1,0"),
+        '{"basis":[["1"]],"dim":1,"prime":2,"values":["0"]}\n',
+    ),
+    (
+        ("quotient", "alpha", "--span", "1,0"),
+        '{"basis":[["1"]],"dim":1,"prime":2,"values":["1/2"]}\n',
+    ),
+    (
+        ("chain", "alpha"),
+        '{"classes":["0","1/2"],"dim":2,'
+        '"lattices":[[["1","0"],["0","2"]],[["1","0"],["0","1"]]],"prime":2}\n',
+    ),
+    (
+        ("tensor", "alpha", "beta"),
+        "{" + IDENTITY4 + ',"dim":4,"prime":2,"values":["0","0","1/2","1/2"]}\n',
+    ),
+    (
+        ("sum", "alpha", "beta"),
+        "{" + IDENTITY4 + ',"dim":4,"prime":2,"values":["0","1/2","0","0"]}\n',
+    ),
+    (
+        ("tree", "beta"),
+        '{"neighbors":['
+        '{"basis":[["2","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]},'
+        '{"basis":[["1","0"],["0","2"]],"dim":2,"prime":2,"values":["0","0"]},'
+        '{"basis":[["1","1"],["0","2"]],"dim":2,"prime":2,"values":["0","0"]}]}\n',
+    ),
+]
 
 
 def test_frozen_documents(docs, capsys):
-    # (argv, machine stdout); the text form is the same document indented by two
-    alpha, beta = docs["alpha"], docs["beta"]
-    identity4 = '"basis":[["1","0","0","0"],["0","1","0","0"],["0","0","1","0"],["0","0","0","1"]]'
-    expected = [
-        (("ball", alpha), '{"dim":2,"matrix":[["1","0"],["0","2"]],"prime":2}\n'),
-        (("ball", alpha, "--open"), '{"dim":2,"matrix":[["2","0"],["0","2"]],"prime":2}\n'),
-        (
-            ("ball", alpha, "--at", "3/2"),
-            '{"dim":2,"matrix":[["1/2","0"],["0","1/2"]],"prime":2}\n',
-        ),
-        (
-            ("apartment", "--vector", "0,1/2", "--prime", "2"),
-            '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}\n',
-        ),
-        (
-            ("dual", alpha),
-            '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","-1/2"]}\n',
-        ),
-        (
-            ("act", beta, "--matrix", "2,0;0,1"),
-            '{"basis":[["2","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]}\n',
-        ),
-        (
-            ("restrict", alpha, "--span", "1,0"),
-            '{"basis":[["1"]],"dim":1,"prime":2,"values":["0"]}\n',
-        ),
-        (
-            ("quotient", alpha, "--span", "1,0"),
-            '{"basis":[["1"]],"dim":1,"prime":2,"values":["1/2"]}\n',
-        ),
-        (
-            ("chain", alpha),
-            '{"classes":["0","1/2"],"dim":2,'
-            '"lattices":[[["1","0"],["0","2"]],[["1","0"],["0","1"]]],"prime":2}\n',
-        ),
-        (
-            ("tensor", alpha, beta),
-            "{" + identity4 + ',"dim":4,"prime":2,"values":["0","0","1/2","1/2"]}\n',
-        ),
-        (
-            ("sum", alpha, beta),
-            "{" + identity4 + ',"dim":4,"prime":2,"values":["0","1/2","0","0"]}\n',
-        ),
-        (
-            ("tree", beta),
-            '{"neighbors":['
-            '{"basis":[["2","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]},'
-            '{"basis":[["1","0"],["0","2"]],"dim":2,"prime":2,"values":["0","0"]},'
-            '{"basis":[["1","1"],["0","2"]],"dim":2,"prime":2,"values":["0","0"]}]}\n',
-        ),
-    ]
-    for argv, machine in expected:
+    for argv, machine in DOCUMENTS:
         text = json.dumps(json.loads(machine), sort_keys=True, indent=2) + "\n"
-        assert_formats(capsys, argv, text, machine)
+        assert_formats(capsys, resolved(docs, argv), text, machine)
+
+
+SINGULAR = "error: matrix is singular\n"
+OUTSIDE = "error: filtration level requires a stabilizer element\n"
+Q = "2305843009213693951"  # 2^61 - 1, the prime linalg.invertible reads determinants modulo
+# (argv, exit code, stdout, stderr) of one run each, a document named by its key in docs; a
+# run another test makes with the same argv and bytes is named in a comment instead
+RUNS = [
+    # equals decides the norm, not the presentation: alpha and b present one norm in two
+    # bases, c puts the values of b on the other columns
+    (("equals", "alpha", "b"), 0, "true\n", ""),
+    (("equals", "alpha", "c"), 0, "false\n", ""),
+    # coords asks the same splitting test of a frame: b's basis splits alpha at the sizes of
+    # its columns, while the frame (1, 1), (0, 1) does not split alpha (test_frozen_lines)
+    (("coords", "alpha", "--frame", "1,2;0,1"), 0, "0,1/2\n", ""),
+    # the splitting test reads leading residues mod p, class by class: on beta, the unit
+    # norm at p = 2 with one class of two values, (1, 1), (1, -1) are independent but agree
+    # mod 2, (1, 0), (1, 1) split it, and a singular frame exits 2 with one error line
+    (("coords", "beta", "--frame", "1,1;1,-1"), 0, "none\n", ""),
+    (("coords", "beta", "--frame", "1,1;0,1"), 0, "0,0\n", ""),
+    (("coords", "beta", "--frame", "1,1;1,1"), 2, "", SINGULAR),
+    # cartan inverts only the first document and forms no common basis: both of its checks
+    # read column operations on unit rows; act proves g invertible modulo a prime and
+    # inverts nothing, yet a singular g still exits 2 with one error line
+    (("cartan", "alpha", "c"), 0, "1/2,-1/2\n", ""),
+    (("act", "alpha", "--matrix", "1,2;2,4"), 2, "", SINGULAR),
+    # membership and the level read one table of B^-1 (g - 1) B: members at levels -1/2 and
+    # bottom, a --delta check, two non-members (size 1/2 and det 2), and a level of a
+    # non-member exits 2 with one error line
+    (("stab-check", "alpha", "--matrix", "1,0;2,1"), 0, "true\n", ""),
+    (("level", "alpha", "--matrix", "1,0;2,1"), 0, "-1/2\n", ""),
+    (("level", "alpha", "--matrix", "1,2;0,1"), 0, "-inf\n", ""),
+    (("level", "alpha", "--matrix", "1,0;2,1", "--delta=-1/2"), 0, "true\n", ""),
+    (("stab-check", "alpha", "--matrix", "1,0;1,1"), 0, "false\n", ""),
+    (("stab-check", "alpha", "--matrix", "1,0;0,2"), 0, "false\n", ""),
+    (("level", "alpha", "--matrix", "1,0;1,1"), 2, "", OUTSIDE),
+    # every g - 1 above has rank one and is sized from its two factors; these have rank two
+    # and take the one table of B^-1 (g - 1) B: a member at level -1/2, the scalar 3 at
+    # bottom, a member of determinant 17, and a non-member of unit determinant whose level
+    # exits 2 with one error line.  On beta, the unit norm at p = 2, a g of level 0 is a
+    # member exactly when its Levi block g mod 2 is nonsingular: (1, 1), (1, 0) is, at level
+    # 0, and (1, 1), (1, 3) of det 2 is not; 1 + 2 (E_12 + E_21) lies at bottom, and the
+    # singular (2, 2), (2, 2) exits 2 with one error line
+    (("stab-check", "alpha", "--matrix", "3,0;2,3"), 0, "true\n", ""),
+    (("level", "alpha", "--matrix", "3,0;2,3"), 0, "-1/2\n", ""),
+    (("level", "alpha", "--matrix", "3,0;0,3"), 0, "-inf\n", ""),
+    (("level", "alpha", "--matrix", "5,4;2,5"), 0, "-1/2\n", ""),
+    (("stab-check", "alpha", "--matrix", "1,1;1,2"), 0, "false\n", ""),
+    (("stab-check", "beta", "--matrix", "1,1;1,0"), 0, "true\n", ""),
+    (("level", "beta", "--matrix", "1,1;1,0"), 0, "0\n", ""),
+    (("stab-check", "beta", "--matrix", "1,1;1,3"), 0, "false\n", ""),
+    (("level", "beta", "--matrix", "1,2;2,1"), 0, "-inf\n", ""),
+    (("level", "alpha", "--matrix", "1,1;1,2"), 2, "", OUTSIDE),
+    (("stab-check", "beta", "--matrix", "2,2;2,2"), 2, "", SINGULAR),
+    # eval reads the heaviest coordinates first and stops at the first row that cannot win:
+    # sizes on either row, on both, and at the zero vector (test_frozen_lines); a short
+    # vector exits 2 with one error line
+    (("eval", "alpha", "--vector", "1,0"), 0, "0\n", ""),
+    (("eval", "alpha", "--vector", "0,4"), 0, "-3/2\n", ""),
+    (("eval", "alpha", "--vector", "2,1"), 0, "1/2\n", ""),
+    (("eval", "alpha", "--vector", "1"), 2, "", "error: vector has length 1, norm has dim 2\n"),
+    # restrict and quotient read the span in one pass and quotient presents the image in
+    # unit columns, also with two span columns, non-trivial column operations and a row
+    # never pivoted; translate reads the torus element's diagonal off its cleared columns,
+    # and a matrix that is not diagonal exits 2 with one error line.  A ragged --matrix,
+    # --frame or --span is refused with one error line in test_ragged_matrix_flags
+    (
+        ("restrict", "alpha", "--span", "1,1", "--format", "machine"),
+        0,
+        '{"basis":[["1"]],"dim":1,"prime":2,"values":["1/2"]}\n',
+        "",
+    ),
+    (
+        ("quotient", "alpha", "--span", "1,1", "--format", "machine"),
+        0,
+        '{"basis":[["1"]],"dim":1,"prime":2,"values":["0"]}\n',
+        "",
+    ),
+    (
+        ("restrict", "d3", "--span", "1,1,0;0,2,1", "--format", "machine"),
+        0,
+        '{"basis":[["1","0"],["-2","1"]],"dim":2,"prime":2,"values":["1/2","1/3"]}\n',
+        "",
+    ),
+    (
+        ("quotient", "d3", "--span", "1,1,0;0,2,1", "--format", "machine"),
+        0,
+        '{"basis":[["1"]],"dim":1,"prime":2,"values":["0"]}\n',
+        "",
+    ),
+    (("translate", "--matrix", "4,0;0,1/3", "--prime", "2"), 0, "2,0\n", ""),
+    (
+        ("translate", "--matrix", "4,0;0,1/3", "--prime", "2", "--format", "machine"),
+        0,
+        '{"translation":["2","0"]}\n',
+        "",
+    ),
+    (
+        ("translate", "--matrix", "4,1;0,1", "--prime", "2"),
+        2,
+        "",
+        "error: torus element must be diagonal\n",
+    ),
+    # a load proves the basis invertible modulo the prime 2^61 - 1 and asks the exact
+    # inverse only when that determinant is 0: diag(2^61 - 1, 1) is invertible there, and a
+    # singular basis exits 1 with one error line
+    (("type", "q"), 0, "1,1\n", ""),
+    (("type", "singular"), 1, "", SINGULAR),
+    # stab-check, level and coords prove invertibility the same way, by linalg.invertible:
+    # each of these has a determinant that 2^61 - 1 divides, so the exact inverse decides.
+    # On std3, the unit norm at p = 3, diag(2^61 - 1, 3) lies at level 0 with the singular
+    # Levi block diag(1, 0) mod 3, so it is no member and its level exits 2 with one error
+    # line; on beta, the frame (1, 1), (1, 1 + 2 (2^61 - 1)) of det 2 (2^61 - 1) splits
+    # nothing
+    (("stab-check", "std3", "--matrix", f"{Q},0;0,3"), 0, "false\n", ""),
+    (("coords", "beta", "--frame", "1,1;1,4611686018427387903"), 0, "none\n", ""),
+    (("level", "std3", "--matrix", f"{Q},0;0,3"), 2, "", OUTSIDE),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err", RUNS, ids=[" ".join(argv) for argv, *_ in RUNS]
+)
+def test_frozen_runs(docs, capsys, argv, code, out, err):
+    assert run(capsys, *resolved(docs, argv)) == (code, out, err)
+
+
+def test_every_verb_has_frozen_rows():
+    # each verb of the parser is pinned in text and in machine form: assert_formats runs a
+    # row of LINES or DOCUMENTS in both, and a row of RUNS in the one it asks for
+    (verbs,) = (a.choices for a in cli.build_parser()._actions if a.dest == "verb")
+    both = {argv[0] for argv, *_ in LINES + DOCUMENTS}
+    text = {argv[0] for argv, code, *_ in RUNS if code == 0 and "machine" not in argv}
+    machine = {argv[0] for argv, code, *_ in RUNS if code == 0 and "machine" in argv}
+    assert both | text == both | machine == set(verbs)
 
 
 def test_zero_dimension_documents(docs, capsys, tmp_path):

@@ -9,7 +9,7 @@ from sympy.matrices.expressions.kronecker import kronecker_product
 
 from padicnorm import FieldConfig, SplitNorm, Value, act, apartment_coords, linalg, slots
 from padicnorm.errors import DimensionMismatchError, PreconditionError, SingularMatrixError
-from padicnorm.norms import ball_basis, evaluate
+from padicnorm.norms import ball_basis, evaluate, op_table
 from padicnorm.stabilizer import is_stabilizer_element
 
 import fuzz
@@ -370,4 +370,12 @@ def test_invertibility_is_proven_through_invertible(monkeypatch):
     assert seen == [[(c, 1) for c in table]]
     seen.clear()
     assert not is_stabilizer_element(nrm, g)
-    assert seen == [linalg.cleared(g)]
+    # the table of B^-1 (g - 1) B that refused g, with d_j e_j added at slot (j, j): that of
+    # B^-1 g B, whose determinant is det g times the nonzero denominators
+    g_cols = linalg.cleared(g)
+    for j, (c, e) in enumerate(g_cols):
+        c[j] -= e
+    _, _, table, dens = op_table(nrm, nrm, g_cols)
+    for j, ((_, d), e) in enumerate(zip(nrm._inv_rows, dens)):
+        table[j][j] += d * e
+    assert seen == [[(c, 1) for c in table]]

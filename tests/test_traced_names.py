@@ -3,11 +3,13 @@ so a rename under src/ would only zero a per-layer metric without this check.  T
 Fraction views of linalg stay only while the benchmark reads them, and every public name
 of the package has a reader outside the tests.  Each exported name is declared once, in
 its home module's __all__.  The modules of the package import no private name of one
-another, the slot kernel imports no frame, and every import is read."""
+another, the slot kernel imports no frame, every import is read, and every import is of the
+standard library."""
 
 import ast
 import importlib
 import importlib.util
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,3 +214,21 @@ def test_every_imported_name_is_read():
         loaded = {node.id for node in names if isinstance(node.ctx, ast.Load)}
         unread += [f"{path.stem}.{bound}" for _, _, bound in _imports(path) if bound not in loaded]
     assert unread == []
+
+
+def test_every_import_is_of_the_standard_library():
+    # the package is stdlib-only: every import statement, at module level or inside a
+    # function, is relative, __future__ or of a module of sys.stdlib_module_names, so no verb
+    # needs a module outside the standard library when it runs
+    stdlib, outside = sys.stdlib_module_names, []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            top = {name.partition(".")[0] for name in names}
+            outside += [f"{path.stem} imports {name}" for name in sorted(top - stdlib)]
+    assert outside == []

@@ -107,9 +107,13 @@ def _ratios(row) -> list[tuple[int, int]]:
 
 
 def clear(ratios) -> tuple[list[int], int]:
-    """Integers over the lcm of the ratios' denominators; numerators as they are at lcm 1."""
-    d = math.lcm(*(b for _, b in ratios))
-    return ([a * (d // b) for a, b in ratios] if d > 1 else [a for a, _ in ratios], d)
+    """Integers over the lcm of the ratios' denominators; numerators as they are at lcm 1.
+    A denominator 1 takes no part in the lcm and its numerator is scaled by the lcm itself,
+    as either step costs the length of a long lcm."""
+    d = math.lcm(*(b for _, b in ratios if b != 1))
+    if d == 1:
+        return [a for a, _ in ratios], d
+    return [a * d if b == 1 else a * (d // b) for a, b in ratios], d
 
 
 def cleared_vector(v) -> tuple[list[int], int]:

@@ -349,14 +349,18 @@ def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
 
 
 def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
-    """The cleared vectors, each times p^k for its exponent k, one power per vector."""
+    """The cleared vectors, each times p^k for its exponent k.  A ball's exponents differ by
+    the spread of the values and may all lie far out, so one long power p^m is built, m the
+    least |k|, and each vector takes p^m p^(|k| - m)."""
+    m = min(map(abs, exponents), default=0)
+    p_m = p**m
     out = []
     for (ints, den), k in zip(vectors, exponents):
+        q = p_m * p ** (abs(k) - m)
         if k >= 0:
-            q = p**k
             out.append(linalg.reduced([x * q for x in ints], den))
         else:
-            out.append(linalg.reduced(ints, den * p**-k))
+            out.append(linalg.reduced(ints, den * q))
     return out
 
 

@@ -13,8 +13,10 @@ unit rows in the same order.  Nothing here reads a frame.
 
 A slot is valued only when it can win, in three steps: its bound
 a_i - b_j, the weight at valuation 0, must beat the best weight so far;
-then, k valuation steps above it, one remainder mod p^k must be nonzero
-(_gain); only then is the valuation taken.  heaviest reads a whole
+then, k valuation steps above it, its remainder mod p^k must be nonzero
+(_gain); only then is the valuation taken, of that remainder, which has
+the slot's valuation and is shorter.  At p = 2 the valuation is read
+from the lowest set bit, with no 2^k.  heaviest reads a whole
 table so, for the elimination and the one scan of an operator size.
 size reads one column, rows heaviest first, and stops at the first row
 whose bound cannot win: fit reads each column of its table so, and
@@ -98,14 +100,20 @@ def size(side, ints, shift: int, p: int) -> int | None:
 def _gain(x: int, top: int, best: int | None, scale: int, p: int) -> int | None:
     """The weight top - scale * v(x) of a slot holding the nonzero integer x when it beats
     best, the greatest weight so far (None: there is none yet); else None.  The caller has
-    checked the bound, top > best."""
-    if best is not None:
-        # it beats best exactly when v(x) < k; as |x| >= 2^v(x), it does once k passes the
-        # bit length of x, with no p^k built
+    checked the bound, top > best.  It beats best exactly when v(x) < k, k the valuation
+    steps between them.  For odd p that is a nonzero remainder r = x mod p^k, and then
+    v(r) = v(x), as v(x - r) >= k > v(x): the valuation is taken of r, shorter than x by
+    its whole unit part above p^k.  At p = 2 the valuation is the lowest set bit of x,
+    cheaper than any 2^k."""
+    if best is not None and p != 2:
+        # as |x| >= 2^v(x), v(x) < k once k passes the bit length of x, with no p^k built
         k = -((best - top) // scale)
-        if k < x.bit_length() and not x % p**k:
-            return None
-    return top - scale * multiplicity(x, p)
+        if k < x.bit_length():
+            x %= p**k
+            if not x:
+                return None
+    w = top - scale * multiplicity(x, p)
+    return w if best is None or w > best else None
 
 
 def heaviest(side, col_w, cols, p: int, open_cols):

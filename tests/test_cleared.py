@@ -20,7 +20,8 @@ read only their level, the class pieces build one Fraction per
 returned key, the derived norms build none until their values are
 read, and a norm's document is written from the integers; a seeded
 oracle in plain Fractions checks the integer computations on large
-denominators.
+denominators, and the two integer kernels of the boundary and the
+balls: clear, and the powers of p that scale a ball's columns.
 """
 
 import fractions
@@ -489,3 +490,50 @@ def test_integer_values_agree_with_a_fraction_oracle():
         assert oracles.class_counts(b_vals) == oracles.class_counts(b.values)
         diffs = sorted((y - x for x, y in zip(a_vals, b_vals)), reverse=True)
         assert distance(a, b) == (max(map(abs, diffs), default=0), tuple(diffs))
+
+
+def _cleared_vector(rng, n, p):
+    """Seeded integers over a denominator of 1, a unit, or a power of p times a unit."""
+    den = rng.choice((1, 7, p**3, 12 * p**40))
+    return [rng.randint(-(10**30), 10**30) for _ in range(n)], den
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10**18 + 3])
+def test_powers_scale_each_vector_by_its_own_power(p):
+    # one long power, then a short one per vector, against one p^k per vector, on exponents
+    # that mix signs, repeat, hold 0, lie far out on one side or both, or are none
+    rng = random.Random(p % 1000)
+    lists = [[], [0], [0, 0, 0], [3, -3, 0, 3], [-5, -5, -7], [2, 9, 2], [-1, 1], [-3000, 3001, -3002]]
+    lists += [[rng.randint(-3000, 3000) for _ in range(4)] for _ in range(4)]
+    lists += [[k + rng.randint(0, 4) for _ in range(4)] for k in (-3000, 500)]
+    for exponents in lists:
+        vectors = [_cleared_vector(rng, 4, p) for _ in exponents]
+        want = [
+            linalg.reduced([x * p**k for x in ints], den) if k >= 0 else linalg.reduced(ints, den * p**-k)
+            for (ints, den), k in zip(vectors, exponents)
+        ]
+        assert norms._powers(vectors, p, exponents) == want
+        for (ints, den), k, got in zip(vectors, exponents, want):
+            scaled = [Fraction(x, den) * Fraction(p) ** k for x in ints]
+            assert linalg.from_cleared_vector(got) == tuple(scaled)
+
+
+def test_clear_is_fraction_arithmetic():
+    # the lcm of the denominators and each entry times it, in Fractions, on columns with
+    # no entry, only unit denominators, mixed ones, and one long lcm among units
+    rng = random.Random(45)
+    columns = [[], [(0, 1)], [(3, 1), (-4, 1), (0, 1)], [(1, 2), (5, 1), (-7, 12), (0, 1)]]
+    long = Fraction(rng.randint(1, 10**40), 3**3000).as_integer_ratio()
+    columns.append([long] + [(rng.randint(-9, 9), 1) for _ in range(15)])
+    for _ in range(20):
+        column = []
+        for _ in range(rng.randint(1, 16)):
+            f = Fraction(rng.randint(-(10**20), 10**20), rng.choice((1, 1, 2, 6, 5**50, rng.randint(1, 10**9))))
+            column.append(f.as_integer_ratio())
+        columns.append(column)
+    for column in columns:
+        exact = [Fraction(a, b) for a, b in column]
+        d = math.lcm(*(f.denominator for f in exact))
+        ints, den = linalg.clear(column)
+        assert den == d and ints == [f * d for f in exact]
+        assert all(type(x) is int for x in ints)

@@ -5,7 +5,9 @@ products are plain Fraction sums and the valuations come from the sympy oracle, 
 the library reads them from integer dot products and denominators.  evaluate computes a
 coordinate only while its row can win and values a slot only after a p^k test: it is
 held against a dense oracle that values every coordinate, it multiplies out only the
-rows it reads, and a slot far above the best weight builds no p^k.
+rows it reads, and a slot far above the best weight builds no p^k.  The slot test
+itself, _gain, is held against integers of known valuation, and it values the
+remainder mod p^k, not the slot.
 """
 
 import random
@@ -13,13 +15,14 @@ import signal
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from padicnorm import FieldConfig, SplitNorm, slots
 from padicnorm.building import norm_from_apartment
 from padicnorm.norms import act, equals, evaluate, op_size
 from padicnorm.stabilizer import filtration_level, hom_norm
 from padicnorm.linalg import digit_limit
-from padicnorm.valuation import BOTTOM
+from padicnorm.valuation import BOTTOM, PRIME_LIMIT, multiplicity
 
 import fuzz
 import oracles
@@ -180,3 +183,51 @@ def test_far_apart_values_build_no_power_of_p(gap):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _prime_to(rng, bits, p):
+    """A seeded integer of exactly this many bits, prime to p."""
+    while True:
+        u = rng.getrandbits(bits) | 1 << (bits - 1)
+        if u % p:
+            return u
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 10**18 + 3, sympy.prevprime(PRIME_LIMIT)])
+def test_gain_is_the_weight_when_it_beats_best(p):
+    # x = +-u p^v with v known by construction; best is placed so that the call derives
+    # k = ceil((top - best) / scale) steps, and v runs over k - 1, k and k + 1, and far
+    # below k once k reaches or passes the bit length of x
+    rng = random.Random(p % 1000)
+    for bits in (1, 2, 64, 1000, 20_000):
+        for scale in (1, 3, 12):
+            for k in (1, 2, 7, 40):
+                u = rng.choice((-1, 1)) * _prime_to(rng, bits, p)
+                top = rng.randint(-10**6, 10**6)
+                best = top - scale * k + rng.randrange(scale)
+                cases = [(v, best) for v in (k - 1, k, k + 1)]
+                cases += [(v, None) for v in (0, k)]
+                x = u * p**2
+                cases += [(2, top - scale * m) for m in (x.bit_length(), x.bit_length() + 5)]
+                for v, b in cases:
+                    w = top - scale * v
+                    want = w if b is None or w > b else None
+                    assert slots._gain(u * p**v, top, b, scale, p) == want
+
+
+def test_a_slot_test_values_only_its_remainder(monkeypatch):
+    # the first row sets the best weight at -2000; the second, 2000 valuation steps above
+    # it, is nonzero mod 3^2000, and is valued on that remainder, not on its 10,000-bit unit
+    rng = random.Random(45)
+    nrm = norm_from_apartment((0, 0), FieldConfig(3))
+    v = (3**2000 * _prime_to(rng, 10_000, 3), 3**1000 * _prime_to(rng, 10_000, 3))
+    assert evaluate(nrm, v) == -1000  # makes the row side
+    lengths = []
+
+    def recorded(n, p):
+        lengths.append(n.bit_length())
+        return multiplicity(n, p)
+
+    monkeypatch.setattr(slots, "multiplicity", recorded)
+    assert evaluate(nrm, v) == -1000
+    assert len(lengths) == 2 and lengths[1] < (3**2000).bit_length()

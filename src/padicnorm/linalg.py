@@ -97,8 +97,11 @@ def transpose(m: Matrix) -> Matrix:
 
 def _ratios(row) -> list[tuple[int, int]]:
     """The (numerator, denominator) of each entry, from one as_integer_ratio call: ints and
-    Fractions directly, anything else as to_fraction reads it, which refuses floats."""
+    Fractions directly, anything else as to_fraction reads it, which refuses floats.  A str
+    or bytes is refused, not read one character or byte at a time."""
     if not isinstance(row, (list, tuple)):
+        if isinstance(row, (str, bytes)):
+            raise TypeError(f"a row or vector is a sequence of entries, not {type(row).__name__}")
         row = list(row)  # the fallback reads the row a second time
     try:
         return [_RATIO[type(x)](x) for x in row]

@@ -45,7 +45,9 @@ def docs(tmp_path_factory):
     }
     # documents as a shell writes them, one line each: b presents alpha in the basis (1, 0),
     # (2, 1) and c puts b's values on the other columns; std3 is the unit norm at p = 3, q
-    # has a basis of determinant 2^61 - 1 and singular a singular basis
+    # has a basis of determinant 2^61 - 1, singular, repeated and zerocol singular bases
+    # (repeated a column of entries 2^61 - 1 twice), far the values 0 and 100000, and zero
+    # the 0-dimensional norm
     lines = {
         "b": '{"basis":[["1","2"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}',
         "c": '{"basis":[["1","2"],["0","1"]],"dim":2,"prime":2,"values":["1/2","0"]}',
@@ -55,6 +57,11 @@ def docs(tmp_path_factory):
         "singular": '{"basis":[["1","2"],["2","4"]],"dim":2,"prime":2,"values":["0","1/2"]}',
         "d3": '{"basis":[["1","0","0"],["0","1","0"],["0","0","1"]],"dim":3,"prime":2,'
         '"values":["0","1/2","1/3"]}',
+        "repeated": '{"basis":[["2305843009213693951","0"],["2305843009213693951","0"]],'
+        '"dim":2,"prime":2,"values":["0","1/2"]}',
+        "zerocol": '{"basis":[["0","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}',
+        "far": '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","100000"]}',
+        "zero": '{"basis":[],"dim":0,"prime":2,"values":[]}',
     }
     for name, line in lines.items():
         path = root / f"{name}.json"
@@ -243,14 +250,25 @@ def test_frozen_documents(docs, capsys):
 
 SINGULAR = "error: matrix is singular\n"
 OUTSIDE = "error: filtration level requires a stabilizer element\n"
+SIZE = "matrix must be 2x2"
+RAGGED = "error: ragged matrix\n"
+ROWS = "span matrix must have 2 rows, got"
+TOO_MANY = "more spanning columns than the dimension allows"
+EMPTY = '"basis":[],"dim":0,"prime":2,"values":[]'
 Q = "2305843009213693951"  # 2^61 - 1, the prime linalg.invertible reads determinants modulo
+# LINES, DOCUMENTS and RUNS are the CLI's contract, error exits included: every in-process
+# run whose bytes carry no temporary path and no interpreter-dependent text is a row.  What
+# stays outside them: missing or unreadable files and argparse usage errors, whose messages
+# carry a path or the interpreter's text, the runs in a child process, the refusals held to
+# a time limit (test_cli_fuzz.py) and the tests that count calls.
 # (argv, exit code, stdout, stderr) of one run each, a document named by its key in docs; a
 # run another test makes with the same argv and bytes is named in a comment instead
 RUNS = [
     # equals decides the norm, not the presentation: alpha and b present one norm in two
-    # bases, c puts the values of b on the other columns
+    # bases, c puts the values of b on the other columns; norms over two primes exit 2
     (("equals", "alpha", "b"), 0, "true\n", ""),
     (("equals", "alpha", "c"), 0, "false\n", ""),
+    (("equals", "alpha", "three"), 2, "", "error: prime mismatch: 2 vs 3\n"),
     # coords asks the same splitting test of a frame: b's basis splits alpha at the sizes of
     # its columns, while the frame (1, 1), (0, 1) does not split alpha (test_frozen_lines)
     (("coords", "alpha", "--frame", "1,2;0,1"), 0, "0,1/2\n", ""),
@@ -265,6 +283,14 @@ RUNS = [
     # inverts nothing, yet a singular g still exits 2 with one error line
     (("cartan", "alpha", "c"), 0, "1/2,-1/2\n", ""),
     (("act", "alpha", "--matrix", "1,2;2,4"), 2, "", SINGULAR),
+    # every verb taking a group element refuses a 3x3 matrix on a 2-dim norm by its size
+    # first: before the determinant 2, not a 2-adic unit, could answer false, and before a
+    # singular one could be refused
+    (("stab-check", "alpha", "--matrix", "2,0,0;0,1,0;0,0,1"), 2, "", f"error: {SIZE}\n"),
+    (("level", "alpha", "--matrix", "2,0,0;0,1,0;0,0,1"), 2, "", f"error: {SIZE}\n"),
+    (("stab-check", "alpha", "--matrix", "1,1,0;1,1,0;0,0,1"), 2, "", f"error: {SIZE}\n"),
+    (("level", "alpha", "--matrix", "1,1,0;1,1,0;0,0,1"), 2, "", f"error: {SIZE}\n"),
+    (("act", "alpha", "--matrix", "1,1,0;1,1,0;0,0,1"), 2, "", f"error: acting {SIZE}\n"),
     # membership and the level read one table of B^-1 (g - 1) B: members at levels -1/2 and
     # bottom, a --delta check, two non-members (size 1/2 and det 2), and a level of a
     # non-member exits 2 with one error line
@@ -303,8 +329,7 @@ RUNS = [
     # restrict and quotient read the span in one pass and quotient presents the image in
     # unit columns, also with two span columns, non-trivial column operations and a row
     # never pivoted; translate reads the torus element's diagonal off its cleared columns,
-    # and a matrix that is not diagonal exits 2 with one error line.  A ragged --matrix,
-    # --frame or --span is refused with one error line in test_ragged_matrix_flags
+    # and a matrix that is not diagonal exits 2 with one error line
     (
         ("restrict", "alpha", "--span", "1,1", "--format", "machine"),
         0,
@@ -342,11 +367,63 @@ RUNS = [
         "",
         "error: torus element must be diagonal\n",
     ),
+    # an empty span restricts to the 0-dimensional norm and quotients by nothing, also on
+    # the 0-dimensional norm itself, whose position relative to itself is the empty line
+    (("restrict", "alpha", "--span", "", "--format", "machine"), 0, f"{{{EMPTY}}}\n", ""),
+    (
+        ("quotient", "alpha", "--span", "", "--format", "machine"),
+        0,
+        '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}\n',
+        "",
+    ),
+    (
+        ("quotient", "lat", "--span", "", "--format", "machine"),
+        0,
+        '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]}\n',
+        "",
+    ),
+    (("restrict", "zero", "--span", "", "--format", "machine"), 0, f"{{{EMPTY}}}\n", ""),
+    (("quotient", "zero", "--span", "", "--format", "machine"), 0, f"{{{EMPTY}}}\n", ""),
+    (("cartan", "zero", "zero"), 0, "\n", ""),
+    # span columns of the wrong length, or more of them than the dimension, exit 2
+    (("restrict", "alpha", "--span", "1,0,0"), 2, "", f"error: {ROWS} 3\n"),
+    (("quotient", "alpha", "--span", "1,0,0"), 2, "", f"error: {ROWS} 3\n"),
+    (("restrict", "alpha", "--span", "1;0"), 2, "", f"error: {ROWS} 1\n"),
+    (("quotient", "alpha", "--span", "1;0"), 2, "", f"error: {ROWS} 1\n"),
+    (("restrict", "alpha", "--span", "1,0;0,1;1,1"), 2, "", f"error: {TOO_MANY}\n"),
+    (("quotient", "alpha", "--span", "1,0;0,1;1,1"), 2, "", f"error: {TOO_MANY}\n"),
+    # every matrix flag is only split in the CLI and read by the library, which refuses a
+    # ragged matrix with one error line
+    (("act", "alpha", "--matrix", "1,0;1"), 2, "", RAGGED),
+    (("stab-check", "alpha", "--matrix", "1,0;1"), 2, "", RAGGED),
+    (("level", "alpha", "--matrix", "1,0;1"), 2, "", RAGGED),
+    (("translate", "--prime", "2", "--matrix", "1,0;1"), 2, "", RAGGED),
+    (("coords", "alpha", "--frame", "1,0;1"), 2, "", RAGGED),
+    (("restrict", "alpha", "--span", "1,0;1"), 2, "", RAGGED),
+    (("quotient", "alpha", "--span", "1,0;1"), 2, "", RAGGED),
+    # values 0 and 100000 scale a ball by 2^100000, but the ball index and the relative
+    # position are small numbers: only chain, which prints the balls, is refused
+    (("bc-dims", "far", "--at", "0"), 0, "0 lhs=2 rhs=2\n", ""),
+    (("cartan", "far", "beta"), 0, "0,-100000\n", ""),
+    (("chain", "far"), 2, "", "error: result has a rational too large to print\n"),
+    # the --at and --ram-index tables of bc-dims together, and tree on a vertex of two value
+    # classes, exit 2; a document missing its fields exits 1
+    (
+        ("bc-dims", "alpha", "--at", "0", "--ram-index", "2"),
+        2,
+        "",
+        "error: --at and --ram-index cannot be combined\n",
+    ),
+    (("tree", "alpha"), 2, "", "error: tree vertices carry a single value class\n"),
+    (("eval", "bad", "--vector", "1,1"), 1, "", "error: dim must be a nonnegative integer\n"),
     # a load proves the basis invertible modulo the prime 2^61 - 1 and asks the exact
     # inverse only when that determinant is 0: diag(2^61 - 1, 1) is invertible there, and a
-    # singular basis exits 1 with one error line
+    # singular basis exits 1 with one error line, whether its determinant vanishes modulo
+    # 2^61 - 1 by chance or because a column repeats or is zero
     (("type", "q"), 0, "1,1\n", ""),
     (("type", "singular"), 1, "", SINGULAR),
+    (("type", "repeated"), 1, "", SINGULAR),
+    (("type", "zerocol"), 1, "", SINGULAR),
     # stab-check, level and coords prove invertibility the same way, by linalg.invertible:
     # each of these has a determinant that 2^61 - 1 divides, so the exact inverse decides.
     # On std3, the unit norm at p = 3, diag(2^61 - 1, 3) lies at level 0 with the singular
@@ -363,6 +440,11 @@ RUNS = [
     "argv, code, out, err", RUNS, ids=[" ".join(argv) for argv, *_ in RUNS]
 )
 def test_frozen_runs(docs, capsys, argv, code, out, err):
+    # aim 3 is a property of the table: a row that exits 1 or 2 expects no stdout and one line
+    # of stderr, its error line
+    if code:
+        assert code in (1, 2) and out == "", argv
+        assert err.startswith("error: ") and err.index("\n") == len(err) - 1, argv
     assert run(capsys, *resolved(docs, argv)) == (code, out, err)
 
 
@@ -376,156 +458,22 @@ def test_every_verb_has_frozen_rows():
     assert both | text == both | machine == set(verbs)
 
 
-def test_zero_dimension_documents(docs, capsys, tmp_path):
-    zero = tmp_path / "zero.json"
-    zero.write_text(io.dumps_machine(io.norm_to_doc(SplitNorm(CFG2, 0, (), ()))), encoding="utf-8")
-    empty = '{"basis":[],"dim":0,"prime":2,"values":[]}\n'
-    expected = [
-        (("restrict", docs["alpha"], "--span", ""), empty),
-        (
-            ("quotient", docs["alpha"], "--span", ""),
-            '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}\n',
-        ),
-        (
-            ("quotient", docs["lat"], "--span", ""),
-            '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","0"]}\n',
-        ),
-        (("restrict", str(zero), "--span", ""), empty),
-        (("quotient", str(zero), "--span", ""), empty),
-    ]
-    for argv, want in expected:
-        code, out, err = run(capsys, *argv, "--format", "machine")
-        assert (code, err) == (0, ""), argv
-        assert out == want, argv
-    assert run(capsys, "cartan", str(zero), str(zero)) == (0, "\n", "")
-
-
-def test_tree_output(docs, capsys):
-    code, out, _ = run(capsys, "tree", docs["beta"], "--format", "machine")
-    assert code == 0
-    doc = json.loads(out)
-    assert [n["basis"] for n in doc["neighbors"]] == [
-        [["2", "0"], ["0", "1"]],
-        [["1", "0"], ["0", "2"]],
-        [["1", "1"], ["0", "2"]],
-    ]
-
-
-def test_machine_payloads(docs, capsys):
-    alpha = docs["alpha"]
-    code, out, _ = run(capsys, "eval", alpha, "--vector", "1,1", "--format", "machine")
-    assert code == 0 and json.loads(out) == {"value": "1/2"}
-    code, out, _ = run(capsys, "fiber", alpha, "--format", "machine")
-    assert code == 0 and json.loads(out) == {"levi": [1, 1], "total": 4, "unipotent": 2}
-    code, out, _ = run(capsys, "equals", alpha, alpha, "--format", "machine")
-    assert code == 0 and json.loads(out) == {"result": True}
-    code, out, _ = run(capsys, "coords", alpha, "--format", "machine")
-    assert code == 0 and json.loads(out) == {"coords": ["0", "1/2"]}
-    code, out, _ = run(
-        capsys, "graded-dims", alpha, "--format", "machine"
-    )
-    assert code == 0 and json.loads(out) == {
-        "classes": [["0", 2], ["-1/2", 2]],
-        "total": 4,
-    }
-
-
-def test_exit_codes(docs, capsys):
-    alpha = docs["alpha"]
-
-    code, out, err = run(capsys, "eval", docs["bad"], "--vector", "1,1")
-    assert code == 1 and out == "" and err.startswith("error:")
-
-    code, out, err = run(capsys, "eval", str(docs["alpha"]) + ".missing", "--vector", "1")
-    assert code == 1 and err.startswith("error:")
-
-    code, out, err = run(capsys, "eval", alpha, "--vector", "1,1,1")
-    assert code == 2 and out == "" and err.startswith("error:")
-
-    code, _, err = run(capsys, "act", alpha, "--matrix", "1,1;1,1")
-    assert code == 2 and err.startswith("error:")
-
-    # each flag picks a different table, so the two together are refused
-    code, out, err = run(capsys, "bc-dims", alpha, "--at", "0", "--ram-index", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-
-    code, _, err = run(capsys, "tree", alpha)
-    assert code == 2 and err.startswith("error:")
-
-    code, _, err = run(capsys, "equals", alpha, docs["three"])
-    assert code == 2 and err.startswith("error:")
-
-    # span columns of the wrong length, or more of them than the dimension
-    for verb in ("restrict", "quotient"):
-        for span, msg in (
-            ("1,0,0", "span matrix must have 2 rows, got 3"),
-            ("1;0", "span matrix must have 2 rows, got 1"),
-            ("1,0;0,1;1,1", "more spanning columns than the dimension allows"),
-        ):
-            assert run(capsys, verb, alpha, "--span", span) == (2, "", f"error: {msg}\n")
-
-    # invertible but 3x3 on a 2-dim norm: the size is refused before the determinant
-    # (2, not a 2-adic unit) could answer false
-    for verb in ("stab-check", "level"):
-        code, out, err = run(capsys, verb, alpha, "--matrix", "2,0,0;0,1,0;0,0,1")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-
-
-THIRDS, SEVENTHS = f"1/{3 ** 8000}", f"1/{7 ** 5000}"  # 3,817- and 4,226-digit denominators
-
-
-@pytest.mark.parametrize(
-    "values, argv",
-    [
-        # the ball lattice would hold 2^100001, past Python's int-to-str digit limit
-        (["0", "200001/2"], ["chain"]),
-        # class keys and levels are differences of the values, with 8,043-digit denominators
-        ([THIRDS, SEVENTHS], ["graded-dims"]),
-        ([THIRDS, SEVENTHS], ["level", "--matrix", "1,2;0,1"]),
-        ([THIRDS, "0"], ["bc-dims", "--at", SEVENTHS]),
-        ([THIRDS, "0"], ["bc-dims", "--ram-index", str(7 ** 5000)]),
-    ],
-    ids=["chain", "graded-dims", "level", "bc-dims-at", "bc-dims-ram-index"],
-)
-def test_output_beyond_digit_limit(capsys, tmp_path, values, argv):
-    doc = tmp_path / "huge.json"
-    content = {"prime": 2, "dim": 2, "basis": [["1", "0"], ["0", "1"]], "values": values}
-    doc.write_text(json.dumps(content), encoding="utf-8")
-    code, out, err = run(capsys, argv[0], str(doc), *argv[1:])
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
-def test_far_values_within_digit_limit(capsys, tmp_path):
-    """Values 0 and 100000 scale a ball by 2^100000, but the ball index and the relative
-    position are small numbers: only chain, which prints the balls, is refused."""
-    paths = {}
-    for name, values in ("far", ["0", "100000"]), ("zero", ["0", "0"]):
-        content = {"prime": 2, "dim": 2, "basis": [["1", "0"], ["0", "1"]], "values": values}
-        paths[name] = tmp_path / f"{name}.json"
-        paths[name].write_text(json.dumps(content), encoding="utf-8")
-    far, zero = str(paths["far"]), str(paths["zero"])
-    assert run(capsys, "bc-dims", far, "--at", "0") == (0, "0 lhs=2 rhs=2\n", "")
-    assert run(capsys, "cartan", far, zero) == (0, "0,-100000\n", "")
-    code, out, err = run(capsys, "chain", far)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
 @pytest.mark.parametrize(
     "content",
     [
         ('{"prime":2,"dim":1,"basis":[["1"]],"values":["0"],"label":' + "9" * 5000 + "}").encode(),
         b"[" * 200_000 + b"]" * 200_000,
         b"\xff\xfe\xfa",
+        None,
     ],
-    ids=["long-integer", "deep-nesting", "not-utf8"],
+    ids=["long-integer", "deep-nesting", "not-utf8", "missing"],
 )
 def test_unreadable_documents(capsys, tmp_path, content):
+    # the error line names the file or quotes the interpreter's own message, so these runs
+    # are no rows of RUNS; None writes no file
     doc = tmp_path / "doc.json"
-    doc.write_bytes(content)
+    if content is not None:
+        doc.write_bytes(content)
     code, out, err = run(capsys, "chain", str(doc))
     assert code == 1 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -553,17 +501,6 @@ def test_document_pipeline(docs, capsys, tmp_path):
     assert out == Path(docs["alpha"]).read_text(encoding="utf-8")
 
 
-def test_determinism(docs, capsys):
-    for argv in (
-        ("graded-dims", docs["alpha"]),
-        ("chain", docs["alpha"], "--format", "machine"),
-        ("tree", docs["beta"], "--format", "machine"),
-    ):
-        first = run(capsys, *argv)
-        second = run(capsys, *argv)
-        assert first == second
-
-
 def run_module(*argv, **env):
     """Run `python -m padicnorm` in a child that imports the same package as this test."""
     package_root = str(Path(padicnorm.__file__).parents[1])
@@ -574,13 +511,6 @@ def run_module(*argv, **env):
         encoding="utf-8",
         env={**os.environ, "PYTHONPATH": path, **env},
     )
-
-
-def test_module_entry_point(docs):
-    proc = run_module("eval", docs["alpha"], "--vector", "1,1")
-    assert proc.returncode == 0
-    assert proc.stdout == "1/2\n"
-    assert proc.stderr == ""
 
 
 def test_utf8_document_in_c_locale(tmp_path):
@@ -632,31 +562,6 @@ def test_handlers_resolve_package_functions_per_call(docs, capsys, monkeypatch):
     calls.clear()
     assert run(capsys, "cartan", docs["beta"], docs["lat"]) == (0, "1,0\n", "")
     assert calls[0] == "cartan_position"  # its self-checks call equals after it
-
-
-def test_group_element_verbs_refuse_the_size_first(docs, capsys):
-    # singular and 3x3 on a 2-dim norm: every verb taking a group element names the size
-    for verb in ("stab-check", "level", "act"):
-        code, out, err = run(capsys, verb, docs["alpha"], "--matrix", "1,1,0;1,1,0;0,0,1")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "matrix must be 2x2" in err, verb
-
-
-def test_ragged_matrix_flags(docs, capsys):
-    # every matrix flag is only split in the CLI and read by the library, which refuses a
-    # ragged matrix with one error line
-    alpha = docs["alpha"]
-    for argv in (
-        ("act", alpha, "--matrix", "1,0;1"),
-        ("stab-check", alpha, "--matrix", "1,0;1"),
-        ("level", alpha, "--matrix", "1,0;1"),
-        ("translate", "--prime", "2", "--matrix", "1,0;1"),
-        ("coords", alpha, "--frame", "1,0;1"),
-        ("restrict", alpha, "--span", "1,0;1"),
-        ("quotient", alpha, "--span", "1,0;1"),
-    ):
-        assert run(capsys, *argv) == (2, "", "error: ragged matrix\n"), argv
 
 
 def test_span_crosses_the_boundary_once(docs, capsys, monkeypatch):

@@ -8,6 +8,7 @@ import sympy
 from sympy.matrices.expressions.kronecker import kronecker_product
 
 from padicnorm import FieldConfig, SplitNorm, Value, act, apartment_coords, linalg, slots
+from padicnorm.building import norm_from_apartment
 from padicnorm.errors import DimensionMismatchError, PreconditionError, SingularMatrixError
 from padicnorm.norms import ball_basis, evaluate, op_table
 from padicnorm.stabilizer import is_stabilizer_element
@@ -50,13 +51,21 @@ def test_mat_validation():
 
 def test_clearing_refuses_floats_and_keeps_ints():
     # the kernels' boundary reads each entry once, by as_integer_ratio, which floats have
-    # too: it refuses them as to_fraction does
-    for call in (
-        lambda: linalg.cleared([[0.5]]),
-        lambda: linalg.cleared_vector((Fraction(1), 0.5)),
-        lambda: linalg.cleared(linalg.transpose(((1, 2), (3, 4.0)))),
+    # too: it refuses them as to_fraction does.  A row or vector given as a str or bytes is
+    # refused too, where it would be read one character or byte at a time: "11" as (1, 1),
+    # "1,1" as three entries, the last of them ","
+    alpha = SplitNorm(FieldConfig(2), 2, oracles.identity(2), (Fraction(0), Fraction(1, 2)))
+    for call, message in (
+        (lambda: linalg.cleared([[0.5]]), "floats are not exact"),
+        (lambda: linalg.cleared_vector((Fraction(1), 0.5)), "floats are not exact"),
+        (lambda: linalg.cleared(linalg.transpose(((1, 2), (3, 4.0)))), "floats are not exact"),
+        (lambda: evaluate(alpha, "11"), "not str"),
+        (lambda: evaluate(alpha, "1,1"), "not str"),
+        (lambda: evaluate(alpha, b"\x01\x01"), "not bytes"),
+        (lambda: SplitNorm(FieldConfig(2), 2, ("10", "01"), alpha.values), "not str"),
+        (lambda: norm_from_apartment("01", FieldConfig(2)), "not str"),
     ):
-        with pytest.raises(TypeError, match="floats are not exact"):
+        with pytest.raises(TypeError, match=message):
             call()
     rows = [linalg.cleared_vector(v) for v in ((True, 3, Fraction(-1, 2)), (False, 2, 1), ())]
     assert rows == [([2, 6, -1], 2), ([0, 2, 1], 1), ([], 1)]

@@ -260,7 +260,9 @@ Q = "2305843009213693951"  # 2^61 - 1, the prime linalg.invertible reads determi
 # run whose bytes carry no temporary path and no interpreter-dependent text is a row.  What
 # stays outside them: missing or unreadable files and argparse usage errors, whose messages
 # carry a path or the interpreter's text, the runs in a child process, the refusals held to
-# a time limit (test_cli_fuzz.py) and the tests that count calls.
+# a time limit (test_cli_fuzz.py) and the tests that count calls.  test_tree_output,
+# test_machine_payloads, test_determinism, test_module_entry_point and
+# test_output_beyond_digit_limit re-check runs that these tables or test_cli_fuzz.py also pin.
 # (argv, exit code, stdout, stderr) of one run each, a document named by its key in docs; a
 # run another test makes with the same argv and bytes is named in a comment instead
 RUNS = [
@@ -458,6 +460,59 @@ def test_every_verb_has_frozen_rows():
     assert both | text == both | machine == set(verbs)
 
 
+def test_tree_output(docs, capsys):
+    code, out, _ = run(capsys, "tree", docs["beta"], "--format", "machine")
+    assert code == 0
+    doc = json.loads(out)
+    assert [n["basis"] for n in doc["neighbors"]] == [
+        [["2", "0"], ["0", "1"]],
+        [["1", "0"], ["0", "2"]],
+        [["1", "1"], ["0", "2"]],
+    ]
+
+
+def test_machine_payloads(docs, capsys):
+    alpha = docs["alpha"]
+    code, out, _ = run(capsys, "eval", alpha, "--vector", "1,1", "--format", "machine")
+    assert code == 0 and json.loads(out) == {"value": "1/2"}
+    code, out, _ = run(capsys, "fiber", alpha, "--format", "machine")
+    assert code == 0 and json.loads(out) == {"levi": [1, 1], "total": 4, "unipotent": 2}
+    code, out, _ = run(capsys, "equals", alpha, alpha, "--format", "machine")
+    assert code == 0 and json.loads(out) == {"result": True}
+    code, out, _ = run(capsys, "coords", alpha, "--format", "machine")
+    assert code == 0 and json.loads(out) == {"coords": ["0", "1/2"]}
+    code, out, _ = run(capsys, "graded-dims", alpha, "--format", "machine")
+    assert code == 0 and json.loads(out) == {
+        "classes": [["0", 2], ["-1/2", 2]],
+        "total": 4,
+    }
+
+
+THIRDS, SEVENTHS = f"1/{3 ** 8000}", f"1/{7 ** 5000}"  # 3,817- and 4,226-digit denominators
+
+
+@pytest.mark.parametrize(
+    "values, argv",
+    [
+        # the ball lattice would hold 2^100001, past Python's int-to-str digit limit
+        (["0", "200001/2"], ["chain"]),
+        # class keys and levels are differences of the values, with 8,043-digit denominators
+        ([THIRDS, SEVENTHS], ["graded-dims"]),
+        ([THIRDS, SEVENTHS], ["level", "--matrix", "1,2;0,1"]),
+        ([THIRDS, "0"], ["bc-dims", "--at", SEVENTHS]),
+        ([THIRDS, "0"], ["bc-dims", "--ram-index", str(7 ** 5000)]),
+    ],
+    ids=["chain", "graded-dims", "level", "bc-dims-at", "bc-dims-ram-index"],
+)
+def test_output_beyond_digit_limit(capsys, tmp_path, values, argv):
+    doc = tmp_path / "huge.json"
+    content = {"prime": 2, "dim": 2, "basis": [["1", "0"], ["0", "1"]], "values": values}
+    doc.write_text(json.dumps(content), encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(doc), *argv[1:])
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -501,6 +556,17 @@ def test_document_pipeline(docs, capsys, tmp_path):
     assert out == Path(docs["alpha"]).read_text(encoding="utf-8")
 
 
+def test_determinism(docs, capsys):
+    for argv in (
+        ("graded-dims", docs["alpha"]),
+        ("chain", docs["alpha"], "--format", "machine"),
+        ("tree", docs["beta"], "--format", "machine"),
+    ):
+        first = run(capsys, *argv)
+        second = run(capsys, *argv)
+        assert first == second
+
+
 def run_module(*argv, **env):
     """Run `python -m padicnorm` in a child that imports the same package as this test."""
     package_root = str(Path(padicnorm.__file__).parents[1])
@@ -511,6 +577,13 @@ def run_module(*argv, **env):
         encoding="utf-8",
         env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def test_module_entry_point(docs):
+    proc = run_module("eval", docs["alpha"], "--vector", "1,1")
+    assert proc.returncode == 0
+    assert proc.stdout == "1/2\n"
+    assert proc.stderr == ""
 
 
 def test_utf8_document_in_c_locale(tmp_path):

@@ -15,6 +15,9 @@ machine payload)` pair, and `_render` applies `--format` to it once.
 
 The parser is built once per process and reused, so `main(argv)` may
 be called repeatedly in-process; `build_parser` says why that is safe.
+A call parses once, with its verb's own parser; only help and usage
+errors go through the top-level parser.  Documents are read as UTF-8
+bytes under text mode's newline rule: CRLF and a lone CR read as LF.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from . import base_change, building, io, linalg, norms, stabilizer
 from .errors import DocumentError, DomainError, PreconditionError
@@ -62,9 +64,12 @@ def _ram_index(s: str):
 
 def _load_norm(path: str) -> norms.SplitNorm:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as f:
+            text = f.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    if "\r" in text:  # text mode's newline rule, so a JSON error names the same char
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return io.norm_from_doc(io.loads_document(text))
 
 
@@ -245,7 +250,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    (verbs,) = (a.choices for a in parser._actions if a.dest == "verb")
+    verb = verbs.get(argv[0]) if argv else None
+    args, rest = verb.parse_known_args(argv[1:]) if verb else (None, True)
+    if rest:  # no verb, or arguments the verb left: the top-level parser's help or usage error
+        args = parser.parse_args(argv)
     try:
         result = args.handler(args, *(_load_norm(getattr(args, f)) for f in args.files))
     except (DocumentError, DomainError) as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -66,6 +67,20 @@ def docs(tmp_path_factory):
     for name, line in lines.items():
         path = root / f"{name}.json"
         path.write_text(line + "\n", encoding="utf-8")
+        paths[name] = str(path)
+    # alpha's text form with CRLF and with lone-CR line ends, its CRLF form without the comma
+    # after "dim", and alpha's line behind a UTF-8 byte order mark, written byte for byte
+    line = Path(paths["alpha"]).read_text(encoding="utf-8")
+    text = io.dumps_text(json.loads(line))
+    raw = {
+        "crlf": text.replace("\n", "\r\n"),
+        "cr": text.replace("\n", "\r"),
+        "crlf-broken": text.replace('"dim": 2,', '"dim": 2').replace("\n", "\r\n"),
+        "bom": "\ufeff" + line,
+    }
+    for name, content in raw.items():
+        path = root / f"{name}.json"
+        path.write_bytes(content.encode("utf-8"))
         paths[name] = str(path)
     return paths
 
@@ -255,6 +270,7 @@ RAGGED = "error: ragged matrix\n"
 ROWS = "span matrix must have 2 rows, got"
 TOO_MANY = "more spanning columns than the dimension allows"
 EMPTY = '"basis":[],"dim":0,"prime":2,"values":[]'
+DUAL = dict(DOCUMENTS)[("dual", "alpha")]
 Q = "2305843009213693951"  # 2^61 - 1, the prime linalg.invertible reads determinants modulo
 # LINES, DOCUMENTS and RUNS are the CLI's contract, error exits included: every in-process
 # run whose bytes carry no temporary path and no interpreter-dependent text is a row.  What
@@ -435,6 +451,24 @@ RUNS = [
     (("stab-check", "std3", "--matrix", f"{Q},0;0,3"), 0, "false\n", ""),
     (("coords", "beta", "--frame", "1,1;1,4611686018427387903"), 0, "none\n", ""),
     (("level", "std3", "--matrix", f"{Q},0;0,3"), 2, "", OUTSIDE),
+    # a document is read as UTF-8 under text mode's newline rule: alpha with CRLF or lone-CR
+    # line ends is alpha, a JSON error after twelve CRLF line ends counts each as one char (112
+    # without the rule), and a byte order mark is refused with one error line
+    (("dual", "crlf", "--format", "machine"), 0, DUAL, ""),
+    (("dual", "cr", "--format", "machine"), 0, DUAL, ""),
+    (
+        ("dual", "crlf-broken"),
+        1,
+        "",
+        "error: invalid JSON: Expecting ',' delimiter: line 13 column 3 (char 100)\n",
+    ),
+    (
+        ("dual", "bom"),
+        1,
+        "",
+        "error: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1"
+        " (char 0)\n",
+    ),
 ]
 
 
@@ -450,10 +484,16 @@ def test_frozen_runs(docs, capsys, argv, code, out, err):
     assert run(capsys, *resolved(docs, argv)) == (code, out, err)
 
 
+def verb_parsers():
+    """Each verb's own parser, by name: the choices of the top-level parser's verb action."""
+    (verbs,) = (a.choices for a in cli.build_parser()._actions if a.dest == "verb")
+    return verbs
+
+
 def test_every_verb_has_frozen_rows():
     # each verb of the parser is pinned in text and in machine form: assert_formats runs a
     # row of LINES or DOCUMENTS in both, and a row of RUNS in the one it asks for
-    (verbs,) = (a.choices for a in cli.build_parser()._actions if a.dest == "verb")
+    verbs = verb_parsers()
     both = {argv[0] for argv, *_ in LINES + DOCUMENTS}
     text = {argv[0] for argv, code, *_ in RUNS if code == 0 and "machine" not in argv}
     machine = {argv[0] for argv, code, *_ in RUNS if code == 0 and "machine" in argv}
@@ -534,6 +574,15 @@ def test_unreadable_documents(capsys, tmp_path, content):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_document_path_is_opened_as_given(capsys, tmp_path):
+    # the path is not normalized first: a trailing slash after a file names no file
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"basis":[["1"]],"dim":1,"prime":2,"values":["0"]}', encoding="utf-8")
+    path = f"{doc}/"
+    err = f"error: cannot read {path}: [Errno 20] Not a directory: '{path}'\n"
+    assert run(capsys, "type", path) == (1, "", err)
+
+
 def test_usage_errors(docs):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb", docs["alpha"]])
@@ -544,6 +593,84 @@ def test_usage_errors(docs):
     with pytest.raises(SystemExit) as exc:
         main(["bc-dims", docs["alpha"], "--ram-index", "0"])
     assert exc.value.code == 2
+
+
+def test_verb_parsers_read_frozen_argvs_as_the_top_level_parser(docs):
+    # main parses a call with its verb's parser alone, which must give the namespace the
+    # top-level parser gives, less the verb's name
+    top, verbs = cli.build_parser(), verb_parsers()
+    for argv, *_ in LINES + DOCUMENTS + RUNS:
+        argv = resolved(docs, argv)
+        want = vars(top.parse_args(argv))
+        assert want.pop("verb") == argv[0]
+        assert vars(verbs[argv[0]].parse_args(argv[1:])) == want, argv
+
+
+# argvs that reach help or a usage error, or lie next to one: no verb, an unknown verb, a
+# missing flag, an unknown flag, an extra positional, "--" before and after the verb, a
+# negative vector with and without "=", an abbreviated flag and a bad choice
+USAGE = [
+    (),
+    ("-h",),
+    ("no-such-verb", "alpha"),
+    ("eval", "-h"),
+    ("eval", "alpha"),
+    ("eval", "alpha", "--vector", "1,1", "--bogus"),
+    ("eval", "alpha", "beta", "--vector", "1,1"),
+    ("--", "eval", "alpha", "--vector", "1,1"),
+    ("eval", "--", "alpha", "--vector", "1,1"),
+    ("eval", "alpha", "--vector", "-1,1"),
+    ("eval", "alpha", "--vector=-1,1"),
+    ("eval", "alpha", "--vec", "1,1"),
+    ("eval", "alpha", "--vector", "1,1", "--format", "bad"),
+]
+
+
+@pytest.mark.parametrize("argv", USAGE, ids=[" ".join(argv) or "no-argv" for argv in USAGE])
+def test_main_exits_as_the_top_level_parser(docs, capsys, argv):
+    def outcome(call):
+        try:
+            code = call()
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    def parse():
+        cli.build_parser().parse_args(argv)
+        return 0
+
+    argv = resolved(docs, argv)
+    want, got = outcome(parse), outcome(lambda: main(argv))
+    # a parse that returns leaves main to run the verb, which prints its result
+    assert (got[0], got[2]) == (want[0], want[2]), argv
+    assert got[1] == want[1] or want == (0, "", ""), argv
+
+
+def test_one_parse_and_one_binary_read_per_call(docs, capsys, monkeypatch):
+    top, verbs = cli.build_parser(), verb_parsers()
+    parses, opens = [], []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(parser, *args, **kwargs):
+        parses.append(parser)
+        return parse_known_args(parser, *args, **kwargs)
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opens.append((file, mode))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    alpha, beta = docs["alpha"], docs["beta"]
+    assert run(capsys, "cartan", beta, alpha) == (0, "1/2,0\n", "")
+    assert parses == [verbs["cartan"]]
+    assert opens == [(beta, "rb"), (alpha, "rb")]
+    # arguments the verb's parser leaves reach the top-level parser, which refuses them
+    parses.clear()
+    with pytest.raises(SystemExit) as exc:
+        main(["cartan", beta, alpha, "--bogus"])
+    assert exc.value.code == 2
+    assert parses[:2] == [verbs["cartan"], top]
 
 
 def test_document_pipeline(docs, capsys, tmp_path):

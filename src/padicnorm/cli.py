@@ -5,40 +5,51 @@ deterministic result to stdout.  Exit codes: 0 on success, 1 for a
 malformed document, 2 when a precondition is violated; diagnostics go
 to stderr as a single `error:` line.
 
-A verb is one `add(...)` line in `build_parser`: its handler, the
-positional arguments that are norm documents, and its flags.  A flag is
-only split here, at `,` and `;`: `linalg.to_fraction` reads each entry,
-and the library refuses a ragged matrix.  `main` loads the declared
-documents and passes the norms to the handler after the parsed
-arguments.  A handler returns either a document dict or a `(text line,
-machine payload)` pair, and `_render` applies `--format` to it once.
+A verb is one `add(...)` line in `_table`: its handler, the positional
+arguments that are norm documents, and its flags with their argparse
+keyword arguments.  A flag is only split here, at `,` and `;`:
+`linalg.to_fraction` reads each entry, and the library refuses a ragged
+matrix.  `main` loads the declared documents and passes the norms to the
+handler after the parsed arguments.  A handler returns either a document
+dict or a `(text line, machine payload)` pair, and `_render` applies
+`--format` to it once.
 
-The parser is built once per process and reused, so `main(argv)` may
-be called repeatedly in-process; `build_parser` says why that is safe.
-A call parses once, with its verb's own parser; only help and usage
-errors go through the top-level parser.  Documents are read as UTF-8
-bytes under text mode's newline rule: CRLF and a lone CR read as LF.
+`main` reads a plain call off that table, with the flags' own type
+functions and choices, into the namespace argparse would give it
+(`_read_call` says which forms it reads).  argparse is imported, and its
+parser built from the same table, only for help, usage errors and the
+forms the reader leaves to it; the parser is then built once per process
+and reused, so `main(argv)` may be called repeatedly in-process, and
+`build_parser` says why that is safe.  Documents are read as UTF-8 bytes
+under text mode's newline rule: CRLF and a lone CR read as LF.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import base_change, building, io, linalg, norms, stabilizer
 from .errors import DocumentError, DomainError, PreconditionError
 from .valuation import FieldConfig, degree_rep
 
 
+def _argparse():
+    """argparse, imported on first use: a call that `_read_call` reads never needs it."""
+    import argparse
+
+    return argparse
+
+
 def _frac(s: str) -> Fraction:
     try:
         return linalg.to_fraction(s)
     except PreconditionError as exc:  # argparse calls this outside main's try
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        raise _argparse().ArgumentTypeError(str(exc)) from exc
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {s!r}") from exc
+        raise _argparse().ArgumentTypeError(f"not a rational: {s!r}") from exc
 
 
 def _vector(s: str) -> tuple[Fraction, ...]:
@@ -56,9 +67,9 @@ def _ram_index(s: str):
         value = int(s)
     except ValueError as exc:
         msg = f"ram index must be a positive int or 'unbounded', got {s!r}"
-        raise argparse.ArgumentTypeError(msg) from exc
+        raise _argparse().ArgumentTypeError(msg) from exc
     if value < 1:
-        raise argparse.ArgumentTypeError("ram index must be at least 1")
+        raise _argparse().ArgumentTypeError("ram index must be at least 1")
     return value
 
 
@@ -192,34 +203,24 @@ def _cmd_tree(args, norm):
     return {"neighbors": [io.norm_to_doc(x) for x in building.tree_neighbors(norm)]}
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The verb table, built on the first call and reused by every later one.
-
-    Parsing does not mutate it: each call gets a fresh namespace and every default is
-    immutable.  Handlers look package functions up when they run, not when they are
-    declared, so a function rebound after the first call is still the one called."""
-    parser = argparse.ArgumentParser(
-        prog="padicnorm",
-        description="Exact computations with split non-archimedean norms on Q^n.",
-    )
-    sub = parser.add_subparsers(dest="verb", required=True)
+def _table():
+    """Each verb's entry by name: its handler, the positionals that are norm documents main
+    loads, and its flags by option name with their argparse keyword arguments, `--format`
+    last.  Handlers look package functions up when they run, not when they are declared, so
+    a function rebound later is still the one called."""
+    verbs = {}
+    fmt = dict(choices=("text", "machine"), default="text")
 
     def add(name, handler, files=("file",), **flags):
-        """Declare a verb; the `files` positionals are norm documents that main loads."""
-        p = sub.add_parser(name)
-        for f in files:
-            p.add_argument(f)
-        for flag, kwargs in flags.items():
-            p.add_argument("--" + flag.replace("_", "-"), **kwargs)
-        p.add_argument("--format", choices=("text", "machine"), default="text")
-        p.set_defaults(handler=handler, files=files)
+        options = {flag.replace("_", "-"): kwargs for flag, kwargs in flags.items()}
+        verbs[name] = handler, files, {**options, "format": fmt}
 
     two = ("a", "b")
     vector = dict(type=_vector, required=True)
     matrix = dict(type=_matrix, required=True)
     prime = dict(type=int, required=True)
     rational = dict(type=_frac, default=None)
+    switch = dict(action="store_true", default=False)
     add("eval", _cmd_eval, vector=vector)
     add("tensor", lambda _, a, b: io.norm_to_doc(norms.tensor(a, b)), files=two)
     add("dual", lambda _, n: io.norm_to_doc(norms.dual(n)))
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("quotient", lambda args, n: _cmd_span(norms.quotient, args, n), span=matrix)
     add("act", lambda args, n: io.norm_to_doc(norms.act(args.matrix, n)), matrix=matrix)
     add("equals", lambda _, a, b: _truth(norms.equals(a, b)), files=two)
-    add("ball", _cmd_ball, at={**rational, "default": Fraction(0)}, open=dict(action="store_true"))
+    add("ball", _cmd_ball, at={**rational, "default": Fraction(0)}, open=switch)
     add("chain", _cmd_chain)
     add(
         "stab-check",
@@ -246,17 +247,80 @@ def build_parser() -> argparse.ArgumentParser:
     add("cartan", lambda _, a, b: _rationals("position", building.cartan_position(a, b)), files=two)
     add("type", _cmd_type)
     add("tree", _cmd_tree)
+    return verbs
+
+
+VERBS = _table()
+
+
+@functools.cache
+def build_parser():
+    """argparse's parser of VERBS, built on the first call and reused by every later one.
+
+    Parsing does not mutate it: each call gets a fresh namespace and every default is
+    immutable."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="padicnorm",
+        description="Exact computations with split non-archimedean norms on Q^n.",
+    )
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (handler, files, flags) in VERBS.items():
+        p = sub.add_parser(name)
+        for f in files:
+            p.add_argument(f)
+        for flag, kwargs in flags.items():
+            p.add_argument("--" + flag, **kwargs)
+        p.set_defaults(handler=handler, files=files)
     return parser
+
+
+def _read_call(argv):
+    """The namespace the verb's argparse parser gives argv, read off VERBS, or None.
+
+    It reads argv when argv[0] is a verb, the tokens that do not start with `-` are exactly
+    the verb's documents, each flag appears at most once, as `--flag=value`, as `--flag
+    value` with a value that does not start with `-`, or bare for a store_true flag, every
+    required flag is there, and every value passes the flag's type and choices.  On None,
+    argparse reads argv (`--at -1`, a repeated flag) or prints help or a usage error."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    handler, files, flags = VERBS[argv[0]]
+    docs, given = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            docs.append(token)
+            continue
+        name, eq, value = token[2:].partition("=")
+        kwargs = flags.get(name) if token.startswith("--") and name not in given else None
+        if kwargs is None or eq and "action" in kwargs:
+            return None
+        if "action" in kwargs:  # store_true, written bare
+            value = True
+        elif not eq:
+            value = next(tokens, "-")  # "-" when the flag ends argv
+            if value.startswith("-"):
+                return None
+        if "type" in kwargs:
+            try:
+                value = kwargs["type"](value)
+            except (TypeError, ValueError, _argparse().ArgumentTypeError):
+                return None  # argparse runs the type again and words its error
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        given[name] = value
+    missing = [f for f, kw in flags.items() if kw.get("required") and f not in given]
+    if missing or len(docs) != len(files):
+        return None
+    values = {f.replace("-", "_"): given.get(f, kw.get("default")) for f, kw in flags.items()}
+    return SimpleNamespace(**dict(zip(files, docs)), **values, handler=handler, files=files)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    (verbs,) = (a.choices for a in parser._actions if a.dest == "verb")
-    verb = verbs.get(argv[0]) if argv else None
-    args, rest = verb.parse_known_args(argv[1:]) if verb else (None, True)
-    if rest:  # no verb, or arguments the verb left: the top-level parser's help or usage error
-        args = parser.parse_args(argv)
+    args = _read_call(argv) or build_parser().parse_args(argv)
     try:
         result = args.handler(args, *(_load_norm(getattr(args, f)) for f in args.files))
     except (DocumentError, DomainError) as exc:

@@ -1,6 +1,8 @@
 import argparse
+import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -484,20 +486,13 @@ def test_frozen_runs(docs, capsys, argv, code, out, err):
     assert run(capsys, *resolved(docs, argv)) == (code, out, err)
 
 
-def verb_parsers():
-    """Each verb's own parser, by name: the choices of the top-level parser's verb action."""
-    (verbs,) = (a.choices for a in cli.build_parser()._actions if a.dest == "verb")
-    return verbs
-
-
 def test_every_verb_has_frozen_rows():
-    # each verb of the parser is pinned in text and in machine form: assert_formats runs a
+    # each verb of the table is pinned in text and in machine form: assert_formats runs a
     # row of LINES or DOCUMENTS in both, and a row of RUNS in the one it asks for
-    verbs = verb_parsers()
     both = {argv[0] for argv, *_ in LINES + DOCUMENTS}
     text = {argv[0] for argv, code, *_ in RUNS if code == 0 and "machine" not in argv}
     machine = {argv[0] for argv, code, *_ in RUNS if code == 0 and "machine" in argv}
-    assert both | text == both | machine == set(verbs)
+    assert both | text == both | machine == set(cli.VERBS)
 
 
 def test_tree_output(docs, capsys):
@@ -595,20 +590,12 @@ def test_usage_errors(docs):
     assert exc.value.code == 2
 
 
-def test_verb_parsers_read_frozen_argvs_as_the_top_level_parser(docs):
-    # main parses a call with its verb's parser alone, which must give the namespace the
-    # top-level parser gives, less the verb's name
-    top, verbs = cli.build_parser(), verb_parsers()
-    for argv, *_ in LINES + DOCUMENTS + RUNS:
-        argv = resolved(docs, argv)
-        want = vars(top.parse_args(argv))
-        assert want.pop("verb") == argv[0]
-        assert vars(verbs[argv[0]].parse_args(argv[1:])) == want, argv
-
-
 # argvs that reach help or a usage error, or lie next to one: no verb, an unknown verb, a
 # missing flag, an unknown flag, an extra positional, "--" before and after the verb, a
-# negative vector with and without "=", an abbreviated flag and a bad choice
+# negative vector with and without "=", an abbreviated flag, a bad choice, and the forms the
+# verb table leaves to argparse: a split negative value, which argparse reads as an integer
+# and refuses as a fraction, a value given to --open, a repeated flag, whose last value wins,
+# and a bare "-", which argparse reads as a positional
 USAGE = [
     (),
     ("-h",),
@@ -623,6 +610,11 @@ USAGE = [
     ("eval", "alpha", "--vector=-1,1"),
     ("eval", "alpha", "--vec", "1,1"),
     ("eval", "alpha", "--vector", "1,1", "--format", "bad"),
+    ("ball", "alpha", "--at", "-1"),
+    ("ball", "alpha", "--at", "-1/2"),
+    ("ball", "alpha", "--open=1"),
+    ("eval", "alpha", "--vector", "1,1", "--format", "text", "--format", "machine"),
+    ("eval", "alpha", "--vector", "1,1", "-"),
 ]
 
 
@@ -646,31 +638,111 @@ def test_main_exits_as_the_top_level_parser(docs, capsys, argv):
     assert got[1] == want[1] or want == (0, "", ""), argv
 
 
-def test_one_parse_and_one_binary_read_per_call(docs, capsys, monkeypatch):
-    top, verbs = cli.build_parser(), verb_parsers()
-    parses, opens = [], []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
+# flag values by option name, read as the flag's type reads them
+GOOD = {
+    "vector": ("1,1", "0,1/2", "1"),
+    "span": ("1,0", "1,1;0,2", ""),
+    "matrix": ("1,1;0,1", "2,0;0,1", "4,0;0,1/3"),
+    "frame": ("1,0;1,1", "1,2;0,1"),
+    "at": ("0", "3/2", "-1/2", "5/3"),
+    "delta": ("1/4", "-1/2", "1"),
+    "ram-index": ("1", "2", "unbounded"),
+    "prime": ("2", "3"),
+    "format": ("text", "machine"),
+    "open": (),
+}
+# tokens argparse reads otherwise than a document or a flag value, or refuses
+ODD = ("-1", "-1/2", "-1,1", "--vec", "--", "-", "-h", "", "--open=1", "-xformat=text", "x", "1/0")
 
-    def counting_parse(parser, *args, **kwargs):
-        parses.append(parser)
-        return parse_known_args(parser, *args, **kwargs)
+
+def generated_argvs(docs, count, seed=0):
+    """A seeded corpus of argvs around the verb table: each verb with documents and flags in
+    `=` and split form, mixed with odd tokens, repeated flags, other verbs' flags and
+    unknown verbs."""
+    rng = random.Random(seed)
+    paths = [docs[name] for name in ("alpha", "beta", "lat")]
+    options = sorted({flag for _, _, flags in cli.VERBS.values() for flag in flags})
+    for _ in range(count):
+        verb = rng.choice(sorted(cli.VERBS) + ["no-such-verb"])
+        files, flags = cli.VERBS[verb][1:] if verb in cli.VERBS else (("file",), {})
+        pieces = [[rng.choice(paths)] for _ in files]
+        chosen = [flag for flag in flags if rng.random() < 0.6]
+        for flag in chosen + rng.sample(options, rng.randrange(2)):
+            value = rng.choice(GOOD[flag] or ODD) if rng.random() < 0.8 else rng.choice(ODD)
+            if flag == "open" and rng.random() < 0.8:
+                pieces.append(["--open"])
+            elif rng.random() < 0.5:
+                pieces.append([f"--{flag}={value}"])
+            else:
+                pieces.append([f"--{flag}", value])
+        for _ in range(rng.choice((0, 0, 0, 1, 2))):
+            pieces.append(rng.choice(([rng.choice(ODD)], [rng.choice(paths)], *pieces[-1:])))
+        rng.shuffle(pieces)
+        yield [verb] + [token for piece in pieces for token in piece]
+
+
+def test_reader_reads_argvs_as_the_top_level_parser(docs):
+    # main reads a plain call off the verb table: wherever the reader answers, it gives the
+    # namespace the top-level parser gives, less the verb's name, and it answers every argv of
+    # the frozen tables, each of which argparse reads
+    top = cli.build_parser()
+    lines = [resolved(docs, argv) for argv, *_ in LINES + DOCUMENTS]
+    frozen = [*lines, *(resolved(docs, argv) for argv, *_ in RUNS)]
+    frozen += [argv + ["--format", fmt] for argv in lines for fmt in ("text", "machine")]
+    usage = [resolved(docs, argv) for argv in USAGE]
+    corpus = list(generated_argvs(docs, 20_000))
+    assert [argv for argv in frozen if cli._read_call(argv) is None] == []
+    answered = 0
+    for argv in frozen + usage + corpus:
+        got = cli._read_call(argv)
+        if got is not None:
+            answered += 1
+            want = vars(top.parse_args(argv))
+            assert want.pop("verb") == argv[0]
+            assert vars(got) == want, argv
+    # of USAGE it reads only the negative value given with "="; argparse reads or refuses the
+    # rest, the repeated --format and the split negative values among them
+    read = [argv for argv in USAGE if cli._read_call(resolved(docs, argv))]
+    assert read == [("eval", "alpha", "--vector=-1,1")]
+    # the corpus reaches both sides: the reader answers part of it and leaves the rest
+    assert len(frozen) < answered < len(frozen) + len(usage) + len(corpus) // 2
+
+
+def test_one_parse_and_one_binary_read_per_call(docs, capsys, monkeypatch):
+    # a plain call is read off the verb table: it builds and runs no argparse parser, and
+    # opens each document once, in binary; a fresh cache makes main build the parser itself
+    monkeypatch.setattr(cli, "build_parser", functools.cache(cli.build_parser.__wrapped__))
+    built, parses, opens = [], [], []
+    parser = argparse.ArgumentParser
+    parser_init, parse_args = parser.__init__, parser.parse_args
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        parser_init(self, *args, **kwargs)
+
+    def counting_parse(self, *args, **kwargs):
+        parses.append(self)
+        return parse_args(self, *args, **kwargs)
 
     def counting_open(file, mode="r", *args, **kwargs):
         opens.append((file, mode))
         return open(file, mode, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setattr(parser, "__init__", counting_init)
+    monkeypatch.setattr(parser, "parse_args", counting_parse)
+    monkeypatch.setattr(parser, "parse_known_args", lambda *a, **k: pytest.fail("parsed"))
     monkeypatch.setattr(cli, "open", counting_open, raising=False)
     alpha, beta = docs["alpha"], docs["beta"]
     assert run(capsys, "cartan", beta, alpha) == (0, "1/2,0\n", "")
-    assert parses == [verbs["cartan"]]
+    assert built == parses == []
     assert opens == [(beta, "rb"), (alpha, "rb")]
-    # arguments the verb's parser leaves reach the top-level parser, which refuses them
-    parses.clear()
+    # an argument the table does not read reaches the top-level parser once, which refuses it
+    monkeypatch.undo()
+    monkeypatch.setattr(parser, "parse_args", counting_parse)
     with pytest.raises(SystemExit) as exc:
         main(["cartan", beta, alpha, "--bogus"])
     assert exc.value.code == 2
-    assert parses[:2] == [verbs["cartan"], top]
+    assert parses == [cli.build_parser()]
 
 
 def test_document_pipeline(docs, capsys, tmp_path):
@@ -694,16 +766,38 @@ def test_determinism(docs, capsys):
         assert first == second
 
 
-def run_module(*argv, **env):
-    """Run `python -m padicnorm` in a child that imports the same package as this test."""
+def run_python(*args, **env):
+    """Run the interpreter on args in a child that imports the same package as this test."""
     package_root = str(Path(padicnorm.__file__).parents[1])
     path = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, "-m", "padicnorm", *argv],
+        [sys.executable, *args],
         capture_output=True,
         encoding="utf-8",
         env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def run_module(*argv, **env):
+    """Run `python -m padicnorm` in a child that imports the same package as this test."""
+    return run_python("-m", "padicnorm", *argv, **env)
+
+
+def test_cold_call_imports_no_argparse():
+    # the command the benchmark's cold start times is read off the verb table, so the child
+    # that runs it as `python -m padicnorm` imports neither argparse nor what argparse imports
+    code = (
+        "import runpy, sys\n"
+        "sys.argv[1:] = ['apartment', '--vector=0,1/2', '--prime', '2', '--format', 'machine']\n"
+        "try:\n"
+        "    runpy.run_module('padicnorm', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    doc = '{"basis":[["1","0"],["0","1"]],"dim":2,"prime":2,"values":["0","1/2"]}'
+    proc = run_python("-c", code)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{doc}\n0\n[]\n", "")
 
 
 def test_module_entry_point(docs):

@@ -15,13 +15,19 @@ dict or a `(text line, machine payload)` pair, and `_render` applies
 `--format` to it once.
 
 `main` reads a plain call off that table, with the flags' own type
-functions and choices, into the namespace argparse would give it
-(`_read_call` says which forms it reads).  argparse is imported, and its
-parser built from the same table, only for help, usage errors and the
-forms the reader leaves to it; the parser is then built once per process
-and reused, so `main(argv)` may be called repeatedly in-process, and
-`build_parser` says why that is safe.  Documents are read as UTF-8 bytes
-under text mode's newline rule: CRLF and a lone CR read as LF.
+functions and choices, into the namespace argparse would give it, the
+verb's name included, and looks the verb's handler and documents up in
+the table by that name.  The table reads a repeated flag as argparse
+does, the last value winning (`_read_call` says which forms it reads).
+argparse is imported, and its parser built from the same table, only for
+help, usage errors and the forms the reader leaves to it: a split
+negative value, a `--` separator and an abbreviated flag.  argparse
+reads a value written `--` as an empty list, which no flag type and no
+document gives, so `main` refuses a namespace that holds one as a usage
+error.  The parser is built once per process and reused, so `main(argv)`
+may be called repeatedly in-process, and `build_parser` says why that is
+safe.  Documents are read as UTF-8 bytes under text mode's newline rule:
+CRLF and a lone CR read as LF.
 """
 
 from __future__ import annotations
@@ -266,27 +272,29 @@ def build_parser():
         description="Exact computations with split non-archimedean norms on Q^n.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for name, (handler, files, flags) in VERBS.items():
+    for name, (_, files, flags) in VERBS.items():
         p = sub.add_parser(name)
         for f in files:
             p.add_argument(f)
         for flag, kwargs in flags.items():
             p.add_argument("--" + flag, **kwargs)
-        p.set_defaults(handler=handler, files=files)
     return parser
 
 
 def _read_call(argv):
-    """The namespace the verb's argparse parser gives argv, read off VERBS, or None.
+    """The namespace the top-level argparse parser gives argv, `verb` included, read off
+    VERBS, or None.
 
     It reads argv when argv[0] is a verb, the tokens that do not start with `-` are exactly
-    the verb's documents, each flag appears at most once, as `--flag=value`, as `--flag
-    value` with a value that does not start with `-`, or bare for a store_true flag, every
-    required flag is there, and every value passes the flag's type and choices.  On None,
-    argparse reads argv (`--at -1`, a repeated flag) or prints help or a usage error."""
+    the verb's documents, each flag is written whole, as `--flag=value`, as `--flag value`
+    with a value that does not start with `-`, or bare for a store_true flag, every required
+    flag is there, and every value passes the flag's type and choices.  A repeated flag is
+    read as argparse reads it: each value is checked and the last one wins.  On None,
+    argparse reads argv (a split negative value `--at -1`, a `--` separator, an abbreviated
+    flag) or prints help or a usage error."""
     if not argv or argv[0] not in VERBS:
         return None
-    handler, files, flags = VERBS[argv[0]]
+    _, files, flags = VERBS[argv[0]]
     docs, given = [], {}
     tokens = iter(argv[1:])
     for token in tokens:
@@ -294,7 +302,7 @@ def _read_call(argv):
             docs.append(token)
             continue
         name, eq, value = token[2:].partition("=")
-        kwargs = flags.get(name) if token.startswith("--") and name not in given else None
+        kwargs = flags.get(name) if token.startswith("--") else None
         if kwargs is None or eq and "action" in kwargs:
             return None
         if "action" in kwargs:  # store_true, written bare
@@ -315,14 +323,17 @@ def _read_call(argv):
     if missing or len(docs) != len(files):
         return None
     values = {f.replace("-", "_"): given.get(f, kw.get("default")) for f, kw in flags.items()}
-    return SimpleNamespace(**dict(zip(files, docs)), **values, handler=handler, files=files)
+    return SimpleNamespace(verb=argv[0], **dict(zip(files, docs)), **values)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_call(argv) or build_parser().parse_args(argv)
+    if any(isinstance(v, list) for v in vars(args).values()):  # argparse's reading of `--`
+        build_parser().error("'--' is not a value")
+    handler, files, _ = VERBS[args.verb]
     try:
-        result = args.handler(args, *(_load_norm(getattr(args, f)) for f in args.files))
+        result = handler(args, *(_load_norm(getattr(args, f)) for f in files))
     except (DocumentError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, DocumentError) else 2

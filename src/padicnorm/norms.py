@@ -68,9 +68,10 @@ _row_side, which pickles and copies with it.
 
 op_size sizes a map h = u phi of rank one (slots module docstring) as
 dst(u) plus dual(src)(phi), pure_weight, against src's cached
-_dual_side, whose inverse rows are src's own columns: no inverse and no
-product; any other map from the one op_table.  Membership and the
-filtration level (stabilizer) read g - 1 through the same two pieces.
+_dual_side, the row side of dual(src), whose inverse rows are src's own
+columns: no product and no inverse but src's own; any other map from
+the one op_table.  Membership and the filtration level (stabilizer)
+read g - 1 through the same two pieces.
 """
 
 from __future__ import annotations
@@ -175,8 +176,7 @@ class SplitNorm(_Frame):
     @cached_property
     def _dual_side(self):
         """The _row_side of dual(self), whose inverse rows are this norm's columns."""
-        ints, den = self._vals
-        return slots.row_side_of(([-a for a in ints], den), self._cols, self.cfg.prime)
+        return dual(self)._row_side
 
     @cached_property
     def _residues(self) -> list[tuple[int, int]]:
@@ -336,18 +336,6 @@ def pure_weight(src: SplitNorm, dst: SplitNorm, pure) -> tuple[int, int]:
     return w_u * (scale // s_dst) + w_phi * (scale // s_src), scale
 
 
-def _scaled_ball(norm: SplitNorm, exponents: list[int]) -> LatticeBasis:
-    """The lattice of the norm's columns times p^k, one exponent k each: B diag(p^k), whose
-    inverse diag(p^-k) B^-1 is the norm's one inverse scaled by the same _powers."""
-    p = norm.cfg.prime
-    # p^k has |k| log10 p digits and a basis entry cancels at most a digit limit's worth of
-    # them, so past twice the limit no entry can be printed: refuse before building p^k
-    if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
-        raise PreconditionError(TOO_LARGE)
-    inv_from = partial(_inverse_from, _powers, norm, p, [-k for k in exponents])
-    return frame_on(LatticeBasis, norm.cfg, _powers(norm._cols, p, exponents), inv_from)
-
-
 def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
     """The cleared vectors, each times p^k for its exponent k.  A ball's exponents differ by
     the spread of the values and may all lie far out, so one long power p^m is built, m the
@@ -365,23 +353,30 @@ def _powers(vectors: Cleared, p: int, exponents) -> Cleared:
 
 
 def canonical(norm: SplitNorm):
-    """(lattice, shifts, sizes): the lattice of p^floor(a_i) e_i, the floors floor(a_i), and
-    the sizes a_i - floor(a_i) in [0, 1) of its columns, cleared; from _vals = (ints, den)
-    they are ints[i] // den and ints[i] % den over den."""
+    """(lattice, shifts, sizes): the lattice of p^floor(a_i) e_i, the open ball at 1 as
+    floor(a_i - 1) + 1 = floor(a_i), the floors floor(a_i), and the sizes a_i - floor(a_i) in
+    [0, 1) of its columns, cleared; from _vals = (ints, den) they are ints[i] // den and
+    ints[i] % den over den."""
     ints, den = norm._vals
-    shifts = [a // den for a in ints]
-    return _scaled_ball(norm, shifts), shifts, ([a % den for a in ints], den)
+    return ball_at(norm, 1, 1, False), [a // den for a in ints], ([a % den for a in ints], den)
 
 
 def ball_at(norm: SplitNorm, num: int, den: int, closed: bool) -> LatticeBasis:
-    """The closed or open ball at the level g = num / den, den > 0: with a_i = ints[i] / d
-    from _vals, a_i - g is (ints[i] den - num d) / (d den), whose ceiling and floor are
-    integer floor divisions."""
+    """The closed or open ball at the level g = num / den, den > 0: the norm's columns times
+    p^k, one exponent k each, B diag(p^k), whose inverse diag(p^-k) B^-1 is the norm's one
+    inverse scaled by the same _powers.  With a_i = ints[i] / d from _vals, a_i - g is n / q
+    for n = ints[i] den - num d and q = d den, and k is its ceiling (n + q - 1) // q for the
+    closed ball, or its floor plus one (n + q) // q for the open ball."""
     ints, d = norm._vals
-    t, q = num * d, d * den
-    if closed:
-        return _scaled_ball(norm, [-((t - a * den) // q) for a in ints])
-    return _scaled_ball(norm, [(a * den - t) // q + 1 for a in ints])
+    t, q, p = num * d, d * den, norm.cfg.prime
+    r = q - t - 1 if closed else q - t
+    exponents = [(a * den + r) // q for a in ints]
+    # p^k has |k| log10 p digits and a basis entry cancels at most a digit limit's worth of
+    # them, so past twice the limit no entry can be printed: refuse before building p^k
+    if max(map(abs, exponents), default=0) > 2 * digit_limit() / math.log10(p):
+        raise PreconditionError(TOO_LARGE)
+    inv_from = partial(_inverse_from, _powers, norm, p, [-k for k in exponents])
+    return frame_on(LatticeBasis, norm.cfg, _powers(norm._cols, p, exponents), inv_from)
 
 
 def ball_basis(norm: SplitNorm, g) -> LatticeBasis:

@@ -1,4 +1,4 @@
-"""Seeded generators for the property suites.
+"""Seeded generators for the property suites, and the suites' one time limit.
 
 Every generator takes an explicit random.Random so a failing case is
 reproducible from the module seed alone.  Entries are Fractions
@@ -7,15 +7,43 @@ throughout; nothing here ever touches floats.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
+import signal
 from fractions import Fraction
+
+import pytest
 
 from padicnorm import FieldConfig, LatticeBasis, SplitNorm, linalg
 
 import oracles
 
 PRIMES = (2, 3, 5)
+needs_alarm = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+
+
+class _Timeout(Exception):
+    pass
+
+
+def _alarm(signum, frame):
+    raise _Timeout
+
+
+@contextlib.contextmanager
+def time_limit(seconds, failure):
+    """Run the block under SIGALRM, and fail the test with the text failure when it is still
+    running after seconds; a test that uses it is marked needs_alarm."""
+    previous = signal.signal(signal.SIGALRM, _alarm)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    except _Timeout:
+        pytest.fail(failure)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rational(rng: random.Random, span: int = 8, max_den: int = 6) -> Fraction:

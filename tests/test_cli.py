@@ -592,10 +592,10 @@ def test_usage_errors(docs):
 
 # argvs that reach help or a usage error, or lie next to one: no verb, an unknown verb, a
 # missing flag, an unknown flag, an extra positional, "--" before and after the verb, a
-# negative vector with and without "=", an abbreviated flag, a bad choice, and the forms the
-# verb table leaves to argparse: a split negative value, which argparse reads as an integer
-# and refuses as a fraction, a value given to --open, a repeated flag, whose last value wins,
-# and a bare "-", which argparse reads as a positional
+# negative vector with and without "=", an abbreviated flag, a bad choice, a split negative
+# value, which argparse reads as an integer and refuses as a fraction, a value given to
+# --open, a repeated flag, whose last value wins, and a bare "-", which argparse reads as a
+# positional
 USAGE = [
     (),
     ("-h",),
@@ -683,8 +683,8 @@ def generated_argvs(docs, count, seed=0):
 
 def test_reader_reads_argvs_as_the_top_level_parser(docs):
     # main reads a plain call off the verb table: wherever the reader answers, it gives the
-    # namespace the top-level parser gives, less the verb's name, and it answers every argv of
-    # the frozen tables, each of which argparse reads
+    # namespace the top-level parser gives, the verb's name included, and it answers every argv
+    # of the frozen tables, each of which argparse reads
     top = cli.build_parser()
     lines = [resolved(docs, argv) for argv, *_ in LINES + DOCUMENTS]
     frozen = [*lines, *(resolved(docs, argv) for argv, *_ in RUNS)]
@@ -697,13 +697,12 @@ def test_reader_reads_argvs_as_the_top_level_parser(docs):
         got = cli._read_call(argv)
         if got is not None:
             answered += 1
-            want = vars(top.parse_args(argv))
-            assert want.pop("verb") == argv[0]
-            assert vars(got) == want, argv
-    # of USAGE it reads only the negative value given with "="; argparse reads or refuses the
-    # rest, the repeated --format and the split negative values among them
+            assert vars(got) == vars(top.parse_args(argv)), argv
+    # of USAGE it reads the negative value given with "=" and the repeated --format, whose last
+    # value wins; argparse reads or refuses the rest, the split negative values among them
     read = [argv for argv in USAGE if cli._read_call(resolved(docs, argv))]
-    assert read == [("eval", "alpha", "--vector=-1,1")]
+    repeated = ("eval", "alpha", "--vector", "1,1", "--format", "text", "--format", "machine")
+    assert read == [("eval", "alpha", "--vector=-1,1"), repeated]
     # the corpus reaches both sides: the reader answers part of it and leaves the rest
     assert len(frozen) < answered < len(frozen) + len(usage) + len(corpus) // 2
 

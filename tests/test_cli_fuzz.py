@@ -13,7 +13,6 @@ import json
 import os
 import random
 import re
-import signal
 import subprocess
 import sys
 from fractions import Fraction
@@ -21,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from padicnorm import io, linalg
+from padicnorm import cli, io, linalg
 from padicnorm.cli import _frac, main
 from padicnorm.errors import PreconditionError
 from padicnorm.linalg import digit_limit
@@ -34,35 +33,21 @@ BIG_PRIME = 1000000000000000003
 THIRDS, SEVENTHS = f"1/{3 ** 8000}", f"1/{7 ** 5000}"  # 3,817- and 4,226-digit denominators
 IDENTITY2 = [["1", "0"], ["0", "1"]]
 
-pytestmark = pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-
-
-class CaseTimeout(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise CaseTimeout
+pytestmark = fuzz.needs_alarm
 
 
 def run_case(argv, seconds):
     """(exit code, stdout, stderr) of one in-process run, failing past the time limit."""
     out, err = stringio.StringIO(), stringio.StringIO()
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                code = exc.code
-    except CaseTimeout:
-        pytest.fail(f"still running after {seconds} s: {argv!r:.300}")
+        with fuzz.time_limit(seconds, f"still running after {seconds} s: {argv!r:.300}"):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
     except Exception as exc:
         pytest.fail(f"{type(exc).__name__} escaped main: {argv!r:.300}")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -114,6 +99,14 @@ def test_extreme_argvs_refused(tmp_path):
         ["chain", write(tmp_path, "far.json", norm_doc(["0", "9" * 4300]))],
         ["tree", big],
         ["tree", mid],
+        # argparse reads a value written "--" as [], which no flag type and no document gives
+        ["ball", alpha, "--at=--"],
+        ["graded-dims", alpha, "--delta=--"],
+        ["level", alpha, "--matrix", "1,0;0,1", "--delta=--"],
+        ["tensor", alpha, "--", "--"],
+        ["restrict", alpha, "--span=--"],
+        ["eval", alpha, "--vector", "1,1", "--format=--"],
+        ["apartment", "--vector=--", "--prime", "2"],
     ):
         check(argv, codes=(2,), seconds=1)
     # ordinary rationals in flags keep working, exponents included
@@ -210,6 +203,7 @@ RATIONALS = [
     "1e4300", "-1e4300", "1e-4300", "1e4301", "1e1000000", "1e-1000000", "1e10000000",
     "1e" + "0" * 5000 + "1", "9" * 4300, "9" * 5000, "1/" + "7" * 4000, SEVENTHS, THIRDS,
     "10000000000", "-10000000000", "-30000000", "1/0", "abc", "", "nan", "inf", "1_0", "0x10",
+    "--",
 ]
 # document entries: canonical, non-canonical, near and past the digit limit, wrong types
 ENTRIES = [
@@ -219,6 +213,7 @@ ENTRIES = [
 ]
 JUNK = [None, True, False, 0, -1, 1.5, "x", "2", [], {}, [[]], [1, 2], 10 ** 30, -(10 ** 4299)]
 PRIMES = [2, 3, 5, 7, 4, 1, 0, -2, 997, 1009, 10007, BIG_PRIME, PRIME_LIMIT, PRIME_LIMIT + 2]
+RAM_INDICES = ["1", "2", "3", "0", "-1", "unbounded", "1e3", "9" * 4300, "9" * 5000, str(7 ** 5000)]
 
 
 def _csv(rng, n, sep=","):
@@ -280,36 +275,29 @@ def random_text(rng, doc):
 
 
 def random_argv(rng, paths, dims):
+    """A call of a verb of cli.VERBS on its documents, with every required flag and about half
+    of the others, each value drawn by the flag's choices, action or type."""
     i = rng.randrange(len(paths))
-    path, n = paths[i], dims[i]
-    other = paths[rng.randrange(len(paths))]
-    verb = rng.choice((
-        "eval", "ball", "bc-dims", "graded-dims", "level", "stab-check", "act", "restrict",
-        "quotient", "coords", "chain", "fiber", "chi-weights", "type", "dual", "tree",
-        "equals", "cartan", "tensor", "sum", "apartment", "translate",
-    ))
-    rational = rng.choice(RATIONALS)
-    flags = {
-        "eval": ["--vector=" + _csv(rng, n)],
-        "ball": ["--at=" + rational] + (["--open"] if rng.random() < 0.5 else []),
-        "bc-dims": rng.choice(([], ["--at=" + rational], [
-            "--ram-index=" + rng.choice(("1", "2", "3", "0", "-1", "unbounded", "1e3",
-                                         "9" * 4300, "9" * 5000, str(7 ** 5000)))
-        ])),
-        "graded-dims": rng.choice(([], ["--delta=" + rational])),
-        "level": ["--matrix=" + _matrix(rng, n)] + rng.choice(([], ["--delta=" + rational])),
-        "stab-check": ["--matrix=" + _matrix(rng, n)],
-        "act": ["--matrix=" + _matrix(rng, n)],
-        "restrict": ["--span=" + _matrix(rng, n)],
-        "quotient": ["--span=" + _matrix(rng, n)],
-        "coords": rng.choice(([], ["--frame=" + _matrix(rng, n)])),
-        "apartment": ["--vector=" + _csv(rng, n), "--prime=" + str(rng.choice(PRIMES))],
-        "translate": ["--matrix=" + _matrix(rng, n), "--prime=" + str(rng.choice(PRIMES))],
-    }.get(verb, [])
-    if verb in ("apartment", "translate"):
-        return [verb, *flags]
-    files = [path, other] if verb in ("equals", "cartan", "tensor", "sum") else [path]
-    return [verb, *files, *flags, *rng.choice(((), ("--format", "machine")))]
+    verb = rng.choice(sorted(cli.VERBS))
+    _, files, flags = cli.VERBS[verb]
+    argv = [verb, paths[i], *(rng.choice(paths) for _ in files[1:])][: len(files) + 1]
+    values = {
+        cli._vector: lambda: _csv(rng, dims[i]),
+        cli._matrix: lambda: _matrix(rng, dims[i]),
+        cli._frac: lambda: rng.choice(RATIONALS),
+        cli._ram_index: lambda: rng.choice(RAM_INDICES),
+        int: lambda: rng.choice(PRIMES),
+    }
+    for flag, kwargs in flags.items():
+        if not kwargs.get("required") and rng.random() < 0.5:
+            continue
+        if "action" in kwargs:
+            argv.append("--" + flag)
+        elif "choices" in kwargs:
+            argv.append(f"--{flag}={rng.choice(kwargs['choices'])}")
+        else:
+            argv.append(f"--{flag}={values[kwargs['type']]()}")
+    return argv
 
 
 def test_seeded_cli_fuzz(tmp_path):

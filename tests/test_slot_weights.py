@@ -11,7 +11,6 @@ remainder mod p^k, not the slot.
 """
 
 import random
-import signal
 from fractions import Fraction
 
 import pytest
@@ -151,15 +150,7 @@ def test_evaluate_multiplies_out_only_the_heaviest_row(monkeypatch):
     assert len(products) == n
 
 
-class _Timeout(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _Timeout
-
-
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@fuzz.needs_alarm
 @pytest.mark.parametrize("gap", [10**6, 10 ** (digit_limit() - 1)], ids=["1e6", "digit-limit"])
 def test_far_apart_values_build_no_power_of_p(gap):
     # a slot that beats the best weight by k valuation steps is tested mod p^k unless k
@@ -170,19 +161,12 @@ def test_far_apart_values_build_no_power_of_p(gap):
     far = SplitNorm(cfg, n, basis, tuple(Fraction(k * gap) for k in range(n)))
     near = SplitNorm(cfg, n, oracles.identity(n), (Fraction(0),) * n)
     g = tuple(tuple(Fraction(2 * int(i == j)) for j in range(n)) for i in range(n))
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1)
-    try:
+    with fuzz.time_limit(1, "a slot read built a power of p past the entry's size"):
         assert evaluate(far, (1, 2, 3, 4)) >= 0
         assert evaluate(near, (1, 2, 3, 4)) == 0
         assert not equals(near, far) and not equals(far, near)
         assert op_size(near, far) >= (n - 1) * gap and op_size(far, near) <= 1
         assert filtration_level(far, g) == 0
-    except _Timeout:
-        pytest.fail("a slot read built a power of p past the entry's size")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def _prime_to(rng, bits, p):

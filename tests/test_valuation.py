@@ -1,7 +1,6 @@
 import math
 import operator
 import random
-import signal
 import time
 from fractions import Fraction
 
@@ -19,6 +18,8 @@ from padicnorm.valuation import (
     multiplicity,
     pval,
 )
+
+import fuzz
 
 CFG2 = FieldConfig(2)
 # the largest prime below the proven Miller-Rabin limit
@@ -204,32 +205,13 @@ def test_val_is_a_valuation():
             assert val(x + y, cfg) >= min(val(x, cfg), val(y, cfg))
 
 
-class _Timeout(Exception):
-    pass
-
-
-def _alarm(signum, frame):
-    raise _Timeout
-
-
-def _within(seconds, call, what):
-    previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        call()
-    except _Timeout:
-        pytest.fail(f"{what} still running after {seconds} s")
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@fuzz.needs_alarm
 @pytest.mark.parametrize("p", [2, 3, 10**18 + 3])
 def test_multiplicity_refuses_zero(p):
     # 0 is divisible by every power of p, so the squaring loop would never stop
-    with pytest.raises(PreconditionError, match="undefined at 0"):
-        _within(1, lambda: multiplicity(0, p), f"multiplicity(0, {p})")
+    failure = f"multiplicity(0, {p}) still running after 1 s"
+    with pytest.raises(PreconditionError, match="undefined at 0"), fuzz.time_limit(1, failure):
+        multiplicity(0, p)
 
 
 def unit(rng, bits: int, p: int) -> int:
@@ -302,33 +284,36 @@ def test_multiplicity_falls_back_past_the_bracket(monkeypatch):
     assert None in read
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@fuzz.needs_alarm
 @pytest.mark.parametrize("p", [3, 5, 10**18 + 3])
 def test_multiplicity_is_fast_on_a_large_unit(p):
     # p times a 200,000-bit unit: one gcd with a power of p as long as n takes 75-85 ms on a
     # 2-vCPU x86-64 host under CPython 3.11, so ten of them overrun the limit
     n = p * unit(random.Random(p), 200000, p)
-    _within(0.25, lambda: [multiplicity(n, p) for _ in range(10)], f"10 calls on {p} * unit")
+    with fuzz.time_limit(0.25, f"10 calls on {p} * unit still running after 0.25 s"):
+        for _ in range(10):
+            multiplicity(n, p)
     assert multiplicity(n, p) == 1
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@fuzz.needs_alarm
 @pytest.mark.parametrize("p", [10**18 + 3, PRIME_BELOW_LIMIT])
 def test_multiplicity_strips_a_long_power_in_one_gcd(p):
     # 7 p^20000, 1.2 to 1.6 million bits: past the three windows one gcd strips the rest in
     # 0.1 to 0.2 s on a 2-vCPU x86-64 host under CPython 3.11, where windows that keep growing
     # 4-fold take 0.9 to 1.8 s, one quadratic divmod each
     n = 7 * p**20000
-    got = []
-    _within(0.5, lambda: got.append(multiplicity(n, p)), f"multiplicity of 7 * {p}^20000")
-    assert got == [20000]
+    with fuzz.time_limit(0.5, f"multiplicity of 7 * {p}^20000 still running after 0.5 s"):
+        assert multiplicity(n, p) == 20000
 
 
-@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@fuzz.needs_alarm
 def test_first_call_with_a_large_prime_is_cheap():
     p = PRIME_BELOW_LIMIT
     n = p**40 * unit(random.Random(5), 3000, p)
     valuation._bracket.cache_clear()
     valuation._window.cache_clear()
-    _within(0.05, lambda: multiplicity(n, p), "the first call with a prime near the limit")
+    failure = "the first call with a prime near the limit still running after 0.05 s"
+    with fuzz.time_limit(0.05, failure):
+        multiplicity(n, p)
     assert multiplicity(n, p) == 40
